@@ -23,8 +23,6 @@ from .envs import (
     make_env,
     observe_target,
     sample_theta_star,
-    save_env,
-    save_ground_truth,
 )
 from .interpret import ContributionReport, clipped_weights, contribution_proportions, topk_feature_rewards
 from .learner import (
@@ -39,14 +37,11 @@ from .learner import (
     effective_sample_size,
     error_decomposition,
     fit_lasso,
-    fit_least_squares,
     fit_stage,
-    grid_budget,
     load_model,
     next_value_bound,
     save_model,
     select_lambda,
-    theory_threshold_constant,
     train,
     train_baseline,
     variance_proxy,
@@ -65,13 +60,14 @@ from .policy import (
 from .spectral import (
     FilterSpec,
     SpectralDecomposition,
-    apply_filter,
+    SpectralSystem,
     decompose,
     default_filter,
     empirical_effective_dimension,
     filter_value,
     filter_values,
     gradient_descent_steps,
+    spectral_system,
     weighted_half_norm,
 )
 

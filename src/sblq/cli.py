@@ -105,8 +105,8 @@ def cmd_gen(cfg: RunConfig, out: Path) -> None:
     _atomic_write_all({
         out / HEADER_NAME: dataset_header_text(dataset),
         out / TRAJECTORIES_NAME: dataset_jsonl_text(dataset),
-        out / TRUTH_NAME: _json_text({"version": 1, "theta_star": truth.theta_star.tolist()}),
-        out / ENV_NAME: _json_text({"version": 1, "seed": env.seed, "spec": vars(env.spec).copy()}),
+        out / TRUTH_NAME: envs_mod.ground_truth_json_text(truth),
+        out / ENV_NAME: envs_mod.env_json_text(env),
     })
 
 
@@ -162,6 +162,11 @@ def cmd_report(cfg: RunConfig, model_path: Path, dataset_dir: Path | None,
              for j in range(len(contrib.labels))]),
     }
     if cfg.topk:
+        n_units = len(contrib.labels)
+        outside = [k for k in cfg.topk if not 1 <= k <= n_units]
+        if outside:
+            raise ConfigError(f"topk values {outside} outside 1..{n_units}, "
+                              "the model's feature count")
         if dataset_dir is None:
             raise ConfigError("--topk requires --dataset to retrain masked models")
         dataset = _load_dataset_dir(dataset_dir)
@@ -324,6 +329,9 @@ def main(argv=None) -> int:
         return 2
     except DataError as exc:
         print(f"error: data: {exc}", file=sys.stderr)
+        return 3
+    except FileNotFoundError as exc:
+        print(f"error: data: no such file: {exc.filename}", file=sys.stderr)
         return 3
     except (NumericError, FloatingPointError, np.linalg.LinAlgError, ValueError) as exc:
         print(f"error: numeric: {exc}", file=sys.stderr)

@@ -173,9 +173,8 @@ class GroundTruth:
         self.theta_star.setflags(write=False)
 
 
-def save_ground_truth(truth: GroundTruth, path) -> None:
-    payload = {"version": 1, "theta_star": truth.theta_star.tolist()}
-    Path(path).write_text(json.dumps(payload) + "\n")
+def ground_truth_json_text(truth: GroundTruth) -> str:
+    return json.dumps({"version": 1, "theta_star": truth.theta_star.tolist()}) + "\n"
 
 
 def load_ground_truth(path) -> GroundTruth:
@@ -231,9 +230,8 @@ def observe_target(env: SyntheticEnv, x: np.ndarray, t: int,
     return float(r + x @ env.theta_star[t] + eps)
 
 
-def save_env(env: SyntheticEnv, path) -> None:
-    payload = {"version": 1, "seed": env.seed, "spec": vars(env.spec).copy()}
-    Path(path).write_text(json.dumps(payload) + "\n")
+def env_json_text(env: SyntheticEnv) -> str:
+    return json.dumps({"version": 1, "seed": env.seed, "spec": vars(env.spec).copy()}) + "\n"
 
 
 def load_env(path) -> SyntheticEnv:

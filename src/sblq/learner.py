@@ -25,19 +25,22 @@ import numpy as np
 from .data import BatchDataset, StageDesign, candidate_scores, empirical_covariance, stage_design
 from .errors import NumericError
 from .spectral import (
+    CUTOFF,
     FilterSpec,
     SpectralDecomposition,
-    apply_filter,
+    SpectralSystem,
     decompose,
     default_filter,
     empirical_effective_dimension,
     filter_values,
+    spectral_system,
     weighted_half_norm,
 )
 
 LS = "ls"
 LASSO = "lasso"
 BASELINE_METHODS = (LS, LASSO)
+LS_RELATIVE_FLOOR = 1e-10      # least squares keeps eigenvalues >= this * sigma_max
 
 
 @dataclass(frozen=True)
@@ -97,18 +100,6 @@ def default_config(filter_kind: str, reward_bound: float = 1.0, **overrides) -> 
     base["reward_bound"] = reward_bound
     base.update(overrides)
     return AdaptiveConfig(**base)
-
-
-def theory_threshold_constant(b: float, c_tilde: float) -> float:
-    """The threshold multiplier 8 b sqrt(1 - c_tilde) / (1 - 2 c_tilde).
-
-    Exposed for reference; the shipped defaults use the much smaller
-    empirically calibrated per-filter values in FILTER_PRESETS.
-    """
-    if not 0.0 < c_tilde < 0.5:
-        raise ValueError("c_tilde must lie in (0, 0.5)")
-    return 8.0 * b * math.sqrt((1.0 - c_tilde) / (1.0 - 2.0 * c_tilde)) \
-        * math.sqrt(1.0 / (1.0 - 2.0 * c_tilde))
 
 
 @dataclass(frozen=True)
@@ -202,15 +193,24 @@ def next_value_bound(dataset: BatchDataset, t: int, theta_next: np.ndarray,
     return float(np.max(np.abs(scores)))
 
 
-def fit_stage(design: StageDesign, targets: np.ndarray, filt: FilterSpec,
-              lam: float) -> np.ndarray:
-    """theta = g_lambda(Sigma_hat) * (1/n) sum_i x_i y_i."""
+def _moment(design: StageDesign, targets: np.ndarray) -> np.ndarray:
+    """(1/n) sum_i x_i y_i, after checking the outcomes are finite."""
     targets = np.asarray(targets, dtype=float)
     if not np.all(np.isfinite(targets)):
         raise NumericError("targets contain non-finite values")
-    n = design.rows.shape[0]
-    moment = design.rows.T @ targets / n
-    return apply_filter(decompose(empirical_covariance(design)), filt, lam, moment)
+    return design.rows.T @ targets / design.rows.shape[0]
+
+
+def _stage_system(design: StageDesign, targets: np.ndarray) -> SpectralSystem:
+    """Eigensystem of Sigma_hat with the eigen-coordinates of the moment."""
+    return spectral_system(decompose(empirical_covariance(design)), _moment(design, targets))
+
+
+def fit_stage(design: StageDesign, targets: np.ndarray, filt: FilterSpec,
+              lam: float) -> np.ndarray:
+    """theta = g_lambda(Sigma_hat) * (1/n) sum_i x_i y_i."""
+    system = _stage_system(design, targets)
+    return system.estimate(filter_values(filt, lam, system.decomp.eigenvalues))
 
 
 def effective_sample_size(n: int, cfg: AdaptiveConfig) -> float:
@@ -241,63 +241,25 @@ def dimension_adjusted_sample_size(n: int, d: int, cfg: AdaptiveConfig) -> float
     return n * cfg.b0 / (2.0 * denom ** (1.0 / cfg.gamma0))
 
 
-def variance_proxy(decomp: SpectralDecomposition, lam: float, n: int, d: int,
-                   cfg: AdaptiveConfig) -> float:
-    """Finite-sample scale of the estimator fluctuation at level lambda."""
-    if lam <= 0:
+def variance_proxy(decomp: SpectralDecomposition, lam: float | np.ndarray, n: int, d: int,
+                   cfg: AdaptiveConfig):
+    """Finite-sample scale of the estimator fluctuation, per level lambda."""
+    lam = np.asarray(lam, dtype=float)
+    if np.any(lam <= 0):
         raise ValueError("lambda must be positive")
     n_gamma = effective_sample_size(n, cfg)
     ell = dimension_adjusted_sample_size(n, d, cfg)
-    front = 1.0 + 4.0 * (13.0 * cfg.c_x / math.sqrt(lam * ell)
+    front = 1.0 + 4.0 * (13.0 * cfg.c_x / np.sqrt(lam * ell)
                          + 21.0 * cfg.c_x**2 / (lam * ell))
-    eff = max(math.sqrt(empirical_effective_dimension(decomp, lam)), 1.0)
-    return front * eff / math.sqrt(n_gamma) + 1.0 / (n_gamma * math.sqrt(lam))
+    eff = np.maximum(np.sqrt(empirical_effective_dimension(decomp, lam)), 1.0)
+    return front * eff / math.sqrt(n_gamma) + 1.0 / (n_gamma * np.sqrt(lam))
 
 
-def grid_floor_constant(cfg: AdaptiveConfig) -> float:
-    """The constant 21 C_x (1 + 2 C_x)(sqrt(C0) + 1) log(2/delta) / c_tilde."""
-    return (21.0 * cfg.c_x * (1.0 + 2.0 * cfg.c_x) * (math.sqrt(cfg.c0_effdim) + 1.0)
-            / cfg.c_tilde * math.log(2.0 / cfg.delta))
-
-
-def grid_budget(n: int, cfg: AdaptiveConfig) -> int:
-    """Grid length from the finite-sample floor, clamped to [1, cfg.budget].
-
-    The raw value is log_q of the floor constant over q0 sqrt(n_gamma); it is
-    a diagnostic of where the theory would stop the grid.  Training itself
-    scans the full configured budget (see ``select_lambda``).
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    ratio = grid_floor_constant(cfg) / (cfg.q0 * math.sqrt(effective_sample_size(n, cfg)))
-    raw = math.log(ratio) / math.log(cfg.q)
-    return min(cfg.budget, max(1, math.ceil(raw - 1e-9)))
-
-
-def adaptive_threshold(t: int, horizon: int, phi_next: float, w: float,
-                       cfg: AdaptiveConfig) -> float:
+def adaptive_threshold(t: int, horizon: int, phi_next: float, w: float | np.ndarray,
+                       cfg: AdaptiveConfig):
     """Balancing threshold c_ada * 84 * ((T-t+2) M + phi) (1 + C_x) w log^2(2/delta)."""
     return (cfg.c_ada * 84.0 * ((horizon - t + 2) * cfg.reward_bound + phi_next)
             * (1.0 + cfg.c_x) * w * math.log(2.0 / cfg.delta) ** 2)
-
-
-def _grid_estimates(design: StageDesign, targets: np.ndarray, filt: FilterSpec,
-                    cfg: AdaptiveConfig):
-    """Decomposition, grid lambdas (k = 1..K+1) and the estimate at each."""
-    targets = np.asarray(targets, dtype=float)
-    if not np.all(np.isfinite(targets)):
-        raise NumericError("targets contain non-finite values")
-    n = design.rows.shape[0]
-    decomp = decompose(empirical_covariance(design))
-    moment = design.rows.T @ targets / n
-    coords = decomp.eigenvectors.T @ moment
-    k_max = cfg.budget
-    lambdas = cfg.q0 * cfg.q ** np.arange(1, k_max + 2, dtype=float)
-    thetas = np.empty((k_max + 2, decomp.dim))  # index by k, slot 0 unused
-    for k in range(1, k_max + 2):
-        g = filter_values(filt, lambdas[k - 1], decomp.eigenvalues)
-        thetas[k] = decomp.eigenvectors @ (g * coords)
-    return decomp, lambdas, thetas
 
 
 def select_lambda(design: StageDesign, targets: np.ndarray, filt: FilterSpec,
@@ -309,33 +271,35 @@ def select_lambda(design: StageDesign, targets: np.ndarray, filt: FilterSpec,
     estimates at lambda_{k+1} and lambda_k is compared to the threshold; the
     first k where the gap reaches the threshold is selected, and k = K if
     none does.  Returns (lambda, theta, StageFitReport).
+
+    The whole grid is evaluated in the stage eigenbasis: with filter values
+    g_k at lambda_k and moment coordinates c, the gap for k is
+    ||(s + lambda_{k+1})^{1/2} (g_{k+1} - g_k) c||, and only the selected
+    estimate is rotated back to feature space.
     """
     n, d = design.rows.shape
     k_max = cfg.budget
-    decomp, lambdas, thetas = _grid_estimates(design, targets, filt, cfg)
+    system = _stage_system(design, targets)
+    s = system.decomp.eigenvalues
+    lambdas = cfg.q0 * cfg.q ** np.arange(1, k_max + 2, dtype=float)  # k = 1..K+1
+    g = filter_values(filt, lambdas, s)                                 # row k-1: lambda_k
+    lam_next = lambdas[1:]                                              # lambda_{k+1}, k = 1..K
+    step = (g[1:] - g[:-1]) * system.coords
+    gaps = np.sqrt(np.sum((s + lam_next[:, None]) * step**2, axis=1))
+    taus = adaptive_threshold(t, horizon, phi_next,
+                              variance_proxy(system.decomp, lam_next, n, d, cfg), cfg)
 
     ks = np.arange(k_max, 0, -1)
-    diff_norms = np.empty(k_max)
-    thresholds = np.empty(k_max)
-    selected = None
-    for i, k in enumerate(ks):
-        lam_next = lambdas[k]      # lambda_{k+1}
-        gap = weighted_half_norm(decomp, lam_next, thetas[k + 1] - thetas[k])
-        w = variance_proxy(decomp, lam_next, n, d, cfg)
-        tau = adaptive_threshold(t, horizon, phi_next, w, cfg)
-        diff_norms[i] = gap
-        thresholds[i] = tau
-        if selected is None and gap >= tau:
-            selected = int(k)
-    if selected is None:
-        selected = k_max
+    diff_norms, thresholds = gaps[ks - 1], taus[ks - 1]
+    crossed = np.flatnonzero(diff_norms >= thresholds)
+    selected = int(ks[crossed[0]]) if crossed.size else k_max
     lam = float(lambdas[selected - 1])
     report = StageFitReport(
         stage=t, ks=ks, lambdas=lambdas[ks - 1], diff_norms=diff_norms,
         thresholds=thresholds, phi_next=phi_next, selected_k=selected,
         selected_lambda=lam,
     )
-    return lam, thetas[selected].copy(), report
+    return lam, system.estimate(g[selected - 1]), report
 
 
 def train(dataset: BatchDataset, filt: FilterSpec | str, cfg: AdaptiveConfig,
@@ -368,23 +332,6 @@ def train(dataset: BatchDataset, filt: FilterSpec | str, cfg: AdaptiveConfig,
                          feature_mask=None if feature_mask is None
                          else np.asarray(feature_mask, dtype=float))
     return bundle, reports
-
-
-def fit_least_squares(design: StageDesign, targets: np.ndarray) -> np.ndarray:
-    """Minimum-norm least-squares stage fit via the covariance eigensystem.
-
-    Directions with eigenvalue below 1e-10 times the largest are dropped,
-    which is the pseudo-inverse convention.
-    """
-    targets = np.asarray(targets, dtype=float)
-    n = design.rows.shape[0]
-    decomp = decompose(empirical_covariance(design))
-    moment = design.rows.T @ targets / n
-    s = decomp.eigenvalues
-    cut = 1e-10 * (s[-1] if s[-1] > 0 else 1.0)
-    inv = np.where(s > cut, 1.0 / np.where(s > cut, s, 1.0), 0.0)
-    coords = decomp.eigenvectors.T @ moment
-    return decomp.eigenvectors @ (inv * coords)
 
 
 @dataclass(frozen=True)
@@ -450,10 +397,12 @@ def train_baseline(dataset: BatchDataset, method: str,
                    lasso_max_iters: int = 2000, lasso_tol: float = 1e-8) -> ModelBundle:
     """Backward induction with a least-squares or lasso stage estimator.
 
-    For lasso, the grid is fit path-wise (each penalty warm-started from the
-    next larger one), the penalty is chosen per stage by target RMSE on a
-    held-out validation subset of trajectories, and the stage is refit on all
-    rows at the chosen penalty.
+    Least squares is the minimum-norm fit: the cutoff filter at the level
+    1e-10 * sigma_max (1e-10 when Sigma_hat = 0), the pseudo-inverse
+    convention.  For lasso, the grid is fit path-wise (each penalty
+    warm-started from the next larger one), the penalty is chosen per stage by
+    target RMSE on a held-out validation subset of trajectories, and the stage
+    is refit on all rows at the chosen penalty.
     """
     if method not in BASELINE_METHODS:
         raise ValueError(f"unknown baseline method {method!r}")
@@ -476,7 +425,10 @@ def train_baseline(dataset: BatchDataset, method: str,
         design = stage_design(dataset, t, mask=feature_mask)
         targets = construct_targets(dataset, t, theta_next, mask=feature_mask)
         if method == LS:
-            theta = fit_least_squares(design, targets)
+            system = _stage_system(design, targets)
+            s = system.decomp.eigenvalues
+            floor = LS_RELATIVE_FLOOR * (s[-1] if s[-1] > 0 else 1.0)
+            theta = system.estimate(filter_values(default_filter(CUTOFF), floor, s))
             lam, k_sel = 0.0, 0
         else:
             sub = StageDesign(t, design.rows[fit_idx], design.rewards[fit_idx])
@@ -526,9 +478,11 @@ def error_decomposition(design: StageDesign, targets_y: np.ndarray,
             raise ValueError(f"{name} has shape {arr.shape}, expected ({design.rows.shape[0]},)")
     if theta_star.shape != (d,):
         raise ValueError(f"theta_star has shape {theta_star.shape}, expected ({d},)")
-    theta_obs = fit_stage(design, targets_y, filt, lam)
-    theta_true_targets = fit_stage(design, targets_ystar, filt, lam)
-    theta_clean = fit_stage(design, targets_noisefree, filt, lam)
+    decomp = decompose(empirical_covariance(design))
+    g = filter_values(filt, lam, decomp.eigenvalues)
+    theta_obs, theta_true_targets, theta_clean = (
+        spectral_system(decomp, _moment(design, y)).estimate(g)
+        for y in (targets_y, targets_ystar, targets_noisefree))
     weight = decompose(np.asarray(sigma_true, dtype=float))
     return {
         "bias": weighted_half_norm(weight, lam, theta_clean - theta_star),

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import BatchDataset, candidate_scores, stage_design
+from .data import BatchDataset, candidate_scores, empirical_covariance, stage_design
 from .envs import SyntheticEnv
 from .learner import ModelBundle
 from .spectral import decompose, weighted_half_norm
@@ -131,7 +131,7 @@ def comparison_diagnostic(model: ModelBundle, theta_star,
     total = 0.0
     for t in range(1, model.horizon + 1):
         design = stage_design(dataset, t, mask=model.feature_mask)
-        decomp = decompose(design.rows.T @ design.rows / design.rows.shape[0])
+        decomp = decompose(empirical_covariance(design))
         diff = model.theta(t) - truth[t - 1]
         total += 2.0 * mu ** (t / 2.0) * weighted_half_norm(decomp, 0.0, diff)
     return total

@@ -12,8 +12,8 @@ The gradient-descent filter is evaluated in closed form, (1 - (1-sigma)^p)/sigma
 and requires sigma <= 1; feature vectors are unit-normalized upstream so the
 covariance spectrum stays inside [0, 1].
 
-Everything here is a pure function of its inputs; decompositions and filter
-specs are frozen and safe to share across threads.
+Everything here is a pure function of its inputs; decompositions, spectral
+systems and filter specs are frozen and safe to share across threads.
 """
 from __future__ import annotations
 
@@ -132,32 +132,35 @@ def gradient_descent_steps(lam: float) -> int:
     return max(1, math.ceil(1.0 / lam))
 
 
-def filter_values(spec: FilterSpec, lam: float, sigmas: np.ndarray) -> np.ndarray:
-    """Evaluate g_lambda on an array of nonnegative eigenvalues."""
-    if lam <= 0:
+def filter_values(spec: FilterSpec, lam: float | np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+    """Evaluate g_lambda on an array of nonnegative eigenvalues.
+
+    ``lam`` may be a scalar or an array of levels; the result is indexed
+    [lambda..., sigma...], so a 1-D grid of K levels over d eigenvalues gives
+    a (K, d) array whose rows equal the scalar-lambda evaluations.
+    """
+    lam = np.asarray(lam, dtype=float)
+    if np.any(lam <= 0):
         raise ValueError("lambda must be positive")
     s = np.asarray(sigmas, dtype=float)
     if np.any(s < 0):
         raise ValueError("eigenvalues must be nonnegative")
+    lam = lam.reshape(lam.shape + (1,) * s.ndim)
     if spec.kind == TIKHONOV:
         return 1.0 / (s + lam)
     if spec.kind == CUTOFF:
-        out = np.zeros_like(s)
         keep = s >= lam
-        out[keep] = 1.0 / s[keep]
-        return out
+        return np.divide(1.0, s, out=np.zeros(keep.shape), where=keep)
     if spec.kind == GRADIENT_DESCENT:
         if np.any(s > 1.0 + 1e-9):
             raise ValueError("gradient-descent filter requires eigenvalues <= 1")
         s = np.minimum(s, 1.0)  # absorb round-off from unit-norm features
-        p = gradient_descent_steps(lam)
-        out = np.full_like(s, float(p))
+        p = np.maximum(1.0, np.ceil(1.0 / lam))  # gradient_descent_steps per level
         inner = (s > 0) & (s < 1)
+        si = np.where(inner, s, 0.5)
         # (1 - (1-sigma)^p) / sigma via expm1/log1p to avoid cancellation.
-        si = s[inner]
-        out[inner] = -np.expm1(p * np.log1p(-si)) / si
-        out[s >= 1.0] = 1.0
-        return out
+        closed = -np.expm1(p * np.log1p(-si)) / si
+        return np.where(inner, closed, np.where(s >= 1.0, 1.0, p))
     raise ValueError(f"unknown filter kind {spec.kind!r}")
 
 
@@ -166,25 +169,40 @@ def filter_value(spec: FilterSpec, lam: float, sigma: float) -> float:
     return float(filter_values(spec, lam, np.array([sigma]))[0])
 
 
-def apply_filter(decomp: SpectralDecomposition, spec: FilterSpec, lam: float,
-                 v: np.ndarray) -> np.ndarray:
-    """Compute g_lambda(Sigma) v in the eigenbasis of the decomposition."""
+@dataclass(frozen=True)
+class SpectralSystem:
+    """A decomposition of Sigma with the eigen-coordinates c = U^T v of one vector.
+
+    Every filtered solve g_lambda(Sigma) v equals U (g_lambda(s) * c), so
+    quantities over many levels lambda work on (s, c) alone and only the
+    estimates that are kept are rotated back by ``estimate``.
+    """
+
+    decomp: SpectralDecomposition
+    coords: np.ndarray
+
+    def estimate(self, g: np.ndarray) -> np.ndarray:
+        """U (g * c) for filter values g on the stored eigenvalues."""
+        return self.decomp.eigenvectors @ (g * self.coords)
+
+
+def spectral_system(decomp: SpectralDecomposition, v: np.ndarray) -> SpectralSystem:
+    """Pair a decomposition with the eigen-coordinates of the vector v."""
     v = np.asarray(v, dtype=float)
     if v.shape != (decomp.dim,):
         raise ValueError(f"vector has shape {v.shape}, expected ({decomp.dim},)")
     if not np.all(np.isfinite(v)):
         raise NumericError("vector contains non-finite entries")
-    g = filter_values(spec, lam, decomp.eigenvalues)
-    coords = decomp.eigenvectors.T @ v
-    return decomp.eigenvectors @ (g * coords)
+    return SpectralSystem(decomp, decomp.eigenvectors.T @ v)
 
 
-def empirical_effective_dimension(decomp: SpectralDecomposition, lam: float) -> float:
-    """Tr(Sigma (Sigma + lambda I)^-1) evaluated on the stored spectrum."""
-    if lam <= 0:
+def empirical_effective_dimension(decomp: SpectralDecomposition, lam: float | np.ndarray):
+    """Tr(Sigma (Sigma + lambda I)^-1) on the stored spectrum, per level lambda."""
+    lam = np.asarray(lam, dtype=float)
+    if np.any(lam <= 0):
         raise ValueError("lambda must be positive")
     s = decomp.eigenvalues
-    return float(np.sum(s / (s + lam)))
+    return np.sum(s / (s + lam[..., None]), axis=-1)
 
 
 def weighted_half_norm(decomp: SpectralDecomposition, lam: float, v: np.ndarray) -> float:

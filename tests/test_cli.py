@@ -204,6 +204,37 @@ class TestCommands:
         assert main(["train", "--config", str(cfg), "--dataset", str(missing),
                      "--out", str(tmp_path / "o")]) == 3
 
+    def test_topk_outside_feature_range_exits_two(self, tmp_path, capsys):
+        cfg = write_small_config(tmp_path)
+        data, run = tmp_path / "data", tmp_path / "run"
+        main(["gen", "--config", str(cfg), "--seed", "2", "--out", str(data)])
+        main(["train", "--config", str(cfg), "--seed", "2", "--dataset", str(data),
+              "--method", "tikhonov", "--out", str(run)])
+        capsys.readouterr()
+        assert main(["report", "--config", str(cfg), "--seed", "2",
+                     "--model", str(run / "model.json"), "--dataset", str(data),
+                     "--topk", "2,99", "--out", str(run)]) == 2
+        assert "99" in capsys.readouterr().err
+        assert not (run / "topk.csv").exists()
+
+    @pytest.mark.parametrize("flag", ["--model", "--truth", "--env"])
+    def test_missing_input_file_exits_three(self, tmp_path, capsys, flag):
+        cfg = write_small_config(tmp_path)
+        data, run = tmp_path / "data", tmp_path / "run"
+        main(["gen", "--config", str(cfg), "--seed", "2", "--out", str(data)])
+        main(["train", "--config", str(cfg), "--seed", "2", "--dataset", str(data),
+              "--method", "ls", "--out", str(run)])
+        paths = {"--model": run / "model.json", "--truth": data / "ground_truth.json",
+                 "--env": data / "env.json"}
+        paths[flag] = tmp_path / "absent.json"
+        capsys.readouterr()
+        argv = ["eval", "--config", str(cfg), "--dataset", str(data), "--out", str(run)]
+        for name, path in paths.items():
+            argv += [name, str(path)]
+        assert main(argv) == 3
+        assert str(tmp_path / "absent.json") in capsys.readouterr().err
+        assert not (run / "metrics.json").exists()
+
     def test_missing_required_flag_exits_two(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["train", "--out", str(tmp_path / "o")])

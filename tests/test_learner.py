@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sblq.data import BatchDataset, StageDesign, Trajectory, empirical_covariance, stage_design
 from sblq.envs import EnvSpec, generate_trajectories, make_env
@@ -14,21 +16,17 @@ from sblq.learner import (
     effective_sample_size,
     error_decomposition,
     fit_lasso,
-    fit_least_squares,
     fit_stage,
-    grid_budget,
-    grid_floor_constant,
     load_model,
     next_value_bound,
     save_model,
     select_lambda,
-    theory_threshold_constant,
     train,
     train_baseline,
     variance_proxy,
 )
 from sblq.policy import parameter_gap
-from sblq.spectral import decompose, default_filter
+from sblq.spectral import decompose, default_filter, weighted_half_norm
 
 from conftest import make_dataset
 
@@ -192,23 +190,6 @@ class TestNextValueBound:
         assert next_value_bound(ds, t, theta) == pytest.approx(want, abs=1e-12)
 
 
-class TestGridBudget:
-    def test_cap_binds_for_large_theory_value(self):
-        cfg = AdaptiveConfig(q0=1e9, budget=100)
-        assert grid_budget(1000, cfg) == 100
-
-    def test_floor_at_one(self):
-        cfg = AdaptiveConfig(q0=1e-9, budget=100)  # ratio >> 1, log_q negative
-        assert grid_budget(1000, cfg) == 1
-
-    def test_exact_power_inversion(self):
-        cfg = AdaptiveConfig(budget=100)
-        ratio = cfg.q ** 5
-        q0 = grid_floor_constant(cfg) / (ratio * math.sqrt(effective_sample_size(1000, cfg)))
-        cfg2 = AdaptiveConfig(q0=q0, budget=100, q=cfg.q, delta=cfg.delta, c_tilde=cfg.c_tilde)
-        assert grid_budget(1000, cfg2) == 5
-
-
 class TestAdaptiveThreshold:
     def test_zero_multiplier(self):
         cfg = AdaptiveConfig(c_ada=0.0)
@@ -229,11 +210,6 @@ class TestAdaptiveThreshold:
         t1 = adaptive_threshold(2, 5, 0.1, 1.7, cfg1)
         assert adaptive_threshold(2, 5, 0.1, 1.7, cfg2) == pytest.approx(3 * t1)
         assert adaptive_threshold(2, 5, 0.1, 3.4, cfg1) == pytest.approx(2 * t1)
-
-    def test_theory_constant(self):
-        # 8 b sqrt((1-c)/(1-2c)) sqrt(1/(1-2c)) at c = 0.25, b = 1
-        want = 8 * math.sqrt(0.75 / 0.5) * math.sqrt(1 / 0.5)
-        assert theory_threshold_constant(1.0, 0.25) == pytest.approx(want)
 
 
 class TestSelectLambda:
@@ -283,7 +259,6 @@ class TestSelectLambda:
             lam_hi = cfg.q0 * cfg.q ** (k + 1)
             t_hi = fit_stage(design, y, filt, lam_hi)
             t_lo = fit_stage(design, y, filt, cfg.q0 * cfg.q**k)
-            from sblq.spectral import weighted_half_norm
             gap = weighted_half_norm(decomp, lam_hi, t_hi - t_lo)
             tau = adaptive_threshold(1, 1, 0.0, variance_proxy(decomp, lam_hi, n, 4, cfg), cfg)
             if gap >= tau:
@@ -298,6 +273,48 @@ class TestSelectLambda:
         cfg = AdaptiveConfig(budget=10)
         _, _, rep = select_lambda(design, y, default_filter("gradient-descent"), 1, 1, 0.0, cfg)
         assert len(rep.ks) == len(rep.lambdas) == len(rep.diff_norms) == len(rep.thresholds) == 10
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(20, 120), d=st.integers(2, 12), distinct=st.integers(1, 12),
+           kind=st.sampled_from(["tikhonov", "cutoff", "gradient-descent"]),
+           budget=st.integers(1, 40), log_c_ada=st.floats(-8.0, -3.0),
+           seed=st.integers(0, 10_000))
+    def test_scan_matches_per_k_loop_oracle(self, n, d, distinct, kind, budget,
+                                            log_c_ada, seed):
+        # Rows drawn from a pool of `distinct` unit vectors, so designs with
+        # distinct < d are rank-deficient with repeated rows.
+        rng = np.random.default_rng(seed)
+        pool = rng.standard_normal((distinct, d))
+        pool /= np.linalg.norm(pool, axis=1, keepdims=True)
+        rows = pool[rng.integers(distinct, size=n)]
+        y = rows @ rng.standard_normal(d) + 0.3 * rng.standard_normal(n)
+        design = StageDesign(1, rows, np.zeros(n))
+        filt = default_filter(kind)
+        cfg = AdaptiveConfig(q0=1.0, budget=budget, c_ada=10.0**log_c_ada)
+        t, horizon, phi = 2, 3, 0.4
+        lam, theta, rep = select_lambda(design, y, filt, t, horizon, phi, cfg)
+
+        decomp = decompose(empirical_covariance(design))
+        gaps, taus, scale, expected_k = [], [], 0.0, None
+        for k in range(budget, 0, -1):
+            lam_hi = cfg.q0 * cfg.q ** (k + 1)
+            hi = fit_stage(design, y, filt, lam_hi)
+            lo = fit_stage(design, y, filt, cfg.q0 * cfg.q**k)
+            gaps.append(weighted_half_norm(decomp, lam_hi, hi - lo))
+            scale = max(scale, np.linalg.norm(hi) * math.sqrt(decomp.eigenvalues[-1] + lam_hi))
+            w = variance_proxy(decomp, lam_hi, n, d, cfg)
+            taus.append(adaptive_threshold(t, horizon, phi, w, cfg))
+            if expected_k is None and gaps[-1] >= taus[-1]:
+                expected_k = k
+        expected_k = budget if expected_k is None else expected_k
+
+        assert rep.selected_k == expected_k
+        assert lam == pytest.approx(cfg.q0 * cfg.q ** expected_k, rel=1e-14)
+        np.testing.assert_array_equal(theta, fit_stage(design, y, filt, lam))
+        # The oracle differences estimates in feature space, so a gap at the
+        # round-off level of the estimates carries no relative accuracy.
+        np.testing.assert_allclose(rep.diff_norms, gaps, rtol=1e-10, atol=1e-13 * scale)
+        np.testing.assert_allclose(rep.thresholds, taus, rtol=1e-10, atol=0)
 
 
 def small_env_dataset(n=400, seed=0, noise=0.3):
@@ -373,32 +390,69 @@ class TestTrain:
             assert np.max(np.abs(y)) <= bound + 1e-9
 
 
+def least_squares(design, y):
+    """The ls stage fit as train_baseline runs it: cut-off at 1e-10 sigma_max."""
+    s_max = decompose(empirical_covariance(design)).eigenvalues[-1]
+    return fit_stage(design, y, default_filter("cutoff"), 1e-10 * (s_max if s_max > 0 else 1.0))
+
+
+def one_stage_dataset(rows, y):
+    """Horizon-1 unnormalized dataset whose stage design is ``rows`` followed by
+    one all-zero action column, with rewards ``y``."""
+    trajectories = [Trajectory(r[None, :], np.array([0]), np.array([v]))
+                    for r, v in zip(rows, y)]
+    return BatchDataset.from_trajectories(trajectories, np.zeros((1, 1)),
+                                          float(np.max(np.abs(y))) + 1.0, normalize=False)
+
+
 class TestBaselines:
     def test_ls_exact_line_in_one_dimension(self):
         rows = np.array([[1.0], [2.0]])
         design = StageDesign(1, rows, np.zeros(2))
-        theta = fit_least_squares(design, np.array([3.0, 6.0]))
+        theta = least_squares(design, np.array([3.0, 6.0]))
         assert theta[0] == pytest.approx(3.0)
 
     def test_ls_matches_normal_equations(self, rng):
         rows = rng.standard_normal((50, 6))
         y = rng.standard_normal(50)
         design = StageDesign(1, rows, np.zeros(50))
-        got = fit_least_squares(design, y)
+        got = least_squares(design, y)
         cov = rows.T @ rows / 50
         want = np.linalg.solve(cov, rows.T @ y / 50)
         assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-8
 
     def test_ls_zero_design_gives_zero(self):
         design = StageDesign(1, np.zeros((4, 3)), np.zeros(4))
-        np.testing.assert_array_equal(fit_least_squares(design, np.ones(4)), np.zeros(3))
+        np.testing.assert_array_equal(least_squares(design, np.ones(4)), np.zeros(3))
+
+    def test_ls_rank_deficient_matches_pseudo_inverse(self, rng):
+        # 6 distinct rows repeated over 90 observations in 10 dimensions
+        pool = rng.standard_normal((6, 10))
+        rows = pool[rng.integers(6, size=90)]
+        y = rows @ rng.standard_normal(10) + 0.1 * rng.standard_normal(90)
+        ds = one_stage_dataset(rows, y)
+        theta = train_baseline(ds, "ls").stages[0].theta
+        features = stage_design(ds, 1).rows
+        assert np.linalg.matrix_rank(features) == 6
+        want = np.linalg.pinv(features) @ y
+        assert np.linalg.norm(theta - want) / np.linalg.norm(want) < 1e-8
+
+    def test_ls_keeps_eigenvalue_at_floor(self):
+        # Sigma_hat = diag(1e10, 1, 0) * 2^-35 exactly: the middle eigenvalue
+        # equals the floor 1e-10 * sigma_max, and the cutoff filter keeps
+        # sigma >= lambda, so that direction is solved, not dropped.
+        a = 2.0 ** -17
+        rows = np.array([[1e5 * a, 0.0], [0.0, a]])
+        y = np.array([0.5, -0.25])
+        theta = train_baseline(one_stage_dataset(rows, y), "ls").stages[0].theta
+        np.testing.assert_allclose(theta, [y[0] / rows[0, 0], y[1] / a, 0.0], rtol=1e-12)
 
     def test_lasso_zero_penalty_matches_ls(self, rng):
         rows = rng.standard_normal((60, 4))
         y = rng.standard_normal(60)
         design = StageDesign(1, rows, np.zeros(60))
         fit = fit_lasso(design, y, 0.0, max_iters=5000, tol=1e-12)
-        want = fit_least_squares(design, y)
+        want = least_squares(design, y)
         np.testing.assert_allclose(fit.theta, want, atol=1e-6)
 
     def test_lasso_kill_condition(self, rng):
@@ -442,7 +496,7 @@ class TestBaselines:
                            reward_bound=ds.reward_bound)
         bundle = train_baseline(one, "ls")
         design = stage_design(one, 1)
-        want = fit_least_squares(design, construct_targets(one, 1, np.zeros(one.feature_dim)))
+        want = least_squares(design, construct_targets(one, 1, np.zeros(one.feature_dim)))
         np.testing.assert_allclose(bundle.stages[0].theta, want, atol=1e-12)
 
     def test_baseline_lasso_singleton_grid(self):

@@ -8,15 +8,20 @@ from hypothesis import strategies as st
 from sblq.errors import NumericError
 from sblq.spectral import (
     FilterSpec,
-    apply_filter,
     decompose,
     default_filter,
     empirical_effective_dimension,
     filter_value,
     filter_values,
     gradient_descent_steps,
+    spectral_system,
     weighted_half_norm,
 )
+
+
+def filtered_solve(decomp, spec, lam, v):
+    """g_lambda(Sigma) v through the spectral system of v."""
+    return spectral_system(decomp, v).estimate(filter_values(spec, lam, decomp.eigenvalues))
 
 
 class TestDecompose:
@@ -114,12 +119,12 @@ class TestFilterValue:
 class TestApplyFilter:
     def test_identity_tikhonov(self):
         d = decompose(np.eye(2))
-        out = apply_filter(d, default_filter("tikhonov"), 1.0, np.array([2.0, 0.0]))
+        out = filtered_solve(d, default_filter("tikhonov"), 1.0, np.array([2.0, 0.0]))
         np.testing.assert_allclose(out, [1.0, 0.0], atol=1e-12)
 
     def test_zero_vector(self, rng):
         d = decompose(np.eye(4))
-        out = apply_filter(d, default_filter("cutoff"), 0.5, np.zeros(4))
+        out = filtered_solve(d, default_filter("cutoff"), 0.5, np.zeros(4))
         np.testing.assert_allclose(out, np.zeros(4))
 
     def test_cutoff_below_spectrum_is_exact_solve(self, rng):
@@ -128,7 +133,7 @@ class TestApplyFilter:
         d = decompose(sigma)
         lam = 0.5 * d.eigenvalues[0]
         v = rng.standard_normal(5)
-        got = apply_filter(d, default_filter("cutoff"), lam, v)
+        got = filtered_solve(d, default_filter("cutoff"), lam, v)
         want = np.linalg.solve(sigma, v)  # dense solve oracle
         assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-8
 
@@ -139,14 +144,14 @@ class TestApplyFilter:
             d = decompose(sigma)
             lam = 0.3
             v = rng.standard_normal(10)
-            got = apply_filter(d, default_filter("tikhonov"), lam, v)
+            got = filtered_solve(d, default_filter("tikhonov"), lam, v)
             want = np.linalg.solve(sigma + lam * np.eye(10), v)
             assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-8
 
     def test_shape_mismatch(self):
         d = decompose(np.eye(3))
         with pytest.raises(ValueError):
-            apply_filter(d, default_filter("tikhonov"), 1.0, np.zeros(4))
+            filtered_solve(d, default_filter("tikhonov"), 1.0, np.zeros(4))
 
     @settings(max_examples=30, deadline=None)
     @given(a=st.floats(-3, 3), b=st.floats(-3, 3), seed=st.integers(0, 100))
@@ -156,8 +161,8 @@ class TestApplyFilter:
         d = decompose(m @ m.T / 4)
         spec = default_filter("tikhonov")
         v, w = r.standard_normal(4), r.standard_normal(4)
-        lhs = apply_filter(d, spec, 0.2, a * v + b * w)
-        rhs = a * apply_filter(d, spec, 0.2, v) + b * apply_filter(d, spec, 0.2, w)
+        lhs = filtered_solve(d, spec, 0.2, a * v + b * w)
+        rhs = a * filtered_solve(d, spec, 0.2, v) + b * filtered_solve(d, spec, 0.2, w)
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 
@@ -214,9 +219,15 @@ class TestWeightedHalfNorm:
 
 
 def test_filter_values_vectorized_matches_scalar(rng):
-    sigmas = rng.uniform(0.0, 1.0, size=20)
+    sigmas = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, size=20)])
+    lambdas = 30.0 * 0.9 ** np.arange(1, 60)
     for kind in ("tikhonov", "cutoff", "gradient-descent"):
         spec = default_filter(kind)
         vec = filter_values(spec, 0.17, sigmas)
         for s, g in zip(sigmas, vec):
             assert filter_value(spec, 0.17, s) == pytest.approx(g, rel=1e-12, abs=1e-12)
+        # a grid of levels gives one row per level, equal to the scalar-level call
+        grid = filter_values(spec, lambdas, sigmas)
+        assert grid.shape == (len(lambdas), len(sigmas))
+        for lam, row in zip(lambdas, grid):
+            np.testing.assert_array_equal(row, filter_values(spec, lam, sigmas))
