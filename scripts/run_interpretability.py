@@ -17,7 +17,7 @@ import numpy as np
 from sblq.envs import A2_ENV, generate_trajectories, make_env
 from sblq.data import split
 from sblq.interpret import clipped_weights, contribution_proportions
-from sblq.learner import default_config, train, train_baseline
+from sblq.learner import train
 
 METHODS = ("ls", "lasso", "tikhonov", "gradient-descent", "cutoff")
 
@@ -41,11 +41,7 @@ def main():
         train_set, _ = split(dataset, 0.5, seed)
         truth_vec = truth.theta_star[0]
         for method in METHODS:
-            if method in ("ls", "lasso"):
-                bundle = train_baseline(train_set, method, seed=seed)
-            else:
-                cfg = default_config(method, reward_bound=train_set.reward_bound)
-                bundle, _ = train(train_set, method, cfg)
+            bundle, _ = train(train_set, method, seed=seed)
             weights = bundle.theta_matrix()
             werr[method].append(float(np.mean(np.abs(weights - truth_vec))))
             for t in range(weights.shape[0]):

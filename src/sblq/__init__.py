@@ -31,7 +31,6 @@ from .learner import (
     ModelBundle,
     StageFitReport,
     adaptive_threshold,
-    construct_targets,
     default_config,
     dimension_adjusted_sample_size,
     effective_sample_size,
@@ -39,11 +38,10 @@ from .learner import (
     fit_lasso,
     fit_stage,
     load_model,
-    next_value_bound,
     save_model,
     select_lambda,
+    stage_targets,
     train,
-    train_baseline,
     variance_proxy,
 )
 from .policy import (

@@ -21,13 +21,12 @@ from pathlib import Path
 import numpy as np
 
 from . import envs as envs_mod
-from . import learner as learner_mod
 from . import policy as policy_mod
 from .config import METHODS, RunConfig, parse_config
 from .data import dataset_header_text, dataset_jsonl_text, load_dataset, split
 from .errors import ConfigError, DataError, NumericError
 from .interpret import contribution_proportions, topk_feature_rewards
-from .learner import default_config, load_model, model_json_text, train, train_baseline
+from .learner import default_config, load_model, model_json_text, train
 from .policy import GreedyPolicy, direct_value_estimate, evaluate, rollout_reward
 
 HEADER_NAME = "header.json"
@@ -65,18 +64,14 @@ def _csv_text(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _adaptive_config(cfg: RunConfig, method: str, reward_bound: float):
-    return default_config(method, reward_bound=reward_bound, **cfg.adaptive)
-
-
-def _train_any(cfg: RunConfig, method: str, dataset, seed: int):
-    """Train either a spectral-filter model or a baseline; returns (bundle, reports)."""
-    if method in ("ls", "lasso"):
-        grid = cfg.lasso_grid or learner_mod.DEFAULT_LASSO_GRID
-        bundle = train_baseline(dataset, method, lasso_grid=grid, seed=seed)
-        return bundle, []
-    acfg = _adaptive_config(cfg, method, dataset.reward_bound)
-    return train(dataset, method, acfg, seed=seed)
+def _train(cfg: RunConfig, dataset, method: str, seed: int, model_cfg=None,
+           feature_mask=None):
+    """``learner.train`` under the run's adaptive overrides and lasso grid;
+    ``model_cfg`` (a loaded model's settings) replaces the overrides when set.
+    Returns (bundle, reports)."""
+    acfg = model_cfg or default_config(method, dataset.reward_bound, **cfg.adaptive)
+    return train(dataset, method, acfg, seed=seed, feature_mask=feature_mask,
+                 lasso_grid=cfg.lasso_grid)
 
 
 def _trace_text(reports) -> str:
@@ -110,18 +105,26 @@ def cmd_gen(cfg: RunConfig, out: Path) -> None:
     })
 
 
+def _read(loader, *paths):
+    """Call a file loader, reporting a file it cannot read as a data error."""
+    try:
+        return loader(*paths)
+    except OSError as exc:
+        raise DataError(f"cannot read {exc.filename}: {exc.strerror}") from exc
+
+
 def _load_dataset_dir(path: Path):
     header = path / HEADER_NAME
     traj = path / TRAJECTORIES_NAME
     if not header.exists() or not traj.exists():
         raise DataError(f"dataset directory {path} must contain "
                         f"{HEADER_NAME} and {TRAJECTORIES_NAME}")
-    return load_dataset(header, traj)
+    return _read(load_dataset, header, traj)
 
 
 def cmd_train(cfg: RunConfig, dataset_dir: Path, out: Path) -> None:
     dataset = _load_dataset_dir(dataset_dir)
-    bundle, reports = _train_any(cfg, cfg.method, dataset, cfg.seed)
+    bundle, reports = _train(cfg, dataset, cfg.method, cfg.seed)
     _atomic_write_all({
         out / "model.json": model_json_text(bundle),
         out / "trace.json": _trace_text(reports),
@@ -130,10 +133,10 @@ def cmd_train(cfg: RunConfig, dataset_dir: Path, out: Path) -> None:
 
 def cmd_eval(cfg: RunConfig, model_path: Path, dataset_dir: Path,
              truth_path: Path, env_path: Path | None, out: Path) -> None:
-    model = load_model(model_path)
+    model = _read(load_model, model_path)
     dataset = _load_dataset_dir(dataset_dir)
-    truth = envs_mod.load_ground_truth(truth_path)
-    env = envs_mod.load_env(env_path) if env_path is not None else None
+    truth = _read(envs_mod.load_ground_truth, truth_path)
+    env = _read(envs_mod.load_env, env_path) if env_path is not None else None
     report = evaluate(model, truth.theta_star, dataset, env=env,
                       n_episodes=cfg.n_episodes, seed=cfg.seed)
     _atomic_write_all({
@@ -146,7 +149,7 @@ def cmd_eval(cfg: RunConfig, model_path: Path, dataset_dir: Path,
 
 def cmd_report(cfg: RunConfig, model_path: Path, dataset_dir: Path | None,
                env_path: Path | None, out: Path) -> None:
-    model = load_model(model_path)
+    model = _read(load_model, model_path)
     contrib = contribution_proportions(model)
     rank_of = {int(unit): pos for pos, unit in enumerate(contrib.ranking)}
     outputs = {
@@ -170,18 +173,7 @@ def cmd_report(cfg: RunConfig, model_path: Path, dataset_dir: Path | None,
         if dataset_dir is None:
             raise ConfigError("--topk requires --dataset to retrain masked models")
         dataset = _load_dataset_dir(dataset_dir)
-        env = envs_mod.load_env(env_path) if env_path is not None else None
-
-        def trainer(mask):
-            if model.filter_kind in ("ls", "lasso"):
-                grid = cfg.lasso_grid or learner_mod.DEFAULT_LASSO_GRID
-                return train_baseline(dataset, model.filter_kind, lasso_grid=grid,
-                                      seed=model.seed, feature_mask=mask)
-            acfg = model.config or _adaptive_config(cfg, model.filter_kind,
-                                                    dataset.reward_bound)
-            bundle, _ = train(dataset, model.filter_kind, acfg, seed=model.seed,
-                              feature_mask=mask)
-            return bundle
+        env = _read(envs_mod.load_env, env_path) if env_path is not None else None
 
         def reward_of(bundle):
             if env is not None:
@@ -189,7 +181,10 @@ def cmd_report(cfg: RunConfig, model_path: Path, dataset_dir: Path | None,
                 return rollout_reward(pol, env, cfg.n_episodes, seed=cfg.seed)
             return direct_value_estimate(bundle, dataset)
 
-        curve = topk_feature_rewards(contrib, trainer, reward_of, cfg.topk)
+        curve = topk_feature_rewards(
+            contrib, lambda mask: _train(cfg, dataset, model.filter_kind, model.seed,
+                                         model.config, mask)[0],
+            reward_of, cfg.topk)
         outputs[out / "topk.csv"] = _csv_text(
             ("k", "reward"), [(k, v) for k, v in curve.items()])
     _atomic_write_all(outputs)
@@ -198,7 +193,7 @@ def cmd_report(cfg: RunConfig, model_path: Path, dataset_dir: Path | None,
 def _compare_cell(cfg: RunConfig, method: str, seed: int, dataset_train,
                   dataset_eval, env, truth):
     started = time.monotonic()
-    bundle, _ = _train_any(cfg, method, dataset_train, seed)
+    bundle, _ = _train(cfg, dataset_train, method, seed)
     elapsed = time.monotonic() - started
     report = evaluate(bundle, truth.theta_star, dataset_eval, env=env,
                       n_episodes=cfg.n_episodes, seed=seed)
@@ -329,9 +324,6 @@ def main(argv=None) -> int:
         return 2
     except DataError as exc:
         print(f"error: data: {exc}", file=sys.stderr)
-        return 3
-    except FileNotFoundError as exc:
-        print(f"error: data: no such file: {exc.filename}", file=sys.stderr)
         return 3
     except (NumericError, FloatingPointError, np.linalg.LinAlgError, ValueError) as exc:
         print(f"error: numeric: {exc}", file=sys.stderr)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .envs import A1_ENV, A2_ENV, EnvSpec
 from .errors import ConfigError
-from .learner import AdaptiveConfig
+from .learner import DEFAULT_LASSO_GRID, AdaptiveConfig
 
 METHODS = ("ls", "lasso", "tikhonov", "gradient-descent", "cutoff")
 PRESET_NAMES = ("a1-performance", "a2-interpretability")
@@ -43,7 +43,7 @@ CONFIG_SCHEMA = {
         "seeds": {"type": "integer", "minimum": 1},
         "jobs": {"type": "integer", "minimum": 1},
         "topk": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-        "lasso_grid": {"type": "array", "items": {"type": "number", "minimum": 0}},
+        "lasso_grid": {"type": "array", "minItems": 1, "items": {"type": "number", "minimum": 0}},
         "env": {
             "type": "object",
             "additionalProperties": False,
@@ -96,7 +96,7 @@ class RunConfig:
     seeds: int = 5
     jobs: int = 1
     topk: tuple = ()
-    lasso_grid: tuple = ()
+    lasso_grid: tuple = DEFAULT_LASSO_GRID
     env: EnvSpec = field(default_factory=lambda: A1_ENV)
     adaptive: dict = field(default_factory=dict)
 
@@ -139,9 +139,9 @@ def validate_config(obj) -> None:
             raise ConfigError(f"config field {name!r} must be at least 1")
     if "topk" in obj and any(not _type_ok(k, int) or k < 1 for k in obj["topk"]):
         raise ConfigError("config field 'topk' must list positive integers")
-    if "lasso_grid" in obj and any(
-            not _type_ok(v, (int, float)) or v < 0 for v in obj["lasso_grid"]):
-        raise ConfigError("config field 'lasso_grid' must list nonnegative numbers")
+    if "lasso_grid" in obj and (not obj["lasso_grid"] or any(
+            not _type_ok(v, (int, float)) or v < 0 for v in obj["lasso_grid"])):
+        raise ConfigError("config field 'lasso_grid' must list nonnegative numbers, at least one")
     if "env" in obj:
         _validate_section(obj["env"], _ENV_FIELD_TYPES, "env.")
         if "theta_mode" in obj["env"] and obj["env"]["theta_mode"] not in (
@@ -162,8 +162,8 @@ def parse_config(path=None, overrides: dict | None = None) -> RunConfig:
     if path is not None:
         try:
             file_cfg = json.loads(Path(path).read_text())
-        except FileNotFoundError:
-            raise ConfigError(f"config file {path} not found") from None
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path}: invalid JSON ({exc})") from exc
         validate_config(file_cfg)
@@ -201,6 +201,11 @@ def parse_config(path=None, overrides: dict | None = None) -> RunConfig:
                 merged["seed"] = int(raw)
             except ValueError:
                 raise ConfigError(f"SBLQ_SEED must be an integer, got {raw!r}") from None
+
+    try:
+        AdaptiveConfig(**merged.get("adaptive", {}))
+    except ValueError as exc:
+        raise ConfigError(f"invalid adaptive configuration: {exc}") from None
 
     env_kwargs = merged.pop("env", {})
     base_env = vars(RunConfig().env) | env_kwargs

@@ -35,7 +35,6 @@ from .data import BatchDataset, Trajectory, candidate_scores, feature_vector
 TIME_VARYING = "time-varying"
 STATIC = "static"
 NOISE_CLIP_SDS = 8.0
-UNIFORM_BEHAVIOR = "uniform-random"
 
 
 @dataclass(frozen=True)
@@ -182,17 +181,14 @@ def load_ground_truth(path) -> GroundTruth:
     return GroundTruth(theta_star=np.asarray(payload["theta_star"], dtype=float))
 
 
-def generate_trajectories(env: SyntheticEnv, n: int,
-                          behavior: str = UNIFORM_BEHAVIOR, seed: int = 0):
-    """Roll out ``n`` episodes under the logging policy.
+def generate_trajectories(env: SyntheticEnv, n: int, seed: int = 0):
+    """Roll out ``n`` episodes under the uniform-random logging policy.
 
     Returns (BatchDataset, GroundTruth).  Episode randomness comes from
     per-episode child seeds, so output is reproducible and order-independent.
     """
     if n < 1:
         raise ValueError("need at least one trajectory")
-    if behavior != UNIFORM_BEHAVIOR:
-        raise ValueError(f"unknown behavior policy {behavior!r}")
     spec = env.spec
     streams = np.random.SeedSequence(seed).spawn(n)
     trajectories = []

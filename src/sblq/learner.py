@@ -94,9 +94,12 @@ FILTER_PRESETS = {
 }
 
 
-def default_config(filter_kind: str, reward_bound: float = 1.0, **overrides) -> AdaptiveConfig:
-    """AdaptiveConfig with the per-filter grid anchor and threshold multiplier."""
-    base = dict(FILTER_PRESETS[filter_kind])
+def default_config(method: str, reward_bound: float = 1.0, **overrides) -> AdaptiveConfig | None:
+    """AdaptiveConfig with the per-filter grid anchor and threshold multiplier;
+    None for a baseline (``ls``, ``lasso``), which takes no adaptive settings."""
+    if method in BASELINE_METHODS:
+        return None
+    base = dict(FILTER_PRESETS[method])
     base["reward_bound"] = reward_bound
     base.update(overrides)
     return AdaptiveConfig(**base)
@@ -158,13 +161,14 @@ class StageFitReport:
     selected_lambda: float
 
 
-def construct_targets(dataset: BatchDataset, t: int, theta_next: np.ndarray,
-                      mask: np.ndarray | None = None) -> np.ndarray:
-    """Stage-t outcomes y_i = r_i + max_a' <theta_next, x(next state_i, a')>.
+def stage_targets(dataset: BatchDataset, t: int, theta_next: np.ndarray,
+                  mask: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+    """Stage-t outcomes y_i = r_i + max_a' <theta_next, x(next state_i, a')> and
+    the bound phi = max |<theta_next, x>| over the same candidates, scored once.
 
     The post-transition context for stage t < T is the logged stage-(t+1)
-    state.  At the final stage theta_next must be zero and the outcome is the
-    reward alone.
+    state.  At the final stage theta_next must be zero and (y, phi) is
+    (rewards, 0).
     """
     theta_next = np.asarray(theta_next, dtype=float)
     if theta_next.shape != (dataset.feature_dim,):
@@ -174,23 +178,11 @@ def construct_targets(dataset: BatchDataset, t: int, theta_next: np.ndarray,
     if t == dataset.horizon:
         if np.any(theta_next != 0.0):
             raise ValueError("theta_next must be all zeros at the final stage")
-        return rewards.copy()
+        return rewards.copy(), 0.0
     ctx = dataset.states[:, t, :]
     scores = candidate_scores(ctx, dataset.action_table, theta_next,
                               normalize=dataset.normalize, mask=mask)
-    return rewards + scores.max(axis=1)
-
-
-def next_value_bound(dataset: BatchDataset, t: int, theta_next: np.ndarray,
-                     mask: np.ndarray | None = None) -> float:
-    """Empirical bound on |<theta_next, x>| over stage-t candidate contexts."""
-    theta_next = np.asarray(theta_next, dtype=float)
-    if t == dataset.horizon or not np.any(theta_next):
-        return 0.0
-    ctx = dataset.states[:, t, :]
-    scores = candidate_scores(ctx, dataset.action_table, theta_next,
-                              normalize=dataset.normalize, mask=mask)
-    return float(np.max(np.abs(scores)))
+    return rewards + scores.max(axis=1), float(np.max(np.abs(scores)))
 
 
 def _moment(design: StageDesign, targets: np.ndarray) -> np.ndarray:
@@ -302,38 +294,6 @@ def select_lambda(design: StageDesign, targets: np.ndarray, filt: FilterSpec,
     return lam, system.estimate(g[selected - 1]), report
 
 
-def train(dataset: BatchDataset, filt: FilterSpec | str, cfg: AdaptiveConfig,
-          seed: int = 0, feature_mask: np.ndarray | None = None):
-    """Backward induction over stages T..1 with per-stage lambda selection.
-
-    Returns (ModelBundle, list of StageFitReport ordered t = 1..T).  Pure in
-    its inputs: identical arguments produce an identical bundle.
-    """
-    if isinstance(filt, str):
-        filt = default_filter(filt)
-    horizon, d = dataset.horizon, dataset.feature_dim
-    theta_next = np.zeros(d)
-    stages: list[StageModel | None] = [None] * horizon
-    reports: list[StageFitReport | None] = [None] * horizon
-    for t in range(horizon, 0, -1):
-        design = stage_design(dataset, t, mask=feature_mask)
-        targets = construct_targets(dataset, t, theta_next, mask=feature_mask)
-        phi = next_value_bound(dataset, t, theta_next, mask=feature_mask)
-        try:
-            lam, theta, report = select_lambda(design, targets, filt, t, horizon, phi, cfg)
-        except (NumericError, FloatingPointError) as exc:
-            raise NumericError(f"stage {t}: {exc}") from exc
-        stages[t - 1] = StageModel(t=t, theta=theta, lambda_selected=lam,
-                                   k_selected=report.selected_k)
-        reports[t - 1] = report
-        theta_next = theta
-    bundle = ModelBundle(horizon=horizon, feature_dim=d, filter_kind=filt.kind,
-                         stages=tuple(stages), config=cfg, seed=seed,
-                         feature_mask=None if feature_mask is None
-                         else np.asarray(feature_mask, dtype=float))
-    return bundle, reports
-
-
 @dataclass(frozen=True)
 class LassoFit:
     theta: np.ndarray
@@ -389,71 +349,112 @@ def fit_lasso(design: StageDesign, targets: np.ndarray, lam: float,
 
 
 DEFAULT_LASSO_GRID = tuple(float(v) for v in np.geomspace(1e-4, 1.0, 9))
+LASSO_VAL_FRACTION = 0.2       # share of trajectories held out to choose the penalty
+LASSO_MAX_ITERS = 2000
+LASSO_TOL = 1e-8
 
 
-def train_baseline(dataset: BatchDataset, method: str,
-                   lasso_grid=DEFAULT_LASSO_GRID, val_fraction: float = 0.2,
-                   seed: int = 0, feature_mask: np.ndarray | None = None,
-                   lasso_max_iters: int = 2000, lasso_tol: float = 1e-8) -> ModelBundle:
-    """Backward induction with a least-squares or lasso stage estimator.
+def _fit_least_squares(t, design, targets, phi):
+    """Minimum-norm least squares: the cutoff filter at 1e-10 * sigma_max
+    (1e-10 when Sigma_hat = 0), the pseudo-inverse convention."""
+    system = _stage_system(design, targets)
+    s = system.decomp.eigenvalues
+    floor = LS_RELATIVE_FLOOR * (s[-1] if s[-1] > 0 else 1.0)
+    return system.estimate(filter_values(default_filter(CUTOFF), floor, s)), 0.0, 0, None
 
-    Least squares is the minimum-norm fit: the cutoff filter at the level
-    1e-10 * sigma_max (1e-10 when Sigma_hat = 0), the pseudo-inverse
-    convention.  For lasso, the grid is fit path-wise (each penalty
-    warm-started from the next larger one), the penalty is chosen per stage by
-    target RMSE on a held-out validation subset of trajectories, and the stage
-    is refit on all rows at the chosen penalty.
+
+def _lasso_fitter(n: int, lasso_grid, seed: int):
+    """Lasso with the penalty chosen per stage on held-out trajectories.
+
+    The grid is fit path-wise on the training rows (each penalty
+    warm-started from the next larger one), the penalty with the lowest
+    target RMSE on the validation rows wins, and the stage is refit on all
+    rows at that penalty.  The split depends on ``seed`` only.
     """
-    if method not in BASELINE_METHODS:
-        raise ValueError(f"unknown baseline method {method!r}")
+    grid = [float(g) for g in lasso_grid]
+    if not grid:
+        raise ValueError("lasso requires a nonempty penalty grid")
+    perm = np.random.default_rng(seed).permutation(n)
+    n_val = max(1, int(LASSO_VAL_FRACTION * n))
+    if n - n_val < 1:
+        raise ValueError("validation split leaves no training rows")
+    val_idx = np.sort(perm[:n_val])
+    fit_idx = np.sort(perm[n_val:])
+
+    def fit(t, design, targets, phi):
+        sub = StageDesign(t, design.rows[fit_idx], design.rewards[fit_idx])
+        candidates = {}
+        warm = None
+        for lam_c in sorted(set(grid), reverse=True):
+            warm = fit_lasso(sub, targets[fit_idx], lam_c, max_iters=LASSO_MAX_ITERS,
+                             tol=LASSO_TOL, theta0=warm).theta
+            candidates[lam_c] = warm
+        best_lam, best_rmse = grid[0], math.inf
+        for lam_c in grid:
+            resid = design.rows[val_idx] @ candidates[lam_c] - targets[val_idx]
+            rmse = float(np.sqrt(np.mean(resid**2)))
+            if rmse < best_rmse:
+                best_lam, best_rmse = lam_c, rmse
+        theta = fit_lasso(design, targets, best_lam, max_iters=LASSO_MAX_ITERS,
+                          tol=LASSO_TOL).theta
+        return theta, best_lam, grid.index(best_lam), None
+
+    return fit
+
+
+def _spectral_fitter(method: str, horizon: int, cfg: AdaptiveConfig):
+    filt = default_filter(method)
+
+    def fit(t, design, targets, phi):
+        lam, theta, report = select_lambda(design, targets, filt, t, horizon, phi, cfg)
+        return theta, lam, report.selected_k, report
+
+    return fit
+
+
+def train(dataset: BatchDataset, method: str, cfg: AdaptiveConfig | None = None,
+          seed: int = 0, feature_mask: np.ndarray | None = None,
+          lasso_grid=DEFAULT_LASSO_GRID):
+    """Backward induction over stages T..1 for any of the five methods.
+
+    Each stage fits the outcomes of ``stage_targets`` with the method's
+    estimator, a fitter (t, design, targets, phi) -> (theta, lambda, k,
+    report or None): a spectral filter at the balancing-rule level under
+    ``cfg`` (default ``default_config(method, dataset.reward_bound)``), least
+    squares, or lasso over ``lasso_grid``.  Baselines take no ``cfg``.
+    Returns (ModelBundle, StageFitReports for t = 1..T, empty for a
+    baseline); identical arguments produce an identical bundle.
+    """
     horizon, d = dataset.horizon, dataset.feature_dim
-    n = len(dataset)
-    if method == LASSO:
-        grid = [float(g) for g in lasso_grid]
-        if not grid:
-            raise ValueError("lasso requires a nonempty penalty grid")
-        perm = np.random.default_rng(seed).permutation(n)
-        n_val = max(1, int(val_fraction * n))
-        if n - n_val < 1:
-            raise ValueError("validation split leaves no training rows")
-        val_idx = np.sort(perm[:n_val])
-        fit_idx = np.sort(perm[n_val:])
+    if cfg is None:
+        cfg = default_config(method, dataset.reward_bound)
+    elif method in BASELINE_METHODS:
+        raise ValueError(f"{method} takes no adaptive configuration")
+    if method == LS:
+        fit = _fit_least_squares
+    elif method == LASSO:
+        fit = _lasso_fitter(len(dataset), lasso_grid, seed)
+    else:
+        fit = _spectral_fitter(method, horizon, cfg)
 
     theta_next = np.zeros(d)
     stages: list[StageModel | None] = [None] * horizon
+    reports: list[StageFitReport | None] = [None] * horizon
     for t in range(horizon, 0, -1):
         design = stage_design(dataset, t, mask=feature_mask)
-        targets = construct_targets(dataset, t, theta_next, mask=feature_mask)
-        if method == LS:
-            system = _stage_system(design, targets)
-            s = system.decomp.eigenvalues
-            floor = LS_RELATIVE_FLOOR * (s[-1] if s[-1] > 0 else 1.0)
-            theta = system.estimate(filter_values(default_filter(CUTOFF), floor, s))
-            lam, k_sel = 0.0, 0
-        else:
-            sub = StageDesign(t, design.rows[fit_idx], design.rewards[fit_idx])
-            candidates = {}
-            warm = None
-            for lam_c in sorted(set(grid), reverse=True):
-                fit = fit_lasso(sub, targets[fit_idx], lam_c,
-                                max_iters=lasso_max_iters, tol=lasso_tol, theta0=warm)
-                candidates[lam_c] = fit.theta
-                warm = fit.theta
-            best_lam, best_rmse = grid[0], math.inf
-            for lam_c in grid:
-                resid = design.rows[val_idx] @ candidates[lam_c] - targets[val_idx]
-                rmse = float(np.sqrt(np.mean(resid**2)))
-                if rmse < best_rmse:
-                    best_lam, best_rmse = lam_c, rmse
-            theta = fit_lasso(design, targets, best_lam,
-                              max_iters=lasso_max_iters, tol=lasso_tol).theta
-            lam, k_sel = best_lam, grid.index(best_lam)
-        stages[t - 1] = StageModel(t=t, theta=theta, lambda_selected=lam, k_selected=k_sel)
+        targets, phi = stage_targets(dataset, t, theta_next, mask=feature_mask)
+        try:
+            theta, lam, k, report = fit(t, design, targets, phi)
+        except (NumericError, FloatingPointError) as exc:
+            raise NumericError(f"stage {t}: {exc}") from exc
+        stages[t - 1] = StageModel(t=t, theta=theta, lambda_selected=lam, k_selected=k)
+        reports[t - 1] = report
         theta_next = theta
-    return ModelBundle(horizon=horizon, feature_dim=d, filter_kind=method,
-                       stages=tuple(stages), config=None, seed=seed,
-                       feature_mask=None if feature_mask is None
-                       else np.asarray(feature_mask, dtype=float))
+    bundle = ModelBundle(horizon=horizon, feature_dim=d, filter_kind=method,
+                         stages=tuple(stages), config=cfg, seed=seed,
+                         feature_mask=None if feature_mask is None
+                         else np.asarray(feature_mask, dtype=float))
+    return bundle, [r for r in reports if r is not None]
 
 
 def error_decomposition(design: StageDesign, targets_y: np.ndarray,

@@ -18,13 +18,12 @@ from sblq.data import BatchDataset, StageDesign, split, stage_design
 from sblq.envs import A2_ENV, EnvSpec, generate_trajectories, make_env
 from sblq.interpret import clipped_weights
 from sblq.learner import (
-    construct_targets,
     default_config,
     error_decomposition,
     fit_stage,
     select_lambda,
+    stage_targets,
     train,
-    train_baseline,
 )
 from sblq.policy import parameter_gap, policy_gap
 from sblq.spectral import decompose, default_filter, filter_values
@@ -99,7 +98,7 @@ def test_criterion_2_oracle_equivalence():
     cfg = default_config("gradient-descent", reward_bound=ds.reward_bound, budget=50)
     bundle, _ = train(ds, "gradient-descent", cfg)
     design = stage_design(ds, 1)
-    targets = construct_targets(ds, 1, np.zeros(ds.feature_dim))
+    targets, _ = stage_targets(ds, 1, np.zeros(ds.feature_dim))
     lam, theta, _ = select_lambda(design, targets, default_filter("gradient-descent"),
                                   1, 1, 0.0, cfg)
     exact = bundle.stages[0].lambda_selected == lam and np.array_equal(bundle.stages[0].theta, theta)
@@ -124,11 +123,7 @@ def test_criterion_3_benchmark_ordering():
         ds, truth = generate_trajectories(env, 1000, seed=seed)
         train_set, eval_set = split(ds, 0.5, seed)  # 500 training trajectories
         for m in methods:
-            if m in ("ls", "lasso"):
-                bundle = train_baseline(train_set, m, seed=seed)
-            else:
-                cfg = default_config(m, reward_bound=train_set.reward_bound)
-                bundle, _ = train(train_set, m, cfg)
+            bundle, _ = train(train_set, m, seed=seed)
             pg[m].append(parameter_gap(bundle.theta_matrix(), truth.theta_star[:-1]))
             yg[m].append(policy_gap(bundle, truth.theta_star, eval_set))
     mean = {m: float(np.mean(pg[m])) for m in methods}
@@ -233,10 +228,7 @@ def test_criterion_6_interpretability_comparison():
         ds, truth = generate_trajectories(env, 1000, seed=seed)
         train_set, _ = split(ds, 0.5, seed)
         truth_vec = truth.theta_star[0]
-        bundles = {"lasso": train_baseline(train_set, "lasso", seed=seed)}
-        for kind in kinds:
-            cfg = default_config(kind, reward_bound=train_set.reward_bound)
-            bundles[kind], _ = train(train_set, kind, cfg)
+        bundles = {name: train(train_set, name, seed=seed)[0] for name in kinds + ("lasso",)}
         for name, bundle in bundles.items():
             werr[name].append(np.mean(np.abs(bundle.theta_matrix() - truth_vec)))
         for kind in kinds:

@@ -217,8 +217,14 @@ class TestCommands:
         assert "99" in capsys.readouterr().err
         assert not (run / "topk.csv").exists()
 
-    @pytest.mark.parametrize("flag", ["--model", "--truth", "--env"])
-    def test_missing_input_file_exits_three(self, tmp_path, capsys, flag):
+    @pytest.mark.parametrize("flag,is_dir", [
+        pytest.param("--model", False, id="--model"),
+        pytest.param("--truth", False, id="--truth"),
+        pytest.param("--env", False, id="--env"),
+        pytest.param("--model", True, id="--model-directory"),
+        pytest.param("--truth", True, id="--truth-directory"),
+    ])
+    def test_missing_input_file_exits_three(self, tmp_path, capsys, flag, is_dir):
         cfg = write_small_config(tmp_path)
         data, run = tmp_path / "data", tmp_path / "run"
         main(["gen", "--config", str(cfg), "--seed", "2", "--out", str(data)])
@@ -227,6 +233,8 @@ class TestCommands:
         paths = {"--model": run / "model.json", "--truth": data / "ground_truth.json",
                  "--env": data / "env.json"}
         paths[flag] = tmp_path / "absent.json"
+        if is_dir:
+            paths[flag].mkdir()
         capsys.readouterr()
         argv = ["eval", "--config", str(cfg), "--dataset", str(data), "--out", str(run)]
         for name, path in paths.items():
@@ -234,6 +242,32 @@ class TestCommands:
         assert main(argv) == 3
         assert str(tmp_path / "absent.json") in capsys.readouterr().err
         assert not (run / "metrics.json").exists()
+
+    def test_config_directory_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["gen", "--config", str(tmp_path), "--out", str(out)]) == 2
+        assert str(tmp_path) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_of_range_adaptive_exits_two_before_work(self, tmp_path, capsys):
+        cfg = write_small_config(tmp_path)
+        data, run = tmp_path / "data", tmp_path / "run"
+        main(["gen", "--config", str(cfg), "--seed", "2", "--out", str(data)])
+        bad = write_small_config(tmp_path, adaptive={"q": 2.0})
+        capsys.readouterr()
+        assert main(["train", "--config", str(bad), "--dataset", str(data),
+                     "--method", "tikhonov", "--out", str(run)]) == 2
+        assert "configuration" in capsys.readouterr().err
+        assert not run.exists()
+
+    def test_empty_lasso_grid_exits_two(self, tmp_path):
+        cfg = write_small_config(tmp_path)
+        data, run = tmp_path / "data", tmp_path / "run"
+        main(["gen", "--config", str(cfg), "--seed", "1", "--out", str(data)])
+        bad = write_small_config(tmp_path, lasso_grid=[])
+        assert main(["train", "--config", str(bad), "--dataset", str(data),
+                     "--method", "lasso", "--out", str(run)]) == 2
+        assert not run.exists()
 
     def test_missing_required_flag_exits_two(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

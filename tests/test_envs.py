@@ -109,11 +109,6 @@ class TestGenerateTrajectories:
                 np.testing.assert_array_equal(
                     ds.states[i, t + 1, :2], ds.states[i, t, :2])
 
-    def test_unknown_behavior_rejected(self):
-        env = make_env(A2_ENV, seed=0)
-        with pytest.raises(ValueError):
-            generate_trajectories(env, 5, behavior="greedy")
-
 
 class TestObserveTarget:
     def test_final_stage_zero_noise_is_uniform_draw(self):

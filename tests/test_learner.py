@@ -5,12 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sblq.data import BatchDataset, StageDesign, Trajectory, empirical_covariance, stage_design
+from sblq.data import (
+    BatchDataset,
+    StageDesign,
+    Trajectory,
+    candidate_scores,
+    empirical_covariance,
+    stage_design,
+)
 from sblq.envs import EnvSpec, generate_trajectories, make_env
 from sblq.learner import (
     AdaptiveConfig,
     adaptive_threshold,
-    construct_targets,
     default_config,
     dimension_adjusted_sample_size,
     effective_sample_size,
@@ -18,11 +24,10 @@ from sblq.learner import (
     fit_lasso,
     fit_stage,
     load_model,
-    next_value_bound,
     save_model,
     select_lambda,
+    stage_targets,
     train,
-    train_baseline,
     variance_proxy,
 )
 from sblq.policy import parameter_gap
@@ -51,30 +56,30 @@ def two_action_dataset(r=1.0, scores=(0.2, -0.1)):
 class TestConstructTargets:
     def test_zero_theta_gives_rewards(self, small_dataset):
         t = small_dataset.horizon
-        y = construct_targets(small_dataset, t, np.zeros(small_dataset.feature_dim))
+        y = stage_targets(small_dataset, t, np.zeros(small_dataset.feature_dim))[0]
         np.testing.assert_array_equal(y, small_dataset.rewards[:, t - 1])
 
     def test_two_action_enumeration(self):
         ds, theta_next = two_action_dataset(r=1.0, scores=(0.2, -0.1))
-        y = construct_targets(ds, 1, theta_next)
+        y = stage_targets(ds, 1, theta_next)[0]
         assert y[0] == pytest.approx(1.2)
 
     def test_negated_theta_flips_argmax(self):
         ds, theta_next = two_action_dataset(r=1.0, scores=(0.2, -0.1))
-        y = construct_targets(ds, 1, -theta_next)
+        y = stage_targets(ds, 1, -theta_next)[0]
         assert y[0] == pytest.approx(1.0 + 0.1)
 
     def test_nonzero_theta_at_final_stage_rejected(self, small_dataset):
         theta = np.ones(small_dataset.feature_dim)
         with pytest.raises(ValueError):
-            construct_targets(small_dataset, small_dataset.horizon, theta)
+            stage_targets(small_dataset, small_dataset.horizon, theta)[0]
 
     def test_matches_brute_force(self):
         ds = make_dataset(n=5, horizon=3, seed=8)
         rng = np.random.default_rng(0)
         theta = rng.standard_normal(ds.feature_dim)
         t = 2
-        y = construct_targets(ds, t, theta)
+        y = stage_targets(ds, t, theta)[0]
         from sblq.data import feature_vector
         for i in range(len(ds)):
             best = max(
@@ -167,7 +172,7 @@ class TestVarianceProxy:
 
 class TestNextValueBound:
     def test_zero_theta(self, small_dataset):
-        assert next_value_bound(small_dataset, 1, np.zeros(small_dataset.feature_dim)) == 0.0
+        assert stage_targets(small_dataset, 1, np.zeros(small_dataset.feature_dim))[1] == 0.0
 
     def test_cauchy_schwarz_equality(self):
         table = np.array([[0.0, 0.0]])
@@ -175,7 +180,7 @@ class TestNextValueBound:
         traj = Trajectory(states, np.array([0, 0]), np.array([0.0, 0.0]))
         ds = BatchDataset.from_trajectories([traj], table, 1.0)
         theta = np.array([1.0, 0.0, 0.0, 0.0])  # aligned with the unique context
-        assert next_value_bound(ds, 1, theta) == pytest.approx(1.0)
+        assert stage_targets(ds, 1, theta)[1] == pytest.approx(1.0)
 
     def test_matches_brute_force(self):
         ds = make_dataset(n=4, horizon=3, seed=2)
@@ -187,7 +192,7 @@ class TestNextValueBound:
             abs(float(feature_vector(ds.states[i, t], a) @ theta))
             for i in range(len(ds)) for a in ds.action_table
         )
-        assert next_value_bound(ds, t, theta) == pytest.approx(want, abs=1e-12)
+        assert stage_targets(ds, t, theta)[1] == pytest.approx(want, abs=1e-12)
 
 
 class TestAdaptiveThreshold:
@@ -334,7 +339,7 @@ class TestTrain:
         cfg = default_config("tikhonov", reward_bound=one.reward_bound, budget=30)
         bundle, reports = train(one, "tikhonov", cfg)
         design = stage_design(one, 1)
-        targets = construct_targets(one, 1, np.zeros(one.feature_dim))
+        targets = stage_targets(one, 1, np.zeros(one.feature_dim))[0]
         lam, theta, _ = select_lambda(design, targets, default_filter("tikhonov"), 1, 1, 0.0, cfg)
         assert bundle.stages[0].lambda_selected == lam
         np.testing.assert_array_equal(bundle.stages[0].theta, theta)
@@ -370,7 +375,7 @@ class TestTrain:
         ridge = [None] * horizon
         for t in range(horizon, 0, -1):
             design = stage_design(ds, t)
-            y = construct_targets(ds, t, theta_next)
+            y = stage_targets(ds, t, theta_next)[0]
             n = len(ds)
             cov = design.rows.T @ design.rows / n
             theta_next = np.linalg.solve(cov + lam * np.eye(d), design.rows.T @ y / n)
@@ -385,13 +390,36 @@ class TestTrain:
         bundle, _ = train(ds, "gradient-descent", cfg)
         for t in range(ds.horizon, 0, -1):
             theta_next = bundle.theta(t + 1)
-            y = construct_targets(ds, t, theta_next)
-            bound = ds.reward_bound + next_value_bound(ds, t, theta_next)
+            y, phi = stage_targets(ds, t, theta_next)
+            bound = ds.reward_bound + phi
             assert np.max(np.abs(y)) <= bound + 1e-9
+
+    # horizon 3: a stage report each for the spectral filters, none for baselines
+    @pytest.mark.parametrize("method,n_reports", [
+        ("ls", 0), ("lasso", 0), ("tikhonov", 3), ("gradient-descent", 3), ("cutoff", 3)])
+    def test_scores_candidates_once_per_stage(self, monkeypatch, method, n_reports):
+        import sblq.learner as learner_mod
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return candidate_scores(*args, **kwargs)
+
+        monkeypatch.setattr(learner_mod, "candidate_scores", counting)
+        ds, _ = small_env_dataset(n=60, seed=8)
+        bundle, reports = train(ds, method, seed=2)
+        assert len(calls) == ds.horizon - 1
+        assert len(reports) == n_reports
+        assert bundle.filter_kind == method and bundle.seed == 2
+
+    def test_baseline_rejects_adaptive_config(self):
+        ds, _ = small_env_dataset(n=40, seed=9)
+        with pytest.raises(ValueError, match="ls"):
+            train(ds, "ls", AdaptiveConfig())
 
 
 def least_squares(design, y):
-    """The ls stage fit as train_baseline runs it: cut-off at 1e-10 sigma_max."""
+    """The ls stage fit as train runs it: cut-off at 1e-10 sigma_max."""
     s_max = decompose(empirical_covariance(design)).eigenvalues[-1]
     return fit_stage(design, y, default_filter("cutoff"), 1e-10 * (s_max if s_max > 0 else 1.0))
 
@@ -431,7 +459,7 @@ class TestBaselines:
         rows = pool[rng.integers(6, size=90)]
         y = rows @ rng.standard_normal(10) + 0.1 * rng.standard_normal(90)
         ds = one_stage_dataset(rows, y)
-        theta = train_baseline(ds, "ls").stages[0].theta
+        theta = train(ds, "ls")[0].stages[0].theta
         features = stage_design(ds, 1).rows
         assert np.linalg.matrix_rank(features) == 6
         want = np.linalg.pinv(features) @ y
@@ -444,7 +472,7 @@ class TestBaselines:
         a = 2.0 ** -17
         rows = np.array([[1e5 * a, 0.0], [0.0, a]])
         y = np.array([0.5, -0.25])
-        theta = train_baseline(one_stage_dataset(rows, y), "ls").stages[0].theta
+        theta = train(one_stage_dataset(rows, y), "ls")[0].stages[0].theta
         np.testing.assert_allclose(theta, [y[0] / rows[0, 0], y[1] / a, 0.0], rtol=1e-12)
 
     def test_lasso_zero_penalty_matches_ls(self, rng):
@@ -494,19 +522,21 @@ class TestBaselines:
         one = BatchDataset(states=ds.states[:, :1], actions=ds.actions[:, :1],
                            rewards=ds.rewards[:, :1], action_table=ds.action_table,
                            reward_bound=ds.reward_bound)
-        bundle = train_baseline(one, "ls")
+        bundle, reports = train(one, "ls")
+        assert reports == []
         design = stage_design(one, 1)
-        want = least_squares(design, construct_targets(one, 1, np.zeros(one.feature_dim)))
+        want = least_squares(design, stage_targets(one, 1, np.zeros(one.feature_dim))[0])
         np.testing.assert_allclose(bundle.stages[0].theta, want, atol=1e-12)
 
     def test_baseline_lasso_singleton_grid(self):
         ds, _ = small_env_dataset(n=60, seed=7)
         lam = 0.03
-        bundle = train_baseline(ds, "lasso", lasso_grid=[lam], seed=1)
+        bundle, reports = train(ds, "lasso", seed=1, lasso_grid=[lam])
+        assert reports == []
         theta_next = np.zeros(ds.feature_dim)
         for t in range(ds.horizon, 0, -1):
             design = stage_design(ds, t)
-            y = construct_targets(ds, t, theta_next)
+            y = stage_targets(ds, t, theta_next)[0]
             want = fit_lasso(design, y, lam, max_iters=2000).theta
             np.testing.assert_allclose(bundle.stages[t - 1].theta, want, atol=1e-12)
             theta_next = want
@@ -516,7 +546,7 @@ class TestBaselines:
                        horizon=3, noise_sd=0.0, reward_low=-1e-9, reward_high=1e-9)
         env = make_env(spec, seed=9)
         ds, truth = generate_trajectories(env, 2000, seed=9)
-        bundle = train_baseline(ds, "ls")
+        bundle, _ = train(ds, "ls")
         for t in range(1, 4):
             err = np.linalg.norm(bundle.theta(t) - truth.theta_star[t - 1])
             assert err < 1e-3
