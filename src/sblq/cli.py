@@ -21,8 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import envs as envs_mod
-from . import policy as policy_mod
-from .config import METHODS, RunConfig, parse_config
+from .config import CONFIG_SCHEMA, METHODS, PRESET_NAMES, RunConfig, parse_config
 from .data import dataset_header_text, dataset_jsonl_text, load_dataset, split
 from .errors import ConfigError, DataError, NumericError
 from .interpret import contribution_proportions, topk_feature_rewards
@@ -36,6 +35,8 @@ ENV_NAME = "env.json"
 
 
 def _atomic_write_all(outputs: dict) -> None:
+    """Write every output or none; a file that cannot be written is a data
+    error naming it."""
     written = []
     try:
         for path, text in outputs.items():
@@ -43,11 +44,15 @@ def _atomic_write_all(outputs: dict) -> None:
             path.parent.mkdir(parents=True, exist_ok=True)
             tmp = path.with_name(path.name + ".tmp")
             tmp.write_text(text)
+            written.append(tmp)
             os.replace(tmp, path)
-            written.append(path)
-    except BaseException:
-        for path in written:
-            path.unlink(missing_ok=True)
+            written[-1] = path
+    except BaseException as exc:
+        for done in written:
+            done.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise DataError(f"cannot write {exc.filename or path}: "
+                            f"{exc.strerror or exc}") from exc
         raise
 
 
@@ -136,6 +141,10 @@ def cmd_eval(cfg: RunConfig, model_path: Path, dataset_dir: Path,
     model = _read(load_model, model_path)
     dataset = _load_dataset_dir(dataset_dir)
     truth = _read(envs_mod.load_ground_truth, truth_path)
+    horizon, dim = model.horizon, model.feature_dim
+    if truth.theta_star.shape not in ((horizon, dim), (horizon + 1, dim)):
+        raise DataError(f"{truth_path}: theta_star has shape {truth.theta_star.shape}, "
+                        f"but the model needs ({horizon + 1}, {dim})")
     env = _read(envs_mod.load_env, env_path) if env_path is not None else None
     report = evaluate(model, truth.theta_star, dataset, env=env,
                       n_episodes=cfg.n_episodes, seed=cfg.seed)
@@ -248,14 +257,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", type=Path, help="JSON config file")
-        p.add_argument("--preset", choices=["a1-performance", "a2-interpretability"])
+        p.add_argument("--preset", choices=PRESET_NAMES)
         p.add_argument("--seed", type=int)
         p.add_argument("--jobs", type=int)
         p.add_argument("--out", type=Path, required=True, help="output directory")
 
     p = sub.add_parser("gen", help="generate a synthetic dataset with ground truth")
     common(p)
-    p.add_argument("--n", type=int, help="number of trajectories")
+    p.add_argument("--n", dest="n_trajectories", type=int, help="number of trajectories")
 
     p = sub.add_parser("train", help="train a model on a dataset directory")
     common(p)
@@ -267,40 +276,36 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", type=Path, required=True)
     p.add_argument("--dataset", type=Path, required=True)
     p.add_argument("--truth", type=Path, required=True)
-    p.add_argument("--env", type=Path, help="env file enabling rollout rewards")
+    p.add_argument("--env", dest="env_path", type=Path,
+                   help="env file enabling rollout rewards")
     p.add_argument("--n-episodes", type=int)
 
     p = sub.add_parser("report", help="interpretability reports for a model")
     common(p)
     p.add_argument("--model", type=Path, required=True)
     p.add_argument("--dataset", type=Path)
-    p.add_argument("--env", type=Path)
+    p.add_argument("--env", dest="env_path", type=Path)
     p.add_argument("--topk", type=str, help="comma-separated k values to retrain")
     p.add_argument("--n-episodes", type=int)
 
     p = sub.add_parser("compare", help="methods x seeds comparison table")
     common(p)
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", dest="n_trajectories", type=int)
     p.add_argument("--seeds", type=int)
     p.add_argument("--n-episodes", type=int)
     return parser
 
 
 def _overrides_from_args(args) -> dict:
-    overrides: dict = {}
-    mapping = {
-        "preset": "preset", "seed": "seed", "jobs": "jobs", "n": "n_trajectories",
-        "method": "method", "seeds": "seeds", "n_episodes": "n_episodes",
-    }
-    for attr, key in mapping.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[key] = value
-    if getattr(args, "topk", None):
+    """Every flag whose ``dest`` is a config key, with ``--topk`` parsed."""
+    overrides = {key: value for key, value in vars(args).items()
+                 if key in CONFIG_SCHEMA["properties"] and value is not None}
+    topk = overrides.pop("topk", None)
+    if topk:
         try:
-            overrides["topk"] = [int(v) for v in args.topk.split(",")]
+            overrides["topk"] = [int(v) for v in topk.split(",")]
         except ValueError:
-            raise ConfigError(f"--topk must be comma-separated integers, got {args.topk!r}")
+            raise ConfigError(f"--topk must be comma-separated integers, got {topk!r}")
     return overrides
 
 
@@ -314,9 +319,9 @@ def main(argv=None) -> int:
         elif args.command == "train":
             cmd_train(cfg, args.dataset, out)
         elif args.command == "eval":
-            cmd_eval(cfg, args.model, args.dataset, args.truth, args.env, out)
+            cmd_eval(cfg, args.model, args.dataset, args.truth, args.env_path, out)
         elif args.command == "report":
-            cmd_report(cfg, args.model, args.dataset, args.env, out)
+            cmd_report(cfg, args.model, args.dataset, args.env_path, out)
         elif args.command == "compare":
             cmd_compare(cfg, out)
     except ConfigError as exc:

@@ -9,11 +9,12 @@ overridable.
 from __future__ import annotations
 
 import json
+import operator
 import os
 from dataclasses import dataclass, field, fields as dc_fields
 from pathlib import Path
 
-from .envs import A1_ENV, A2_ENV, EnvSpec
+from .envs import A1_ENV, A2_ENV, STATIC, TIME_VARYING, EnvSpec
 from .errors import ConfigError
 from .learner import DEFAULT_LASSO_GRID, AdaptiveConfig
 
@@ -21,15 +22,8 @@ METHODS = ("ls", "lasso", "tikhonov", "gradient-descent", "cutoff")
 PRESET_NAMES = ("a1-performance", "a2-interpretability")
 LOCKED_ENV_FIELDS = ("d_video", "d_user", "d_action", "horizon", "theta_mode")
 
-_ENV_FIELD_TYPES = {
-    "n_users": int, "n_actions": int, "d_video": int, "d_user": int,
-    "d_action": int, "horizon": int, "noise_sd": (int, float),
-    "reward_low": (int, float), "reward_high": (int, float), "theta_mode": str,
-}
-_ADAPTIVE_FIELD_TYPES = {f.name: (int, float) for f in dc_fields(AdaptiveConfig)}
-_ADAPTIVE_FIELD_TYPES["budget"] = int
-
-# Published schema for config files; unknown keys anywhere are rejected.
+# Published schema for config files and the one declaration of their keys,
+# types and ranges: validate_config walks it.  Unknown keys anywhere are rejected.
 CONFIG_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
@@ -57,15 +51,15 @@ CONFIG_SCHEMA = {
                 "noise_sd": {"type": "number", "minimum": 0},
                 "reward_low": {"type": "number"},
                 "reward_high": {"type": "number"},
-                "theta_mode": {"enum": ["time-varying", "static"]},
+                "theta_mode": {"enum": [TIME_VARYING, STATIC]},
             },
         },
         "adaptive": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                name: {"type": "integer" if name == "budget" else "number"}
-                for name in _ADAPTIVE_FIELD_TYPES
+                f.name: {"type": "integer" if f.name == "budget" else "number"}
+                for f in dc_fields(AdaptiveConfig)
             },
         },
     },
@@ -101,55 +95,43 @@ class RunConfig:
     adaptive: dict = field(default_factory=dict)
 
 
-def _type_ok(value, expected) -> bool:
-    if expected is int:
-        return isinstance(value, int) and not isinstance(value, bool)
-    if expected == (int, float):
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-    return isinstance(value, expected)
+_TYPES = {"integer": (int, "an integer"), "number": ((int, float), "a number"),
+          "array": (list, "an array"), "object": (dict, "a JSON object")}
+_BOUNDS = (("minimum", operator.ge, "at least"),
+           ("exclusiveMinimum", operator.gt, "above"),
+           ("exclusiveMaximum", operator.lt, "below"))
 
 
-def _validate_section(obj: dict, allowed: dict, where: str) -> None:
-    for key, value in obj.items():
-        if key not in allowed:
-            raise ConfigError(f"unknown config field {where}{key!r}")
-        if not _type_ok(value, allowed[key]):
-            raise ConfigError(f"config field {where}{key!r} has the wrong type")
+def _check(value, schema: dict, where: str, what: str) -> None:
+    """Check ``value`` against one schema node; ``where`` prefixes the names
+    of its properties ("" at the top, "env." inside env) and ``what`` names
+    the value itself in errors."""
+    if "type" in schema:
+        cls, noun = _TYPES[schema["type"]]
+        if isinstance(value, bool) or not isinstance(value, cls):  # bool subclasses int
+            raise ConfigError(f"{what} must be {noun}")
+    if "enum" in schema and value not in schema["enum"]:
+        raise ConfigError(f"{what} must be one of {schema['enum']}, got {value!r}")
+    for keyword, holds, phrase in _BOUNDS:
+        if keyword in schema and not holds(value, schema[keyword]):
+            raise ConfigError(f"{what} must be {phrase} {schema[keyword]}, got {value!r}")
+    if "minItems" in schema and len(value) < schema["minItems"]:
+        raise ConfigError(f"{what} must list at least {schema['minItems']} item(s)")
+    if "items" in schema:
+        for i, item in enumerate(value):
+            _check(item, schema["items"], where, f"{what} item {i}")
+    if "properties" in schema:
+        properties = schema["properties"]
+        for key, item in value.items():
+            if key in properties:
+                _check(item, properties[key], f"{where}{key}.", f"config field {where}{key!r}")
+            elif schema.get("additionalProperties") is False:
+                raise ConfigError(f"unknown config field {where}{key!r}")
 
 
 def validate_config(obj) -> None:
     """Check a raw config mapping against CONFIG_SCHEMA."""
-    if not isinstance(obj, dict):
-        raise ConfigError("config must be a JSON object")
-    top_types = {
-        "preset": str, "seed": int, "n_trajectories": int,
-        "train_fraction": (int, float), "method": str, "n_episodes": int,
-        "seeds": int, "jobs": int, "topk": list, "lasso_grid": list,
-        "env": dict, "adaptive": dict,
-    }
-    _validate_section(obj, top_types, "")
-    if "preset" in obj and obj["preset"] not in PRESET_NAMES:
-        raise ConfigError(f"config field 'preset': unknown preset {obj['preset']!r}")
-    if "method" in obj and obj["method"] not in METHODS:
-        raise ConfigError(f"config field 'method': unknown method {obj['method']!r}")
-    if "train_fraction" in obj and not 0.0 < obj["train_fraction"] < 1.0:
-        raise ConfigError("config field 'train_fraction' must lie in (0, 1)")
-    for name in ("n_trajectories", "n_episodes", "seeds", "jobs"):
-        if name in obj and obj[name] < 1:
-            raise ConfigError(f"config field {name!r} must be at least 1")
-    if "topk" in obj and any(not _type_ok(k, int) or k < 1 for k in obj["topk"]):
-        raise ConfigError("config field 'topk' must list positive integers")
-    if "lasso_grid" in obj and (not obj["lasso_grid"] or any(
-            not _type_ok(v, (int, float)) or v < 0 for v in obj["lasso_grid"])):
-        raise ConfigError("config field 'lasso_grid' must list nonnegative numbers, at least one")
-    if "env" in obj:
-        _validate_section(obj["env"], _ENV_FIELD_TYPES, "env.")
-        if "theta_mode" in obj["env"] and obj["env"]["theta_mode"] not in (
-                "time-varying", "static"):
-            raise ConfigError("config field 'env.theta_mode' must be "
-                              "'time-varying' or 'static'")
-    if "adaptive" in obj:
-        _validate_section(obj["adaptive"], _ADAPTIVE_FIELD_TYPES, "adaptive.")
+    _check(obj, CONFIG_SCHEMA, "", "config")
 
 
 def parse_config(path=None, overrides: dict | None = None) -> RunConfig:

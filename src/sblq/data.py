@@ -268,17 +268,33 @@ _HEADER_FIELDS = {
 }
 
 
+def require_fields(record, fields, where: str) -> dict:
+    """Return ``record`` if it is a JSON object holding every one of ``fields``."""
+    if not isinstance(record, dict):
+        raise DataError(f"{where}: expected a JSON object")
+    missing = [name for name in fields if name not in record]
+    if missing:
+        raise DataError(f"{where}: missing field {missing[0]!r}")
+    return record
+
+
+def read_json_fields(path, *fields) -> dict:
+    """Parse the JSON object in file ``path`` and require ``fields`` in it.
+
+    Content that is not such an object is a DataError naming the file; a file
+    that cannot be read raises OSError.
+    """
+    try:
+        payload = json.loads(Path(path).read_text())
+    except ValueError as exc:  # invalid JSON or undecodable bytes
+        raise DataError(f"{path}: invalid JSON ({exc})") from exc
+    return require_fields(payload, fields, str(path))
+
+
 def load_dataset(header_path, trajectories_path) -> BatchDataset:
     """Load and validate a header/trajectories file pair."""
-    try:
-        header = json.loads(Path(header_path).read_text())
-    except json.JSONDecodeError as exc:
-        raise DataError(f"header {header_path}: invalid JSON ({exc})") from exc
-    if not isinstance(header, dict):
-        raise DataError(f"header {header_path}: expected a JSON object")
+    header = read_json_fields(header_path, *_HEADER_FIELDS)
     for field_name, kind in _HEADER_FIELDS.items():
-        if field_name not in header:
-            raise DataError(f"header {header_path}: missing field {field_name!r}")
         if not isinstance(header[field_name], kind) or isinstance(header[field_name], bool) != (kind is bool):
             raise DataError(f"header {header_path}: field {field_name!r} has wrong type")
     unknown = set(header) - set(_HEADER_FIELDS)

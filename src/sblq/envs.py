@@ -24,13 +24,12 @@ spawned from a SeedSequence so generation order never depends on scheduling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Optional
 
 import json
 import numpy as np
 
-from .data import BatchDataset, Trajectory, candidate_scores, feature_vector
+from .data import BatchDataset, Trajectory, candidate_scores, feature_vector, read_json_fields
 
 TIME_VARYING = "time-varying"
 STATIC = "static"
@@ -177,7 +176,7 @@ def ground_truth_json_text(truth: GroundTruth) -> str:
 
 
 def load_ground_truth(path) -> GroundTruth:
-    payload = json.loads(Path(path).read_text())
+    payload = read_json_fields(path, "theta_star")
     return GroundTruth(theta_star=np.asarray(payload["theta_star"], dtype=float))
 
 
@@ -231,5 +230,5 @@ def env_json_text(env: SyntheticEnv) -> str:
 
 
 def load_env(path) -> SyntheticEnv:
-    payload = json.loads(Path(path).read_text())
+    payload = read_json_fields(path, "spec", "seed")
     return make_env(EnvSpec(**payload["spec"]), payload["seed"])

@@ -22,8 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import BatchDataset, StageDesign, candidate_scores, empirical_covariance, stage_design
-from .errors import NumericError
+from .data import (BatchDataset, StageDesign, candidate_scores, empirical_covariance,
+                   read_json_fields, require_fields, stage_design)
+from .errors import DataError, NumericError
 from .spectral import (
     CUTOFF,
     FilterSpec,
@@ -516,13 +517,16 @@ def save_model(bundle: ModelBundle, path) -> None:
 
 
 def load_model(path) -> ModelBundle:
-    payload = json.loads(Path(path).read_text())
-    if payload.get("version") != 1:
-        raise ValueError(f"unsupported model file version {payload.get('version')!r}")
+    payload = read_json_fields(path, "version", "horizon", "feature_dim", "filter",
+                               "stages", "config", "seed")
+    if payload["version"] != 1:
+        raise DataError(f"{path}: unsupported model file version {payload['version']!r}")
+    records = [require_fields(rec, ("t", "theta", "lambda", "k"), f"{path}: stage {i}")
+               for i, rec in enumerate(payload["stages"])]
     stages = tuple(
         StageModel(t=rec["t"], theta=np.asarray(rec["theta"], dtype=float),
                    lambda_selected=rec["lambda"], k_selected=rec["k"])
-        for rec in payload["stages"]
+        for rec in records
     )
     cfg = None if payload["config"] is None else AdaptiveConfig(**payload["config"])
     mask = payload.get("feature_mask")

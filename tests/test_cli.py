@@ -1,15 +1,18 @@
 import json
 import os
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sblq import cli
 from sblq.cli import main
 from sblq.config import CONFIG_SCHEMA, RunConfig, parse_config, validate_config
 from sblq.data import load_dataset
-from sblq.envs import A1_ENV, A2_ENV
+from sblq.envs import A1_ENV, A2_ENV, EnvSpec
 from sblq.errors import ConfigError
-from sblq.learner import default_config, load_model
+from sblq.learner import AdaptiveConfig, default_config, load_model
 
 
 class TestParseConfig:
@@ -80,6 +83,98 @@ class TestParseConfig:
     def test_schema_is_publishable(self):
         text = json.dumps(CONFIG_SCHEMA)
         assert "additionalProperties" in text
+
+    @pytest.mark.parametrize("config", [
+        {"lasso_grid": [float("nan")]},
+        {"env": {"noise_sd": float("nan")}},
+        {"train_fraction": float("nan")},
+    ])
+    def test_nan_fails_range_bounds(self, config):
+        with pytest.raises(ConfigError, match="got nan"):
+            validate_config(config)
+
+    def test_schema_declares_every_config_field(self):
+        props = CONFIG_SCHEMA["properties"]
+        assert list(props) == [f.name for f in fields(RunConfig)]
+        assert list(props["env"]["properties"]) == [f.name for f in fields(EnvSpec)]
+        assert list(props["adaptive"]["properties"]) == [f.name for f in fields(AdaptiveConfig)]
+
+
+class TestSchemaRejections:
+    """One bad config per schema keyword and level; each exits 2 naming the field."""
+
+    @pytest.mark.parametrize("config,field", [
+        pytest.param([1, 2], "JSON object", id="top-not-object"),
+        pytest.param({"seed": 1.5}, "seed", id="integer-type"),
+        pytest.param({"n_trajectories": True}, "n_trajectories", id="bool-as-integer"),
+        pytest.param({"train_fraction": True}, "train_fraction", id="bool-as-number"),
+        pytest.param({"train_fraction": "0.5"}, "train_fraction", id="number-type"),
+        pytest.param({"topk": 3}, "topk", id="array-type"),
+        pytest.param({"env": [1]}, "env", id="object-type"),
+        pytest.param({"preset": "a3"}, "preset", id="preset-enum"),
+        pytest.param({"method": "ridge"}, "method", id="method-enum"),
+        pytest.param({"n_episodes": 0}, "n_episodes", id="minimum"),
+        pytest.param({"train_fraction": 0}, "train_fraction", id="exclusive-minimum"),
+        pytest.param({"train_fraction": 1.0}, "train_fraction", id="exclusive-maximum"),
+        pytest.param({"lasso_grid": []}, "lasso_grid", id="min-items"),
+        pytest.param({"topk": [2, 0]}, "topk", id="item-minimum"),
+        pytest.param({"topk": [2, "3"]}, "topk", id="item-type"),
+        pytest.param({"lasso_grid": [0.1, -1]}, "lasso_grid", id="number-item-minimum"),
+        pytest.param({"lasso_grid": [0.1, False]}, "lasso_grid", id="bool-item"),
+        pytest.param({"env": {"horizon": 2.5}}, "horizon", id="env-integer-type"),
+        pytest.param({"env": {"n_users": 0}}, "n_users", id="env-minimum"),
+        pytest.param({"env": {"noise_sd": -0.1}}, "noise_sd", id="env-number-minimum"),
+        pytest.param({"env": {"reward_low": False}}, "reward_low", id="env-bool-as-number"),
+        pytest.param({"env": {"theta_mode": "fixed"}}, "theta_mode", id="env-enum"),
+        pytest.param({"adaptive": "fast"}, "adaptive", id="adaptive-object-type"),
+        pytest.param({"adaptive": {"budget": 10.0}}, "budget", id="adaptive-integer-type"),
+        pytest.param({"adaptive": {"q": True}}, "'q'", id="adaptive-bool-as-number"),
+        pytest.param({"gamma": 0.9}, "gamma", id="unknown-top"),
+        pytest.param({"env": {"width": 3}}, "width", id="unknown-env"),
+        pytest.param({"adaptive": {"alpha": 1}}, "alpha", id="unknown-adaptive"),
+    ])
+    def test_rejected_config_exits_two_naming_field(self, tmp_path, capsys, config, field):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        assert main(["gen", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration" in err and field in err
+        assert not out.exists()
+
+
+class TestOverrideFlags:
+    """Each flag whose destination is a config key reaches RunConfig."""
+
+    @pytest.mark.parametrize("argv,key,value", [
+        (["gen", "--n", "7"], "n_trajectories", 7),
+        (["gen", "--seed", "5"], "seed", 5),
+        (["gen", "--jobs", "3"], "jobs", 3),
+        (["gen", "--preset", "a2-interpretability"], "preset", "a2-interpretability"),
+        (["train", "--dataset", "d", "--method", "ls"], "method", "ls"),
+        (["eval", "--model", "m", "--dataset", "d", "--truth", "t",
+          "--n-episodes", "11"], "n_episodes", 11),
+        (["report", "--model", "m", "--topk", "2,3"], "topk", (2, 3)),
+        (["compare", "--n", "9"], "n_trajectories", 9),
+        (["compare", "--seeds", "4"], "seeds", 4),
+    ])
+    def test_flag_reaches_run_config(self, monkeypatch, tmp_path, argv, key, value):
+        seen = []
+        monkeypatch.setattr(cli, f"cmd_{argv[0]}", lambda cfg, *rest: seen.append(cfg))
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        assert getattr(seen[0], key) == value
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--model", "m", "--dataset", "d", "--truth", "t"],
+        ["report", "--model", "m"],
+    ])
+    def test_env_path_stays_out_of_env_section(self, monkeypatch, tmp_path, argv):
+        seen = []
+        monkeypatch.setattr(cli, f"cmd_{argv[0]}", lambda cfg, *rest: seen.append((cfg, rest)))
+        assert main(argv + ["--env", "world.json", "--out", str(tmp_path)]) == 0
+        cfg, rest = seen[0]
+        assert cfg.env == RunConfig().env
+        assert Path("world.json") in rest
 
 
 SMALL_ENV = {"n_users": 4, "n_actions": 5, "d_video": 3, "d_user": 3,
@@ -242,6 +337,63 @@ class TestCommands:
         assert main(argv) == 3
         assert str(tmp_path / "absent.json") in capsys.readouterr().err
         assert not (run / "metrics.json").exists()
+
+    @pytest.mark.parametrize("flag,corrupt", [
+        pytest.param("--model", lambda p: {k: v for k, v in p.items() if k != "stages"},
+                     id="model-without-stages"),
+        pytest.param("--model", lambda p: "{not json",
+                     id="model-not-json"),
+        pytest.param("--model", lambda p: {**p, "stages": [
+            {k: v for k, v in s.items() if k != "theta"} for s in p["stages"]]},
+                     id="model-stage-without-theta"),
+        pytest.param("--truth", lambda p: {"version": 1},
+                     id="truth-without-theta_star"),
+        pytest.param("--truth", lambda p: {**p, "theta_star": [r[:-1] for r in p["theta_star"]]},
+                     id="truth-shape-misfits-model"),
+        pytest.param("--env", lambda p: {k: v for k, v in p.items() if k != "spec"},
+                     id="env-without-spec"),
+    ])
+    def test_malformed_input_file_exits_three(self, tmp_path, capsys, flag, corrupt):
+        cfg = write_small_config(tmp_path)
+        data, run = tmp_path / "data", tmp_path / "run"
+        main(["gen", "--config", str(cfg), "--seed", "2", "--out", str(data)])
+        main(["train", "--config", str(cfg), "--seed", "2", "--dataset", str(data),
+              "--method", "ls", "--out", str(run)])
+        paths = {"--model": run / "model.json", "--truth": data / "ground_truth.json",
+                 "--env": data / "env.json"}
+        broken = corrupt(json.loads(paths[flag].read_text()))
+        paths[flag] = tmp_path / "broken.json"
+        paths[flag].write_text(broken if isinstance(broken, str) else json.dumps(broken))
+        capsys.readouterr()
+        argv = ["eval", "--config", str(cfg), "--dataset", str(data), "--out", str(run)]
+        for name, path in paths.items():
+            argv += [name, str(path)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: data:") and str(paths[flag]) in err
+        assert not (run / "metrics.json").exists()
+
+    def test_output_path_taken_by_file_exits_three(self, tmp_path, capsys):
+        cfg = write_small_config(tmp_path)
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 3
+        assert f"cannot write {out}" in capsys.readouterr().err
+        assert out.read_text() == ""
+
+    def test_write_failure_removes_written_outputs(self, tmp_path, capsys):
+        cfg = write_small_config(tmp_path)
+        data, run = tmp_path / "data", tmp_path / "run"
+        main(["gen", "--config", str(cfg), "--seed", "2", "--out", str(data)])
+        main(["train", "--config", str(cfg), "--seed", "2", "--dataset", str(data),
+              "--method", "ls", "--out", str(run)])
+        (run / "metrics.csv").mkdir()
+        capsys.readouterr()
+        assert main(["eval", "--config", str(cfg), "--model", str(run / "model.json"),
+                     "--dataset", str(data), "--truth", str(data / "ground_truth.json"),
+                     "--out", str(run)]) == 3
+        assert "metrics.csv" in capsys.readouterr().err
+        assert sorted(p.name for p in run.iterdir()) == ["metrics.csv", "model.json", "trace.json"]
 
     def test_config_directory_exits_two(self, tmp_path, capsys):
         out = tmp_path / "o"
