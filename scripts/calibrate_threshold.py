@@ -14,10 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from sblq.data import split
-from sblq.envs import EnvSpec, generate_trajectories, make_env
-from sblq.learner import default_config, train
-from sblq.policy import parameter_gap, policy_gap
+from sblq.envs import A1_ENV
+from sblq.experiments import build_world, method_cell
 
 DEFAULT_GRID = (1e-8, 3e-8, 5e-8, 1e-7, 3e-7, 5e-7, 1e-6, 3e-6, 1e-5)
 
@@ -31,27 +29,17 @@ def main():
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    worlds = []
-    for seed in range(args.seeds):
-        env = make_env(EnvSpec(), seed=seed)
-        dataset, truth = generate_trajectories(env, args.n, seed=seed)
-        train_set, eval_set = split(dataset, 0.5, seed)
-        worlds.append((train_set, eval_set, truth))
-
+    worlds = {seed: build_world(A1_ENV, seed, args.n, 0.5) for seed in range(args.seeds)}
     rows = []
     for kind in ("tikhonov", "gradient-descent", "cutoff"):
         for c_ada in DEFAULT_GRID:
-            pgaps, ygaps, lams = [], [], []
-            for train_set, eval_set, truth in worlds:
-                cfg = default_config(kind, reward_bound=train_set.reward_bound,
-                                     c_ada=c_ada)
-                bundle, _ = train(train_set, kind, cfg)
-                pgaps.append(parameter_gap(bundle.theta_matrix(), truth.theta_star[:-1]))
-                ygaps.append(policy_gap(bundle, truth.theta_star, eval_set))
-                lams.append(float(np.median([s.lambda_selected for s in bundle.stages])))
+            cells = [method_cell(world, kind, seed, {"c_ada": c_ada})
+                     for seed, world in worlds.items()]
+            pgaps = [c.metrics.parameter_gap for c in cells]
+            lams = [float(np.median([s.lambda_selected for s in c.bundle.stages])) for c in cells]
             rows.append((kind, c_ada, float(np.mean(lams)),
                          float(np.mean(pgaps)), float(np.max(pgaps)),
-                         float(np.mean(ygaps))))
+                         float(np.mean([c.metrics.policy_gap for c in cells]))))
             print(f"{kind:17s} c_ada={c_ada:.0e} med_lambda={rows[-1][2]:.4f} "
                   f"pgap={rows[-1][3]:7.3f} (max {rows[-1][4]:7.3f}) ygap={rows[-1][5]:.4f}")
 

@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Interpretability experiment on the static-truth environment.
 
-Trains every method over a seed grid, then writes:
+Trains every method over a seed grid and, as acceptance criterion 6 does,
+pools each shrinking spectral filter (tikhonov, gradient-descent) with lasso
+alone.  Writes:
   weights.csv        per (method, seed, stage, feature) coefficient
-  clipped.csv        pooled 5% clipped-weight counts per method
+  clipped.csv        5% clipped-weight counts per (pool, method)
   weight_error.csv   mean |theta_hat - theta*| per method
   contributions.csv  contribution proportions of the spectral cut-off model
 """
@@ -12,14 +14,16 @@ import csv
 import sys
 from pathlib import Path
 
-import numpy as np
+from sblq.config import METHODS
+from sblq.experiments import interpretability_comparison
+from sblq.interpret import contribution_proportions
 
-from sblq.envs import A2_ENV, generate_trajectories, make_env
-from sblq.data import split
-from sblq.interpret import clipped_weights, contribution_proportions
-from sblq.learner import train
 
-METHODS = ("ls", "lasso", "tikhonov", "gradient-descent", "cutoff")
+def write_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def main():
@@ -31,55 +35,26 @@ def main():
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    entries = []
-    weight_rows = []
-    werr = {m: [] for m in METHODS}
-    last_cutoff = None
-    for seed in range(args.seeds):
-        env = make_env(A2_ENV, seed=seed)
-        dataset, truth = generate_trajectories(env, args.n, seed=seed)
-        train_set, _ = split(dataset, 0.5, seed)
-        truth_vec = truth.theta_star[0]
-        for method in METHODS:
-            bundle, _ = train(train_set, method, seed=seed)
-            weights = bundle.theta_matrix()
-            werr[method].append(float(np.mean(np.abs(weights - truth_vec))))
-            for t in range(weights.shape[0]):
-                for j in range(weights.shape[1]):
-                    entries.append((method, j, t + 1, float(weights[t, j])))
-                    weight_rows.append((method, seed, t + 1, j, float(weights[t, j])))
-            if method == "cutoff":
-                last_cutoff = bundle
+    bundles, clipped, weight_error = interpretability_comparison(range(args.seeds), args.n,
+                                                                METHODS)
+    write_csv(out / "weights.csv", ["method", "seed", "stage", "feature", "value"],
+              [(method, seed, t + 1, j, float(value))
+               for (method, seed), bundle in bundles.items()
+               for t, row in enumerate(bundle.theta_matrix())
+               for j, value in enumerate(row)])
+    write_csv(out / "clipped.csv", ["pool", "method", "clipped_count"],
+              [(pool, method, count) for pool, counts in clipped.items()
+               for method, count in counts.items()])
+    write_csv(out / "weight_error.csv", ["method", "mean_weight_error"],
+              weight_error.items())
+    report = contribution_proportions(bundles["cutoff", args.seeds - 1])
+    rank_of = {int(u): pos for pos, u in enumerate(report.ranking)}
+    write_csv(out / "contributions.csv", ["feature", "proportion", "rank"],
+              [(label, float(report.proportions[j]), rank_of[j])
+               for j, label in enumerate(report.labels)])
 
-    flags = clipped_weights(entries, pct=0.05)
-    counts = {m: 0 for m in METHODS}
-    for entry, flag in zip(entries, flags):
-        if flag:
-            counts[entry[0]] += 1
-
-    with open(out / "weights.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["method", "seed", "stage", "feature", "value"])
-        w.writerows(weight_rows)
-    with open(out / "clipped.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["method", "clipped_count"])
-        w.writerows(sorted(counts.items()))
-    with open(out / "weight_error.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["method", "mean_weight_error"])
-        for m in METHODS:
-            w.writerow([m, float(np.mean(werr[m]))])
-    report = contribution_proportions(last_cutoff)
-    with open(out / "contributions.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["feature", "proportion", "rank"])
-        rank_of = {int(u): pos for pos, u in enumerate(report.ranking)}
-        for j, label in enumerate(report.labels):
-            w.writerow([label, float(report.proportions[j]), rank_of[j]])
-
-    print("clipped counts:", counts)
-    print("mean weight error:", {m: round(float(np.mean(werr[m])), 4) for m in METHODS})
+    print("clipped counts:", clipped)
+    print("mean weight error:", {m: round(v, 4) for m, v in weight_error.items()})
     return 0
 
 

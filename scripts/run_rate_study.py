@@ -2,19 +2,16 @@
 """Parameter gap as a function of the trajectory count.
 
 Uses the benchmark generative law with a user pool large enough that the
-feature span is full rank, so the gap is estimation-dominated.  Writes
-rate.csv (n, mean gap, sd) and prints the log-log slope.
+feature span is full rank, so the gap is estimation-dominated (the same
+curve as acceptance criterion 4).  Writes rate.csv (n, mean gap, sd) and
+prints the log-log slope.
 """
 import argparse
 import csv
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from sblq.envs import EnvSpec, generate_trajectories, make_env
-from sblq.learner import default_config, train
-from sblq.policy import parameter_gap
+from sblq.experiments import rate_curve
 
 
 def main():
@@ -28,24 +25,12 @@ def main():
     args = parser.parse_args()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+
     sizes = [int(s) for s in args.sizes.split(",")]
-
-    spec = EnvSpec(n_users=200, n_actions=30)
-    rows = []
-    means = []
-    for n in sizes:
-        gaps = []
-        for s in range(args.seeds):
-            env = make_env(spec, seed=args.seed + s)
-            dataset, truth = generate_trajectories(env, n, seed=args.seed + s)
-            cfg = default_config(args.method, reward_bound=dataset.reward_bound)
-            bundle, _ = train(dataset, args.method, cfg)
-            gaps.append(parameter_gap(bundle.theta_matrix(), truth.theta_star[:-1]))
-        means.append(float(np.mean(gaps)))
-        rows.append((n, means[-1], float(np.std(gaps, ddof=1))))
-        print(f"n={n}: parameter gap {means[-1]:.4f} +- {rows[-1][2]:.4f}")
-
-    slope = float(np.polyfit(np.log(sizes), np.log(means), 1)[0])
+    means, sds, slope = rate_curve(args.method, sizes, range(args.seed, args.seed + args.seeds))
+    rows = list(zip(sizes, means, sds))
+    for n, mean, sd in rows:
+        print(f"n={n}: parameter gap {mean:.4f} +- {sd:.4f}")
     print(f"log-log slope: {slope:.3f}")
     with open(out / "rate.csv", "w", newline="") as fh:
         w = csv.writer(fh)

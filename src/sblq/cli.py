@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -22,8 +21,9 @@ import numpy as np
 
 from . import envs as envs_mod
 from .config import CONFIG_SCHEMA, METHODS, PRESET_NAMES, RunConfig, parse_config
-from .data import dataset_header_text, dataset_jsonl_text, load_dataset, split
+from .data import dataset_header_text, dataset_jsonl_text, load_dataset
 from .errors import ConfigError, DataError, NumericError
+from .experiments import build_world, method_cell
 from .interpret import contribution_proportions, topk_feature_rewards
 from .learner import default_config, load_model, model_json_text, train
 from .policy import GreedyPolicy, direct_value_estimate, evaluate, rollout_reward
@@ -199,44 +199,31 @@ def cmd_report(cfg: RunConfig, model_path: Path, dataset_dir: Path | None,
     _atomic_write_all(outputs)
 
 
-def _compare_cell(cfg: RunConfig, method: str, seed: int, dataset_train,
-                  dataset_eval, env, truth):
-    started = time.monotonic()
-    bundle, _ = _train(cfg, dataset_train, method, seed)
-    elapsed = time.monotonic() - started
-    report = evaluate(bundle, truth.theta_star, dataset_eval, env=env,
-                      n_episodes=cfg.n_episodes, seed=seed)
-    return (method, seed, report.parameter_gap, report.policy_gap,
-            report.cumulative_reward, elapsed)
-
-
 def cmd_compare(cfg: RunConfig, out: Path) -> None:
     seeds = [cfg.seed + i for i in range(cfg.seeds)]
-    worlds = {}
-    for seed in seeds:
-        env = envs_mod.make_env(cfg.env, seed)
-        dataset, truth = envs_mod.generate_trajectories(env, cfg.n_trajectories, seed=seed)
-        train_set, eval_set = split(dataset, cfg.train_fraction, seed)
-        worlds[seed] = (env, train_set, eval_set, truth)
-
+    worlds = {seed: build_world(cfg.env, seed, cfg.n_trajectories, cfg.train_fraction)
+              for seed in seeds}
     tasks = [(method, seed) for method in METHODS for seed in seeds]
 
     def run_cell(task):
         method, seed = task
-        env, train_set, eval_set, truth = worlds[seed]
-        return _compare_cell(cfg, method, seed, train_set, eval_set, env, truth)
+        world = worlds[seed]
+        return method_cell(world, method, seed, cfg.adaptive, cfg.lasso_grid,
+                           world.env, cfg.n_episodes)
 
     if cfg.jobs > 1:
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(run_cell, tasks))
+            cells = list(pool.map(run_cell, tasks))
     else:
-        results = [run_cell(t) for t in tasks]
+        cells = [run_cell(t) for t in tasks]
 
     rows = []
     by_method = {m: [] for m in METHODS}
-    for method, seed, pgap, ygap, reward, elapsed in results:
-        rows.append((method, str(seed), pgap, ygap, reward, elapsed))
-        by_method[method].append((pgap, ygap, reward, elapsed))
+    for (method, seed), cell in zip(tasks, cells):
+        m = cell.metrics
+        values = (m.parameter_gap, m.policy_gap, m.cumulative_reward, cell.train_s)
+        rows.append((method, str(seed), *values))
+        by_method[method].append(values)
     for method in METHODS:
         block = np.array(by_method[method])
         rows.append((method, "mean", *[float(v) for v in block.mean(axis=0)]))

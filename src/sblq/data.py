@@ -20,6 +20,7 @@ Reals are serialized with full round-trip precision.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -276,6 +277,18 @@ def require_fields(record, fields, where: str) -> dict:
     if missing:
         raise DataError(f"{where}: missing field {missing[0]!r}")
     return record
+
+
+@contextmanager
+def file_values(path):
+    """Report a TypeError or ValueError from values read from ``path`` as a
+    DataError naming the file."""
+    try:
+        yield
+    except DataError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def read_json_fields(path, *fields) -> dict:

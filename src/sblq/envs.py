@@ -29,7 +29,8 @@ from typing import Callable, Optional
 import json
 import numpy as np
 
-from .data import BatchDataset, Trajectory, candidate_scores, feature_vector, read_json_fields
+from .data import (BatchDataset, Trajectory, candidate_scores, feature_vector, file_values,
+                   read_json_fields)
 
 TIME_VARYING = "time-varying"
 STATIC = "static"
@@ -177,7 +178,8 @@ def ground_truth_json_text(truth: GroundTruth) -> str:
 
 def load_ground_truth(path) -> GroundTruth:
     payload = read_json_fields(path, "theta_star")
-    return GroundTruth(theta_star=np.asarray(payload["theta_star"], dtype=float))
+    with file_values(path):
+        return GroundTruth(theta_star=np.asarray(payload["theta_star"], dtype=float))
 
 
 def generate_trajectories(env: SyntheticEnv, n: int, seed: int = 0):
@@ -231,4 +233,5 @@ def env_json_text(env: SyntheticEnv) -> str:
 
 def load_env(path) -> SyntheticEnv:
     payload = read_json_fields(path, "spec", "seed")
-    return make_env(EnvSpec(**payload["spec"]), payload["seed"])
+    with file_values(path):
+        return make_env(EnvSpec(**payload["spec"]), payload["seed"])

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import (BatchDataset, StageDesign, candidate_scores, empirical_covariance,
-                   read_json_fields, require_fields, stage_design)
+                   file_values, read_json_fields, require_fields, stage_design)
 from .errors import DataError, NumericError
 from .spectral import (
     CUTOFF,
@@ -523,16 +523,17 @@ def load_model(path) -> ModelBundle:
         raise DataError(f"{path}: unsupported model file version {payload['version']!r}")
     records = [require_fields(rec, ("t", "theta", "lambda", "k"), f"{path}: stage {i}")
                for i, rec in enumerate(payload["stages"])]
-    stages = tuple(
-        StageModel(t=rec["t"], theta=np.asarray(rec["theta"], dtype=float),
-                   lambda_selected=rec["lambda"], k_selected=rec["k"])
-        for rec in records
-    )
-    cfg = None if payload["config"] is None else AdaptiveConfig(**payload["config"])
     mask = payload.get("feature_mask")
-    return ModelBundle(
-        horizon=payload["horizon"], feature_dim=payload["feature_dim"],
-        filter_kind=payload["filter"], stages=stages, config=cfg,
-        seed=payload["seed"],
-        feature_mask=None if mask is None else np.asarray(mask, dtype=float),
-    )
+    with file_values(path):
+        stages = tuple(
+            StageModel(t=rec["t"], theta=np.asarray(rec["theta"], dtype=float),
+                       lambda_selected=rec["lambda"], k_selected=rec["k"])
+            for rec in records
+        )
+        cfg = None if payload["config"] is None else AdaptiveConfig(**payload["config"])
+        return ModelBundle(
+            horizon=payload["horizon"], feature_dim=payload["feature_dim"],
+            filter_kind=payload["filter"], stages=stages, config=cfg,
+            seed=payload["seed"],
+            feature_mask=None if mask is None else np.asarray(mask, dtype=float),
+        )

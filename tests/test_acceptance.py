@@ -11,12 +11,12 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from sblq.cli import main
-from sblq.data import BatchDataset, StageDesign, split, stage_design
-from sblq.envs import A2_ENV, EnvSpec, generate_trajectories, make_env
-from sblq.interpret import clipped_weights
+from sblq.data import StageDesign, stage_design
+from sblq.envs import A1_ENV, EnvSpec, generate_trajectories, make_env
+from sblq.experiments import (SHRINKING_FILTERS, build_world, interpretability_comparison,
+                              method_cell, rate_curve)
 from sblq.learner import (
     default_config,
     error_decomposition,
@@ -25,8 +25,7 @@ from sblq.learner import (
     stage_targets,
     train,
 )
-from sblq.policy import parameter_gap, policy_gap
-from sblq.spectral import decompose, default_filter, filter_values
+from sblq.spectral import default_filter, filter_values
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -119,13 +118,11 @@ def test_criterion_3_benchmark_ordering():
     pg = {m: [] for m in methods}
     yg = {m: [] for m in methods}
     for seed in range(5):
-        env = make_env(EnvSpec(), seed=seed)
-        ds, truth = generate_trajectories(env, 1000, seed=seed)
-        train_set, eval_set = split(ds, 0.5, seed)  # 500 training trajectories
+        world = build_world(A1_ENV, seed, 1000, 0.5)  # 500 training trajectories
         for m in methods:
-            bundle, _ = train(train_set, m, seed=seed)
-            pg[m].append(parameter_gap(bundle.theta_matrix(), truth.theta_star[:-1]))
-            yg[m].append(policy_gap(bundle, truth.theta_star, eval_set))
+            metrics = method_cell(world, m, seed, env=None).metrics  # no rollouts
+            pg[m].append(metrics.parameter_gap)
+            yg[m].append(metrics.policy_gap)
     mean = {m: float(np.mean(pg[m])) for m in methods}
     sd = {m: float(np.std(pg[m], ddof=1)) for m in methods}
 
@@ -150,20 +147,8 @@ def test_criterion_3_benchmark_ordering():
 
 def test_criterion_4_rate_trend():
     started = time.monotonic()
-    spec = EnvSpec(n_users=200, n_actions=30)  # identifiable variant, sigma = 0.5
-    sizes = (250, 500, 1000)
-    means = []
-    for n in sizes:
-        gaps = []
-        for seed in range(100, 105):
-            env = make_env(spec, seed=seed)
-            ds, truth = generate_trajectories(env, n, seed=seed)
-            cfg = default_config("cutoff", reward_bound=ds.reward_bound)
-            bundle, _ = train(ds, "cutoff", cfg)
-            gaps.append(parameter_gap(bundle.theta_matrix(), truth.theta_star[:-1]))
-        means.append(float(np.mean(gaps)))
+    means, _, slope = rate_curve("cutoff", (250, 500, 1000), range(100, 105))
     decreasing = means[0] > means[1] > means[2]
-    slope = float(np.polyfit(np.log(sizes), np.log(means), 1)[0])
     elapsed = time.monotonic() - started
     ok = decreasing and slope <= -0.25 and elapsed < 600.0
     assert announce(4, "rate trend", ok,
@@ -220,31 +205,8 @@ def test_criterion_6_interpretability_comparison():
     # mean absolute weight error still takes 47 to 43.  See the acceptance
     # section of the README.
     started = time.monotonic()
-    kinds = ("tikhonov", "gradient-descent")
-    entries = {kind: [] for kind in kinds}
-    werr = {kind: [] for kind in kinds + ("lasso",)}
-    for seed in range(5):
-        env = make_env(A2_ENV, seed=seed)
-        ds, truth = generate_trajectories(env, 1000, seed=seed)
-        train_set, _ = split(ds, 0.5, seed)
-        truth_vec = truth.theta_star[0]
-        bundles = {name: train(train_set, name, seed=seed)[0] for name in kinds + ("lasso",)}
-        for name, bundle in bundles.items():
-            werr[name].append(np.mean(np.abs(bundle.theta_matrix() - truth_vec)))
-        for kind in kinds:
-            for name in (kind, "lasso"):
-                weights = bundles[name].theta_matrix()
-                entries[kind] += [(f"{name}/{seed}", j, t, weights[t, j])
-                                  for t in range(weights.shape[0])
-                                  for j in range(weights.shape[1])]
-    counts = {}
-    for kind in kinds:
-        # one pool per filter, holding only that filter and lasso
-        flags = clipped_weights(entries[kind], pct=0.05)
-        counts[kind] = {name: sum(1 for e, f in zip(entries[kind], flags)
-                                  if f and e[0].startswith(name + "/"))
-                        for name in (kind, "lasso")}
-    mean_werr = {name: float(np.mean(v)) for name, v in werr.items()}
+    kinds = SHRINKING_FILTERS
+    _, counts, mean_werr = interpretability_comparison(range(5), 1000, kinds + ("lasso",))
     clip_ok = {kind: counts[kind][kind] < counts[kind]["lasso"] for kind in kinds}
     werr_ok = {kind: mean_werr[kind] < mean_werr["lasso"] for kind in kinds}
     elapsed = time.monotonic() - started

@@ -8,10 +8,11 @@ import pytest
 
 from sblq import cli
 from sblq.cli import main
-from sblq.config import CONFIG_SCHEMA, RunConfig, parse_config, validate_config
+from sblq.config import CONFIG_SCHEMA, METHODS, RunConfig, parse_config, validate_config
 from sblq.data import load_dataset
 from sblq.envs import A1_ENV, A2_ENV, EnvSpec
 from sblq.errors import ConfigError
+from sblq.experiments import build_world, method_cell
 from sblq.learner import AdaptiveConfig, default_config, load_model
 
 
@@ -267,6 +268,25 @@ class TestCommands:
 
         assert strip_clock(out1) == strip_clock(out2)
 
+    def test_compare_rows_equal_library_cells(self, tmp_path):
+        cfg_path = write_small_config(tmp_path, n_trajectories=40, n_episodes=10)
+        out = tmp_path / "cmp"
+        assert main(["compare", "--config", str(cfg_path), "--seed", "0", "--seeds", "2",
+                     "--out", str(out)]) == 0
+        rows = [l.split(",") for l in (out / "compare.csv").read_text().splitlines()[1:]]
+        cells = {(r[0], r[1]): [float(v) for v in r[2:5]] for r in rows
+                 if r[1] not in ("mean", "sd")}
+        cfg = parse_config(cfg_path, {"seed": 0, "seeds": 2})
+        expected = {}
+        for seed in (0, 1):
+            world = build_world(cfg.env, seed, cfg.n_trajectories, cfg.train_fraction)
+            for method in METHODS:
+                m = method_cell(world, method, seed, cfg.adaptive, cfg.lasso_grid,
+                                world.env, cfg.n_episodes).metrics
+                expected[method, str(seed)] = [m.parameter_gap, m.policy_gap,
+                                               m.cumulative_reward]
+        assert cells == expected
+
     def test_report_topk_on_baseline_model(self, tmp_path):
         cfg = write_small_config(tmp_path)
         data, run = tmp_path / "data", tmp_path / "run"
@@ -352,6 +372,13 @@ class TestCommands:
                      id="truth-shape-misfits-model"),
         pytest.param("--env", lambda p: {k: v for k, v in p.items() if k != "spec"},
                      id="env-without-spec"),
+        pytest.param("--env", lambda p: {**p, "spec": {**p["spec"], "bogus": 1}},
+                     id="env-spec-unknown-key"),
+        pytest.param("--model", lambda p: {**p, "stages": p["stages"][:-1]},
+                     id="model-fewer-stages-than-horizon"),
+        pytest.param("--truth", lambda p: {**p, "theta_star": [["x"] * len(r)
+                                                               for r in p["theta_star"]]},
+                     id="truth-theta_star-strings"),
     ])
     def test_malformed_input_file_exits_three(self, tmp_path, capsys, flag, corrupt):
         cfg = write_small_config(tmp_path)
