@@ -26,7 +26,7 @@ from .errors import ConfigError, DataError, NumericError
 from .experiments import build_world, method_cell
 from .interpret import contribution_proportions, topk_feature_rewards
 from .learner import default_config, load_model, model_json_text, train
-from .policy import GreedyPolicy, direct_value_estimate, evaluate, rollout_reward
+from .policy import evaluate, policy_value
 
 HEADER_NAME = "header.json"
 TRAJECTORIES_NAME = "trajectories.jsonl"
@@ -184,16 +184,11 @@ def cmd_report(cfg: RunConfig, model_path: Path, dataset_dir: Path | None,
         dataset = _load_dataset_dir(dataset_dir)
         env = _read(envs_mod.load_env, env_path) if env_path is not None else None
 
-        def reward_of(bundle):
-            if env is not None:
-                pol = GreedyPolicy(bundle, dataset.action_table)
-                return rollout_reward(pol, env, cfg.n_episodes, seed=cfg.seed)
-            return direct_value_estimate(bundle, dataset)
-
         curve = topk_feature_rewards(
             contrib, lambda mask: _train(cfg, dataset, model.filter_kind, model.seed,
                                          model.config, mask)[0],
-            reward_of, cfg.topk)
+            lambda bundle: policy_value(bundle, dataset, env, cfg.n_episodes, cfg.seed),
+            cfg.topk)
         outputs[out / "topk.csv"] = _csv_text(
             ("k", "reward"), [(k, v) for k, v in curve.items()])
     _atomic_write_all(outputs)

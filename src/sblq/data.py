@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, NumericError
 
 
 @dataclass(frozen=True)
@@ -281,13 +281,13 @@ def require_fields(record, fields, where: str) -> dict:
 
 @contextmanager
 def file_values(path):
-    """Report a TypeError or ValueError from values read from ``path`` as a
-    DataError naming the file."""
+    """Report a TypeError, ValueError or NumericError from values read from
+    ``path`` as a DataError naming the file."""
     try:
         yield
     except DataError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, NumericError) as exc:
         raise DataError(f"{path}: {exc}") from exc
 
 
@@ -327,32 +327,28 @@ def load_dataset(header_path, trajectories_path) -> BatchDataset:
             line = line.strip()
             if not line:
                 continue
+            where = f"{trajectories_path}:{lineno}"
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise DataError(f"{trajectories_path}:{lineno}: invalid JSON ({exc})") from exc
-            for field_name in ("states", "actions", "rewards"):
-                if field_name not in rec:
-                    raise DataError(f"{trajectories_path}:{lineno}: missing field {field_name!r}")
+                raise DataError(f"{where}: invalid JSON ({exc})") from exc
+            require_fields(rec, ("states", "actions", "rewards"), where)
             unknown = set(rec) - {"states", "actions", "rewards"}
             if unknown:
-                raise DataError(
-                    f"{trajectories_path}:{lineno}: unknown field {sorted(unknown)[0]!r}")
-            states = np.asarray(rec["states"], dtype=float)
-            actions = np.asarray(rec["actions"])
-            rewards = np.asarray(rec["rewards"], dtype=float)
+                raise DataError(f"{where}: unknown field {sorted(unknown)[0]!r}")
+            with file_values(where):
+                states = np.asarray(rec["states"], dtype=float)
+                actions = np.asarray(rec["actions"])
+                rewards = np.asarray(rec["rewards"], dtype=float)
             if states.shape != (horizon, d_s):
-                raise DataError(
-                    f"{trajectories_path}:{lineno}: field 'states' has shape "
-                    f"{states.shape}, expected ({horizon}, {d_s})")
+                raise DataError(f"{where}: field 'states' has shape {states.shape}, "
+                                f"expected ({horizon}, {d_s})")
             if actions.shape != (horizon,):
-                raise DataError(
-                    f"{trajectories_path}:{lineno}: field 'actions' must have length {horizon}")
+                raise DataError(f"{where}: field 'actions' must have length {horizon}")
             if not np.issubdtype(actions.dtype, np.integer):
-                raise DataError(f"{trajectories_path}:{lineno}: field 'actions' must be integers")
+                raise DataError(f"{where}: field 'actions' must be integers")
             if rewards.shape != (horizon,):
-                raise DataError(
-                    f"{trajectories_path}:{lineno}: field 'rewards' must have length {horizon}")
+                raise DataError(f"{where}: field 'rewards' must have length {horizon}")
             trajectories.append(Trajectory(states, actions.astype(np.int64), rewards))
     if not trajectories:
         raise DataError(f"{trajectories_path}: no trajectories")

@@ -18,8 +18,9 @@ has conditional mean <x_t, theta*_t>, so consistent estimators recover the
 true parameters.  ``observe_target`` separately exposes the plain one-step
 observation r + <x, theta*_{t+1}> + e used in distributional diagnostics.
 
-All sampling uses numpy's default_rng (PCG64); per-episode streams are
-spawned from a SeedSequence so generation order never depends on scheduling.
+All sampling uses numpy's default_rng (PCG64) on per-episode streams spawned
+from a SeedSequence.  No draw depends on a state, so each episode's draws are
+taken first and the simulator then steps all episodes together.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from typing import Callable, Optional
 import json
 import numpy as np
 
-from .data import (BatchDataset, Trajectory, candidate_scores, feature_vector, file_values,
+from .data import (BatchDataset, candidate_scores, feature_matrix, file_values,
                    read_json_fields)
 
 TIME_VARYING = "time-varying"
@@ -97,7 +98,7 @@ class SyntheticEnv:
     action_pool: np.ndarray  # (n_actions, d_action)
     theta_star: np.ndarray   # (T+1, d); last row is zero
     seed: int
-    reward_fn: Optional[Callable] = None  # (rng, t, state, action_idx) -> float
+    reward_fn: Optional[Callable] = None  # (t, states, actions) -> (n,) rewards
 
     def __post_init__(self):
         for name in ("user_pool", "video_pool", "action_pool", "theta_star"):
@@ -110,38 +111,6 @@ class SyntheticEnv:
         peak = float(np.max(np.linalg.norm(self.theta_star, axis=1)))
         return (max(abs(spec.reward_low), abs(spec.reward_high))
                 + 2.0 * peak + NOISE_CLIP_SDS * spec.noise_sd)
-
-    def initial_state(self, rng: np.random.Generator) -> np.ndarray:
-        user = self.user_pool[rng.integers(self.spec.n_users)]
-        video = self.video_pool[rng.integers(self.spec.n_actions)]
-        return np.concatenate([user, video])
-
-    def transition(self, state: np.ndarray, action_idx: int) -> np.ndarray:
-        """Replace the video block of the state with the chosen video."""
-        nxt = np.array(state, dtype=float)
-        nxt[self.spec.d_user:] = self.video_pool[action_idx]
-        return nxt
-
-    def step_outcome(self, rng: np.random.Generator, t: int, state: np.ndarray,
-                     action_idx: int) -> float:
-        """Draw the logged reward for taking ``action_idx`` at stage t."""
-        if self.reward_fn is not None:
-            return float(self.reward_fn(rng, t, state, action_idx))
-        spec = self.spec
-        u = rng.uniform(spec.reward_low, spec.reward_high)
-        eps = 0.0
-        if spec.noise_sd > 0:
-            eps = float(np.clip(spec.noise_sd * rng.standard_normal(),
-                                -NOISE_CLIP_SDS * spec.noise_sd,
-                                NOISE_CLIP_SDS * spec.noise_sd))
-        x = feature_vector(state, self.action_pool[action_idx])
-        value_now = float(x @ self.theta_star[t - 1])
-        next_best = 0.0
-        if t < spec.horizon:
-            nxt = self.transition(state, action_idx)
-            scores = candidate_scores(nxt[None, :], self.action_pool, self.theta_star[t])
-            next_best = float(scores.max())
-        return value_now - next_best + u + eps
 
 
 def make_env(spec: EnvSpec, seed: int, reward_fn: Optional[Callable] = None) -> SyntheticEnv:
@@ -169,6 +138,8 @@ class GroundTruth:
     theta_star: np.ndarray  # (T+1, d)
 
     def __post_init__(self):
+        if not np.all(np.isfinite(self.theta_star)):
+            raise ValueError("theta_star contains non-finite values")
         self.theta_star.setflags(write=False)
 
 
@@ -182,36 +153,69 @@ def load_ground_truth(path) -> GroundTruth:
         return GroundTruth(theta_star=np.asarray(payload["theta_star"], dtype=float))
 
 
-def generate_trajectories(env: SyntheticEnv, n: int, seed: int = 0):
-    """Roll out ``n`` episodes under the uniform-random logging policy.
+def episode_draws(env: SyntheticEnv, n: int, seed: int, logged: bool):
+    """Each episode's draws from its own child of SeedSequence(seed): user,
+    video, then per stage the logging action (if ``logged``), u (if no
+    ``reward_fn``) and e (if also noise_sd > 0).  Returns initial states
+    (n, d_s) and (n, T) actions, u and clipped e; undrawn entries are 0."""
+    spec = env.spec
+    users, videos = np.empty((2, n), dtype=np.int64)
+    actions = np.zeros((n, spec.horizon), dtype=np.int64)
+    u, z = np.zeros((2, n, spec.horizon))
+    for i, stream in enumerate(np.random.SeedSequence(seed).spawn(n)):
+        rng = np.random.default_rng(stream)
+        users[i], videos[i] = rng.integers(spec.n_users), rng.integers(spec.n_actions)
+        for t in range(spec.horizon):
+            if logged:
+                actions[i, t] = rng.integers(spec.n_actions)
+            if env.reward_fn is None:
+                u[i, t] = rng.uniform(spec.reward_low, spec.reward_high)
+                if spec.noise_sd > 0:
+                    z[i, t] = rng.standard_normal()
+    states = np.hstack([env.user_pool[users], env.video_pool[videos]])
+    clip = NOISE_CLIP_SDS * spec.noise_sd
+    return states, actions, u, np.clip(spec.noise_sd * z, -clip, clip)
 
-    Returns (BatchDataset, GroundTruth).  Episode randomness comes from
-    per-episode child seeds, so output is reproducible and order-independent.
-    """
+
+def stage_step(env: SyntheticEnv, t: int, states: np.ndarray, actions: np.ndarray):
+    """Reward term (n,) and next states for ``actions`` (n,) in ``states``
+    (n, d_s) at stage t: <x_t, theta*_t> - max_a' <theta*_{t+1}, x_{t+1}(a')>,
+    or ``reward_fn(t, states, actions)`` if set.  The logged reward adds u + e."""
+    nxt = np.hstack([states[:, :env.spec.d_user], env.video_pool[actions]])
+    if env.reward_fn is not None:
+        return np.asarray(env.reward_fn(t, states, actions), dtype=float), nxt
+    term = feature_matrix(states, env.action_pool[actions]) @ env.theta_star[t - 1]
+    if t < env.spec.horizon:
+        term -= candidate_scores(nxt, env.action_pool, env.theta_star[t]).max(axis=1)
+    return term, nxt
+
+
+def simulate(env: SyntheticEnv, n: int, seed: int, choose: Optional[Callable] = None):
+    """Step ``n`` seeded episodes together, with actions from
+    ``choose(t, states) -> (n,)`` or, if None, the uniform logging policy.
+    Returns states (n, T, d_s), actions (n, T) and rewards (n, T)."""
+    spec = env.spec
+    state, actions, u, eps = episode_draws(env, n, seed, logged=choose is None)
+    states = np.empty((n, spec.horizon, spec.state_dim))
+    rewards = np.empty((n, spec.horizon))
+    for t in range(1, spec.horizon + 1):
+        states[:, t - 1] = state
+        if choose is not None:
+            actions[:, t - 1] = choose(t, state)
+        term, state = stage_step(env, t, state, actions[:, t - 1])
+        rewards[:, t - 1] = term + u[:, t - 1] + eps[:, t - 1]
+    return states, actions, rewards
+
+
+def generate_trajectories(env: SyntheticEnv, n: int, seed: int = 0):
+    """Roll out ``n`` seeded episodes under the uniform-random logging policy.
+    Returns (BatchDataset, GroundTruth)."""
     if n < 1:
         raise ValueError("need at least one trajectory")
-    spec = env.spec
-    streams = np.random.SeedSequence(seed).spawn(n)
-    trajectories = []
-    for i in range(n):
-        rng = np.random.default_rng(streams[i])
-        state = env.initial_state(rng)
-        states = np.empty((spec.horizon, spec.state_dim))
-        actions = np.empty(spec.horizon, dtype=np.int64)
-        rewards = np.empty(spec.horizon)
-        for t in range(1, spec.horizon + 1):
-            action = int(rng.integers(spec.n_actions))
-            states[t - 1] = state
-            actions[t - 1] = action
-            rewards[t - 1] = env.step_outcome(rng, t, state, action)
-            state = env.transition(state, action)
-        trajectories.append(Trajectory(states, actions, rewards))
-    if env.reward_fn is None:
-        bound = env.reward_bound
-    else:
-        bound = float(max(np.max(np.abs(t.rewards)) for t in trajectories))
-    dataset = BatchDataset.from_trajectories(
-        trajectories, env.action_pool, reward_bound=bound, normalize=True)
+    states, actions, rewards = simulate(env, n, seed)
+    bound = env.reward_bound if env.reward_fn is None else float(np.max(np.abs(rewards)))
+    dataset = BatchDataset(states=states, actions=actions, rewards=rewards,
+                           action_table=env.action_pool, reward_bound=bound)
     return dataset, GroundTruth(theta_star=env.theta_star.copy())
 
 

@@ -114,7 +114,7 @@ class StageModel:
     k_selected: int
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.theta)):
+        if not (np.all(np.isfinite(self.theta)) and np.isfinite(self.lambda_selected)):
             raise NumericError(f"stage {self.t}: non-finite parameters")
         self.theta.setflags(write=False)
 

@@ -8,11 +8,12 @@ per-episode child seeds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .data import BatchDataset, candidate_scores, empirical_covariance, stage_design
-from .envs import SyntheticEnv
+from .envs import SyntheticEnv, simulate
 from .learner import ModelBundle
 from .spectral import decompose, weighted_half_norm
 
@@ -46,15 +47,18 @@ class MetricsReport:
         }
 
 
-def act(policy: GreedyPolicy, t: int, state: np.ndarray) -> int:
-    """Greedy action index for ``state`` at stage t."""
+def greedy_actions(policy: GreedyPolicy, t: int, states: np.ndarray) -> np.ndarray:
+    """Greedy action indices (n,) for ``states`` (n, d_s) at stage t."""
     if not 1 <= t <= policy.model.horizon:
         raise ValueError(f"stage {t} outside 1..{policy.model.horizon}")
-    state = np.asarray(state, dtype=float)
-    scores = candidate_scores(state[None, :], policy.action_table,
-                              policy.model.theta(t), normalize=True,
-                              mask=policy.model.feature_mask)[0]
-    return int(np.argmax(scores))
+    scores = candidate_scores(states, policy.action_table, policy.model.theta(t),
+                              normalize=True, mask=policy.model.feature_mask)
+    return np.argmax(scores, axis=1)
+
+
+def act(policy: GreedyPolicy, t: int, state: np.ndarray) -> int:
+    """Greedy action index for one ``state`` at stage t."""
+    return int(greedy_actions(policy, t, np.asarray(state, dtype=float)[None, :])[0])
 
 
 def parameter_gap(estimated, truth) -> float:
@@ -101,15 +105,11 @@ def rollout_reward(policy: GreedyPolicy, env: SyntheticEnv, n_episodes: int,
     """Mean cumulative logged reward of the policy over seeded episodes."""
     if n_episodes < 1:
         raise ValueError("need at least one episode")
-    streams = np.random.SeedSequence(seed).spawn(n_episodes)
+    _, _, rewards = simulate(env, n_episodes, seed, partial(greedy_actions, policy))
+    # one running float sum in episode order: np.sum and sum (3.12+) round otherwise
     total = 0.0
-    for i in range(n_episodes):
-        rng = np.random.default_rng(streams[i])
-        state = env.initial_state(rng)
-        for t in range(1, env.spec.horizon + 1):
-            action = act(policy, t, state)
-            total += env.step_outcome(rng, t, state, action)
-            state = env.transition(state, action)
+    for reward in rewards.ravel().tolist():
+        total += reward
     return total / n_episodes
 
 
@@ -120,6 +120,15 @@ def direct_value_estimate(model: ModelBundle, dataset: BatchDataset) -> float:
     scores = candidate_scores(ctx, dataset.action_table, model.theta(1),
                               normalize=dataset.normalize, mask=model.feature_mask)
     return float(np.mean(scores.max(axis=1)))
+
+
+def policy_value(model: ModelBundle, dataset: BatchDataset, env: SyntheticEnv | None = None,
+                 n_episodes: int = 200, seed: int = 0) -> float:
+    """The reported reward: the greedy policy's rollout reward when a simulator
+    is given, else the direct value estimate."""
+    if env is None:
+        return direct_value_estimate(model, dataset)
+    return rollout_reward(GreedyPolicy(model, dataset.action_table), env, n_episodes, seed)
 
 
 def comparison_diagnostic(model: ModelBundle, theta_star,
@@ -144,11 +153,7 @@ def evaluate(model: ModelBundle, theta_star, dataset: BatchDataset,
     truth = _truth_rows(theta_star, model.horizon, model.feature_dim)
     pgap = parameter_gap(model.theta_matrix(), truth[:-1])
     ygap = policy_gap(model, truth, dataset)
-    if env is not None:
-        reward = rollout_reward(GreedyPolicy(model, dataset.action_table),
-                                env, n_episodes, seed)
-    else:
-        reward = direct_value_estimate(model, dataset)
+    reward = policy_value(model, dataset, env, n_episodes, seed)
     per_stage = tuple(
         {
             "t": s.t,

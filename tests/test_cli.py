@@ -379,6 +379,16 @@ class TestCommands:
         pytest.param("--truth", lambda p: {**p, "theta_star": [["x"] * len(r)
                                                                for r in p["theta_star"]]},
                      id="truth-theta_star-strings"),
+        pytest.param("--model", lambda p: {**p, "stages": [
+            {**s, "theta": [float("nan")] + s["theta"][1:]} if i == 0 else s
+            for i, s in enumerate(p["stages"])]},
+                     id="model-theta-nan"),
+        pytest.param("--model", lambda p: {**p, "stages": [
+            {**s, "lambda": float("nan")} for s in p["stages"]]},
+                     id="model-lambda-nan"),
+        pytest.param("--truth", lambda p: {**p, "theta_star": [
+            [float("nan")] + p["theta_star"][0][1:], *p["theta_star"][1:]]},
+                     id="truth-theta_star-nan"),
     ])
     def test_malformed_input_file_exits_three(self, tmp_path, capsys, flag, corrupt):
         cfg = write_small_config(tmp_path)

@@ -140,6 +140,20 @@ class TestSaveLoad:
         with pytest.raises(DataError, match=":2:.*rewards"):
             load_dataset(tmp_path / "h.json", tmp_path / "t.jsonl")
 
+    @pytest.mark.parametrize("line", [
+        pytest.param("5", id="number"),
+        pytest.param('["states"]', id="array"),
+        pytest.param('{"states": "abc", "actions": [0], "rewards": [0.0]}', id="string-states"),
+        pytest.param('{"states": [[1.0], [2.0, 3.0]], "actions": [0], "rewards": [0.0]}',
+                     id="ragged-states"),
+    ])
+    def test_malformed_line_is_data_error_naming_line(self, tmp_path, line):
+        save_dataset(make_dataset(n=2, horizon=1), tmp_path / "h.json", tmp_path / "t.jsonl")
+        lines = (tmp_path / "t.jsonl").read_text().splitlines()
+        (tmp_path / "t.jsonl").write_text(f"{lines[0]}\n{line}\n")
+        with pytest.raises(DataError, match=":2: "):
+            load_dataset(tmp_path / "h.json", tmp_path / "t.jsonl")
+
     def test_unknown_header_field_rejected(self, tmp_path):
         ds = make_dataset(n=1)
         save_dataset(ds, tmp_path / "h.json", tmp_path / "t.jsonl")

@@ -1,16 +1,23 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sblq.data import stage_design
+from sblq.data import candidate_scores, feature_vector, stage_design
 from sblq.envs import (
     A1_ENV,
     A2_ENV,
+    NOISE_CLIP_SDS,
     EnvSpec,
     generate_trajectories,
     make_env,
     observe_target,
     sample_theta_star,
 )
+from sblq.learner import ModelBundle, StageModel
+from sblq.policy import GreedyPolicy, rollout_reward
 
 
 class TestSampleThetaStar:
@@ -150,3 +157,96 @@ def test_env_spec_validation():
         EnvSpec(reward_low=0.5, reward_high=0.5)
     with pytest.raises(ValueError):
         EnvSpec(theta_mode="drifting")
+
+
+def scalar_episodes(env, n, seed, choose=None):
+    """Reference simulator: one episode at a time, one stage at a time, in the
+    draw order of each episode's own stream.  ``choose(t, state)`` picks the
+    action; None draws it uniformly, as the logging policy does."""
+    spec = env.spec
+    states = np.empty((n, spec.horizon, spec.state_dim))
+    actions = np.empty((n, spec.horizon), dtype=np.int64)
+    rewards = np.empty((n, spec.horizon))
+    for i, stream in enumerate(np.random.SeedSequence(seed).spawn(n)):
+        rng = np.random.default_rng(stream)
+        user = env.user_pool[rng.integers(spec.n_users)]
+        video = env.video_pool[rng.integers(spec.n_actions)]
+        state = np.concatenate([user, video])
+        for t in range(1, spec.horizon + 1):
+            action = int(rng.integers(spec.n_actions)) if choose is None else choose(t, state)
+            nxt = state.copy()
+            nxt[spec.d_user:] = env.video_pool[action]
+            if env.reward_fn is not None:
+                reward = float(env.reward_fn(t, state[None, :], np.array([action]))[0])
+            else:
+                u = rng.uniform(spec.reward_low, spec.reward_high)
+                eps = 0.0
+                if spec.noise_sd > 0:
+                    eps = float(np.clip(spec.noise_sd * rng.standard_normal(),
+                                        -NOISE_CLIP_SDS * spec.noise_sd,
+                                        NOISE_CLIP_SDS * spec.noise_sd))
+                x = feature_vector(state, env.action_pool[action])
+                next_best = 0.0
+                if t < spec.horizon:
+                    next_best = float(candidate_scores(nxt[None, :], env.action_pool,
+                                                       env.theta_star[t]).max())
+                reward = float(x @ env.theta_star[t - 1]) - next_best + u + eps
+            states[i, t - 1], actions[i, t - 1], rewards[i, t - 1] = state, action, reward
+            state = nxt
+    return states, actions, rewards
+
+
+def scalar_greedy(theta_rows, action_table):
+    """Reference greedy rule for one state: argmax of its single-row scores."""
+    return lambda t, state: int(np.argmax(
+        candidate_scores(state[None, :], action_table, theta_rows[t - 1])[0]))
+
+
+small_specs = st.builds(
+    EnvSpec,
+    n_users=st.integers(1, 4), n_actions=st.integers(1, 5),
+    d_video=st.integers(1, 3), d_user=st.integers(1, 3), d_action=st.integers(1, 3),
+    horizon=st.integers(1, 5), noise_sd=st.sampled_from([0.0, 0.3, 2.0]),
+    theta_mode=st.sampled_from(["time-varying", "static"]))
+
+
+def ulp_tolerance(env, terms=1):
+    """A few ulps of the declared reward bound, for ``terms`` summed rewards."""
+    return 4 * terms * np.spacing(terms * env.reward_bound)
+
+
+class TestBatchedSimulatorMatchesScalarReference:
+    @settings(max_examples=60, deadline=None)
+    @given(spec=small_specs, env_seed=st.integers(0, 2**16), seed=st.integers(0, 2**16),
+           n=st.integers(1, 6), scripted=st.booleans())
+    def test_generate_trajectories(self, spec, env_seed, seed, n, scripted):
+        env = make_env(spec, env_seed)
+        if scripted:
+            # a reward_fn draws nothing, so each stream holds only the
+            # initial state and the logging actions
+            env = dataclasses.replace(
+                env, reward_fn=lambda t, states, actions: 0.25 * t - 0.1 * actions)
+        ds, _ = generate_trajectories(env, n, seed=seed)
+        states, actions, rewards = scalar_episodes(env, n, seed)
+        np.testing.assert_array_equal(ds.states, states)
+        np.testing.assert_array_equal(ds.actions, actions)
+        np.testing.assert_allclose(ds.rewards, rewards, rtol=0, atol=ulp_tolerance(env))
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=small_specs, env_seed=st.integers(0, 2**16), seed=st.integers(0, 2**16),
+           n=st.integers(1, 6))
+    def test_rollout_reward(self, spec, env_seed, seed, n):
+        env = make_env(spec, env_seed)
+        stages = tuple(StageModel(t=t, theta=env.theta_star[t - 1].copy(),
+                                  lambda_selected=0.0, k_selected=1)
+                       for t in range(1, spec.horizon + 1))
+        model = ModelBundle(horizon=spec.horizon, feature_dim=spec.feature_dim,
+                            filter_kind="cutoff", stages=stages)
+        got = rollout_reward(GreedyPolicy(model, env.action_pool), env, n, seed=seed)
+        _, _, rewards = scalar_episodes(env, n, seed,
+                                        scalar_greedy(env.theta_star, env.action_pool))
+        want = 0.0
+        for reward in rewards.ravel():
+            want += float(reward)
+        assert type(got) is float
+        assert got == pytest.approx(want / n, rel=0, abs=ulp_tolerance(env, spec.horizon))

@@ -164,7 +164,7 @@ class TestRolloutReward:
         return env
 
     def test_zero_reward_env(self):
-        env = self._tiny_env(reward_fn=lambda rng, t, state, a: 0.0)
+        env = self._tiny_env(reward_fn=lambda t, states, actions: np.zeros(len(actions)))
         policy = GreedyPolicy(bundle_from_thetas(np.zeros((1, 6))), env.action_pool)
         assert rollout_reward(policy, env, 50, seed=1) == 0.0
 
@@ -176,7 +176,7 @@ class TestRolloutReward:
         assert r1 == r2
 
     def test_single_stage_two_actions(self):
-        env = self._tiny_env(reward_fn=lambda rng, t, state, a: (0.1, 0.4)[a])
+        env = self._tiny_env(reward_fn=lambda t, states, actions: np.array([0.1, 0.4])[actions])
         # steer the policy to action index 1 through the action block
         theta = np.zeros(6)
         theta[4:] = env.action_pool[1] - env.action_pool[0]
@@ -189,17 +189,9 @@ class TestRolloutReward:
         env = make_env(spec, seed=11)
         truth_policy = GreedyPolicy(bundle_from_thetas(env.theta_star[:-1]), env.action_pool)
         greedy_value = rollout_reward(truth_policy, env, 1000, seed=17)
-        # uniform-random baseline computed with the same per-episode streams
-        streams = np.random.SeedSequence(17).spawn(1000)
-        total = 0.0
-        for i in range(1000):
-            rng = np.random.default_rng(streams[i])
-            state = env.initial_state(rng)
-            for t in range(1, 5):
-                a = int(rng.integers(spec.n_actions))
-                total += env.step_outcome(rng, t, state, a)
-                state = env.transition(state, a)
-        random_value = total / 1000
+        # uniform-random baseline: the logging policy on the same per-episode streams
+        ds, _ = generate_trajectories(env, 1000, seed=17)
+        random_value = float(np.mean(ds.rewards.sum(axis=1)))
         assert greedy_value > random_value
         assert greedy_value - random_value > 0.05
 
