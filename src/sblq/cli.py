@@ -127,6 +127,14 @@ def _load_dataset_dir(path: Path):
     return _read(load_dataset, header, traj)
 
 
+def _require_fit(model, model_path: Path, dataset, dataset_dir: Path) -> None:
+    """A model applies only to a dataset of its horizon and feature count."""
+    if (model.horizon, model.feature_dim) != (dataset.horizon, dataset.feature_dim):
+        raise DataError(f"{model_path}: model has horizon {model.horizon} and "
+                        f"{model.feature_dim} features, but the dataset in {dataset_dir} "
+                        f"has horizon {dataset.horizon} and {dataset.feature_dim} features")
+
+
 def cmd_train(cfg: RunConfig, dataset_dir: Path, out: Path) -> None:
     dataset = _load_dataset_dir(dataset_dir)
     bundle, reports = _train(cfg, dataset, cfg.method, cfg.seed)
@@ -140,6 +148,7 @@ def cmd_eval(cfg: RunConfig, model_path: Path, dataset_dir: Path,
              truth_path: Path, env_path: Path | None, out: Path) -> None:
     model = _read(load_model, model_path)
     dataset = _load_dataset_dir(dataset_dir)
+    _require_fit(model, model_path, dataset, dataset_dir)
     truth = _read(envs_mod.load_ground_truth, truth_path)
     horizon, dim = model.horizon, model.feature_dim
     if truth.theta_star.shape not in ((horizon, dim), (horizon + 1, dim)):
@@ -182,6 +191,7 @@ def cmd_report(cfg: RunConfig, model_path: Path, dataset_dir: Path | None,
         if dataset_dir is None:
             raise ConfigError("--topk requires --dataset to retrain masked models")
         dataset = _load_dataset_dir(dataset_dir)
+        _require_fit(model, model_path, dataset, dataset_dir)
         env = _read(envs_mod.load_env, env_path) if env_path is not None else None
 
         curve = topk_feature_rewards(

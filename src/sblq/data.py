@@ -16,6 +16,12 @@ Header (JSON, one object):
 Trajectories (JSON Lines, one object per line):
     {"states": [[...d_s reals...] x T], "actions": [int x T], "rewards": [real x T]}
 Reals are serialized with full round-trip precision.
+
+Each trajectory line holds the bytes of ``json.dumps`` of its record, but
+the writer encodes each distinct state row once, and the reader parses each
+distinct row text once for lines in that layout (any other valid JSON line
+is read by ``json.loads``).  Trajectories revisit the same (user, video)
+states, so file I/O costs about what the distinct state rows cost.
 """
 from __future__ import annotations
 
@@ -242,15 +248,24 @@ def dataset_header_text(dataset: BatchDataset) -> str:
 
 
 def dataset_jsonl_text(dataset: BatchDataset) -> str:
-    lines = []
-    for i in range(len(dataset)):
-        rec = {
-            "states": dataset.states[i].tolist(),
-            "actions": dataset.actions[i].tolist(),
-            "rewards": dataset.rewards[i].tolist(),
-        }
-        lines.append(json.dumps(rec))
-    return "\n".join(lines) + "\n"
+    """One ``json.dumps({"states": ..., "actions": ..., "rewards": ...})`` line
+    per trajectory, with each distinct state row encoded once and the file
+    joined once from its pieces."""
+    memo = {}
+    parts = []
+    actions, rewards = dataset.actions.tolist(), dataset.rewards.tolist()
+    for i, states in enumerate(dataset.states):
+        parts.append('{"states": [')
+        for row in states:
+            key = row.tobytes()  # exact bits, so -0.0 and 0.0 stay apart
+            text = memo.get(key)
+            if text is None:
+                text = memo[key] = json.dumps(row.tolist())
+            parts += (text, ", ")
+        # in place of the separator after the last row (T >= 1)
+        parts[-1] = ('], "actions": ' + json.dumps(actions[i])
+                     + ', "rewards": ' + json.dumps(rewards[i]) + "}\n")
+    return "".join(parts)
 
 
 def save_dataset(dataset: BatchDataset, header_path, trajectories_path) -> None:
@@ -304,6 +319,54 @@ def read_json_fields(path, *fields) -> dict:
     return require_fields(payload, fields, str(path))
 
 
+# The writer's own line layout: {"states": [[row], [row], ...], "actions": ...
+_STATES_OPEN = '{"states": [['
+_ROW_SEP = "], ["
+_STATES_CLOSE = ']], "actions": '
+
+
+def _parse_row(text: str, d_s: int):
+    """The (d_s,) float array that ``[text]`` holds, or None unless it is a
+    JSON array of exactly d_s floats."""
+    try:
+        values = json.loads("[" + text + "]")
+    except (ValueError, RecursionError):
+        return None
+    if len(values) != d_s or not {float}.issuperset(map(type, values)):
+        return None
+    return np.array(values)
+
+
+def _parse_record(line: str, memo: dict, d_s: int) -> dict:
+    """``json.loads(line)``, with the states of a line in the writer's layout
+    stacked from ``memo``, which maps each distinct row text to its values.
+
+    A line the layout does not take whole (other whitespace or key order, a
+    repeated key, a row that is not d_s floats) is parsed by ``json.loads``,
+    so both routes give the same record.
+    """
+    end = line.find(_STATES_CLOSE) if line.startswith(_STATES_OPEN) else -1
+    if end < 0:
+        return json.loads(line)
+    states = []
+    for text in line[len(_STATES_OPEN):end].split(_ROW_SEP):
+        row = memo.get(text)
+        if row is None:
+            row = _parse_row(text, d_s)
+            if row is None:
+                return json.loads(line)
+            memo[text] = row
+        states.append(row)
+    try:
+        rec = json.loads('{"actions": ' + line[end + len(_STATES_CLOSE):])
+    except (ValueError, RecursionError):
+        return json.loads(line)
+    if "states" in rec:
+        return json.loads(line)
+    rec["states"] = np.array(states)
+    return rec
+
+
 def load_dataset(header_path, trajectories_path) -> BatchDataset:
     """Load and validate a header/trajectories file pair."""
     header = read_json_fields(header_path, *_HEADER_FIELDS)
@@ -322,6 +385,7 @@ def load_dataset(header_path, trajectories_path) -> BatchDataset:
         raise DataError(f"header {header_path}: field 'action_table' must be A x {d_a}")
 
     trajectories = []
+    memo = {}
     with open(trajectories_path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -329,7 +393,7 @@ def load_dataset(header_path, trajectories_path) -> BatchDataset:
                 continue
             where = f"{trajectories_path}:{lineno}"
             try:
-                rec = json.loads(line)
+                rec = _parse_record(line, memo, d_s)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{where}: invalid JSON ({exc})") from exc
             require_fields(rec, ("states", "actions", "rewards"), where)

@@ -162,16 +162,18 @@ def episode_draws(env: SyntheticEnv, n: int, seed: int, logged: bool):
     users, videos = np.empty((2, n), dtype=np.int64)
     actions = np.zeros((n, spec.horizon), dtype=np.int64)
     u, z = np.zeros((2, n, spec.horizon))
+    low, width = spec.reward_low, spec.reward_high - spec.reward_low
     for i, stream in enumerate(np.random.SeedSequence(seed).spawn(n)):
         rng = np.random.default_rng(stream)
-        users[i], videos[i] = rng.integers(spec.n_users), rng.integers(spec.n_actions)
+        integers, random, normal = rng.integers, rng.random, rng.standard_normal
+        users[i], videos[i] = integers(spec.n_users), integers(spec.n_actions)
         for t in range(spec.horizon):
             if logged:
-                actions[i, t] = rng.integers(spec.n_actions)
+                actions[i, t] = integers(spec.n_actions)
             if env.reward_fn is None:
-                u[i, t] = rng.uniform(spec.reward_low, spec.reward_high)
+                u[i, t] = low + width * random()  # rng.uniform(low, high), bit for bit
                 if spec.noise_sd > 0:
-                    z[i, t] = rng.standard_normal()
+                    z[i, t] = normal()
     states = np.hstack([env.user_pool[users], env.video_pool[videos]])
     clip = NOISE_CLIP_SDS * spec.noise_sd
     return states, actions, u, np.clip(spec.noise_sd * z, -clip, clip)

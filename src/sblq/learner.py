@@ -135,8 +135,14 @@ class ModelBundle:
     def __post_init__(self):
         if len(self.stages) != self.horizon:
             raise ValueError("one stage record per stage required")
-        if self.feature_mask is not None:
-            self.feature_mask.setflags(write=False)
+        mask = self.feature_mask
+        if mask is not None:
+            if mask.shape != (self.feature_dim,):
+                raise ValueError(f"feature_mask has shape {mask.shape}, "
+                                 f"expected ({self.feature_dim},)")
+            if not np.all((mask == 0.0) | (mask == 1.0)):
+                raise ValueError("feature_mask entries must be 0 or 1")
+            mask.setflags(write=False)
 
     def theta(self, t: int) -> np.ndarray:
         """Parameter vector for stage t (1-based); zeros for t = T + 1."""

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,14 @@ def make_dataset(n=6, horizon=3, d_s=4, d_a=3, n_actions=5, seed=0,
         trajectories.append(Trajectory(states, actions, rewards))
     return BatchDataset.from_trajectories(trajectories, table, reward_bound,
                                           normalize=normalize)
+
+
+def per_record_jsonl(dataset):
+    """Reference trajectories writer: one ``json.dumps`` of each record."""
+    return "".join(json.dumps({"states": dataset.states[i].tolist(),
+                               "actions": dataset.actions[i].tolist(),
+                               "rewards": dataset.rewards[i].tolist()}) + "\n"
+                   for i in range(len(dataset)))
 
 
 @pytest.fixture

@@ -1,6 +1,6 @@
 import json
 import os
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -10,10 +10,12 @@ from sblq import cli
 from sblq.cli import main
 from sblq.config import CONFIG_SCHEMA, METHODS, RunConfig, parse_config, validate_config
 from sblq.data import load_dataset
-from sblq.envs import A1_ENV, A2_ENV, EnvSpec
+from sblq.envs import A1_ENV, A2_ENV, EnvSpec, generate_trajectories, make_env
 from sblq.errors import ConfigError
 from sblq.experiments import build_world, method_cell
 from sblq.learner import AdaptiveConfig, default_config, load_model
+
+from conftest import per_record_jsonl
 
 
 class TestParseConfig:
@@ -308,6 +310,25 @@ class TestCommands:
         assert ds.horizon == 20
         assert ds.feature_dim == 72
 
+    @pytest.mark.parametrize("preset", ["a1-performance", "a2-interpretability"])
+    def test_gen_writes_per_record_json(self, tmp_path, preset):
+        spec = parse_config(overrides={"preset": preset}).env
+        for seed in range(5):
+            out = tmp_path / str(seed)
+            assert main(["gen", "--preset", preset, "--seed", str(seed), "--n", "200",
+                         "--out", str(out)]) == 0
+            env = make_env(spec, seed)
+            ds, truth = generate_trajectories(env, 200, seed=seed)
+            header = {"version": 1, "horizon": ds.horizon, "state_dim": ds.state_dim,
+                      "action_dim": ds.action_dim, "reward_bound": ds.reward_bound,
+                      "normalize": True, "action_table": ds.action_table.tolist()}
+            assert (out / "header.json").read_text() == json.dumps(header) + "\n"
+            assert (out / "trajectories.jsonl").read_text() == per_record_jsonl(ds)
+            assert json.loads((out / "ground_truth.json").read_text()) == {
+                "version": 1, "theta_star": truth.theta_star.tolist()}
+            assert json.loads((out / "env.json").read_text()) == {
+                "version": 1, "seed": seed, "spec": asdict(spec)}
+
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"nonsense": 1}))
@@ -389,6 +410,12 @@ class TestCommands:
         pytest.param("--truth", lambda p: {**p, "theta_star": [
             [float("nan")] + p["theta_star"][0][1:], *p["theta_star"][1:]]},
                      id="truth-theta_star-nan"),
+        pytest.param("--model", lambda p: {**p, "feature_mask": [float("nan")] * p["feature_dim"]},
+                     id="model-feature_mask-nan"),
+        pytest.param("--model", lambda p: {**p, "feature_mask": [0.5] * p["feature_dim"]},
+                     id="model-feature_mask-not-0-1"),
+        pytest.param("--model", lambda p: {**p, "feature_mask": [1.0] * (p["feature_dim"] - 1)},
+                     id="model-feature_mask-short"),
     ])
     def test_malformed_input_file_exits_three(self, tmp_path, capsys, flag, corrupt):
         cfg = write_small_config(tmp_path)
@@ -409,6 +436,29 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: data:") and str(paths[flag]) in err
         assert not (run / "metrics.json").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "report"])
+    def test_model_misfitting_dataset_exits_three(self, tmp_path, capsys, command):
+        cfg = write_small_config(tmp_path)
+        data, other, run = tmp_path / "data", tmp_path / "other", tmp_path / "run"
+        main(["gen", "--config", str(cfg), "--seed", "2", "--out", str(data)])
+        main(["train", "--config", str(cfg), "--seed", "2", "--dataset", str(data),
+              "--method", "ls", "--out", str(run)])
+        (tmp_path / "wider").mkdir()
+        wider = write_small_config(tmp_path / "wider", env={**SMALL_ENV, "d_user": 5})
+        main(["gen", "--config", str(wider), "--seed", "2", "--out", str(other)])
+        capsys.readouterr()
+        model = run / "model.json"
+        argv = [command, "--config", str(cfg), "--model", str(model), "--dataset", str(other),
+                "--out", str(run)]
+        if command == "eval":
+            argv += ["--truth", str(data / "ground_truth.json")]
+        else:
+            argv += ["--topk", "2"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: data:") and str(model) in err and str(other) in err
+        assert not (run / "metrics.json").exists() and not (run / "topk.csv").exists()
 
     def test_output_path_taken_by_file_exits_three(self, tmp_path, capsys):
         cfg = write_small_config(tmp_path)

@@ -1,13 +1,18 @@
 import json
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sblq import data as data_mod
 from sblq.data import (
     BatchDataset,
     Trajectory,
+    dataset_jsonl_text,
     empirical_covariance,
     feature_vector,
     load_dataset,
@@ -17,7 +22,7 @@ from sblq.data import (
 )
 from sblq.errors import DataError
 
-from conftest import make_dataset
+from conftest import make_dataset, per_record_jsonl
 
 
 class TestFeatureVector:
@@ -187,6 +192,143 @@ class TestSaveLoad:
         t2 = Trajectory(np.array([[1.0], [2.0]]), np.array([0, 0]), np.array([0.0, 0.0]))
         with pytest.raises(DataError, match="horizon"):
             BatchDataset.from_trajectories([t1, t2], table, reward_bound=1.0)
+
+
+# -0.0, two subnormals, 1e16 (written "1e+16") and integer-valued floats
+EDGE_FLOATS = [0.0, -0.0, 5e-324, 1.5e-310, 1e16, 1.0, -2.0, 3.0, 0.1, 1e-7, -1e300]
+reals = st.one_of(st.sampled_from(EDGE_FLOATS),
+                  st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def datasets(draw):
+    """Small datasets whose state rows are all distinct or drawn from a small
+    pool, so rows repeat within and across trajectories."""
+    n, horizon = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    d_s, n_actions = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    n_rows = n * horizon
+    pool_size = n_rows if draw(st.booleans()) else draw(st.integers(1, n_rows))
+    pool = draw(st.lists(st.lists(reals, min_size=d_s, max_size=d_s),
+                         min_size=pool_size, max_size=pool_size))
+    if pool_size == n_rows:
+        index = list(range(n_rows))
+    else:
+        index = draw(st.lists(st.integers(0, pool_size - 1), min_size=n_rows, max_size=n_rows))
+    rewards = np.array(draw(st.lists(reals, min_size=n_rows, max_size=n_rows)))
+    actions = draw(st.lists(st.integers(0, n_actions - 1), min_size=n_rows, max_size=n_rows))
+    return BatchDataset(
+        states=np.array(pool)[index].reshape(n, horizon, d_s),
+        actions=np.array(actions, dtype=np.int64).reshape(n, horizon),
+        rewards=rewards.reshape(n, horizon),
+        action_table=np.arange(2.0 * n_actions).reshape(n_actions, 2),
+        reward_bound=float(np.max(np.abs(rewards))))
+
+
+def bits(dataset):
+    return (dataset.states.shape, dataset.states.tobytes(), dataset.actions.tobytes(),
+            dataset.rewards.tobytes(), dataset.action_table.tobytes())
+
+
+def load_outcome(header, trajectories):
+    """The loaded arrays' bits, or the DataError's message."""
+    try:
+        return bits(load_dataset(header, trajectories))
+    except DataError as exc:
+        return str(exc)
+
+
+def mutated_line(kind, rec):
+    """``rec`` written in a layout other than the writer's, or changed so it
+    no longer holds d_s floats per state row."""
+    states = rec["states"]
+
+    def with_first_row(row):
+        return json.dumps({**rec, "states": [row] + states[1:]})
+
+    if kind == "reordered":
+        return json.dumps({"rewards": rec["rewards"], "actions": rec["actions"],
+                           "states": states})
+    if kind == "compact":
+        return json.dumps(rec, separators=(",", ":"))
+    if kind == "spaced-row":
+        return json.dumps(rec).replace(", ", ",  ", 1)
+    if kind == "spaced-rows":
+        return json.dumps(rec).replace("], [", "],  [")
+    if kind == "duplicate-states":
+        return json.dumps(rec)[:-1] + ', "states": ' + json.dumps(states[::-1]) + "}"
+    if kind == "duplicate-states-misshapen":
+        return json.dumps(rec)[:-1] + ', "states": [[1.0]]}'
+    if kind == "bool":
+        return with_first_row([True] + states[0][1:])
+    if kind == "int":
+        return with_first_row([7] + states[0][1:])
+    if kind == "string":
+        return with_first_row(["x"] + states[0][1:])
+    if kind == "nested":
+        return with_first_row([[1.0]] + states[0][1:])
+    if kind == "ragged":
+        return with_first_row(states[0][:-1])
+    if kind == "long-row":
+        return with_first_row(states[0] + [1.0])
+    if kind == "nan":
+        return with_first_row([float("nan")] + states[0][1:])
+    if kind == "extra-key":
+        return json.dumps({**rec, "note": 1})
+    if kind == "float-actions":
+        return json.dumps({**rec, "actions": [float(a) for a in rec["actions"]]})
+    if kind == "truncated":
+        return json.dumps(rec)[:-1]
+    raise AssertionError(kind)
+
+
+MUTATIONS = ["reordered", "compact", "spaced-row", "spaced-rows", "duplicate-states",
+             "duplicate-states-misshapen", "bool", "int", "string", "nested", "ragged",
+             "long-row", "nan", "extra-key", "float-actions", "truncated"]
+
+
+class TestJsonlIO:
+    @settings(max_examples=60, deadline=None)
+    @given(dataset=datasets())
+    def test_writer_matches_per_record_dumps(self, dataset):
+        assert dataset_jsonl_text(dataset) == per_record_jsonl(dataset)
+
+    @settings(max_examples=60, deadline=None)
+    @given(dataset=datasets())
+    def test_round_trip_is_bit_for_bit(self, dataset):
+        with tempfile.TemporaryDirectory() as tmp:
+            header, trajectories = Path(tmp) / "h.json", Path(tmp) / "t.jsonl"
+            save_dataset(dataset, header, trajectories)
+            back = load_dataset(header, trajectories)
+        assert bits(back) == bits(dataset) and back.reward_bound == dataset.reward_bound
+
+    @settings(max_examples=30, deadline=None)
+    @given(dataset=datasets())
+    def test_writer_lines_parse_each_distinct_row_once(self, dataset):
+        memo = {}
+        for line in dataset_jsonl_text(dataset).splitlines():
+            rec = data_mod._parse_record(line, memo, dataset.state_dim)
+            want = json.loads(line)
+            assert rec.keys() == want.keys()
+            assert rec["states"].tobytes() == np.array(want["states"]).tobytes()
+            assert rec["actions"] == want["actions"] and rec["rewards"] == want["rewards"]
+        distinct = {json.dumps(row.tolist()) for row in dataset.states.reshape(-1, dataset.state_dim)}
+        assert len(memo) == len(distinct)
+
+    @settings(max_examples=120, deadline=None)
+    @given(dataset=datasets(), kind=st.sampled_from(MUTATIONS), data=st.data())
+    def test_other_layouts_read_as_json_loads(self, dataset, kind, data):
+        lines = dataset_jsonl_text(dataset).splitlines()
+        i = data.draw(st.integers(0, len(lines) - 1))
+        lines[i] = mutated_line(kind, json.loads(lines[i]))
+        with tempfile.TemporaryDirectory() as tmp:
+            header, trajectories = Path(tmp) / "h.json", Path(tmp) / "t.jsonl"
+            save_dataset(dataset, header, trajectories)
+            trajectories.write_text("\n".join(lines) + "\n")
+            got = load_outcome(header, trajectories)
+            with mock.patch.object(data_mod, "_parse_record",
+                                   lambda line, memo, d_s: json.loads(line)):
+                want = load_outcome(header, trajectories)
+        assert got == want
 
 
 class TestSplit:

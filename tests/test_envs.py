@@ -11,6 +11,7 @@ from sblq.envs import (
     A2_ENV,
     NOISE_CLIP_SDS,
     EnvSpec,
+    episode_draws,
     generate_trajectories,
     make_env,
     observe_target,
@@ -250,3 +251,24 @@ class TestBatchedSimulatorMatchesScalarReference:
             want += float(reward)
         assert type(got) is float
         assert got == pytest.approx(want / n, rel=0, abs=ulp_tolerance(env, spec.horizon))
+
+
+class TestEpisodeDraws:
+    @settings(max_examples=60, deadline=None)
+    @given(spec=small_specs, low=st.floats(-5.0, 5.0), width=st.floats(1e-3, 10.0),
+           seed=st.integers(0, 2**16), n=st.integers(1, 6), logged=st.booleans())
+    def test_match_per_call_uniform(self, spec, low, width, seed, n, logged):
+        spec = dataclasses.replace(spec, reward_low=low, reward_high=low + width)
+        env = make_env(spec, 0)
+        states, actions, u, eps = episode_draws(env, n, seed, logged)
+        clip = NOISE_CLIP_SDS * spec.noise_sd
+        for i, stream in enumerate(np.random.SeedSequence(seed).spawn(n)):
+            rng = np.random.default_rng(stream)
+            user, video = rng.integers(spec.n_users), rng.integers(spec.n_actions)
+            np.testing.assert_array_equal(
+                states[i], np.concatenate([env.user_pool[user], env.video_pool[video]]))
+            for t in range(spec.horizon):
+                assert actions[i, t] == (rng.integers(spec.n_actions) if logged else 0)
+                assert u[i, t] == rng.uniform(spec.reward_low, spec.reward_high)
+                z = rng.standard_normal() if spec.noise_sd > 0 else 0.0
+                assert eps[i, t] == np.clip(spec.noise_sd * z, -clip, clip)
