@@ -17,17 +17,20 @@ Trajectories (JSON Lines, one object per line):
     {"states": [[...d_s reals...] x T], "actions": [int x T], "rewards": [real x T]}
 Reals are serialized with full round-trip precision.
 
-Each trajectory line holds the bytes of ``json.dumps`` of its record, but
-the writer encodes each distinct state row once, and the reader parses each
-distinct row text once for lines in that layout (any other valid JSON line
-is read by ``json.loads``).  Trajectories revisit the same (user, video)
-states, so file I/O costs about what the distinct state rows cost.
+Each trajectory line holds the bytes of ``json.dumps`` of its record.  While
+state rows repeat, as the (user, video) states of simulated trajectories
+do, the writer encodes each distinct row once and the reader parses each
+distinct row text of lines in that layout once; both stop memoizing rows
+for the rest of the file once new rows outnumber repeated ones (past a
+first 512), so files of distinct rows cost what plain ``json`` costs.  Any
+other valid JSON line is read by ``json.loads`` with the same checks.
 """
 from __future__ import annotations
 
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -247,24 +250,56 @@ def dataset_header_text(dataset: BatchDataset) -> str:
     return json.dumps(header) + "\n"
 
 
+# The writer's own line layout: {"states": [[row], [row], ...], "actions": ...
+_STATES_OPEN = '{"states": [['
+_ROW_SEP = "], ["
+_STATES_CLOSE = ']], "actions": '
+# Rows stay memoized until new ones outnumber both the repeated ones and this
+# allowance, which lets through a file's first lines: they are mostly new rows
+# even where rows repeat later (a1 has at most 300 distinct states).
+_NEW_ROWS_ALLOWED = 512
+
+
+def _rows_repeat(n_new: int, n_looked_up: int) -> bool:
+    """Whether a row memo that ``n_looked_up`` rows filled with ``n_new``
+    distinct ones still pays for itself."""
+    return n_new <= max(n_looked_up - n_new, _NEW_ROWS_ALLOWED)
+
+
+def _unbracketed_rows(values) -> list[str]:
+    """The text between the brackets of ``json.dumps(row)`` for each row of a
+    2-D ``values``, cut from one ``json.dumps`` of the whole list."""
+    return json.dumps(values)[2:-2].split(_ROW_SEP)
+
+
 def dataset_jsonl_text(dataset: BatchDataset) -> str:
     """One ``json.dumps({"states": ..., "actions": ..., "rewards": ...})`` line
-    per trajectory, with each distinct state row encoded once and the file
-    joined once from its pieces."""
-    memo = {}
+    per trajectory, joined once from its pieces.  While state rows repeat,
+    each distinct row is encoded once; after that each trajectory's states
+    are encoded in one call."""
+    d_s, dtype = dataset.state_dim, dataset.states.dtype
+    texts = {}  # a row's exact bytes, so -0.0 and 0.0 stay apart -> its JSON text
+    looked_up = 0
+    actions = _unbracketed_rows(dataset.actions.tolist())
+    rewards = _unbracketed_rows(dataset.rewards.tolist())
     parts = []
-    actions, rewards = dataset.actions.tolist(), dataset.rewards.tolist()
     for i, states in enumerate(dataset.states):
-        parts.append('{"states": [')
-        for row in states:
-            key = row.tobytes()  # exact bits, so -0.0 and 0.0 stay apart
-            text = memo.get(key)
-            if text is None:
-                text = memo[key] = json.dumps(row.tolist())
-            parts += (text, ", ")
-        # in place of the separator after the last row (T >= 1)
-        parts[-1] = ('], "actions": ' + json.dumps(actions[i])
-                     + ', "rewards": ' + json.dumps(rewards[i]) + "}\n")
+        tail = ', "actions": [' + actions[i] + '], "rewards": [' + rewards[i] + "]}\n"
+        if texts is not None and not _rows_repeat(len(texts), looked_up):
+            texts = None
+        if texts is None:
+            parts += ('{"states": ', json.dumps(states.tolist()), tail)
+            continue
+        keys = [row.tobytes() for row in states]
+        new = [key for key in dict.fromkeys(keys) if key not in texts]
+        if new:  # this trajectory's new rows, encoded in one call
+            values = np.frombuffer(b"".join(new), dtype=dtype).reshape(len(new), d_s)
+            texts.update(zip(new, _unbracketed_rows(values.tolist())))
+        looked_up += len(keys)
+        parts.append(_STATES_OPEN)
+        for key in keys:
+            parts += (texts[key], _ROW_SEP)
+        parts[-1] = "]]" + tail  # in place of the separator after the last row
     return "".join(parts)
 
 
@@ -319,52 +354,65 @@ def read_json_fields(path, *fields) -> dict:
     return require_fields(payload, fields, str(path))
 
 
-# The writer's own line layout: {"states": [[row], [row], ...], "actions": ...
-_STATES_OPEN = '{"states": [['
-_ROW_SEP = "], ["
-_STATES_CLOSE = ']], "actions": '
+class _RecordParser:
+    """``json.loads`` of trajectory lines that parses each distinct state row
+    text once while lines are in the writer's layout and rows repeat.
 
-
-def _parse_row(text: str, d_s: int):
-    """The (d_s,) float array that ``[text]`` holds, or None unless it is a
-    JSON array of exactly d_s floats."""
-    try:
-        values = json.loads("[" + text + "]")
-    except (ValueError, RecursionError):
-        return None
-    if len(values) != d_s or not {float}.issuperset(map(type, values)):
-        return None
-    return np.array(values)
-
-
-def _parse_record(line: str, memo: dict, d_s: int) -> dict:
-    """``json.loads(line)``, with the states of a line in the writer's layout
-    stacked from ``memo``, which maps each distinct row text to its values.
-
-    A line the layout does not take whole (other whitespace or key order, a
-    repeated key, a row that is not d_s floats) is parsed by ``json.loads``,
-    so both routes give the same record.
+    Lines the layout does not take whole (other whitespace or key order, a
+    repeated key, a row that is not d_s numbers) are parsed by ``json.loads``,
+    so both routes give the same record.  The first such line, or new rows
+    outnumbering both repeated ones and ``_NEW_ROWS_ALLOWED``, ends the row
+    route for the rest of the file: it only pays where rows repeat.
     """
-    end = line.find(_STATES_CLOSE) if line.startswith(_STATES_OPEN) else -1
-    if end < 0:
-        return json.loads(line)
-    states = []
-    for text in line[len(_STATES_OPEN):end].split(_ROW_SEP):
-        row = memo.get(text)
-        if row is None:
-            row = _parse_row(text, d_s)
-            if row is None:
-                return json.loads(line)
-            memo[text] = row
-        states.append(row)
-    try:
-        rec = json.loads('{"actions": ' + line[end + len(_STATES_CLOSE):])
-    except (ValueError, RecursionError):
-        return json.loads(line)
-    if "states" in rec:
-        return json.loads(line)
-    rec["states"] = np.array(states)
-    return rec
+
+    def __init__(self, d_s: int):
+        self.d_s = d_s
+        self.rows = {}  # row text -> its (d_s,) values; None once the route ends
+        self.looked_up = 0
+
+    def __call__(self, line: str) -> dict:
+        rec = None if self.rows is None else self._layout_record(line)
+        if rec is None:
+            self.rows = None
+            return json.loads(line)
+        if not _rows_repeat(len(self.rows), self.looked_up):
+            self.rows = None
+        return rec
+
+    def _layout_record(self, line: str):
+        end = line.find(_STATES_CLOSE) if line.startswith(_STATES_OPEN) else -1
+        if end < 0:
+            return None
+        texts = line[len(_STATES_OPEN):end].split(_ROW_SEP)
+        new = [text for text in dict.fromkeys(texts) if text not in self.rows]
+        if new and not self._add_rows(new):
+            return None
+        try:
+            rec = json.loads('{"actions": ' + line[end + len(_STATES_CLOSE):])
+        except (ValueError, RecursionError):
+            return None
+        if "states" in rec:
+            return None
+        self.looked_up += len(texts)
+        rec["states"] = np.array([self.rows[text] for text in texts])
+        return rec
+
+    def _add_rows(self, texts) -> bool:
+        """Parse the row ``texts`` in one ``json.loads``; False unless each
+        holds exactly d_s JSON numbers (only then, with no bracket inside a
+        text, does the parse give one row per text)."""
+        try:
+            values = json.loads("[[" + _ROW_SEP.join(texts) + "]]")
+            kinds = set(map(type, chain.from_iterable(values)))
+            if not kinds <= {float, int}:
+                return False
+            block = np.array(values, dtype=float)
+        except (ValueError, TypeError, OverflowError, RecursionError):
+            return False
+        if block.shape != (len(texts), self.d_s):
+            return False
+        self.rows.update(zip(texts, block))
+        return True
 
 
 def load_dataset(header_path, trajectories_path) -> BatchDataset:
@@ -385,7 +433,7 @@ def load_dataset(header_path, trajectories_path) -> BatchDataset:
         raise DataError(f"header {header_path}: field 'action_table' must be A x {d_a}")
 
     trajectories = []
-    memo = {}
+    parse = _RecordParser(d_s)
     with open(trajectories_path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -393,7 +441,7 @@ def load_dataset(header_path, trajectories_path) -> BatchDataset:
                 continue
             where = f"{trajectories_path}:{lineno}"
             try:
-                rec = _parse_record(line, memo, d_s)
+                rec = parse(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{where}: invalid JSON ({exc})") from exc
             require_fields(rec, ("states", "actions", "rewards"), where)

@@ -224,17 +224,30 @@ def datasets(draw):
         reward_bound=float(np.max(np.abs(rewards))))
 
 
+def rows_dataset(kind, n=60, horizon=20, d_s=3):
+    """n trajectories whose state rows are all distinct, all drawn from a
+    10-row pool, or pooled for the first 10 trajectories and distinct after."""
+    rng = np.random.default_rng(0)
+    states = rng.standard_normal((n * horizon, d_s))
+    pooled = {"distinct": 0, "pooled-then-distinct": 10 * horizon, "pooled": n * horizon}[kind]
+    states[:pooled] = states[rng.integers(0, 10, size=pooled)]
+    return BatchDataset(states=states.reshape(n, horizon, d_s),
+                        actions=rng.integers(0, 3, size=(n, horizon)),
+                        rewards=rng.uniform(-1.0, 1.0, size=(n, horizon)),
+                        action_table=np.eye(3), reward_bound=1.0)
+
+
 def bits(dataset):
     return (dataset.states.shape, dataset.states.tobytes(), dataset.actions.tobytes(),
             dataset.rewards.tobytes(), dataset.action_table.tobytes())
 
 
 def load_outcome(header, trajectories):
-    """The loaded arrays' bits, or the DataError's message."""
+    """The loaded arrays' bits, or the error's type and message."""
     try:
         return bits(load_dataset(header, trajectories))
-    except DataError as exc:
-        return str(exc)
+    except (DataError, OverflowError) as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 def mutated_line(kind, rec):
@@ -262,6 +275,10 @@ def mutated_line(kind, rec):
         return with_first_row([True] + states[0][1:])
     if kind == "int":
         return with_first_row([7] + states[0][1:])
+    if kind == "int-rows":
+        return json.dumps({**rec, "states": [[round(v) for v in row] for row in states]})
+    if kind == "huge-int":
+        return with_first_row([10**400] + states[0][1:])
     if kind == "string":
         return with_first_row(["x"] + states[0][1:])
     if kind == "nested":
@@ -270,6 +287,8 @@ def mutated_line(kind, rec):
         return with_first_row(states[0][:-1])
     if kind == "long-row":
         return with_first_row(states[0] + [1.0])
+    if kind == "long-rows":
+        return json.dumps({**rec, "states": [row + [1.0] for row in states]})
     if kind == "nan":
         return with_first_row([float("nan")] + states[0][1:])
     if kind == "extra-key":
@@ -282,8 +301,8 @@ def mutated_line(kind, rec):
 
 
 MUTATIONS = ["reordered", "compact", "spaced-row", "spaced-rows", "duplicate-states",
-             "duplicate-states-misshapen", "bool", "int", "string", "nested", "ragged",
-             "long-row", "nan", "extra-key", "float-actions", "truncated"]
+             "duplicate-states-misshapen", "bool", "int", "int-rows", "string", "nested", "ragged",
+             "long-row", "long-rows", "huge-int", "nan", "extra-key", "float-actions", "truncated"]
 
 
 class TestJsonlIO:
@@ -304,15 +323,59 @@ class TestJsonlIO:
     @settings(max_examples=30, deadline=None)
     @given(dataset=datasets())
     def test_writer_lines_parse_each_distinct_row_once(self, dataset):
-        memo = {}
+        parse = data_mod._RecordParser(dataset.state_dim)
         for line in dataset_jsonl_text(dataset).splitlines():
-            rec = data_mod._parse_record(line, memo, dataset.state_dim)
+            rec = parse(line)
             want = json.loads(line)
             assert rec.keys() == want.keys()
             assert rec["states"].tobytes() == np.array(want["states"]).tobytes()
             assert rec["actions"] == want["actions"] and rec["rewards"] == want["rewards"]
         distinct = {json.dumps(row.tolist()) for row in dataset.states.reshape(-1, dataset.state_dim)}
-        assert len(memo) == len(distinct)
+        assert len(parse.rows) == len(distinct)
+
+    @pytest.mark.parametrize("kind", ["distinct", "pooled-then-distinct", "pooled"])
+    def test_row_memo_kept_only_while_rows_repeat(self, kind):
+        dataset = rows_dataset(kind)
+        text = dataset_jsonl_text(dataset)
+        assert text == per_record_jsonl(dataset)
+        parse = data_mod._RecordParser(dataset.state_dim)
+        kept = []
+        for line in text.splitlines():
+            got, want = parse(line)["states"], json.loads(line)["states"]
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+            kept.append(parse.rows is not None)
+        # the route ends once new rows outnumber both repeated ones and 512
+        assert kept == {"distinct": [True] * 25 + [False] * 35,
+                        "pooled-then-distinct": [True] * 35 + [False] * 25,
+                        "pooled": [True] * 60}[kind]
+        with tempfile.TemporaryDirectory() as tmp:
+            header, trajectories = Path(tmp) / "h.json", Path(tmp) / "t.jsonl"
+            save_dataset(dataset, header, trajectories)
+            assert bits(load_dataset(header, trajectories)) == bits(dataset)
+
+    def test_integer_rows_keep_the_row_memo(self):
+        dataset = rows_dataset("pooled")
+        lines = []
+        for rec in map(json.loads, dataset_jsonl_text(dataset).splitlines()):
+            rec["states"] = [[round(v * 4) for v in row] for row in rec["states"]]
+            lines.append(json.dumps(rec))  # still in the writer's layout
+        parse = data_mod._RecordParser(dataset.state_dim)
+        for line in lines:
+            want = np.array(json.loads(line)["states"], dtype=float)
+            assert parse(line)["states"].tobytes() == want.tobytes()
+        assert parse.rows is not None and len(parse.rows) == 10
+
+    @pytest.mark.parametrize("kind", ["compact", "long-rows"])
+    def test_line_the_layout_cannot_take_ends_the_row_memo(self, kind):
+        dataset = rows_dataset("pooled")
+        lines = dataset_jsonl_text(dataset).splitlines()
+        lines[1] = mutated_line(kind, json.loads(lines[1]))
+        parse = data_mod._RecordParser(dataset.state_dim)
+        parse(lines[0])
+        assert parse.rows is not None
+        for line in lines[1:]:
+            assert parse(line) == json.loads(line)
+        assert parse.rows is None
 
     @settings(max_examples=120, deadline=None)
     @given(dataset=datasets(), kind=st.sampled_from(MUTATIONS), data=st.data())
@@ -325,8 +388,7 @@ class TestJsonlIO:
             save_dataset(dataset, header, trajectories)
             trajectories.write_text("\n".join(lines) + "\n")
             got = load_outcome(header, trajectories)
-            with mock.patch.object(data_mod, "_parse_record",
-                                   lambda line, memo, d_s: json.loads(line)):
+            with mock.patch.object(data_mod, "_RecordParser", lambda d_s: json.loads):
                 want = load_outcome(header, trajectories)
         assert got == want
 
