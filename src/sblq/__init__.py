@@ -2,8 +2,6 @@
 
 from .data import (
     BatchDataset,
-    StageDesign,
-    Trajectory,
     empirical_covariance,
     feature_vector,
     load_dataset,

@@ -216,8 +216,9 @@ def cmd_compare(cfg: RunConfig, out: Path) -> None:
         return method_cell(world, method, seed, cfg.adaptive, cfg.lasso_grid,
                            world.env, cfg.n_episodes)
 
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
+    workers = min(cfg.jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             cells = list(pool.map(run_cell, tasks))
     else:
         cells = [run_cell(t) for t in tasks]

@@ -1,12 +1,13 @@
-"""Trajectory data model, feature construction, and dataset ingestion.
+"""Batch dataset model, feature construction, and dataset ingestion.
 
-A logged trajectory of horizon T holds per-stage state feature vectors,
-indices into a shared candidate-action table, and per-stage rewards.  The
-regression input for stage t is the unit-normalized concatenation of the
-stage-t state features and the chosen action's features.
+A dataset holds n logged trajectories of horizon T as (n, T, d_s) state
+features, (n, T) indices into a shared candidate-action table and (n, T)
+rewards.  The regression rows for stage t are the (n, d) unit-normalized
+concatenations of each trajectory's stage-t state features and its chosen
+action's features; a stage fit takes those rows and nothing else.
 
-Datasets are immutable after construction (arrays are marked read-only) and
-safe for concurrent use.
+Datasets and design rows are immutable after construction (arrays are marked
+read-only) and safe for concurrent use.
 
 File formats
 ------------
@@ -36,17 +37,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, NumericError
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    states: np.ndarray   # (T, d_s)
-    actions: np.ndarray  # (T,) int
-    rewards: np.ndarray  # (T,)
-
-    @property
-    def horizon(self) -> int:
-        return self.states.shape[0]
 
 
 @dataclass(frozen=True)
@@ -86,9 +76,6 @@ class BatchDataset:
     def __len__(self) -> int:
         return self.states.shape[0]
 
-    def __getitem__(self, i: int) -> Trajectory:
-        return Trajectory(self.states[i], self.actions[i], self.rewards[i])
-
     @property
     def horizon(self) -> int:
         return self.states.shape[1]
@@ -104,37 +91,6 @@ class BatchDataset:
     @property
     def feature_dim(self) -> int:
         return self.state_dim + self.action_dim
-
-    @classmethod
-    def from_trajectories(cls, trajectories, action_table, reward_bound,
-                          normalize=True) -> "BatchDataset":
-        if not trajectories:
-            raise DataError("dataset must contain at least one trajectory")
-        horizon = trajectories[0].horizon
-        for i, traj in enumerate(trajectories):
-            if traj.horizon != horizon:
-                raise DataError(f"trajectory {i} has horizon {traj.horizon}, expected {horizon}")
-        return cls(
-            states=np.stack([t.states for t in trajectories]).astype(float),
-            actions=np.stack([t.actions for t in trajectories]).astype(np.int64),
-            rewards=np.stack([t.rewards for t in trajectories]).astype(float),
-            action_table=np.asarray(action_table, dtype=float),
-            reward_bound=float(reward_bound),
-            normalize=bool(normalize),
-        )
-
-
-@dataclass(frozen=True)
-class StageDesign:
-    """Regression rows and targets materialized for a single stage."""
-
-    stage: int
-    rows: np.ndarray     # (n, d)
-    rewards: np.ndarray  # (n,)
-
-    def __post_init__(self):
-        self.rows.setflags(write=False)
-        self.rewards.setflags(write=False)
 
 
 def feature_vector(state, action, normalize: bool = True) -> np.ndarray:
@@ -194,22 +150,23 @@ def candidate_scores(states, action_table, theta, normalize: bool = True,
 
 
 def stage_design(dataset: BatchDataset, t: int,
-                 mask: np.ndarray | None = None) -> StageDesign:
-    """Materialize the regression rows and rewards for stage t (1-based)."""
+                 mask: np.ndarray | None = None) -> np.ndarray:
+    """The read-only (n, d) regression rows for stage t (1-based)."""
     if not 1 <= t <= dataset.horizon:
         raise IndexError(f"stage {t} outside 1..{dataset.horizon}")
     states = dataset.states[:, t - 1, :]
     chosen = dataset.action_table[dataset.actions[:, t - 1]]
     rows = feature_matrix(states, chosen, normalize=dataset.normalize, mask=mask)
-    return StageDesign(stage=t, rows=rows, rewards=dataset.rewards[:, t - 1].copy())
+    rows.setflags(write=False)
+    return rows
 
 
-def empirical_covariance(design: StageDesign) -> np.ndarray:
-    """The d x d matrix (1/n) sum_i x_i x_i^T."""
-    n = design.rows.shape[0]
+def empirical_covariance(rows: np.ndarray) -> np.ndarray:
+    """The d x d matrix (1/n) sum_i x_i x_i^T of the (n, d) rows."""
+    n = rows.shape[0]
     if n < 1:
         raise ValueError("empty design")
-    return design.rows.T @ design.rows / n
+    return rows.T @ rows / n
 
 
 def split(dataset: BatchDataset, train_fraction: float, seed: int):
@@ -331,13 +288,13 @@ def require_fields(record, fields, where: str) -> dict:
 
 @contextmanager
 def file_values(path):
-    """Report a TypeError, ValueError or NumericError from values read from
-    ``path`` as a DataError naming the file."""
+    """Report a TypeError, ValueError, OverflowError or NumericError from
+    values read from ``path`` as a DataError naming the file."""
     try:
         yield
     except DataError:
         raise
-    except (TypeError, ValueError, NumericError) as exc:
+    except (TypeError, ValueError, OverflowError, NumericError) as exc:
         raise DataError(f"{path}: {exc}") from exc
 
 
@@ -432,7 +389,7 @@ def load_dataset(header_path, trajectories_path) -> BatchDataset:
     if table.ndim != 2 or table.shape[1] != d_a:
         raise DataError(f"header {header_path}: field 'action_table' must be A x {d_a}")
 
-    trajectories = []
+    states_list, actions_list, rewards_list = [], [], []
     parse = _RecordParser(d_s)
     with open(trajectories_path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -461,8 +418,12 @@ def load_dataset(header_path, trajectories_path) -> BatchDataset:
                 raise DataError(f"{where}: field 'actions' must be integers")
             if rewards.shape != (horizon,):
                 raise DataError(f"{where}: field 'rewards' must have length {horizon}")
-            trajectories.append(Trajectory(states, actions.astype(np.int64), rewards))
-    if not trajectories:
+            states_list.append(states)
+            actions_list.append(actions.astype(np.int64))
+            rewards_list.append(rewards)
+    if not states_list:
         raise DataError(f"{trajectories_path}: no trajectories")
-    return BatchDataset.from_trajectories(
-        trajectories, table, header["reward_bound"], normalize=header["normalize"])
+    return BatchDataset(states=np.stack(states_list), actions=np.stack(actions_list),
+                        rewards=np.stack(rewards_list), action_table=table,
+                        reward_bound=float(header["reward_bound"]),
+                        normalize=header["normalize"])

@@ -22,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (BatchDataset, StageDesign, candidate_scores, empirical_covariance,
-                   file_values, read_json_fields, require_fields, stage_design)
+from .data import (BatchDataset, candidate_scores, empirical_covariance, file_values,
+                   read_json_fields, require_fields, stage_design)
 from .errors import DataError, NumericError
 from .spectral import (
     CUTOFF,
@@ -192,23 +192,23 @@ def stage_targets(dataset: BatchDataset, t: int, theta_next: np.ndarray,
     return rewards + scores.max(axis=1), float(np.max(np.abs(scores)))
 
 
-def _moment(design: StageDesign, targets: np.ndarray) -> np.ndarray:
+def _moment(rows: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """(1/n) sum_i x_i y_i, after checking the outcomes are finite."""
     targets = np.asarray(targets, dtype=float)
     if not np.all(np.isfinite(targets)):
         raise NumericError("targets contain non-finite values")
-    return design.rows.T @ targets / design.rows.shape[0]
+    return rows.T @ targets / rows.shape[0]
 
 
-def _stage_system(design: StageDesign, targets: np.ndarray) -> SpectralSystem:
+def _stage_system(rows: np.ndarray, targets: np.ndarray) -> SpectralSystem:
     """Eigensystem of Sigma_hat with the eigen-coordinates of the moment."""
-    return spectral_system(decompose(empirical_covariance(design)), _moment(design, targets))
+    return spectral_system(decompose(empirical_covariance(rows)), _moment(rows, targets))
 
 
-def fit_stage(design: StageDesign, targets: np.ndarray, filt: FilterSpec,
+def fit_stage(rows: np.ndarray, targets: np.ndarray, filt: FilterSpec,
               lam: float) -> np.ndarray:
-    """theta = g_lambda(Sigma_hat) * (1/n) sum_i x_i y_i."""
-    system = _stage_system(design, targets)
+    """theta = g_lambda(Sigma_hat) * (1/n) sum_i x_i y_i on the (n, d) rows."""
+    system = _stage_system(rows, targets)
     return system.estimate(filter_values(filt, lam, system.decomp.eigenvalues))
 
 
@@ -261,7 +261,7 @@ def adaptive_threshold(t: int, horizon: int, phi_next: float, w: float | np.ndar
             * (1.0 + cfg.c_x) * w * math.log(2.0 / cfg.delta) ** 2)
 
 
-def select_lambda(design: StageDesign, targets: np.ndarray, filt: FilterSpec,
+def select_lambda(rows: np.ndarray, targets: np.ndarray, filt: FilterSpec,
                   t: int, horizon: int, phi_next: float, cfg: AdaptiveConfig):
     """Choose the stage regularization level by the balancing rule.
 
@@ -276,9 +276,9 @@ def select_lambda(design: StageDesign, targets: np.ndarray, filt: FilterSpec,
     ||(s + lambda_{k+1})^{1/2} (g_{k+1} - g_k) c||, and only the selected
     estimate is rotated back to feature space.
     """
-    n, d = design.rows.shape
+    n, d = rows.shape
     k_max = cfg.budget
-    system = _stage_system(design, targets)
+    system = _stage_system(rows, targets)
     s = system.decomp.eigenvalues
     lambdas = cfg.q0 * cfg.q ** np.arange(1, k_max + 2, dtype=float)  # k = 1..K+1
     g = filter_values(filt, lambdas, s)                                 # row k-1: lambda_k
@@ -308,10 +308,11 @@ class LassoFit:
     converged: bool
 
 
-def fit_lasso(design: StageDesign, targets: np.ndarray, lam: float,
+def fit_lasso(rows: np.ndarray, targets: np.ndarray, lam: float,
               max_iters: int = 1000, tol: float = 1e-8,
               theta0: np.ndarray | None = None) -> LassoFit:
-    """Cyclic coordinate descent on (1/n)||y - X theta||^2 + lam ||theta||_1.
+    """Cyclic coordinate descent on (1/n)||y - X theta||^2 + lam ||theta||_1,
+    with X the (n, d) ``rows``.
 
     Runs until the largest coordinate change in a sweep drops below tol.
     Non-convergence is reported through the ``converged`` flag, not an error.
@@ -319,11 +320,10 @@ def fit_lasso(design: StageDesign, targets: np.ndarray, lam: float,
     """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    x = design.rows
     y = np.asarray(targets, dtype=float)
-    n, d = x.shape
-    gram = x.T @ x / n
-    xty = x.T @ y / n
+    n, d = rows.shape
+    gram = rows.T @ rows / n
+    xty = rows.T @ y / n
     col_sq = np.diag(gram).copy()
     if theta0 is None:
         theta = np.zeros(d)
@@ -361,10 +361,10 @@ LASSO_MAX_ITERS = 2000
 LASSO_TOL = 1e-8
 
 
-def _fit_least_squares(t, design, targets, phi):
+def _fit_least_squares(t, rows, targets, phi):
     """Minimum-norm least squares: the cutoff filter at 1e-10 * sigma_max
     (1e-10 when Sigma_hat = 0), the pseudo-inverse convention."""
-    system = _stage_system(design, targets)
+    system = _stage_system(rows, targets)
     s = system.decomp.eigenvalues
     floor = LS_RELATIVE_FLOOR * (s[-1] if s[-1] > 0 else 1.0)
     return system.estimate(filter_values(default_filter(CUTOFF), floor, s)), 0.0, 0, None
@@ -388,21 +388,21 @@ def _lasso_fitter(n: int, lasso_grid, seed: int):
     val_idx = np.sort(perm[:n_val])
     fit_idx = np.sort(perm[n_val:])
 
-    def fit(t, design, targets, phi):
-        sub = StageDesign(t, design.rows[fit_idx], design.rewards[fit_idx])
+    def fit(t, rows, targets, phi):
+        fit_rows, fit_targets = rows[fit_idx], targets[fit_idx]
         candidates = {}
         warm = None
         for lam_c in sorted(set(grid), reverse=True):
-            warm = fit_lasso(sub, targets[fit_idx], lam_c, max_iters=LASSO_MAX_ITERS,
+            warm = fit_lasso(fit_rows, fit_targets, lam_c, max_iters=LASSO_MAX_ITERS,
                              tol=LASSO_TOL, theta0=warm).theta
             candidates[lam_c] = warm
         best_lam, best_rmse = grid[0], math.inf
         for lam_c in grid:
-            resid = design.rows[val_idx] @ candidates[lam_c] - targets[val_idx]
+            resid = rows[val_idx] @ candidates[lam_c] - targets[val_idx]
             rmse = float(np.sqrt(np.mean(resid**2)))
             if rmse < best_rmse:
                 best_lam, best_rmse = lam_c, rmse
-        theta = fit_lasso(design, targets, best_lam, max_iters=LASSO_MAX_ITERS,
+        theta = fit_lasso(rows, targets, best_lam, max_iters=LASSO_MAX_ITERS,
                           tol=LASSO_TOL).theta
         return theta, best_lam, grid.index(best_lam), None
 
@@ -412,8 +412,8 @@ def _lasso_fitter(n: int, lasso_grid, seed: int):
 def _spectral_fitter(method: str, horizon: int, cfg: AdaptiveConfig):
     filt = default_filter(method)
 
-    def fit(t, design, targets, phi):
-        lam, theta, report = select_lambda(design, targets, filt, t, horizon, phi, cfg)
+    def fit(t, rows, targets, phi):
+        lam, theta, report = select_lambda(rows, targets, filt, t, horizon, phi, cfg)
         return theta, lam, report.selected_k, report
 
     return fit
@@ -425,7 +425,7 @@ def train(dataset: BatchDataset, method: str, cfg: AdaptiveConfig | None = None,
     """Backward induction over stages T..1 for any of the five methods.
 
     Each stage fits the outcomes of ``stage_targets`` with the method's
-    estimator, a fitter (t, design, targets, phi) -> (theta, lambda, k,
+    estimator, a fitter (t, rows, targets, phi) -> (theta, lambda, k,
     report or None): a spectral filter at the balancing-rule level under
     ``cfg`` (default ``default_config(method, dataset.reward_bound)``), least
     squares, or lasso over ``lasso_grid``.  Baselines take no ``cfg``.
@@ -448,10 +448,10 @@ def train(dataset: BatchDataset, method: str, cfg: AdaptiveConfig | None = None,
     stages: list[StageModel | None] = [None] * horizon
     reports: list[StageFitReport | None] = [None] * horizon
     for t in range(horizon, 0, -1):
-        design = stage_design(dataset, t, mask=feature_mask)
+        rows = stage_design(dataset, t, mask=feature_mask)
         targets, phi = stage_targets(dataset, t, theta_next, mask=feature_mask)
         try:
-            theta, lam, k, report = fit(t, design, targets, phi)
+            theta, lam, k, report = fit(t, rows, targets, phi)
         except (NumericError, FloatingPointError) as exc:
             raise NumericError(f"stage {t}: {exc}") from exc
         stages[t - 1] = StageModel(t=t, theta=theta, lambda_selected=lam, k_selected=k)
@@ -464,7 +464,7 @@ def train(dataset: BatchDataset, method: str, cfg: AdaptiveConfig | None = None,
     return bundle, [r for r in reports if r is not None]
 
 
-def error_decomposition(design: StageDesign, targets_y: np.ndarray,
+def error_decomposition(rows: np.ndarray, targets_y: np.ndarray,
                         targets_ystar: np.ndarray, targets_noisefree: np.ndarray,
                         lam: float, filt: FilterSpec, theta_star: np.ndarray,
                         sigma_true: np.ndarray) -> dict:
@@ -478,18 +478,18 @@ def error_decomposition(design: StageDesign, targets_y: np.ndarray,
     is known.
     """
     theta_star = np.asarray(theta_star, dtype=float)
-    d = design.rows.shape[1]
+    n, d = rows.shape
     for name, arr in (("targets_y", targets_y), ("targets_ystar", targets_ystar),
                       ("targets_noisefree", targets_noisefree)):
         arr = np.asarray(arr)
-        if arr.shape != (design.rows.shape[0],):
-            raise ValueError(f"{name} has shape {arr.shape}, expected ({design.rows.shape[0]},)")
+        if arr.shape != (n,):
+            raise ValueError(f"{name} has shape {arr.shape}, expected ({n},)")
     if theta_star.shape != (d,):
         raise ValueError(f"theta_star has shape {theta_star.shape}, expected ({d},)")
-    decomp = decompose(empirical_covariance(design))
+    decomp = decompose(empirical_covariance(rows))
     g = filter_values(filt, lam, decomp.eigenvalues)
     theta_obs, theta_true_targets, theta_clean = (
-        spectral_system(decomp, _moment(design, y)).estimate(g)
+        spectral_system(decomp, _moment(rows, y)).estimate(g)
         for y in (targets_y, targets_ystar, targets_noisefree))
     weight = decompose(np.asarray(sigma_true, dtype=float))
     return {

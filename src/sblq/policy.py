@@ -139,8 +139,8 @@ def comparison_diagnostic(model: ModelBundle, theta_star,
     mu = float(len(dataset.action_table))
     total = 0.0
     for t in range(1, model.horizon + 1):
-        design = stage_design(dataset, t, mask=model.feature_mask)
-        decomp = decompose(empirical_covariance(design))
+        rows = stage_design(dataset, t, mask=model.feature_mask)
+        decomp = decompose(empirical_covariance(rows))
         diff = model.theta(t) - truth[t - 1]
         total += 2.0 * mu ** (t / 2.0) * weighted_half_norm(decomp, 0.0, diff)
     return total

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sblq.data import BatchDataset, Trajectory
+from sblq.data import BatchDataset
 
 
 def make_dataset(n=6, horizon=3, d_s=4, d_a=3, n_actions=5, seed=0,
@@ -11,14 +11,11 @@ def make_dataset(n=6, horizon=3, d_s=4, d_a=3, n_actions=5, seed=0,
     """Small valid dataset with Gaussian features and bounded rewards."""
     rng = np.random.default_rng(seed)
     table = rng.standard_normal((n_actions, d_a))
-    trajectories = []
-    for _ in range(n):
-        states = rng.standard_normal((horizon, d_s))
-        actions = rng.integers(0, n_actions, size=horizon)
-        rewards = rng.uniform(-1.0, 1.0, size=horizon)
-        trajectories.append(Trajectory(states, actions, rewards))
-    return BatchDataset.from_trajectories(trajectories, table, reward_bound,
-                                          normalize=normalize)
+    draws = [(rng.standard_normal((horizon, d_s)), rng.integers(0, n_actions, size=horizon),
+              rng.uniform(-1.0, 1.0, size=horizon)) for _ in range(n)]
+    states, actions, rewards = (np.stack(column) for column in zip(*draws))
+    return BatchDataset(states=states, actions=actions, rewards=rewards, action_table=table,
+                        reward_bound=reward_bound, normalize=normalize)
 
 
 def per_record_jsonl(dataset):

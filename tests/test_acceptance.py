@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from sblq.cli import main
-from sblq.data import StageDesign, stage_design
+from sblq.data import stage_design
 from sblq.envs import A1_ENV, EnvSpec, generate_trajectories, make_env
 from sblq.experiments import (SHRINKING_FILTERS, build_world, interpretability_comparison,
                               method_cell, rate_curve)
@@ -74,18 +74,17 @@ def test_criterion_2_oracle_equivalence():
         rows = rng.standard_normal((n, d))
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
         y = rng.standard_normal(n)
-        design = StageDesign(1, rows, np.zeros(n))
         cov = rows.T @ rows / n
         moment = rows.T @ y / n
 
         lam = float(rng.uniform(0.01, 1.0))
-        got = fit_stage(design, y, default_filter("tikhonov"), lam)
+        got = fit_stage(rows, y, default_filter("tikhonov"), lam)
         want = np.linalg.solve(cov + lam * np.eye(d), moment)
         worst_ridge = max(worst_ridge, np.linalg.norm(got - want) / np.linalg.norm(want))
 
         sig_min = np.linalg.eigvalsh(cov)[0]
         if sig_min > 1e-8:
-            got = fit_stage(design, y, default_filter("cutoff"), 0.5 * sig_min)
+            got = fit_stage(rows, y, default_filter("cutoff"), 0.5 * sig_min)
             want = np.linalg.pinv(rows) @ y
             worst_pinv = max(worst_pinv, np.linalg.norm(got - want) / np.linalg.norm(want))
 
@@ -96,9 +95,9 @@ def test_criterion_2_oracle_equivalence():
     ds, _ = generate_trajectories(env, 80, seed=7)
     cfg = default_config("gradient-descent", reward_bound=ds.reward_bound, budget=50)
     bundle, _ = train(ds, "gradient-descent", cfg)
-    design = stage_design(ds, 1)
+    rows = stage_design(ds, 1)
     targets, _ = stage_targets(ds, 1, np.zeros(ds.feature_dim))
-    lam, theta, _ = select_lambda(design, targets, default_filter("gradient-descent"),
+    lam, theta, _ = select_lambda(rows, targets, default_filter("gradient-descent"),
                                   1, 1, 0.0, cfg)
     exact = bundle.stages[0].lambda_selected == lam and np.array_equal(bundle.stages[0].theta, theta)
 
@@ -171,13 +170,12 @@ def test_criterion_5_near_oracle_adaptivity():
             theta_star = rng.standard_normal(d)
             theta_star /= np.linalg.norm(theta_star)
             y = rows @ theta_star + noise * rng.standard_normal(n)
-            design = StageDesign(1, rows, np.zeros(n))
             cfg = default_config(kind, reward_bound=float(np.max(np.abs(y))))
-            _, theta_sel, _ = select_lambda(design, y, default_filter(kind), 1, 1, 0.0, cfg)
+            _, theta_sel, _ = select_lambda(rows, y, default_filter(kind), 1, 1, 0.0, cfg)
             # exhaustive grid oracle; population covariance is I/d, so the
             # weighted error is proportional to the plain norm
             best = min(
-                np.linalg.norm(fit_stage(design, y, default_filter(kind),
+                np.linalg.norm(fit_stage(rows, y, default_filter(kind),
                                          cfg.q0 * cfg.q**k) - theta_star)
                 for k in range(1, cfg.budget + 1)
             )
@@ -284,10 +282,9 @@ def test_criterion_8_error_decomposition_consistency():
         y_star = clean + 0.3 * rng.standard_normal(n)
         y = y_star + 0.2 * (rows @ rng.standard_normal(d))
         sigma_true = np.eye(d) / d
-        design = StageDesign(1, rows, np.zeros(n))
         lam = float(rng.uniform(0.01, 0.5))
         kind = ("tikhonov", "cutoff", "gradient-descent")[int(rng.integers(3))]
-        out = error_decomposition(design, y, y_star, clean, lam,
+        out = error_decomposition(rows, y, y_star, clean, lam,
                                   default_filter(kind), theta_star, sigma_true)
         worst_gap = max(worst_gap,
                         out["total"] - (out["bias"] + out["variance"] + out["multistage"]))
@@ -298,8 +295,7 @@ def test_criterion_8_error_decomposition_consistency():
     theta_star = rng.standard_normal(5)
     theta_star /= np.linalg.norm(theta_star)
     clean = rows @ theta_star
-    design = StageDesign(1, rows, np.zeros(40))
-    out = error_decomposition(design, clean, clean, clean, 0.1,
+    out = error_decomposition(rows, clean, clean, clean, 0.1,
                               default_filter("tikhonov"), theta_star, np.eye(5) / 5)
     degenerate_ok = out["variance"] <= 1e-10 and out["multistage"] <= 1e-10
 

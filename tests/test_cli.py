@@ -1,5 +1,6 @@
 import json
 import os
+import threading
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -270,6 +271,37 @@ class TestCommands:
 
         assert strip_clock(out1) == strip_clock(out2)
 
+    @pytest.mark.parametrize("jobs,cpus,workers", [
+        pytest.param(10_000, 64, 5, id="one-per-cell"),
+        pytest.param(10_000, 3, 3, id="one-per-cpu"),
+        pytest.param(2, 64, 2, id="jobs"),
+        pytest.param(10_000, None, None, id="cpus-unknown-serial"),
+    ])
+    def test_compare_pool_is_capped(self, tmp_path, monkeypatch, jobs, cpus, workers):
+        pools = []
+
+        class SerialPool:  # records the pool size and runs the cells in order
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda self: pytest.fail("compare started a thread"))
+        cfg = write_small_config(tmp_path, n_trajectories=40, n_episodes=10)
+        assert main(["compare", "--config", str(cfg), "--seed", "0", "--seeds", "1",
+                     "--jobs", str(jobs), "--out", str(tmp_path / "cmp")]) == 0
+        assert pools == ([] if workers is None else [workers])
+
     def test_compare_rows_equal_library_cells(self, tmp_path):
         cfg_path = write_small_config(tmp_path, n_trajectories=40, n_episodes=10)
         out = tmp_path / "cmp"
@@ -410,6 +442,9 @@ class TestCommands:
         pytest.param("--truth", lambda p: {**p, "theta_star": [
             [float("nan")] + p["theta_star"][0][1:], *p["theta_star"][1:]]},
                      id="truth-theta_star-nan"),
+        pytest.param("--truth", lambda p: {**p, "theta_star": [
+            [10**400] + p["theta_star"][0][1:], *p["theta_star"][1:]]},
+                     id="truth-theta_star-huge-int"),
         pytest.param("--model", lambda p: {**p, "feature_mask": [float("nan")] * p["feature_dim"]},
                      id="model-feature_mask-nan"),
         pytest.param("--model", lambda p: {**p, "feature_mask": [0.5] * p["feature_dim"]},

@@ -94,7 +94,7 @@ class TestGenerateTrajectories:
                                d_action=3, horizon=3), seed=3)
         ds, _ = generate_trajectories(env, 20, seed=3)
         for t in range(1, 4):
-            rows = stage_design(ds, t).rows
+            rows = stage_design(ds, t)
             np.testing.assert_allclose(np.linalg.norm(rows, axis=1), 1.0, atol=1e-12)
 
     def test_deterministic(self):

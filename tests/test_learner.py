@@ -1,14 +1,15 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sblq.config import METHODS
 from sblq.data import (
     BatchDataset,
-    StageDesign,
-    Trajectory,
     candidate_scores,
     empirical_covariance,
     stage_design,
@@ -16,6 +17,8 @@ from sblq.data import (
 from sblq.envs import EnvSpec, generate_trajectories, make_env
 from sblq.learner import (
     AdaptiveConfig,
+    ModelBundle,
+    StageModel,
     adaptive_threshold,
     default_config,
     dimension_adjusted_sample_size,
@@ -24,6 +27,7 @@ from sblq.learner import (
     fit_lasso,
     fit_stage,
     load_model,
+    model_json_text,
     save_model,
     select_lambda,
     stage_targets,
@@ -45,8 +49,8 @@ def two_action_dataset(r=1.0, scores=(0.2, -0.1)):
     """
     table = np.array([[1.0, 0.0], [0.0, 1.0]])
     states = np.array([[1.0, 0.0], [1.0, 0.0]])  # stage-2 context = e1
-    traj = Trajectory(states, np.array([0, 0]), np.array([r, 0.0]))
-    ds = BatchDataset.from_trajectories([traj], table, reward_bound=2.0)
+    ds = BatchDataset(states=states[None], actions=np.array([[0, 0]]),
+                      rewards=np.array([[r, 0.0]]), action_table=table, reward_bound=2.0)
     # x(ctx, a0) = (1,0,1,0)/sqrt2, x(ctx, a1) = (1,0,0,1)/sqrt2
     s0, s1 = scores
     theta_next = np.array([0.0, 0.0, s0 * math.sqrt(2), s1 * math.sqrt(2)])
@@ -91,8 +95,8 @@ class TestConstructTargets:
 
 class TestFitStage:
     def test_zero_targets(self, small_dataset):
-        design = stage_design(small_dataset, 1)
-        theta = fit_stage(design, np.zeros(len(small_dataset)), default_filter("tikhonov"), 0.5)
+        rows = stage_design(small_dataset, 1)
+        theta = fit_stage(rows, np.zeros(len(small_dataset)), default_filter("tikhonov"), 0.5)
         np.testing.assert_allclose(theta, 0.0, atol=1e-14)
 
     def test_tikhonov_matches_ridge_normal_equations(self, rng):
@@ -101,9 +105,8 @@ class TestFitStage:
             rows = rng.standard_normal((n, d))
             rows /= np.linalg.norm(rows, axis=1, keepdims=True)
             y = rng.standard_normal(n)
-            design = StageDesign(1, rows, np.zeros(n))
             lam = 0.2
-            got = fit_stage(design, y, default_filter("tikhonov"), lam)
+            got = fit_stage(rows, y, default_filter("tikhonov"), lam)
             cov = rows.T @ rows / n
             want = np.linalg.solve(cov + lam * np.eye(d), rows.T @ y / n)
             assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-8
@@ -111,8 +114,7 @@ class TestFitStage:
     def test_cutoff_above_spectrum_gives_zero(self, rng):
         rows = rng.standard_normal((10, 4))
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-        design = StageDesign(1, rows, np.zeros(10))
-        theta = fit_stage(design, rng.standard_normal(10), default_filter("cutoff"), 5.0)
+        theta = fit_stage(rows, rng.standard_normal(10), default_filter("cutoff"), 5.0)
         np.testing.assert_array_equal(theta, np.zeros(4))
 
 
@@ -177,8 +179,8 @@ class TestNextValueBound:
     def test_cauchy_schwarz_equality(self):
         table = np.array([[0.0, 0.0]])
         states = np.array([[1.0, 0.0], [1.0, 0.0]])
-        traj = Trajectory(states, np.array([0, 0]), np.array([0.0, 0.0]))
-        ds = BatchDataset.from_trajectories([traj], table, 1.0)
+        ds = BatchDataset(states=states[None], actions=np.array([[0, 0]]),
+                          rewards=np.zeros((1, 2)), action_table=table, reward_bound=1.0)
         theta = np.array([1.0, 0.0, 0.0, 0.0])  # aligned with the unique context
         assert stage_targets(ds, 1, theta)[1] == pytest.approx(1.0)
 
@@ -225,25 +227,25 @@ class TestSelectLambda:
         theta = rng.standard_normal(d)
         theta /= np.linalg.norm(theta)
         y = rows @ theta + 0.1 * rng.standard_normal(n)
-        return StageDesign(1, rows, np.zeros(n)), y
+        return rows, y
 
     def test_unreachable_threshold_falls_back_to_smallest(self):
-        design, y = self._design()
+        rows, y = self._design()
         cfg = AdaptiveConfig(c_ada=1e12, budget=20)
-        lam, theta, rep = select_lambda(design, y, default_filter("tikhonov"), 1, 1, 0.0, cfg)
+        lam, theta, rep = select_lambda(rows, y, default_filter("tikhonov"), 1, 1, 0.0, cfg)
         assert rep.selected_k == 20
         assert lam == pytest.approx(cfg.q0 * cfg.q**20)
 
     def test_zero_multiplier_trips_immediately(self):
-        design, y = self._design()
+        rows, y = self._design()
         cfg = AdaptiveConfig(c_ada=0.0, budget=20)
-        lam, theta, rep = select_lambda(design, y, default_filter("tikhonov"), 1, 1, 0.0, cfg)
+        lam, theta, rep = select_lambda(rows, y, default_filter("tikhonov"), 1, 1, 0.0, cfg)
         assert rep.selected_k == 20
 
     def test_scan_visits_ascending_lambdas_from_grid(self):
-        design, y = self._design(seed=3)
+        rows, y = self._design(seed=3)
         cfg = AdaptiveConfig(budget=15)
-        lam, _, rep = select_lambda(design, y, default_filter("cutoff"), 1, 1, 0.0, cfg)
+        lam, _, rep = select_lambda(rows, y, default_filter("cutoff"), 1, 1, 0.0, cfg)
         assert np.all(np.diff(rep.lambdas) > 0)
         assert np.array_equal(rep.ks, np.arange(15, 0, -1))
         grid = cfg.q0 * cfg.q ** np.arange(1, 16)
@@ -252,18 +254,18 @@ class TestSelectLambda:
     def test_first_crossing_selected_on_two_point_grid(self):
         # manual scan oracle on a 2-point grid: recompute both gaps and
         # thresholds directly and emulate the rule
-        design, y = self._design(seed=7, n=80, d=4)
+        rows, y = self._design(seed=7, n=80, d=4)
         filt = default_filter("tikhonov")
         cfg = AdaptiveConfig(budget=2, q0=2.0, c_ada=2e-4)
-        lam, theta, rep = select_lambda(design, y, filt, 1, 1, 0.0, cfg)
-        cov = empirical_covariance(design)
+        lam, theta, rep = select_lambda(rows, y, filt, 1, 1, 0.0, cfg)
+        cov = empirical_covariance(rows)
         decomp = decompose(cov)
-        n = design.rows.shape[0]
+        n = rows.shape[0]
         expected_k = None
         for k in (2, 1):
             lam_hi = cfg.q0 * cfg.q ** (k + 1)
-            t_hi = fit_stage(design, y, filt, lam_hi)
-            t_lo = fit_stage(design, y, filt, cfg.q0 * cfg.q**k)
+            t_hi = fit_stage(rows, y, filt, lam_hi)
+            t_lo = fit_stage(rows, y, filt, cfg.q0 * cfg.q**k)
             gap = weighted_half_norm(decomp, lam_hi, t_hi - t_lo)
             tau = adaptive_threshold(1, 1, 0.0, variance_proxy(decomp, lam_hi, n, 4, cfg), cfg)
             if gap >= tau:
@@ -274,9 +276,9 @@ class TestSelectLambda:
         assert rep.selected_k == expected_k
 
     def test_trace_arrays_aligned(self):
-        design, y = self._design()
+        rows, y = self._design()
         cfg = AdaptiveConfig(budget=10)
-        _, _, rep = select_lambda(design, y, default_filter("gradient-descent"), 1, 1, 0.0, cfg)
+        _, _, rep = select_lambda(rows, y, default_filter("gradient-descent"), 1, 1, 0.0, cfg)
         assert len(rep.ks) == len(rep.lambdas) == len(rep.diff_norms) == len(rep.thresholds) == 10
 
     @settings(max_examples=60, deadline=None)
@@ -293,18 +295,17 @@ class TestSelectLambda:
         pool /= np.linalg.norm(pool, axis=1, keepdims=True)
         rows = pool[rng.integers(distinct, size=n)]
         y = rows @ rng.standard_normal(d) + 0.3 * rng.standard_normal(n)
-        design = StageDesign(1, rows, np.zeros(n))
         filt = default_filter(kind)
         cfg = AdaptiveConfig(q0=1.0, budget=budget, c_ada=10.0**log_c_ada)
         t, horizon, phi = 2, 3, 0.4
-        lam, theta, rep = select_lambda(design, y, filt, t, horizon, phi, cfg)
+        lam, theta, rep = select_lambda(rows, y, filt, t, horizon, phi, cfg)
 
-        decomp = decompose(empirical_covariance(design))
+        decomp = decompose(empirical_covariance(rows))
         gaps, taus, scale, expected_k = [], [], 0.0, None
         for k in range(budget, 0, -1):
             lam_hi = cfg.q0 * cfg.q ** (k + 1)
-            hi = fit_stage(design, y, filt, lam_hi)
-            lo = fit_stage(design, y, filt, cfg.q0 * cfg.q**k)
+            hi = fit_stage(rows, y, filt, lam_hi)
+            lo = fit_stage(rows, y, filt, cfg.q0 * cfg.q**k)
             gaps.append(weighted_half_norm(decomp, lam_hi, hi - lo))
             scale = max(scale, np.linalg.norm(hi) * math.sqrt(decomp.eigenvalues[-1] + lam_hi))
             w = variance_proxy(decomp, lam_hi, n, d, cfg)
@@ -315,7 +316,7 @@ class TestSelectLambda:
 
         assert rep.selected_k == expected_k
         assert lam == pytest.approx(cfg.q0 * cfg.q ** expected_k, rel=1e-14)
-        np.testing.assert_array_equal(theta, fit_stage(design, y, filt, lam))
+        np.testing.assert_array_equal(theta, fit_stage(rows, y, filt, lam))
         # The oracle differences estimates in feature space, so a gap at the
         # round-off level of the estimates carries no relative accuracy.
         np.testing.assert_allclose(rep.diff_norms, gaps, rtol=1e-10, atol=1e-13 * scale)
@@ -338,9 +339,9 @@ class TestTrain:
                            reward_bound=ds.reward_bound)
         cfg = default_config("tikhonov", reward_bound=one.reward_bound, budget=30)
         bundle, reports = train(one, "tikhonov", cfg)
-        design = stage_design(one, 1)
+        rows = stage_design(one, 1)
         targets = stage_targets(one, 1, np.zeros(one.feature_dim))[0]
-        lam, theta, _ = select_lambda(design, targets, default_filter("tikhonov"), 1, 1, 0.0, cfg)
+        lam, theta, _ = select_lambda(rows, targets, default_filter("tikhonov"), 1, 1, 0.0, cfg)
         assert bundle.stages[0].lambda_selected == lam
         np.testing.assert_array_equal(bundle.stages[0].theta, theta)
 
@@ -374,11 +375,11 @@ class TestTrain:
         theta_next = np.zeros(d)
         ridge = [None] * horizon
         for t in range(horizon, 0, -1):
-            design = stage_design(ds, t)
+            rows = stage_design(ds, t)
             y = stage_targets(ds, t, theta_next)[0]
             n = len(ds)
-            cov = design.rows.T @ design.rows / n
-            theta_next = np.linalg.solve(cov + lam * np.eye(d), design.rows.T @ y / n)
+            cov = rows.T @ rows / n
+            theta_next = np.linalg.solve(cov + lam * np.eye(d), rows.T @ y / n)
             ridge[t - 1] = theta_next
         for s, want in zip(bundle.stages, ridge):
             assert s.lambda_selected == pytest.approx(lam)
@@ -418,40 +419,37 @@ class TestTrain:
             train(ds, "ls", AdaptiveConfig())
 
 
-def least_squares(design, y):
+def least_squares(rows, y):
     """The ls stage fit as train runs it: cut-off at 1e-10 sigma_max."""
-    s_max = decompose(empirical_covariance(design)).eigenvalues[-1]
-    return fit_stage(design, y, default_filter("cutoff"), 1e-10 * (s_max if s_max > 0 else 1.0))
+    s_max = decompose(empirical_covariance(rows)).eigenvalues[-1]
+    return fit_stage(rows, y, default_filter("cutoff"), 1e-10 * (s_max if s_max > 0 else 1.0))
 
 
 def one_stage_dataset(rows, y):
-    """Horizon-1 unnormalized dataset whose stage design is ``rows`` followed by
+    """Horizon-1 unnormalized dataset whose stage rows are ``rows`` followed by
     one all-zero action column, with rewards ``y``."""
-    trajectories = [Trajectory(r[None, :], np.array([0]), np.array([v]))
-                    for r, v in zip(rows, y)]
-    return BatchDataset.from_trajectories(trajectories, np.zeros((1, 1)),
-                                          float(np.max(np.abs(y))) + 1.0, normalize=False)
+    return BatchDataset(states=rows[:, None, :], actions=np.zeros((len(rows), 1), dtype=np.int64),
+                        rewards=y[:, None], action_table=np.zeros((1, 1)),
+                        reward_bound=float(np.max(np.abs(y))) + 1.0, normalize=False)
 
 
 class TestBaselines:
     def test_ls_exact_line_in_one_dimension(self):
         rows = np.array([[1.0], [2.0]])
-        design = StageDesign(1, rows, np.zeros(2))
-        theta = least_squares(design, np.array([3.0, 6.0]))
+        theta = least_squares(rows, np.array([3.0, 6.0]))
         assert theta[0] == pytest.approx(3.0)
 
     def test_ls_matches_normal_equations(self, rng):
         rows = rng.standard_normal((50, 6))
         y = rng.standard_normal(50)
-        design = StageDesign(1, rows, np.zeros(50))
-        got = least_squares(design, y)
+        got = least_squares(rows, y)
         cov = rows.T @ rows / 50
         want = np.linalg.solve(cov, rows.T @ y / 50)
         assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-8
 
     def test_ls_zero_design_gives_zero(self):
-        design = StageDesign(1, np.zeros((4, 3)), np.zeros(4))
-        np.testing.assert_array_equal(least_squares(design, np.ones(4)), np.zeros(3))
+        rows = np.zeros((4, 3))
+        np.testing.assert_array_equal(least_squares(rows, np.ones(4)), np.zeros(3))
 
     def test_ls_rank_deficient_matches_pseudo_inverse(self, rng):
         # 6 distinct rows repeated over 90 observations in 10 dimensions
@@ -460,7 +458,7 @@ class TestBaselines:
         y = rows @ rng.standard_normal(10) + 0.1 * rng.standard_normal(90)
         ds = one_stage_dataset(rows, y)
         theta = train(ds, "ls")[0].stages[0].theta
-        features = stage_design(ds, 1).rows
+        features = stage_design(ds, 1)
         assert np.linalg.matrix_rank(features) == 6
         want = np.linalg.pinv(features) @ y
         assert np.linalg.norm(theta - want) / np.linalg.norm(want) < 1e-8
@@ -478,17 +476,15 @@ class TestBaselines:
     def test_lasso_zero_penalty_matches_ls(self, rng):
         rows = rng.standard_normal((60, 4))
         y = rng.standard_normal(60)
-        design = StageDesign(1, rows, np.zeros(60))
-        fit = fit_lasso(design, y, 0.0, max_iters=5000, tol=1e-12)
-        want = least_squares(design, y)
+        fit = fit_lasso(rows, y, 0.0, max_iters=5000, tol=1e-12)
+        want = least_squares(rows, y)
         np.testing.assert_allclose(fit.theta, want, atol=1e-6)
 
     def test_lasso_kill_condition(self, rng):
         rows = rng.standard_normal((30, 5))
         y = rng.standard_normal(30)
-        design = StageDesign(1, rows, np.zeros(30))
         lam = 2.0 * np.max(np.abs(rows.T @ y / 30)) + 1e-9
-        fit = fit_lasso(design, y, lam)
+        fit = fit_lasso(rows, y, lam)
         np.testing.assert_array_equal(fit.theta, np.zeros(5))
 
     def test_lasso_orthonormal_soft_threshold(self, rng):
@@ -497,8 +493,7 @@ class TestBaselines:
         rows = q  # orthonormal columns: X^T X = I
         y = rng.standard_normal(n)
         lam = 0.05
-        design = StageDesign(1, rows, np.zeros(n))
-        fit = fit_lasso(design, y, lam, max_iters=500, tol=1e-12)
+        fit = fit_lasso(rows, y, lam, max_iters=500, tol=1e-12)
         # closed-form soft-threshold oracle under (1/n)||y - X theta||^2 + lam |theta|_1
         ols = rows.T @ y
         want = np.sign(ols) * np.maximum(np.abs(ols) - n * lam / 2, 0.0)
@@ -509,8 +504,7 @@ class TestBaselines:
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
         y = rng.standard_normal(80)
         lam, tol = 0.02, 1e-10
-        design = StageDesign(1, rows, np.zeros(80))
-        fit = fit_lasso(design, y, lam, max_iters=20_000, tol=tol)
+        fit = fit_lasso(rows, y, lam, max_iters=20_000, tol=tol)
         assert fit.converged
         grad = rows.T @ (y - rows @ fit.theta) / 80
         for j in range(6):
@@ -524,8 +518,8 @@ class TestBaselines:
                            reward_bound=ds.reward_bound)
         bundle, reports = train(one, "ls")
         assert reports == []
-        design = stage_design(one, 1)
-        want = least_squares(design, stage_targets(one, 1, np.zeros(one.feature_dim))[0])
+        rows = stage_design(one, 1)
+        want = least_squares(rows, stage_targets(one, 1, np.zeros(one.feature_dim))[0])
         np.testing.assert_allclose(bundle.stages[0].theta, want, atol=1e-12)
 
     def test_baseline_lasso_singleton_grid(self):
@@ -535,9 +529,9 @@ class TestBaselines:
         assert reports == []
         theta_next = np.zeros(ds.feature_dim)
         for t in range(ds.horizon, 0, -1):
-            design = stage_design(ds, t)
+            rows = stage_design(ds, t)
             y = stage_targets(ds, t, theta_next)[0]
-            want = fit_lasso(design, y, lam, max_iters=2000).theta
+            want = fit_lasso(rows, y, lam, max_iters=2000).theta
             np.testing.assert_allclose(bundle.stages[t - 1].theta, want, atol=1e-12)
             theta_next = want
 
@@ -566,37 +560,36 @@ class TestErrorDecomposition:
         # observed targets built from a perturbed next-stage parameter
         y = y_star + theta_shift * (rows @ rng.standard_normal(d))
         sigma_true = np.eye(d) / d
-        design = StageDesign(1, rows, np.zeros(n))
-        return design, y, y_star, clean, theta_star, sigma_true
+        return rows, y, y_star, clean, theta_star, sigma_true
 
     def test_no_noise_exact_next_stage(self, rng):
-        design, _, _, clean, theta_star, sigma_true = self._instance(0, 0.0, 0.0)
-        out = error_decomposition(design, clean, clean, clean, 0.1,
+        rows, _, _, clean, theta_star, sigma_true = self._instance(0, 0.0, 0.0)
+        out = error_decomposition(rows, clean, clean, clean, 0.1,
                                   default_filter("tikhonov"), theta_star, sigma_true)
         assert out["variance"] == pytest.approx(0.0, abs=1e-10)
         assert out["multistage"] == pytest.approx(0.0, abs=1e-10)
 
     def test_triangle_inequality(self):
         for seed in range(6):
-            design, y, y_star, clean, theta_star, sigma_true = self._instance(seed)
-            out = error_decomposition(design, y, y_star, clean, 0.05,
+            rows, y, y_star, clean, theta_star, sigma_true = self._instance(seed)
+            out = error_decomposition(rows, y, y_star, clean, 0.05,
                                       default_filter("cutoff"), theta_star, sigma_true)
             assert out["total"] <= out["bias"] + out["variance"] + out["multistage"] + 1e-10
 
     def test_terms_match_independent_recomputation(self):
-        design, y, y_star, clean, theta_star, sigma_true = self._instance(42)
+        rows, y, y_star, clean, theta_star, sigma_true = self._instance(42)
         lam = 0.07
         filt = default_filter("tikhonov")
-        out = error_decomposition(design, y, y_star, clean, lam, filt, theta_star, sigma_true)
+        out = error_decomposition(rows, y, y_star, clean, lam, filt, theta_star, sigma_true)
         # recompute the three estimators from their definitions
-        n, d = design.rows.shape
-        cov = design.rows.T @ design.rows / n
+        n, d = rows.shape
+        cov = rows.T @ rows / n
         w, u = np.linalg.eigh(cov)
         w = np.maximum(w, 0.0)
         g = 1.0 / (w + lam)
 
         def estimate(targets):
-            return u @ (g * (u.T @ (design.rows.T @ targets / n)))
+            return u @ (g * (u.T @ (rows.T @ targets / n)))
 
         wt, ut = np.linalg.eigh(sigma_true + lam * np.eye(d))
         root = ut @ np.diag(np.sqrt(wt)) @ ut.T
@@ -625,3 +618,27 @@ class TestModelSerialization:
             np.testing.assert_array_equal(s1.theta, s2.theta)
             assert s1.lambda_selected == s2.lambda_selected
         assert back.config == bundle.config
+
+    @settings(max_examples=60, deadline=None)
+    @given(method=st.sampled_from(METHODS), masked=st.booleans(), data=st.data())
+    def test_saved_bundle_loads_to_the_same_bytes(self, method, masked, data):
+        horizon, d = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 6))
+        reals = st.floats(allow_nan=False, allow_infinity=False)
+        stages = tuple(
+            StageModel(t=t, theta=np.array(data.draw(st.lists(reals, min_size=d, max_size=d)),
+                                           dtype=float),
+                       lambda_selected=data.draw(st.floats(0.0, 1e3)),
+                       k_selected=data.draw(st.integers(0, 100)))
+            for t in range(1, horizon + 1))
+        mask = (np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=d,
+                                            max_size=d)))
+                if masked else None)
+        bundle = ModelBundle(horizon=horizon, feature_dim=d, filter_kind=method, stages=stages,
+                             config=default_config(method, data.draw(st.floats(0.1, 10.0))),
+                             seed=data.draw(st.integers(0, 2**31 - 1)), feature_mask=mask)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.json"
+            save_model(bundle, path)
+            back = load_model(path)
+        assert model_json_text(back) == model_json_text(bundle)
+        assert back.theta_matrix().tobytes() == bundle.theta_matrix().tobytes()

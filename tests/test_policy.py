@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sblq.data import BatchDataset, Trajectory, feature_vector
+from sblq.data import BatchDataset, feature_vector
 from sblq.envs import EnvSpec, SyntheticEnv, generate_trajectories, make_env
 from sblq.learner import AdaptiveConfig, ModelBundle, StageModel, default_config, train
 from sblq.policy import (
@@ -114,10 +114,9 @@ class TestPolicyGap:
         # one action and one context: the estimated-vs-true best scores
         # differ by a constant c at every trajectory and stage
         table = np.array([[1.0, 0.0]])
-        states = np.tile(np.array([1.0, 0.0]), (3, 1))
-        trajs = [Trajectory(states.copy(), np.zeros(3, dtype=int), np.zeros(3))
-                 for _ in range(4)]
-        ds = BatchDataset.from_trajectories(trajs, table, 1.0)
+        states = np.tile(np.array([1.0, 0.0]), (4, 3, 1))
+        ds = BatchDataset(states=states, actions=np.zeros((4, 3), dtype=np.int64),
+                          rewards=np.zeros((4, 3)), action_table=table, reward_bound=1.0)
         truth = np.zeros((4, 4))
         c = 0.37
         x = feature_vector([1.0, 0.0], [1.0, 0.0])
@@ -203,8 +202,8 @@ class TestDirectValueEstimate:
 
     def test_single_trajectory_two_actions(self):
         table = np.array([[1.0, 0.0], [0.0, 1.0]])
-        traj = Trajectory(np.array([[1.0, 0.0]]), np.array([0]), np.array([0.0]))
-        ds = BatchDataset.from_trajectories([traj], table, 1.0)
+        ds = BatchDataset(states=np.array([[[1.0, 0.0]]]), actions=np.array([[0]]),
+                          rewards=np.array([[0.0]]), action_table=table, reward_bound=1.0)
         theta = np.array([0.0, 0.0, 1.0, 2.0]) * np.sqrt(2)
         model = bundle_from_thetas(theta[None, :])
         assert direct_value_estimate(model, ds) == pytest.approx(2.0)
@@ -233,10 +232,9 @@ class TestComparisonDiagnostic:
         # stage covariance exactly I on the state block
         d_s = 3
         table = np.array([[0.0]])
-        trajs = [Trajectory(np.sqrt(3.0) * np.eye(d_s)[j][None, :],
-                            np.array([0]), np.array([0.0]))
-                 for j in range(d_s)]
-        ds = BatchDataset.from_trajectories(trajs, table, 1.0, normalize=False)
+        ds = BatchDataset(states=np.sqrt(3.0) * np.eye(d_s)[:, None, :],
+                          actions=np.zeros((d_s, 1), dtype=np.int64), rewards=np.zeros((d_s, 1)),
+                          action_table=table, reward_bound=1.0, normalize=False)
         truth = np.zeros((1, d_s + 1))
         est = truth.copy()
         est[0, 0] = 1.0  # difference e_1
@@ -252,7 +250,7 @@ class TestComparisonDiagnostic:
         from sblq.data import stage_design
         total = 0.0
         for t in (1, 2, 3):
-            rows = stage_design(ds, t).rows
+            rows = stage_design(ds, t)
             cov = rows.T @ rows / rows.shape[0]
             diff = est[t - 1] - truth[t - 1]
             total += 2.0 * mu ** (t / 2.0) * np.sqrt(diff @ cov @ diff)
