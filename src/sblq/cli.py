@@ -137,7 +137,10 @@ def _require_fit(model, model_path: Path, dataset, dataset_dir: Path) -> None:
 
 def cmd_train(cfg: RunConfig, dataset_dir: Path, out: Path) -> None:
     dataset = _load_dataset_dir(dataset_dir)
-    bundle, reports = _train(cfg, dataset, cfg.method, cfg.seed)
+    try:
+        bundle, reports = _train(cfg, dataset, cfg.method, cfg.seed)
+    except DataError as exc:
+        raise DataError(f"dataset {dataset_dir}: {exc}") from exc
     _atomic_write_all({
         out / "model.json": model_json_text(bundle),
         out / "trace.json": _trace_text(reports),

@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, NumericError
+from .errors import ConfigError, DataError, NumericError
 
 
 @dataclass(frozen=True)
@@ -172,20 +172,21 @@ def empirical_covariance(rows: np.ndarray) -> np.ndarray:
 def split(dataset: BatchDataset, train_fraction: float, seed: int):
     """Deterministic shuffled partition into (train, test) datasets."""
     if not 0.0 < train_fraction < 1.0:
-        raise ValueError("train_fraction must lie strictly between 0 and 1")
+        raise ConfigError("train_fraction must lie strictly between 0 and 1")
     n = len(dataset)
     n_train = int(train_fraction * n)
     if n_train < 1 or n - n_train < 1:
-        raise ValueError(f"split of {n} trajectories at {train_fraction} leaves an empty side")
+        raise ConfigError(f"split of {n} trajectories at train_fraction {train_fraction} "
+                          "leaves an empty side")
     perm = np.random.default_rng(seed).permutation(n)
     idx_train = np.sort(perm[:n_train])
     idx_test = np.sort(perm[n_train:])
 
     def take(idx):
         return BatchDataset(
-            states=dataset.states[idx].copy(),
-            actions=dataset.actions[idx].copy(),
-            rewards=dataset.rewards[idx].copy(),
+            states=dataset.states[idx],
+            actions=dataset.actions[idx],
+            rewards=dataset.rewards[idx],
             action_table=dataset.action_table,
             reward_bound=dataset.reward_bound,
             normalize=dataset.normalize,
@@ -388,8 +389,10 @@ def load_dataset(header_path, trajectories_path) -> BatchDataset:
     table = np.asarray(header["action_table"], dtype=float)
     if table.ndim != 2 or table.shape[1] != d_a:
         raise DataError(f"header {header_path}: field 'action_table' must be A x {d_a}")
+    if not np.all(np.isfinite(table)):
+        raise DataError(f"header {header_path}: field 'action_table' has non-finite values")
 
-    states_list, actions_list, rewards_list = [], [], []
+    states_list, actions_list, rewards_list, linenos = [], [], [], []
     parse = _RecordParser(d_s)
     with open(trajectories_path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -421,9 +424,25 @@ def load_dataset(header_path, trajectories_path) -> BatchDataset:
             states_list.append(states)
             actions_list.append(actions.astype(np.int64))
             rewards_list.append(rewards)
+            linenos.append(lineno)
     if not states_list:
         raise DataError(f"{trajectories_path}: no trajectories")
-    return BatchDataset(states=np.stack(states_list), actions=np.stack(actions_list),
-                        rewards=np.stack(rewards_list), action_table=table,
-                        reward_bound=float(header["reward_bound"]),
-                        normalize=header["normalize"])
+    states, actions, rewards = (np.stack(states_list), np.stack(actions_list),
+                                np.stack(rewards_list))
+    reward_bound, normalize = float(header["reward_bound"]), header["normalize"]
+    try:
+        return BatchDataset(states, actions, rewards, table, reward_bound, normalize)
+    except DataError as exc:
+        error = exc
+    # Each value check holds for a batch exactly when it holds for each of its
+    # trajectories, so the shortest failing prefix ends at the first bad line.
+    lo, hi = 0, len(linenos)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            BatchDataset(states[:mid], actions[:mid], rewards[:mid], table, reward_bound,
+                         normalize)
+            lo = mid
+        except DataError as exc:
+            error, hi = exc, mid
+    raise DataError(f"{trajectories_path}:{linenos[hi - 1]}: {error}") from error

@@ -20,7 +20,10 @@ observation r + <x, theta*_{t+1}> + e used in distributional diagnostics.
 
 All sampling uses numpy's default_rng (PCG64) on per-episode streams spawned
 from a SeedSequence.  No draw depends on a state, so each episode's draws are
-taken first and the simulator then steps all episodes together.
+taken first and the simulator then steps all episodes together.  Episode
+integers and u are read from raw PCG64 words by numpy's own rules (Lemire's
+bounded integers on 32-bit halves, and next_double), so the generated bytes
+are those of ``Generator.integers`` and ``Generator.uniform``.
 """
 from __future__ import annotations
 
@@ -153,30 +156,73 @@ def load_ground_truth(path) -> GroundTruth:
         return GroundTruth(theta_star=np.asarray(payload["theta_star"], dtype=float))
 
 
+def _bounded_integers(random_raw):
+    """``draw(bound)``, equal to ``Generator.integers(bound)`` for 1 <= bound
+    <= 2**32 on the bit generator whose ``random_raw`` is given, while nothing
+    else takes 32-bit draws from it.  It reproduces two numpy rules: PCG64's
+    ``next_uint32`` (the low half of a fresh 64-bit word, then that word's
+    buffered high half) and ``buffered_bounded_lemire_uint32`` (Lemire's
+    multiply-and-reject: x * bound >> 32, drawing again while the low 32 bits
+    of x * bound fall below 2**32 % bound)."""
+    spare = -1  # the buffered high half, or -1 if none
+
+    def draw(bound):
+        nonlocal spare
+        if bound == 1:
+            return 0
+        threshold = 2**32 % bound
+        while True:
+            if spare < 0:
+                word = random_raw()
+                x, spare = word & 0xFFFFFFFF, word >> 32
+            else:
+                x, spare = spare, -1
+            m = x * bound
+            if m & 0xFFFFFFFF >= threshold:
+                return m >> 32
+
+    return draw
+
+
 def episode_draws(env: SyntheticEnv, n: int, seed: int, logged: bool):
     """Each episode's draws from its own child of SeedSequence(seed): user,
     video, then per stage the logging action (if ``logged``), u (if no
     ``reward_fn``) and e (if also noise_sd > 0).  Returns initial states
-    (n, d_s) and (n, T) actions, u and clipped e; undrawn entries are 0."""
+    (n, d_s) and (n, T) actions, u and clipped e; undrawn entries are 0.
+
+    Integers and u are read from raw PCG64 words by numpy's own rules, so
+    they equal ``integers`` and ``uniform`` on the same stream bit for bit."""
     spec = env.spec
-    users, videos = np.empty((2, n), dtype=np.int64)
-    actions = np.zeros((n, spec.horizon), dtype=np.int64)
-    u, z = np.zeros((2, n, spec.horizon))
-    low, width = spec.reward_low, spec.reward_high - spec.reward_low
-    for i, stream in enumerate(np.random.SeedSequence(seed).spawn(n)):
+    draw_u = env.reward_fn is None
+    noisy = draw_u and spec.noise_sd > 0
+    users, videos, acts, words, z = [], [], [], [], []
+    for stream in np.random.SeedSequence(seed).spawn(n):
         rng = np.random.default_rng(stream)
-        integers, random, normal = rng.integers, rng.random, rng.standard_normal
-        users[i], videos[i] = integers(spec.n_users), integers(spec.n_actions)
-        for t in range(spec.horizon):
+        raw, normal = rng.bit_generator.random_raw, rng.standard_normal
+        integers = _bounded_integers(raw)
+        users.append(integers(spec.n_users))
+        videos.append(integers(spec.n_actions))
+        for _ in range(spec.horizon):
             if logged:
-                actions[i, t] = integers(spec.n_actions)
-            if env.reward_fn is None:
-                u[i, t] = low + width * random()  # rng.uniform(low, high), bit for bit
-                if spec.noise_sd > 0:
-                    z[i, t] = normal()
+                acts.append(integers(spec.n_actions))
+            if draw_u:
+                words.append(raw())
+                if noisy:
+                    z.append(normal())
+
+    def stages(values, dtype):  # (n, T) of the drawn values; zeros if none were drawn
+        if not values:
+            return np.zeros((n, spec.horizon), dtype=dtype)
+        return np.array(values, dtype=dtype).reshape(n, spec.horizon)
+
+    u = np.zeros((n, spec.horizon))
+    if draw_u:  # numpy's next_double inside uniform(low, high) = low + width * random()
+        low, width = spec.reward_low, spec.reward_high - spec.reward_low
+        u = low + width * ((stages(words, np.uint64) >> 11) * 2.0**-53)
     states = np.hstack([env.user_pool[users], env.video_pool[videos]])
     clip = NOISE_CLIP_SDS * spec.noise_sd
-    return states, actions, u, np.clip(spec.noise_sd * z, -clip, clip)
+    return (states, stages(acts, np.int64), u,
+            np.clip(spec.noise_sd * stages(z, float), -clip, clip))
 
 
 def stage_step(env: SyntheticEnv, t: int, states: np.ndarray, actions: np.ndarray):

@@ -384,7 +384,8 @@ def _lasso_fitter(n: int, lasso_grid, seed: int):
     perm = np.random.default_rng(seed).permutation(n)
     n_val = max(1, int(LASSO_VAL_FRACTION * n))
     if n - n_val < 1:
-        raise ValueError("validation split leaves no training rows")
+        raise DataError(f"lasso's validation split of {n} trajectories leaves no "
+                        "training rows")
     val_idx = np.sort(perm[:n_val])
     fit_idx = np.sort(perm[n_val:])
 

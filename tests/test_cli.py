@@ -543,6 +543,25 @@ class TestCommands:
                      "--method", "lasso", "--out", str(run)]) == 2
         assert not run.exists()
 
+    def test_compare_split_leaving_a_side_empty_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["compare", "--preset", "a2-interpretability", "--n", "1",
+                     "--seeds", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration" in err and "empty side" in err
+        assert not out.exists()
+
+    def test_lasso_on_one_trajectory_exits_three_naming_dataset(self, tmp_path, capsys):
+        cfg = write_small_config(tmp_path, n_trajectories=1)
+        data, run = tmp_path / "data", tmp_path / "run"
+        assert main(["gen", "--config", str(cfg), "--seed", "1", "--out", str(data)]) == 0
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg), "--dataset", str(data),
+                     "--method", "lasso", "--out", str(run)]) == 3
+        err = capsys.readouterr().err
+        assert "data" in err and str(data) in err and "no training rows" in err
+        assert not run.exists()
+
     def test_missing_required_flag_exits_two(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["train", "--out", str(tmp_path / "o")])

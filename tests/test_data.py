@@ -151,12 +151,38 @@ class TestSaveLoad:
                      '"rewards": [0.0]}', id="huge-int"),
         pytest.param('{"states": [[1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]], '
                      '"actions": [0, 0], "rewards": [0.0, 0.0]}', id="wrong-horizon"),
+        pytest.param('{"states": [[NaN, 0.0, 0.0, 0.0]], "actions": [0], "rewards": [0.0]}',
+                     id="nan-state"),
+        pytest.param('{"states": [[1.0, 0.0, 0.0, 0.0]], "actions": [0], "rewards": [99.0]}',
+                     id="reward-over-bound"),
+        pytest.param('{"states": [[1.0, 0.0, 0.0, 0.0]], "actions": [999], "rewards": [0.0]}',
+                     id="action-outside-table"),
     ])
     def test_malformed_line_is_data_error_naming_line(self, tmp_path, line):
         save_dataset(make_dataset(n=2, horizon=1), tmp_path / "h.json", tmp_path / "t.jsonl")
         lines = (tmp_path / "t.jsonl").read_text().splitlines()
         (tmp_path / "t.jsonl").write_text(f"{lines[0]}\n{line}\n")
         with pytest.raises(DataError, match=":2: "):
+            load_dataset(tmp_path / "h.json", tmp_path / "t.jsonl")
+
+    def test_value_error_names_first_bad_line_counting_blank_lines(self, tmp_path):
+        save_dataset(make_dataset(n=5, horizon=1), tmp_path / "h.json", tmp_path / "t.jsonl")
+        lines = (tmp_path / "t.jsonl").read_text().splitlines()
+        bad_reward, bad_action = (json.loads(line) for line in lines[2:4])
+        bad_reward["rewards"] = [99.0]
+        bad_action["actions"] = [999]
+        lines[2:4] = ["", json.dumps(bad_reward), json.dumps(bad_action)]
+        (tmp_path / "t.jsonl").write_text("\n".join(lines) + "\n")
+        # the action check runs before the reward check, but line 4 comes first
+        with pytest.raises(DataError, match=r"t\.jsonl:4: reward magnitude 99 exceeds"):
+            load_dataset(tmp_path / "h.json", tmp_path / "t.jsonl")
+
+    def test_nonfinite_action_table_names_header(self, tmp_path):
+        save_dataset(make_dataset(n=1), tmp_path / "h.json", tmp_path / "t.jsonl")
+        header = json.loads((tmp_path / "h.json").read_text())
+        header["action_table"][0][0] = float("inf")
+        (tmp_path / "h.json").write_text(json.dumps(header))
+        with pytest.raises(DataError, match=r"h\.json: field 'action_table' has non-finite"):
             load_dataset(tmp_path / "h.json", tmp_path / "t.jsonl")
 
     def test_unknown_header_field_rejected(self, tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from sblq.envs import (
     A2_ENV,
     NOISE_CLIP_SDS,
     EnvSpec,
+    _bounded_integers,
     episode_draws,
     generate_trajectories,
     make_env,
@@ -272,3 +274,51 @@ class TestEpisodeDraws:
                 assert u[i, t] == rng.uniform(spec.reward_low, spec.reward_high)
                 z = rng.standard_normal() if spec.noise_sd > 0 else 0.0
                 assert eps[i, t] == np.clip(spec.noise_sd * z, -clip, clip)
+
+    @pytest.mark.parametrize("bound", [1, 2, 3, 30, 2**31 + 1, 2**32 - 1, 2**32])
+    def test_bounded_integers_match_numpy(self, bound):
+        # the helper and numpy's integers() share one PCG64 stream with
+        # random() and standard_normal() interleaved, so a half-word taken or
+        # buffered differently shifts every later draw
+        draws, words = 0, 0
+        for seed in range(300):
+            ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+
+            def raw():
+                nonlocal words
+                words += 1
+                return rng.bit_generator.random_raw()
+
+            integers = _bounded_integers(raw)
+            for op in np.random.default_rng(seed + 10_000).integers(3, size=12):
+                if op == 0:
+                    draws += 1
+                    assert integers(bound) == ref.integers(bound)
+                elif op == 1:
+                    assert rng.random() == ref.random()
+                else:
+                    assert rng.standard_normal() == ref.standard_normal()
+        if bound == 1:
+            assert words == 0
+        if bound == 2**31 + 1:
+            # without rejections two draws share a word; numpy rejects about
+            # half of all halves at this bound, so the loop ran against it
+            assert words > 0.8 * draws
+
+    @pytest.mark.parametrize("logged, digests", [
+        (True, ("f83186390297676ad5d090c588e89ba18c8321475df40a81fbaaf46d32034742",
+                "d130bae2508e8ec7231883bfe288f49743b041cca70682d14ec38a706a533cd3",
+                "e0cdce561c33b0fd3296629ff7c5fa2b21b1e575095482f0edc45493afe7c29e",
+                "ef8e562c4b32be61ff366b06ed5d396fd551ae6569760068d2101e655e4e6167")),
+        (False, ("f83186390297676ad5d090c588e89ba18c8321475df40a81fbaaf46d32034742",
+                 "0c92bddb4e96f3ea9ec9f0f64a668255a6c15527ac09f6f119cafde60c7c4a39",
+                 "496a02ccdd99d1413743fea2a764ac492291390f072bbbcb3faaeddad45091a8",
+                 "406dc1d42ddc312923dda3dee2cf1160ede90efb1abfeb05bff4253ff79b07f2")),
+    ])
+    def test_a1_bytes_pinned(self, logged, digests):
+        # states, actions, u and e of 200 a1 episodes, as numpy's integers()
+        # and uniform() drew them; no BLAS call touches these bytes
+        arrays = episode_draws(make_env(A1_ENV, 0), 200, 0, logged)
+        assert [(a.dtype.str, a.shape) for a in arrays] == [
+            ("<f8", (200, 48)), ("<i8", (200, 20)), ("<f8", (200, 20)), ("<f8", (200, 20))]
+        assert tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays) == digests
