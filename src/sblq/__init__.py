@@ -45,7 +45,6 @@ from .learner import (
 from .policy import (
     GreedyPolicy,
     MetricsReport,
-    act,
     comparison_diagnostic,
     direct_value_estimate,
     evaluate,

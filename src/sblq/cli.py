@@ -21,11 +21,11 @@ import numpy as np
 
 from . import envs as envs_mod
 from .config import CONFIG_SCHEMA, METHODS, PRESET_NAMES, RunConfig, parse_config
-from .data import dataset_header_text, dataset_jsonl_text, load_dataset
+from .data import dataset_header_text, dataset_jsonl_text, load_dataset, split_size
 from .errors import ConfigError, DataError, NumericError
 from .experiments import build_world, method_cell
 from .interpret import contribution_proportions, topk_feature_rewards
-from .learner import default_config, load_model, model_json_text, train
+from .learner import default_config, lasso_holdout, load_model, model_json_text, train
 from .policy import evaluate, policy_value
 
 HEADER_NAME = "header.json"
@@ -208,6 +208,12 @@ def cmd_report(cfg: RunConfig, model_path: Path, dataset_dir: Path | None,
 
 
 def cmd_compare(cfg: RunConfig, out: Path) -> None:
+    n_train = split_size(cfg.n_trajectories, cfg.train_fraction)
+    if n_train - lasso_holdout(n_train) < 1:
+        raise ConfigError(
+            f"n_trajectories {cfg.n_trajectories} at train_fraction {cfg.train_fraction} "
+            f"leaves lasso {n_train} training trajectories, all held out to choose "
+            "its penalty")
     seeds = [cfg.seed + i for i in range(cfg.seeds)]
     worlds = {seed: build_world(cfg.env, seed, cfg.n_trajectories, cfg.train_fraction)
               for seed in seeds}

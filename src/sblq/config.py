@@ -195,6 +195,12 @@ def parse_config(path=None, overrides: dict | None = None) -> RunConfig:
         env = EnvSpec(**base_env)
     except ValueError as exc:
         raise ConfigError(f"invalid env configuration: {exc}") from exc
+    # the simulator's truth <x_t, theta*_t> is the mean outcome only when the
+    # uniform reward term u has mean zero
+    if env.reward_low + env.reward_high != 0.0:
+        raise ConfigError(
+            f"env.reward_low {env.reward_low!r} and env.reward_high {env.reward_high!r} "
+            "must be centred on zero (reward_low + reward_high == 0)")
     for seq_key in ("topk", "lasso_grid"):
         if seq_key in merged:
             merged[seq_key] = tuple(merged[seq_key])

@@ -124,29 +124,35 @@ def feature_matrix(states, actions, normalize: bool = True,
 
 def candidate_scores(states, action_table, theta, normalize: bool = True,
                      mask: np.ndarray | None = None) -> np.ndarray:
-    """Inner products <theta, feature_vector(state_i, action_j)> as an (n, A) array.
+    """Inner products <theta, feature_vector(state_i, action_j)>, actions on the
+    leading axis: (A, n) for one theta (d,), (k, A, n) for a stack (k, d).
 
-    Exploits the block structure of the concatenation so the (n, A, d) feature
-    tensor is never materialized.
+    Exploits the block structure of the concatenation so the (A, n, d) feature
+    tensor is never materialized, and builds the normalizer once for every
+    theta scored.  Each theta has its own pair of matrix-vector products, so a
+    score does not depend on what else is stacked with it.
     """
     s = np.asarray(states, dtype=float)
     a = np.asarray(action_table, dtype=float)
     theta = np.asarray(theta, dtype=float)
     d_s = s.shape[1]
-    if theta.shape != (d_s + a.shape[1],):
-        raise ValueError(f"theta has shape {theta.shape}, expected ({d_s + a.shape[1]},)")
+    d = d_s + a.shape[1]
+    if theta.ndim not in (1, 2) or theta.shape[-1] != d:
+        raise ValueError(f"theta has shape {theta.shape}, expected ({d},) or (k, {d})")
     if mask is not None:
         m = np.asarray(mask, dtype=float)
         s = s * m[None, :d_s]
         a = a * m[None, d_s:]
-    raw = s @ theta[:d_s]
-    raw = raw[:, None] + (a @ theta[d_s:])[None, :]
-    if not normalize:
-        return raw
-    sq = np.sum(s**2, axis=1)[:, None] + np.sum(a**2, axis=1)[None, :]
-    if np.any(sq == 0.0):
-        raise ValueError("cannot normalize an all-zero feature vector")
-    return raw / np.sqrt(sq)
+    thetas = theta.reshape(-1, d)
+    scores = np.empty((len(thetas), len(a), len(s)))
+    for out, th in zip(scores, thetas):
+        np.add((a @ th[d_s:])[:, None], (s @ th[:d_s])[None, :], out=out)
+    if normalize:
+        sq = np.sum(a**2, axis=1)[:, None] + np.sum(s**2, axis=1)[None, :]
+        if np.any(sq == 0.0):
+            raise ValueError("cannot normalize an all-zero feature vector")
+        scores /= np.sqrt(sq)
+    return scores if theta.ndim == 2 else scores[0]
 
 
 def stage_design(dataset: BatchDataset, t: int,
@@ -169,15 +175,21 @@ def empirical_covariance(rows: np.ndarray) -> np.ndarray:
     return rows.T @ rows / n
 
 
-def split(dataset: BatchDataset, train_fraction: float, seed: int):
-    """Deterministic shuffled partition into (train, test) datasets."""
+def split_size(n: int, train_fraction: float) -> int:
+    """Trajectories on the training side of a split of n; both sides nonempty."""
     if not 0.0 < train_fraction < 1.0:
         raise ConfigError("train_fraction must lie strictly between 0 and 1")
-    n = len(dataset)
     n_train = int(train_fraction * n)
     if n_train < 1 or n - n_train < 1:
         raise ConfigError(f"split of {n} trajectories at train_fraction {train_fraction} "
                           "leaves an empty side")
+    return n_train
+
+
+def split(dataset: BatchDataset, train_fraction: float, seed: int):
+    """Deterministic shuffled partition into (train, test) datasets."""
+    n = len(dataset)
+    n_train = split_size(n, train_fraction)
     perm = np.random.default_rng(seed).permutation(n)
     idx_train = np.sort(perm[:n_train])
     idx_test = np.sort(perm[n_train:])

@@ -234,7 +234,7 @@ def stage_step(env: SyntheticEnv, t: int, states: np.ndarray, actions: np.ndarra
         return np.asarray(env.reward_fn(t, states, actions), dtype=float), nxt
     term = feature_matrix(states, env.action_pool[actions]) @ env.theta_star[t - 1]
     if t < env.spec.horizon:
-        term -= candidate_scores(nxt, env.action_pool, env.theta_star[t]).max(axis=1)
+        term -= candidate_scores(nxt, env.action_pool, env.theta_star[t]).max(axis=0)
     return term, nxt
 
 

@@ -189,7 +189,9 @@ def stage_targets(dataset: BatchDataset, t: int, theta_next: np.ndarray,
     ctx = dataset.states[:, t, :]
     scores = candidate_scores(ctx, dataset.action_table, theta_next,
                               normalize=dataset.normalize, mask=mask)
-    return rewards + scores.max(axis=1), float(np.max(np.abs(scores)))
+    best = scores.max(axis=0)
+    # max |score| without the |.| temporary; abs only fixes the sign of a zero
+    return rewards + best, float(abs(max(best.max(), -scores.min())))
 
 
 def _moment(rows: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -370,6 +372,13 @@ def _fit_least_squares(t, rows, targets, phi):
     return system.estimate(filter_values(default_filter(CUTOFF), floor, s)), 0.0, 0, None
 
 
+def lasso_holdout(n: int) -> int:
+    """Trajectories of an n-trajectory training set that lasso holds out to
+    choose its penalty: a fifth, at least one.  The other n minus these fit
+    the path, so lasso needs n - lasso_holdout(n) >= 1."""
+    return max(1, int(LASSO_VAL_FRACTION * n))
+
+
 def _lasso_fitter(n: int, lasso_grid, seed: int):
     """Lasso with the penalty chosen per stage on held-out trajectories.
 
@@ -382,7 +391,7 @@ def _lasso_fitter(n: int, lasso_grid, seed: int):
     if not grid:
         raise ValueError("lasso requires a nonempty penalty grid")
     perm = np.random.default_rng(seed).permutation(n)
-    n_val = max(1, int(LASSO_VAL_FRACTION * n))
+    n_val = lasso_holdout(n)
     if n - n_val < 1:
         raise DataError(f"lasso's validation split of {n} trajectories leaves no "
                         "training rows")

@@ -53,12 +53,7 @@ def greedy_actions(policy: GreedyPolicy, t: int, states: np.ndarray) -> np.ndarr
         raise ValueError(f"stage {t} outside 1..{policy.model.horizon}")
     scores = candidate_scores(states, policy.action_table, policy.model.theta(t),
                               normalize=True, mask=policy.model.feature_mask)
-    return np.argmax(scores, axis=1)
-
-
-def act(policy: GreedyPolicy, t: int, state: np.ndarray) -> int:
-    """Greedy action index for one ``state`` at stage t."""
-    return int(greedy_actions(policy, t, np.asarray(state, dtype=float)[None, :])[0])
+    return np.argmax(scores, axis=0)
 
 
 def parameter_gap(estimated, truth) -> float:
@@ -84,17 +79,26 @@ def _truth_rows(theta_star, horizon: int, feature_dim: int) -> np.ndarray:
 
 def policy_gap(model: ModelBundle, theta_star, dataset: BatchDataset) -> float:
     """RMS discrepancy between outcomes predicted under the estimated and
-    the true next-stage parameters, averaged over stages."""
+    the true next-stage parameters, averaged over stages.
+
+    Each stage scores its contexts once, with the stack of both parameter
+    vectors.  A feature-masked estimate is normalized on its masked features
+    and the truth on all of them, so such a stage scores the two apart."""
     truth = _truth_rows(theta_star, model.horizon, model.feature_dim)
     horizon = model.horizon
     stage_mse = np.zeros(horizon)
     for t in range(1, horizon):
         ctx = dataset.states[:, t, :]
-        est_best = candidate_scores(ctx, dataset.action_table, model.theta(t + 1),
-                                    normalize=dataset.normalize,
-                                    mask=model.feature_mask).max(axis=1)
-        true_best = candidate_scores(ctx, dataset.action_table, truth[t],
-                                     normalize=dataset.normalize).max(axis=1)
+        if model.feature_mask is None:
+            est_best, true_best = candidate_scores(
+                ctx, dataset.action_table, np.stack([model.theta(t + 1), truth[t]]),
+                normalize=dataset.normalize).max(axis=1)
+        else:
+            est_best = candidate_scores(ctx, dataset.action_table, model.theta(t + 1),
+                                        normalize=dataset.normalize,
+                                        mask=model.feature_mask).max(axis=0)
+            true_best = candidate_scores(ctx, dataset.action_table, truth[t],
+                                         normalize=dataset.normalize).max(axis=0)
         stage_mse[t - 1] = np.mean((est_best - true_best) ** 2)
     # stage T: both continuation parameters are zero, so the gap vanishes
     return float(np.sqrt(np.mean(stage_mse)))
@@ -119,7 +123,7 @@ def direct_value_estimate(model: ModelBundle, dataset: BatchDataset) -> float:
     ctx = dataset.states[:, 0, :]
     scores = candidate_scores(ctx, dataset.action_table, model.theta(1),
                               normalize=dataset.normalize, mask=model.feature_mask)
-    return float(np.mean(scores.max(axis=1)))
+    return float(np.mean(scores.max(axis=0)))
 
 
 def policy_value(model: ModelBundle, dataset: BatchDataset, env: SyntheticEnv | None = None,

@@ -18,6 +18,25 @@ def make_dataset(n=6, horizon=3, d_s=4, d_a=3, n_actions=5, seed=0,
                         reward_bound=reward_bound, normalize=normalize)
 
 
+def reference_scores(states, action_table, theta, normalize=True, mask=None):
+    """The (n, A) candidate scores of one theta by the formula the (A, n)
+    layout replaced: state part plus action part, over sqrt(|s_i|^2 + |a_j|^2)."""
+    s = np.asarray(states, dtype=float)
+    a = np.asarray(action_table, dtype=float)
+    d_s = s.shape[1]
+    if mask is not None:
+        m = np.asarray(mask, dtype=float)
+        s = s * m[None, :d_s]
+        a = a * m[None, d_s:]
+    raw = (s @ theta[:d_s])[:, None] + (a @ theta[d_s:])[None, :]
+    if not normalize:
+        return raw
+    sq = np.sum(s**2, axis=1)[:, None] + np.sum(a**2, axis=1)[None, :]
+    if np.any(sq == 0.0):
+        raise ValueError("cannot normalize an all-zero feature vector")
+    return raw / np.sqrt(sq)
+
+
 def per_record_jsonl(dataset):
     """Reference trajectories writer: one ``json.dumps`` of each record."""
     return "".join(json.dumps({"states": dataset.states[i].tolist(),

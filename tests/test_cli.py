@@ -361,6 +361,25 @@ class TestCommands:
             assert json.loads((out / "env.json").read_text()) == {
                 "version": 1, "seed": seed, "spec": asdict(spec)}
 
+    def test_non_centred_reward_range_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "range.json"
+        path.write_text(json.dumps({"env": {"reward_low": 0.0, "reward_high": 1.0}}))
+        out = tmp_path / "o"
+        assert main(["gen", "--preset", "a1-performance", "--n", "5", "--config", str(path),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration" in err and "reward_low" in err and "reward_high" in err
+        assert not out.exists()
+
+    def test_centred_reward_range_accepted(self, tmp_path):
+        path = tmp_path / "range.json"
+        path.write_text(json.dumps({"env": {"reward_low": -1.0, "reward_high": 1.0}}))
+        out = tmp_path / "o"
+        assert main(["gen", "--preset", "a1-performance", "--n", "5", "--config", str(path),
+                     "--out", str(out)]) == 0
+        env = json.loads((out / "env.json").read_text())["spec"]
+        assert (env["reward_low"], env["reward_high"]) == (-1.0, 1.0)
+
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"nonsense": 1}))
@@ -549,6 +568,17 @@ class TestCommands:
                      "--seeds", "1", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "configuration" in err and "empty side" in err
+        assert not out.exists()
+
+    def test_compare_lasso_holdout_leaving_no_training_rows_exits_two(self, tmp_path, capsys):
+        # 2 trajectories at train_fraction 0.5 leave lasso one training
+        # trajectory, and it holds that one out to choose its penalty
+        out = tmp_path / "o"
+        assert main(["compare", "--preset", "a2-interpretability", "--n", "2",
+                     "--seeds", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration" in err
+        assert "n_trajectories 2" in err and "train_fraction 0.5" in err
         assert not out.exists()
 
     def test_lasso_on_one_trajectory_exits_three_naming_dataset(self, tmp_path, capsys):

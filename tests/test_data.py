@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from sblq import data as data_mod
 from sblq.data import (
     BatchDataset,
+    candidate_scores,
     dataset_jsonl_text,
     empirical_covariance,
     feature_vector,
@@ -21,7 +22,7 @@ from sblq.data import (
 )
 from sblq.errors import DataError
 
-from conftest import make_dataset, per_record_jsonl
+from conftest import make_dataset, per_record_jsonl, reference_scores
 
 
 class TestFeatureVector:
@@ -40,6 +41,69 @@ class TestFeatureVector:
     def test_unnormalized(self):
         out = feature_vector([3.0], [4.0], normalize=False)
         np.testing.assert_allclose(out, [3.0, 4.0])
+
+
+@st.composite
+def scoring_cases(draw):
+    """States (a strided view, as callers pass), a table, one theta or a
+    stack, a 0/1 mask or none, and the normalize flag.  Coarse values make
+    ties and all-zero rows common."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, n_actions = draw(st.integers(1, 7)), draw(st.integers(1, 6))
+    d_s, d_a = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    d = d_s + d_a
+    k = draw(st.sampled_from([None, 1, 2, 3]))
+    if draw(st.booleans()):
+        def values(*shape):
+            return rng.choice([-1.0, 0.0, 0.0, 0.5, 1.0], size=shape)
+    else:
+        def values(*shape):
+            return rng.standard_normal(shape)
+    states = values(n, 2, d_s)[:, 1, :]
+    table = values(n_actions, d_a)
+    theta = values(d) if k is None else values(k, d)
+    mask = rng.integers(0, 2, size=d).astype(float) if draw(st.booleans()) else None
+    return states, table, theta, mask, draw(st.booleans())
+
+
+class TestCandidateScores:
+    @settings(max_examples=300, deadline=None)
+    @given(case=scoring_cases())
+    def test_matches_per_context_formula_bit_for_bit(self, case):
+        states, table, theta, mask, normalize = case
+        n, n_actions = len(states), len(table)
+        thetas = theta.reshape(-1, theta.shape[-1])
+        try:
+            refs = [reference_scores(states, table, th, normalize, mask) for th in thetas]
+        except ValueError:
+            with pytest.raises(ValueError, match="all-zero"):
+                candidate_scores(states, table, theta, normalize=normalize, mask=mask)
+            return
+        got = candidate_scores(states, table, theta, normalize=normalize, mask=mask)
+        assert got.shape == theta.shape[:-1] + (n_actions, n)
+        for scores, ref in zip(got.reshape(-1, n_actions, n), refs):
+            assert scores.tobytes() == np.ascontiguousarray(ref.T).tobytes()
+            assert np.array_equal(scores.max(axis=0), ref.max(axis=1))
+            greedy = scores.argmax(axis=0)
+            assert np.array_equal(greedy, ref.argmax(axis=1))
+            # ties go to the lowest action index
+            first_best = [np.flatnonzero(col == col.max())[0] for col in scores.T]
+            assert np.array_equal(greedy, first_best)
+
+    def test_all_zero_masked_row_raises(self):
+        states = np.array([[1.0, 2.0], [0.5, 0.0]])
+        table = np.array([[1.0], [0.0]])
+        mask = np.array([0.0, 0.0, 1.0])
+        theta = np.ones((2, 3))
+        with pytest.raises(ValueError, match="all-zero"):
+            candidate_scores(states, table, theta, mask=mask)
+        raw = candidate_scores(states, table, theta, normalize=False, mask=mask)
+        np.testing.assert_array_equal(raw, [[[1.0, 1.0], [0.0, 0.0]]] * 2)
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 4), (1, 2, 3), ()])
+    def test_rejects_theta_of_wrong_shape(self, shape):
+        with pytest.raises(ValueError, match="theta has shape"):
+            candidate_scores(np.ones((2, 2)), np.ones((3, 1)), np.ones(shape))
 
 
 def one_stage(states, actions, rewards, table):

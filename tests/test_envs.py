@@ -119,6 +119,32 @@ class TestGenerateTrajectories:
                 np.testing.assert_array_equal(
                     ds.states[i, t + 1, :2], ds.states[i, t, :2])
 
+    @staticmethod
+    def outcome_residuals(spec, seed):
+        """y - <x_t, theta*_t> over every logged stage, with the outcome
+        y = r + max_a' <theta*_{t+1}, x_{t+1}(a')> rebuilt from the dataset."""
+        ds, truth = generate_trajectories(make_env(spec, seed), 2000, seed=seed)
+        resid = []
+        for t in range(1, ds.horizon + 1):
+            y = ds.rewards[:, t - 1].copy()
+            if t < ds.horizon:
+                y += candidate_scores(ds.states[:, t, :], ds.action_table,
+                                      truth.theta_star[t]).max(axis=0)
+            resid.append(y - stage_design(ds, t) @ truth.theta_star[t - 1])
+        return np.concatenate(resid)
+
+    def test_outcome_law_at_centred_range(self):
+        # E[y | x_t] = <x_t, theta*_t> at a centred range other than the default
+        spec = EnvSpec(n_users=6, n_actions=5, d_video=2, d_user=2, d_action=2,
+                       horizon=4, noise_sd=0.3, reward_low=-1.0, reward_high=1.0)
+        resid = self.outcome_residuals(spec, seed=11)
+        se = resid.std(ddof=1) / np.sqrt(len(resid))
+        assert abs(resid.mean()) < 4 * se
+        # an uncentred range shifts every outcome by its midpoint
+        shifted = self.outcome_residuals(
+            dataclasses.replace(spec, reward_low=0.0, reward_high=2.0), seed=11)
+        assert abs(shifted.mean() - 1.0) < 4 * se
+
 
 class TestObserveTarget:
     def test_final_stage_zero_noise_is_uniform_draw(self):
@@ -192,7 +218,7 @@ def scalar_episodes(env, n, seed, choose=None):
                 next_best = 0.0
                 if t < spec.horizon:
                     next_best = float(candidate_scores(nxt[None, :], env.action_pool,
-                                                       env.theta_star[t]).max())
+                                                       env.theta_star[t])[:, 0].max())
                 reward = float(x @ env.theta_star[t - 1]) - next_best + u + eps
             states[i, t - 1], actions[i, t - 1], rewards[i, t - 1] = state, action, reward
             state = nxt
@@ -200,9 +226,10 @@ def scalar_episodes(env, n, seed, choose=None):
 
 
 def scalar_greedy(theta_rows, action_table):
-    """Reference greedy rule for one state: argmax of its single-row scores."""
+    """Reference greedy rule for one state: argmax of its one column of
+    (A, 1) scores."""
     return lambda t, state: int(np.argmax(
-        candidate_scores(state[None, :], action_table, theta_rows[t - 1])[0]))
+        candidate_scores(state[None, :], action_table, theta_rows[t - 1])[:, 0]))
 
 
 small_specs = st.builds(

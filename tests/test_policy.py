@@ -8,16 +8,16 @@ from sblq.envs import EnvSpec, SyntheticEnv, generate_trajectories, make_env
 from sblq.learner import AdaptiveConfig, ModelBundle, StageModel, default_config, train
 from sblq.policy import (
     GreedyPolicy,
-    act,
     comparison_diagnostic,
     direct_value_estimate,
     evaluate,
+    greedy_actions,
     parameter_gap,
     policy_gap,
     rollout_reward,
 )
 
-from conftest import make_dataset
+from conftest import make_dataset, reference_scores
 
 
 def bundle_from_thetas(thetas, filter_kind="cutoff"):
@@ -30,26 +30,35 @@ def bundle_from_thetas(thetas, filter_kind="cutoff"):
                        filter_kind=filter_kind, stages=stages)
 
 
+def one_row_action(policy, t, state):
+    """The greedy action of a one-row batch, checked to hold one action."""
+    actions = greedy_actions(policy, t, np.asarray(state, dtype=float)[None, :])
+    assert actions.shape == (1,)
+    return int(actions[0])
+
+
 class TestAct:
+    """The greedy action rule, through ``greedy_actions`` on one-row batches."""
+
     def test_zero_theta_breaks_ties_low(self):
         table = np.eye(2)
         model = bundle_from_thetas(np.zeros((1, 4)))
         policy = GreedyPolicy(model, table)
-        assert act(policy, 1, np.array([1.0, 0.0])) == 0
+        assert one_row_action(policy, 1, np.array([1.0, 0.0])) == 0
 
     def test_picks_higher_score(self):
         table = np.array([[1.0, 0.0], [0.0, 1.0]])
         theta = np.array([0.0, 0.0, 0.3, 0.7])
         # same concatenation norm for both actions, so scores are 0.3 vs 0.7
         policy = GreedyPolicy(bundle_from_thetas(theta[None, :] * np.sqrt(2)), table)
-        assert act(policy, 1, np.array([1.0, 0.0])) == 1
+        assert one_row_action(policy, 1, np.array([1.0, 0.0])) == 1
 
     def test_matches_exhaustive_argmax(self, rng):
         table = rng.standard_normal((30, 3))
         theta = rng.standard_normal(5)
         state = rng.standard_normal(2)
         policy = GreedyPolicy(bundle_from_thetas(theta[None, :]), table)
-        got = act(policy, 1, state)
+        got = one_row_action(policy, 1, state)
         scores = [float(feature_vector(state, a) @ theta) for a in table]
         assert got == int(np.argmax(scores))
 
@@ -62,7 +71,7 @@ class TestAct:
         state = r.standard_normal(2)
         p1 = GreedyPolicy(bundle_from_thetas(theta[None, :]), table)
         p2 = GreedyPolicy(bundle_from_thetas(scale * theta[None, :]), table)
-        assert act(p1, 1, state) == act(p2, 1, state)
+        assert one_row_action(p1, 1, state) == one_row_action(p2, 1, state)
 
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError):
@@ -148,6 +157,45 @@ class TestPolicyGap:
             mse.append(np.mean(errs))
         want = float(np.sqrt(np.mean(mse)))
         assert policy_gap(model, truth, ds) == pytest.approx(want, abs=1e-12)
+
+    @staticmethod
+    def per_theta_gap(model, truth, ds, est_mask=None, truth_mask=None):
+        """The policy gap with each parameter vector scored on its own by the
+        reference formula."""
+        mse = []
+        for t in range(1, model.horizon):
+            ctx = ds.states[:, t, :]
+            est = reference_scores(ctx, ds.action_table, model.theta(t + 1), ds.normalize,
+                                   est_mask)
+            tru = reference_scores(ctx, ds.action_table, truth[t], ds.normalize, truth_mask)
+            mse.append(np.mean((est.max(axis=1) - tru.max(axis=1)) ** 2))
+        return float(np.sqrt(np.mean(mse + [0.0])))
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_unmasked_matches_per_theta_scoring(self, normalize):
+        ds = make_dataset(n=9, horizon=4, seed=7, normalize=normalize)
+        rng = np.random.default_rng(8)
+        truth = rng.standard_normal((5, ds.feature_dim))
+        truth[-1] = 0.0
+        model = bundle_from_thetas(truth[:-1] + 0.2 * rng.standard_normal((4, ds.feature_dim)))
+        assert policy_gap(model, truth, ds) == self.per_theta_gap(model, truth, ds)
+
+    def test_masked_model_normalizes_truth_on_all_features(self):
+        # the estimate is scored on its masked features, the truth on all of
+        # them: one normalizer shared by both would give another number
+        ds = make_dataset(n=9, horizon=4, seed=5)
+        rng = np.random.default_rng(6)
+        truth = rng.standard_normal((5, ds.feature_dim))
+        truth[-1] = 0.0
+        mask = np.ones(ds.feature_dim)
+        mask[[1, 5]] = 0.0
+        base = bundle_from_thetas(truth[:-1] + 0.2 * rng.standard_normal((4, ds.feature_dim)))
+        model = ModelBundle(horizon=base.horizon, feature_dim=base.feature_dim,
+                            filter_kind=base.filter_kind, stages=base.stages,
+                            feature_mask=mask)
+        got = policy_gap(model, truth, ds)
+        assert got == self.per_theta_gap(model, truth, ds, est_mask=mask)
+        assert got != self.per_theta_gap(model, truth, ds, est_mask=mask, truth_mask=mask)
 
 
 class TestRolloutReward:
