@@ -5,7 +5,6 @@ from .data import (
     empirical_covariance,
     feature_vector,
     load_dataset,
-    save_dataset,
     split,
     stage_design,
 )
@@ -19,7 +18,6 @@ from .envs import (
     load_env,
     load_ground_truth,
     make_env,
-    observe_target,
     sample_theta_star,
 )
 from .interpret import ContributionReport, clipped_weights, contribution_proportions, topk_feature_rewards
@@ -59,9 +57,7 @@ from .spectral import (
     decompose,
     default_filter,
     empirical_effective_dimension,
-    filter_value,
     filter_values,
-    gradient_descent_steps,
     spectral_system,
     weighted_half_norm,
 )

@@ -29,7 +29,7 @@ CONFIG_SCHEMA = {
     "additionalProperties": False,
     "properties": {
         "preset": {"enum": list(PRESET_NAMES)},
-        "seed": {"type": "integer"},
+        "seed": {"type": "integer", "minimum": 0},
         "n_trajectories": {"type": "integer", "minimum": 1},
         "train_fraction": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
         "method": {"enum": list(METHODS)},
@@ -183,6 +183,7 @@ def parse_config(path=None, overrides: dict | None = None) -> RunConfig:
                 merged["seed"] = int(raw)
             except ValueError:
                 raise ConfigError(f"SBLQ_SEED must be an integer, got {raw!r}") from None
+            _check(merged["seed"], CONFIG_SCHEMA["properties"]["seed"], "", "SBLQ_SEED")
 
     try:
         AdaptiveConfig(**merged.get("adaptive", {}))

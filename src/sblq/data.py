@@ -273,11 +273,6 @@ def dataset_jsonl_text(dataset: BatchDataset) -> str:
     return "".join(parts)
 
 
-def save_dataset(dataset: BatchDataset, header_path, trajectories_path) -> None:
-    Path(header_path).write_text(dataset_header_text(dataset))
-    Path(trajectories_path).write_text(dataset_jsonl_text(dataset))
-
-
 _HEADER_FIELDS = {
     "version": int,
     "horizon": int,

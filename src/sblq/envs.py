@@ -15,15 +15,14 @@ with u_t uniform on [reward_low, reward_high] and e_t Gaussian noise with
 standard deviation noise_sd, truncated at 8 standard deviations so a finite
 reward bound can be declared.  Under this law the constructed stage-t outcome
 has conditional mean <x_t, theta*_t>, so consistent estimators recover the
-true parameters.  ``observe_target`` separately exposes the plain one-step
-observation r + <x, theta*_{t+1}> + e used in distributional diagnostics.
+true parameters.
 
 All sampling uses numpy's default_rng (PCG64) on per-episode streams spawned
-from a SeedSequence.  No draw depends on a state, so each episode's draws are
-taken first and the simulator then steps all episodes together.  Episode
-integers and u are read from raw PCG64 words by numpy's own rules (Lemire's
-bounded integers on 32-bit halves, and next_double), so the generated bytes
-are those of ``Generator.integers`` and ``Generator.uniform``.
+from a SeedSequence.  No draw depends on a state, so the draws of all episodes
+are taken first, together, by ``sblq.streams.EpisodeStreams``, and the
+simulator then steps all episodes together.  The generated bytes are those of
+``integers``, ``uniform`` and ``standard_normal`` on each episode's own
+Generator.
 """
 from __future__ import annotations
 
@@ -35,6 +34,7 @@ import numpy as np
 
 from .data import (BatchDataset, candidate_scores, feature_matrix, file_values,
                    read_json_fields)
+from .streams import EpisodeStreams
 
 TIME_VARYING = "time-varying"
 STATIC = "static"
@@ -156,73 +156,35 @@ def load_ground_truth(path) -> GroundTruth:
         return GroundTruth(theta_star=np.asarray(payload["theta_star"], dtype=float))
 
 
-def _bounded_integers(random_raw):
-    """``draw(bound)``, equal to ``Generator.integers(bound)`` for 1 <= bound
-    <= 2**32 on the bit generator whose ``random_raw`` is given, while nothing
-    else takes 32-bit draws from it.  It reproduces two numpy rules: PCG64's
-    ``next_uint32`` (the low half of a fresh 64-bit word, then that word's
-    buffered high half) and ``buffered_bounded_lemire_uint32`` (Lemire's
-    multiply-and-reject: x * bound >> 32, drawing again while the low 32 bits
-    of x * bound fall below 2**32 % bound)."""
-    spare = -1  # the buffered high half, or -1 if none
-
-    def draw(bound):
-        nonlocal spare
-        if bound == 1:
-            return 0
-        threshold = 2**32 % bound
-        while True:
-            if spare < 0:
-                word = random_raw()
-                x, spare = word & 0xFFFFFFFF, word >> 32
-            else:
-                x, spare = spare, -1
-            m = x * bound
-            if m & 0xFFFFFFFF >= threshold:
-                return m >> 32
-
-    return draw
-
-
 def episode_draws(env: SyntheticEnv, n: int, seed: int, logged: bool):
     """Each episode's draws from its own child of SeedSequence(seed): user,
     video, then per stage the logging action (if ``logged``), u (if no
     ``reward_fn``) and e (if also noise_sd > 0).  Returns initial states
     (n, d_s) and (n, T) actions, u and clipped e; undrawn entries are 0.
 
-    Integers and u are read from raw PCG64 words by numpy's own rules, so
-    they equal ``integers`` and ``uniform`` on the same stream bit for bit."""
+    The draws of all episodes are taken together by ``EpisodeStreams``, equal
+    to ``integers``, ``uniform`` and ``standard_normal`` on each episode's
+    own Generator bit for bit."""
     spec = env.spec
     draw_u = env.reward_fn is None
     noisy = draw_u and spec.noise_sd > 0
-    users, videos, acts, words, z = [], [], [], [], []
-    for stream in np.random.SeedSequence(seed).spawn(n):
-        rng = np.random.default_rng(stream)
-        raw, normal = rng.bit_generator.random_raw, rng.standard_normal
-        integers = _bounded_integers(raw)
-        users.append(integers(spec.n_users))
-        videos.append(integers(spec.n_actions))
-        for _ in range(spec.horizon):
-            if logged:
-                acts.append(integers(spec.n_actions))
-            if draw_u:
-                words.append(raw())
-                if noisy:
-                    z.append(normal())
-
-    def stages(values, dtype):  # (n, T) of the drawn values; zeros if none were drawn
-        if not values:
-            return np.zeros((n, spec.horizon), dtype=dtype)
-        return np.array(values, dtype=dtype).reshape(n, spec.horizon)
-
-    u = np.zeros((n, spec.horizon))
-    if draw_u:  # numpy's next_double inside uniform(low, high) = low + width * random()
-        low, width = spec.reward_low, spec.reward_high - spec.reward_low
-        u = low + width * ((stages(words, np.uint64) >> 11) * 2.0**-53)
+    streams = EpisodeStreams(seed, n)
+    users = streams.integers(spec.n_users)
+    videos = streams.integers(spec.n_actions)
+    acts = np.zeros((n, spec.horizon), dtype=np.int64)
+    u, z = np.zeros((n, spec.horizon)), np.zeros((n, spec.horizon))
+    for t in range(spec.horizon):
+        if logged:
+            acts[:, t] = streams.integers(spec.n_actions)
+        if draw_u:
+            u[:, t] = streams.doubles()
+            if noisy:
+                z[:, t] = streams.normals()
+    if draw_u:  # numpy's uniform(low, high) = low + width * random()
+        u = spec.reward_low + (spec.reward_high - spec.reward_low) * u
     states = np.hstack([env.user_pool[users], env.video_pool[videos]])
     clip = NOISE_CLIP_SDS * spec.noise_sd
-    return (states, stages(acts, np.int64), u,
-            np.clip(spec.noise_sd * stages(z, float), -clip, clip))
+    return states, acts, u, np.clip(spec.noise_sd * z, -clip, clip)
 
 
 def stage_step(env: SyntheticEnv, t: int, states: np.ndarray, actions: np.ndarray):
@@ -265,18 +227,6 @@ def generate_trajectories(env: SyntheticEnv, n: int, seed: int = 0):
     dataset = BatchDataset(states=states, actions=actions, rewards=rewards,
                            action_table=env.action_pool, reward_bound=bound)
     return dataset, GroundTruth(theta_star=env.theta_star.copy())
-
-
-def observe_target(env: SyntheticEnv, x: np.ndarray, t: int,
-                   rng: np.random.Generator) -> float:
-    """One draw of the plain observation r + <x, theta*_{t+1}> + noise."""
-    spec = env.spec
-    if not 1 <= t <= spec.horizon:
-        raise ValueError(f"stage {t} outside 1..{spec.horizon}")
-    x = np.asarray(x, dtype=float)
-    r = rng.uniform(spec.reward_low, spec.reward_high)
-    eps = spec.noise_sd * rng.standard_normal() if spec.noise_sd > 0 else 0.0
-    return float(r + x @ env.theta_star[t] + eps)
 
 
 def env_json_text(env: SyntheticEnv) -> str:

@@ -20,8 +20,12 @@ from .spectral import decompose, weighted_half_norm
 
 @dataclass(frozen=True)
 class GreedyPolicy:
+    """The greedy rule of ``model`` over ``action_table``, scored on the
+    feature map the model was fit on: unit-normalized rows if ``normalize``."""
+
     model: ModelBundle
     action_table: np.ndarray
+    normalize: bool = True
 
     def __post_init__(self):
         self.action_table.setflags(write=False)
@@ -52,7 +56,7 @@ def greedy_actions(policy: GreedyPolicy, t: int, states: np.ndarray) -> np.ndarr
     if not 1 <= t <= policy.model.horizon:
         raise ValueError(f"stage {t} outside 1..{policy.model.horizon}")
     scores = candidate_scores(states, policy.action_table, policy.model.theta(t),
-                              normalize=True, mask=policy.model.feature_mask)
+                              normalize=policy.normalize, mask=policy.model.feature_mask)
     return np.argmax(scores, axis=0)
 
 
@@ -132,7 +136,8 @@ def policy_value(model: ModelBundle, dataset: BatchDataset, env: SyntheticEnv | 
     is given, else the direct value estimate."""
     if env is None:
         return direct_value_estimate(model, dataset)
-    return rollout_reward(GreedyPolicy(model, dataset.action_table), env, n_episodes, seed)
+    policy = GreedyPolicy(model, dataset.action_table, normalize=dataset.normalize)
+    return rollout_reward(policy, env, n_episodes, seed)
 
 
 def comparison_diagnostic(model: ModelBundle, theta_star,

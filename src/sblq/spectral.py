@@ -44,10 +44,6 @@ class SpectralDecomposition:
     eigenvectors: np.ndarray
     dim: int
 
-    def reconstruct(self) -> np.ndarray:
-        u = self.eigenvectors
-        return (u * self.eigenvalues) @ u.T
-
 
 @dataclass(frozen=True)
 class FilterSpec:
@@ -125,13 +121,6 @@ def decompose(matrix: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues, eigenvectors, a.shape[0])
 
 
-def gradient_descent_steps(lam: float) -> int:
-    """Iteration count p paired with a regularization level lambda."""
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    return max(1, math.ceil(1.0 / lam))
-
-
 def filter_values(spec: FilterSpec, lam: float | np.ndarray, sigmas: np.ndarray) -> np.ndarray:
     """Evaluate g_lambda on an array of nonnegative eigenvalues.
 
@@ -155,18 +144,13 @@ def filter_values(spec: FilterSpec, lam: float | np.ndarray, sigmas: np.ndarray)
         if np.any(s > 1.0 + 1e-9):
             raise ValueError("gradient-descent filter requires eigenvalues <= 1")
         s = np.minimum(s, 1.0)  # absorb round-off from unit-norm features
-        p = np.maximum(1.0, np.ceil(1.0 / lam))  # gradient_descent_steps per level
+        p = np.maximum(1.0, np.ceil(1.0 / lam))  # iteration count per level
         inner = (s > 0) & (s < 1)
         si = np.where(inner, s, 0.5)
         # (1 - (1-sigma)^p) / sigma via expm1/log1p to avoid cancellation.
         closed = -np.expm1(p * np.log1p(-si)) / si
         return np.where(inner, closed, np.where(s >= 1.0, 1.0, p))
     raise ValueError(f"unknown filter kind {spec.kind!r}")
-
-
-def filter_value(spec: FilterSpec, lam: float, sigma: float) -> float:
-    """Scalar g_lambda(sigma)."""
-    return float(filter_values(spec, lam, np.array([sigma]))[0])
 
 
 @dataclass(frozen=True)

@@ -118,6 +118,7 @@ class TestSchemaRejections:
         pytest.param({"preset": "a3"}, "preset", id="preset-enum"),
         pytest.param({"method": "ridge"}, "method", id="method-enum"),
         pytest.param({"n_episodes": 0}, "n_episodes", id="minimum"),
+        pytest.param({"seed": -1}, "seed", id="seed-minimum"),
         pytest.param({"train_fraction": 0}, "train_fraction", id="exclusive-minimum"),
         pytest.param({"train_fraction": 1.0}, "train_fraction", id="exclusive-maximum"),
         pytest.param({"lasso_grid": []}, "lasso_grid", id="min-items"),
@@ -144,6 +145,22 @@ class TestSchemaRejections:
         assert main(["gen", "--config", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "configuration" in err and field in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,env_seed,field", [
+        pytest.param(["gen", "--seed", "-1"], None, "'seed'", id="gen-flag"),
+        pytest.param(["gen"], "-3", "SBLQ_SEED", id="gen-env-var"),
+        pytest.param(["compare", "--preset", "a2-interpretability", "--n", "4",
+                      "--seeds", "1", "--seed", "-2"], None, "'seed'", id="compare-flag"),
+    ])
+    def test_negative_seed_exits_two_naming_field(self, tmp_path, capsys, monkeypatch,
+                                                   argv, env_seed, field):
+        if env_seed is not None:
+            monkeypatch.setenv("SBLQ_SEED", env_seed)
+        out = tmp_path / "o"
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration" in err and field in err and "at least 0" in err
         assert not out.exists()
 
 

@@ -12,17 +12,23 @@ from sblq import data as data_mod
 from sblq.data import (
     BatchDataset,
     candidate_scores,
+    dataset_header_text,
     dataset_jsonl_text,
     empirical_covariance,
     feature_vector,
     load_dataset,
-    save_dataset,
     split,
     stage_design,
 )
 from sblq.errors import DataError
 
 from conftest import make_dataset, per_record_jsonl, reference_scores
+
+
+def write_dataset(dataset, header_path, trajectories_path):
+    """Write the header and trajectories files as ``sblq gen`` does."""
+    Path(header_path).write_text(dataset_header_text(dataset))
+    Path(trajectories_path).write_text(dataset_jsonl_text(dataset))
 
 
 class TestFeatureVector:
@@ -179,13 +185,13 @@ class TestEmpiricalCovariance:
 class TestSaveLoad:
     def test_minimal_pair(self, tmp_path):
         ds = make_dataset(n=1, horizon=1)
-        save_dataset(ds, tmp_path / "h.json", tmp_path / "t.jsonl")
+        write_dataset(ds, tmp_path / "h.json", tmp_path / "t.jsonl")
         back = load_dataset(tmp_path / "h.json", tmp_path / "t.jsonl")
         assert len(back) == 1 and back.horizon == 1
 
     def test_round_trip_identity(self, tmp_path):
         ds = make_dataset(n=5, horizon=3, seed=11)
-        save_dataset(ds, tmp_path / "h.json", tmp_path / "t.jsonl")
+        write_dataset(ds, tmp_path / "h.json", tmp_path / "t.jsonl")
         back = load_dataset(tmp_path / "h.json", tmp_path / "t.jsonl")
         np.testing.assert_array_equal(back.states, ds.states)
         np.testing.assert_array_equal(back.actions, ds.actions)
@@ -196,7 +202,7 @@ class TestSaveLoad:
 
     def test_wrong_reward_length_names_line(self, tmp_path):
         ds = make_dataset(n=2, horizon=2)
-        save_dataset(ds, tmp_path / "h.json", tmp_path / "t.jsonl")
+        write_dataset(ds, tmp_path / "h.json", tmp_path / "t.jsonl")
         lines = (tmp_path / "t.jsonl").read_text().splitlines()
         rec = json.loads(lines[1])
         rec["rewards"] = rec["rewards"][:-1]
@@ -223,14 +229,14 @@ class TestSaveLoad:
                      id="action-outside-table"),
     ])
     def test_malformed_line_is_data_error_naming_line(self, tmp_path, line):
-        save_dataset(make_dataset(n=2, horizon=1), tmp_path / "h.json", tmp_path / "t.jsonl")
+        write_dataset(make_dataset(n=2, horizon=1), tmp_path / "h.json", tmp_path / "t.jsonl")
         lines = (tmp_path / "t.jsonl").read_text().splitlines()
         (tmp_path / "t.jsonl").write_text(f"{lines[0]}\n{line}\n")
         with pytest.raises(DataError, match=":2: "):
             load_dataset(tmp_path / "h.json", tmp_path / "t.jsonl")
 
     def test_value_error_names_first_bad_line_counting_blank_lines(self, tmp_path):
-        save_dataset(make_dataset(n=5, horizon=1), tmp_path / "h.json", tmp_path / "t.jsonl")
+        write_dataset(make_dataset(n=5, horizon=1), tmp_path / "h.json", tmp_path / "t.jsonl")
         lines = (tmp_path / "t.jsonl").read_text().splitlines()
         bad_reward, bad_action = (json.loads(line) for line in lines[2:4])
         bad_reward["rewards"] = [99.0]
@@ -242,7 +248,7 @@ class TestSaveLoad:
             load_dataset(tmp_path / "h.json", tmp_path / "t.jsonl")
 
     def test_nonfinite_action_table_names_header(self, tmp_path):
-        save_dataset(make_dataset(n=1), tmp_path / "h.json", tmp_path / "t.jsonl")
+        write_dataset(make_dataset(n=1), tmp_path / "h.json", tmp_path / "t.jsonl")
         header = json.loads((tmp_path / "h.json").read_text())
         header["action_table"][0][0] = float("inf")
         (tmp_path / "h.json").write_text(json.dumps(header))
@@ -251,7 +257,7 @@ class TestSaveLoad:
 
     def test_unknown_header_field_rejected(self, tmp_path):
         ds = make_dataset(n=1)
-        save_dataset(ds, tmp_path / "h.json", tmp_path / "t.jsonl")
+        write_dataset(ds, tmp_path / "h.json", tmp_path / "t.jsonl")
         header = json.loads((tmp_path / "h.json").read_text())
         header["discount"] = 0.9
         (tmp_path / "h.json").write_text(json.dumps(header))
@@ -393,7 +399,7 @@ class TestJsonlIO:
     def test_round_trip_is_bit_for_bit(self, dataset):
         with tempfile.TemporaryDirectory() as tmp:
             header, trajectories = Path(tmp) / "h.json", Path(tmp) / "t.jsonl"
-            save_dataset(dataset, header, trajectories)
+            write_dataset(dataset, header, trajectories)
             back = load_dataset(header, trajectories)
         assert bits(back) == bits(dataset) and back.reward_bound == dataset.reward_bound
 
@@ -427,7 +433,7 @@ class TestJsonlIO:
                         "pooled": [True] * 60}[kind]
         with tempfile.TemporaryDirectory() as tmp:
             header, trajectories = Path(tmp) / "h.json", Path(tmp) / "t.jsonl"
-            save_dataset(dataset, header, trajectories)
+            write_dataset(dataset, header, trajectories)
             assert bits(load_dataset(header, trajectories)) == bits(dataset)
 
     def test_integer_rows_keep_the_row_memo(self):
@@ -462,7 +468,7 @@ class TestJsonlIO:
         lines[i] = mutated_line(kind, json.loads(lines[i]))
         with tempfile.TemporaryDirectory() as tmp:
             header, trajectories = Path(tmp) / "h.json", Path(tmp) / "t.jsonl"
-            save_dataset(dataset, header, trajectories)
+            write_dataset(dataset, header, trajectories)
             trajectories.write_text("\n".join(lines) + "\n")
             got = load_outcome(header, trajectories)
             with mock.patch.object(data_mod, "_RecordParser", lambda d_s: json.loads):

@@ -12,15 +12,14 @@ from sblq.envs import (
     A2_ENV,
     NOISE_CLIP_SDS,
     EnvSpec,
-    _bounded_integers,
     episode_draws,
     generate_trajectories,
     make_env,
-    observe_target,
     sample_theta_star,
 )
 from sblq.learner import ModelBundle, StageModel
 from sblq.policy import GreedyPolicy, rollout_reward
+from sblq.streams import EpisodeStreams
 
 
 class TestSampleThetaStar:
@@ -144,39 +143,6 @@ class TestGenerateTrajectories:
         shifted = self.outcome_residuals(
             dataclasses.replace(spec, reward_low=0.0, reward_high=2.0), seed=11)
         assert abs(shifted.mean() - 1.0) < 4 * se
-
-
-class TestObserveTarget:
-    def test_final_stage_zero_noise_is_uniform_draw(self):
-        spec = EnvSpec(n_users=3, n_actions=4, d_video=2, d_user=2, d_action=2,
-                       horizon=2, noise_sd=0.0)
-        env = make_env(spec, seed=0)
-        x = np.zeros(6)
-        x[0] = 1.0
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            y = observe_target(env, x, 2, rng)
-            assert -0.5 <= y <= 0.5
-
-    def test_degenerate_reward_returns_inner_product(self):
-        spec = EnvSpec(n_users=3, n_actions=4, d_video=2, d_user=2, d_action=2,
-                       horizon=3, noise_sd=0.0, reward_low=-1e-12, reward_high=1e-12)
-        env = make_env(spec, seed=1)
-        x = np.ones(6) / np.sqrt(6)
-        y = observe_target(env, x, 1, np.random.default_rng(0))
-        assert y == pytest.approx(float(x @ env.theta_star[1]), abs=1e-9)
-
-    def test_sample_mean_matches_inner_product(self):
-        # CLT check: mean of r + <x, theta*> + eps over many draws
-        spec = EnvSpec(n_users=3, n_actions=4, d_video=2, d_user=2, d_action=2,
-                       horizon=3, noise_sd=0.5)
-        env = make_env(spec, seed=2)
-        x = np.ones(6) / np.sqrt(6)
-        rng = np.random.default_rng(7)
-        draws = np.array([observe_target(env, x, 1, rng) for _ in range(100_000)])
-        want = float(x @ env.theta_star[1])
-        tol = 3 * (0.5 + 0.29) / np.sqrt(100_000)
-        assert abs(draws.mean() - want) < tol
 
 
 def test_env_spec_validation():
@@ -304,33 +270,32 @@ class TestEpisodeDraws:
 
     @pytest.mark.parametrize("bound", [1, 2, 3, 30, 2**31 + 1, 2**32 - 1, 2**32])
     def test_bounded_integers_match_numpy(self, bound):
-        # the helper and numpy's integers() share one PCG64 stream with
-        # random() and standard_normal() interleaved, so a half-word taken or
-        # buffered differently shifts every later draw
-        draws, words = 0, 0
-        for seed in range(300):
-            ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-
-            def raw():
-                nonlocal words
-                words += 1
-                return rng.bit_generator.random_raw()
-
-            integers = _bounded_integers(raw)
-            for op in np.random.default_rng(seed + 10_000).integers(3, size=12):
-                if op == 0:
-                    draws += 1
-                    assert integers(bound) == ref.integers(bound)
-                elif op == 1:
-                    assert rng.random() == ref.random()
-                else:
-                    assert rng.standard_normal() == ref.standard_normal()
-        if bound == 1:
-            assert words == 0
+        # 300 streams draw integers(bound) together, with random() and
+        # standard_normal() interleaved, against each stream's own Generator:
+        # a half-word taken or buffered differently shifts every later draw
+        n, seed = 300, 5
+        streams = EpisodeStreams(seed, n)
+        refs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n)]
+        out_of_step = 0  # integer draws met with a buffered half in some streams only
+        for op in "iiuiniinuiii":
+            if op == "i":
+                buffered = int(streams.has_half.sum())
+                out_of_step += 0 < buffered < n
+                hi, lo = streams.hi, streams.lo
+                got = streams.integers(bound)
+                assert got.dtype == np.int64
+                np.testing.assert_array_equal(got, [g.integers(bound) for g in refs])
+                if bound == 1:  # numpy takes no word
+                    assert np.array_equal(streams.hi, hi) and np.array_equal(streams.lo, lo)
+            elif op == "u":
+                np.testing.assert_array_equal(streams.doubles(), [g.random() for g in refs])
+            else:
+                np.testing.assert_array_equal(streams.normals(),
+                                              [g.standard_normal() for g in refs])
         if bound == 2**31 + 1:
-            # without rejections two draws share a word; numpy rejects about
-            # half of all halves at this bound, so the loop ran against it
-            assert words > 0.8 * draws
+            # numpy rejects about half of all halves at this bound, so the
+            # streams fall out of step and each integer draw mixes both cases
+            assert out_of_step >= 6
 
     @pytest.mark.parametrize("logged, digests", [
         (True, ("f83186390297676ad5d090c588e89ba18c8321475df40a81fbaaf46d32034742",

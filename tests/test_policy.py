@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sblq.data import BatchDataset, feature_vector
-from sblq.envs import EnvSpec, SyntheticEnv, generate_trajectories, make_env
+from sblq.data import BatchDataset, candidate_scores, feature_vector
+from sblq.envs import A2_ENV, EnvSpec, SyntheticEnv, generate_trajectories, make_env
 from sblq.learner import AdaptiveConfig, ModelBundle, StageModel, default_config, train
 from sblq.policy import (
     GreedyPolicy,
@@ -14,6 +16,7 @@ from sblq.policy import (
     greedy_actions,
     parameter_gap,
     policy_gap,
+    policy_value,
     rollout_reward,
 )
 
@@ -241,6 +244,28 @@ class TestRolloutReward:
         random_value = float(np.mean(ds.rewards.sum(axis=1)))
         assert greedy_value > random_value
         assert greedy_value - random_value > 0.05
+
+
+def test_rollouts_score_on_the_feature_map_of_the_fit():
+    # a model fit on unnormalized features acts as its own argmax, and
+    # policy_value rolls it out that way; the unit-normalized map picks other
+    # actions on most stage-3 states of this world
+    env = make_env(A2_ENV, seed=0)
+    ds, _ = generate_trajectories(env, 300, seed=0)
+    ds = dataclasses.replace(ds, normalize=False)
+    bundle, _ = train(ds, "ls")
+    policy = GreedyPolicy(bundle, ds.action_table, normalize=False)
+    normalized = GreedyPolicy(bundle, ds.action_table)
+    for t in range(1, ds.horizon + 1):
+        states = ds.states[:, t - 1]
+        own = candidate_scores(states, ds.action_table, bundle.theta(t),
+                               normalize=False).argmax(axis=0)
+        np.testing.assert_array_equal(greedy_actions(policy, t, states), own)
+        if t == 3:
+            assert np.sum(greedy_actions(normalized, t, states) != own) > 150
+    want = rollout_reward(policy, env, 50, seed=3)
+    assert policy_value(bundle, ds, env, 50, seed=3) == want
+    assert rollout_reward(normalized, env, 50, seed=3) != want
 
 
 class TestDirectValueEstimate:

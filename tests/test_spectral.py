@@ -11,12 +11,15 @@ from sblq.spectral import (
     decompose,
     default_filter,
     empirical_effective_dimension,
-    filter_value,
     filter_values,
-    gradient_descent_steps,
     spectral_system,
     weighted_half_norm,
 )
+
+
+def filter_value(spec, lam, sigma):
+    """g_lambda(sigma) at one eigenvalue, through ``filter_values``."""
+    return float(filter_values(spec, lam, np.array([sigma]))[0])
 
 
 def filtered_solve(decomp, spec, lam, v):
@@ -40,7 +43,8 @@ class TestDecompose:
         b = rng.standard_normal((6, 6))
         a = b @ b.T
         d = decompose(a)
-        err = np.linalg.norm(d.reconstruct() - a) / np.linalg.norm(a)
+        u = d.eigenvectors
+        err = np.linalg.norm((u * d.eigenvalues) @ u.T - a) / np.linalg.norm(a)
         assert err < 1e-10
         ortho = np.max(np.abs(d.eigenvectors.T @ d.eigenvectors - np.eye(6)))
         assert ortho < 1e-10
@@ -75,8 +79,14 @@ class TestFilterValue:
 
     def test_gradient_descent_two_steps(self):
         # lambda = 0.5 -> p = 2, g(0.5) = 1 + (1 - 0.5) = 1.5
-        assert gradient_descent_steps(0.5) == 2
+        assert filter_value(default_filter("gradient-descent"), 0.5, 0.0) == 2.0
         assert filter_value(default_filter("gradient-descent"), 0.5, 0.5) == pytest.approx(1.5)
+
+    @pytest.mark.parametrize("lam", [1e-3, 0.03, 0.2, 0.25, 1 / 3, 0.5, 0.77, 1.0, 2.0, 40.0])
+    def test_gradient_descent_step_rule(self, lam):
+        # g(0) is the iteration count p = max(1, ceil(1/lambda))
+        p = max(1, math.ceil(1.0 / lam))
+        assert filter_value(default_filter("gradient-descent"), lam, 0.0) == p
 
     def test_gradient_descent_at_zero_returns_p(self):
         spec = default_filter("gradient-descent")
@@ -85,7 +95,7 @@ class TestFilterValue:
     def test_gradient_descent_matches_series(self, rng):
         spec = default_filter("gradient-descent")
         for lam in (0.03, 0.2, 0.77):
-            p = gradient_descent_steps(lam)
+            p = max(1, math.ceil(1.0 / lam))
             for sigma in rng.uniform(0.0, 1.0, size=8):
                 series = sum((1.0 - sigma) ** i for i in range(p))
                 assert filter_value(spec, lam, sigma) == pytest.approx(series, rel=1e-10)
