@@ -25,7 +25,9 @@ from .learner import (
     AdaptiveConfig,
     LassoFit,
     ModelBundle,
+    Stage,
     StageFitReport,
+    StageSpectra,
     adaptive_threshold,
     default_config,
     dimension_adjusted_sample_size,
@@ -36,6 +38,8 @@ from .learner import (
     load_model,
     save_model,
     select_lambda,
+    stage_of,
+    stage_spectra,
     stage_targets,
     train,
     variance_proxy,
@@ -53,12 +57,10 @@ from .policy import (
 from .spectral import (
     FilterSpec,
     SpectralDecomposition,
-    SpectralSystem,
     decompose,
     default_filter,
     empirical_effective_dimension,
     filter_values,
-    spectral_system,
     weighted_half_norm,
 )
 

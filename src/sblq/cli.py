@@ -21,11 +21,13 @@ import numpy as np
 
 from . import envs as envs_mod
 from .config import CONFIG_SCHEMA, METHODS, PRESET_NAMES, RunConfig, parse_config
-from .data import dataset_header_text, dataset_jsonl_text, load_dataset, split_size
+from .data import (dataset_header_text, dataset_jsonl_text, file_values, load_dataset,
+                   split_size)
 from .errors import ConfigError, DataError, NumericError
 from .experiments import build_world, method_cell
 from .interpret import contribution_proportions, topk_feature_rewards
-from .learner import default_config, lasso_holdout, load_model, model_json_text, train
+from .learner import (default_config, lasso_holdout, load_model, model_json_text,
+                      stage_spectra, train)
 from .policy import evaluate, policy_value
 
 HEADER_NAME = "header.json"
@@ -69,13 +71,12 @@ def _csv_text(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _train(cfg: RunConfig, dataset, method: str, seed: int, model_cfg=None,
-           feature_mask=None):
-    """``learner.train`` under the run's adaptive overrides and lasso grid;
-    ``model_cfg`` (a loaded model's settings) replaces the overrides when set.
-    Returns (bundle, reports)."""
+def _train(cfg: RunConfig, dataset, method: str, seed: int, model_cfg=None, mask=None):
+    """``learner.train`` on the dataset's stage spectra under feature ``mask``,
+    with the run's adaptive overrides and lasso grid; ``model_cfg`` (a loaded
+    model's settings) replaces the overrides when set.  Returns (bundle, reports)."""
     acfg = model_cfg or default_config(method, dataset.reward_bound, **cfg.adaptive)
-    return train(dataset, method, acfg, seed=seed, feature_mask=feature_mask,
+    return train(dataset, method, acfg, seed=seed, spectra=stage_spectra(dataset, mask),
                  lasso_grid=cfg.lasso_grid)
 
 
@@ -171,7 +172,8 @@ def cmd_eval(cfg: RunConfig, model_path: Path, dataset_dir: Path,
 def cmd_report(cfg: RunConfig, model_path: Path, dataset_dir: Path | None,
                env_path: Path | None, out: Path) -> None:
     model = _read(load_model, model_path)
-    contrib = contribution_proportions(model)
+    with file_values(model_path):  # a model whose coefficients are all zero
+        contrib = contribution_proportions(model)
     rank_of = {int(unit): pos for pos, unit in enumerate(contrib.ranking)}
     outputs = {
         out / "contributions.json": _json_text({

@@ -67,6 +67,11 @@ class BatchDataset:
             raise DataError("rewards contain non-finite values")
         if np.any(self.actions < 0) or np.any(self.actions >= len(self.action_table)):
             raise DataError("action id outside the candidate-action table")
+        # the small table first, so that a table without a zero row costs nothing
+        if (self.normalize and not np.all(np.any(self.action_table, axis=1))
+                and not np.all(np.any(self.states, axis=2))):
+            raise DataError("an all-zero state row meets an all-zero action-table row, "
+                            "so their feature vector cannot be normalized")
         worst = float(np.max(np.abs(self.rewards)))
         if worst > self.reward_bound + 1e-9:
             raise DataError(

@@ -12,7 +12,8 @@ import numpy as np
 from .data import BatchDataset, split
 from .envs import A2_ENV, EnvSpec, GroundTruth, SyntheticEnv, generate_trajectories, make_env
 from .interpret import clipped_weights
-from .learner import DEFAULT_LASSO_GRID, ModelBundle, default_config, train
+from .learner import (DEFAULT_LASSO_GRID, ModelBundle, StageSpectra, default_config,
+                      stage_spectra, train)
 from .policy import MetricsReport, evaluate
 
 # The benchmark law with a user pool large enough that the feature span is
@@ -29,6 +30,7 @@ class World:
     train: BatchDataset
     eval: BatchDataset
     truth: GroundTruth
+    spectra: StageSpectra    # of ``train``, shared by every method trained on it
 
 
 @dataclass(frozen=True)
@@ -41,13 +43,15 @@ class Cell:
 def build_world(spec: EnvSpec, seed: int, n: int,
                 train_fraction: float | None = None) -> World:
     """Seeded environment and ``n`` logged trajectories, split at
-    ``train_fraction``; with None both sides are the whole dataset."""
+    ``train_fraction``; with None both sides are the whole dataset.  The
+    training side's stage spectra are built here, once for every method."""
     env = make_env(spec, seed)
     dataset, truth = generate_trajectories(env, n, seed=seed)
     if train_fraction is None:
-        return World(env, dataset, dataset, truth)
-    train_set, eval_set = split(dataset, train_fraction, seed)
-    return World(env, train_set, eval_set, truth)
+        train_set = eval_set = dataset
+    else:
+        train_set, eval_set = split(dataset, train_fraction, seed)
+    return World(env, train_set, eval_set, truth, stage_spectra(train_set))
 
 
 def method_cell(world: World, method: str, seed: int, adaptive: dict | None = None,
@@ -58,7 +62,8 @@ def method_cell(world: World, method: str, seed: int, adaptive: dict | None = No
     ``env``, and without it the reward is the direct value estimate."""
     cfg = default_config(method, world.train.reward_bound, **(adaptive or {}))
     started = time.monotonic()
-    bundle, _ = train(world.train, method, cfg, seed=seed, lasso_grid=lasso_grid)
+    bundle, _ = train(world.train, method, cfg, seed=seed, spectra=world.spectra,
+                      lasso_grid=lasso_grid)
     train_s = time.monotonic() - started
     metrics = evaluate(bundle, world.truth.theta_star, world.eval, env=env,
                        n_episodes=n_episodes, seed=seed)

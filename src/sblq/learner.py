@@ -27,14 +27,14 @@ from .data import (BatchDataset, candidate_scores, empirical_covariance, file_va
 from .errors import DataError, NumericError
 from .spectral import (
     CUTOFF,
+    GRADIENT_DESCENT,
+    GRADIENT_DESCENT_MAX_EIGENVALUE,
     FilterSpec,
     SpectralDecomposition,
-    SpectralSystem,
     decompose,
     default_filter,
     empirical_effective_dimension,
     filter_values,
-    spectral_system,
     weighted_half_norm,
 )
 
@@ -194,24 +194,65 @@ def stage_targets(dataset: BatchDataset, t: int, theta_next: np.ndarray,
     return rewards + best, float(abs(max(best.max(), -scores.min())))
 
 
-def _moment(rows: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """(1/n) sum_i x_i y_i, after checking the outcomes are finite."""
-    targets = np.asarray(targets, dtype=float)
-    if not np.all(np.isfinite(targets)):
-        raise NumericError("targets contain non-finite values")
-    return rows.T @ targets / rows.shape[0]
+@dataclass(frozen=True)
+class Stage:
+    """One stage's read-only (n, d) rows and the eigensystem U diag(s) U^T of
+    their Sigma_hat.  Every filtered estimate g_lambda(Sigma_hat) mean_i(x_i y_i)
+    is U (g_lambda(s) * c) with c = ``coords(targets)``, so a method works on
+    (s, c) and rotates back only the estimates it keeps."""
+
+    rows: np.ndarray
+    decomp: SpectralDecomposition
+
+    def __post_init__(self):
+        self.rows.setflags(write=False)
+
+    def coords(self, targets: np.ndarray) -> np.ndarray:
+        """c = U^T (1/n) sum_i x_i y_i, after checking the outcomes are finite."""
+        targets = np.asarray(targets, dtype=float)
+        if not np.all(np.isfinite(targets)):
+            raise NumericError("targets contain non-finite values")
+        return self.decomp.eigenvectors.T @ (self.rows.T @ targets / self.rows.shape[0])
+
+    def estimate(self, g: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """U (g * c) for filter values g on the stage eigenvalues."""
+        return self.decomp.eigenvectors @ (g * c)
 
 
-def _stage_system(rows: np.ndarray, targets: np.ndarray) -> SpectralSystem:
-    """Eigensystem of Sigma_hat with the eigen-coordinates of the moment."""
-    return spectral_system(decompose(empirical_covariance(rows)), _moment(rows, targets))
+def stage_of(rows: np.ndarray) -> Stage:
+    """The Stage of the (n, d) ``rows``: the one place Sigma_hat is decomposed."""
+    return Stage(rows, decompose(empirical_covariance(rows)))
 
 
-def fit_stage(rows: np.ndarray, targets: np.ndarray, filt: FilterSpec,
-              lam: float) -> np.ndarray:
-    """theta = g_lambda(Sigma_hat) * (1/n) sum_i x_i y_i on the (n, d) rows."""
-    system = _stage_system(rows, targets)
-    return system.estimate(filter_values(filt, lam, system.decomp.eigenvalues))
+@dataclass(frozen=True)
+class StageSpectra:
+    """The T stages of ``dataset`` under a 0/1 feature ``mask`` (None keeps
+    every feature): what every method fits, built once and shared."""
+
+    dataset: BatchDataset
+    mask: np.ndarray | None
+    stages: tuple            # Stage for t = 1..T
+
+
+def stage_spectra(dataset: BatchDataset, mask: np.ndarray | None = None) -> StageSpectra:
+    """Rows and Sigma_hat eigensystem of each stage of ``dataset`` under ``mask``."""
+    if mask is not None:
+        mask = np.asarray(mask, dtype=float)
+        mask.setflags(write=False)
+    stages = []
+    for t in range(1, dataset.horizon + 1):
+        rows = stage_design(dataset, t, mask=mask)
+        try:
+            stages.append(stage_of(rows))
+        except NumericError as exc:
+            raise NumericError(f"stage {t}: {exc}") from exc
+    return StageSpectra(dataset, mask, tuple(stages))
+
+
+def fit_stage(stage: Stage, targets: np.ndarray, filt: FilterSpec, lam: float) -> np.ndarray:
+    """theta = g_lambda(Sigma_hat) * (1/n) sum_i x_i y_i on the stage's rows."""
+    return stage.estimate(filter_values(filt, lam, stage.decomp.eigenvalues),
+                          stage.coords(targets))
 
 
 def effective_sample_size(n: int, cfg: AdaptiveConfig) -> float:
@@ -263,7 +304,7 @@ def adaptive_threshold(t: int, horizon: int, phi_next: float, w: float | np.ndar
             * (1.0 + cfg.c_x) * w * math.log(2.0 / cfg.delta) ** 2)
 
 
-def select_lambda(rows: np.ndarray, targets: np.ndarray, filt: FilterSpec,
+def select_lambda(stage: Stage, targets: np.ndarray, filt: FilterSpec,
                   t: int, horizon: int, phi_next: float, cfg: AdaptiveConfig):
     """Choose the stage regularization level by the balancing rule.
 
@@ -278,17 +319,16 @@ def select_lambda(rows: np.ndarray, targets: np.ndarray, filt: FilterSpec,
     ||(s + lambda_{k+1})^{1/2} (g_{k+1} - g_k) c||, and only the selected
     estimate is rotated back to feature space.
     """
-    n, d = rows.shape
+    n, d = stage.rows.shape
     k_max = cfg.budget
-    system = _stage_system(rows, targets)
-    s = system.decomp.eigenvalues
+    s, c = stage.decomp.eigenvalues, stage.coords(targets)
     lambdas = cfg.q0 * cfg.q ** np.arange(1, k_max + 2, dtype=float)  # k = 1..K+1
     g = filter_values(filt, lambdas, s)                                 # row k-1: lambda_k
     lam_next = lambdas[1:]                                              # lambda_{k+1}, k = 1..K
-    step = (g[1:] - g[:-1]) * system.coords
+    step = (g[1:] - g[:-1]) * c
     gaps = np.sqrt(np.sum((s + lam_next[:, None]) * step**2, axis=1))
     taus = adaptive_threshold(t, horizon, phi_next,
-                              variance_proxy(system.decomp, lam_next, n, d, cfg), cfg)
+                              variance_proxy(stage.decomp, lam_next, n, d, cfg), cfg)
 
     ks = np.arange(k_max, 0, -1)
     diff_norms, thresholds = gaps[ks - 1], taus[ks - 1]
@@ -300,7 +340,7 @@ def select_lambda(rows: np.ndarray, targets: np.ndarray, filt: FilterSpec,
         thresholds=thresholds, phi_next=phi_next, selected_k=selected,
         selected_lambda=lam,
     )
-    return lam, system.estimate(g[selected - 1]), report
+    return lam, stage.estimate(g[selected - 1], c), report
 
 
 @dataclass(frozen=True)
@@ -363,13 +403,12 @@ LASSO_MAX_ITERS = 2000
 LASSO_TOL = 1e-8
 
 
-def _fit_least_squares(t, rows, targets, phi):
+def _fit_least_squares(t, stage, targets, phi):
     """Minimum-norm least squares: the cutoff filter at 1e-10 * sigma_max
     (1e-10 when Sigma_hat = 0), the pseudo-inverse convention."""
-    system = _stage_system(rows, targets)
-    s = system.decomp.eigenvalues
+    s = stage.decomp.eigenvalues
     floor = LS_RELATIVE_FLOOR * (s[-1] if s[-1] > 0 else 1.0)
-    return system.estimate(filter_values(default_filter(CUTOFF), floor, s)), 0.0, 0, None
+    return fit_stage(stage, targets, default_filter(CUTOFF), floor), 0.0, 0, None
 
 
 def lasso_holdout(n: int) -> int:
@@ -398,7 +437,8 @@ def _lasso_fitter(n: int, lasso_grid, seed: int):
     val_idx = np.sort(perm[:n_val])
     fit_idx = np.sort(perm[n_val:])
 
-    def fit(t, rows, targets, phi):
+    def fit(t, stage, targets, phi):
+        rows = stage.rows
         fit_rows, fit_targets = rows[fit_idx], targets[fit_idx]
         candidates = {}
         warm = None
@@ -422,27 +462,33 @@ def _lasso_fitter(n: int, lasso_grid, seed: int):
 def _spectral_fitter(method: str, horizon: int, cfg: AdaptiveConfig):
     filt = default_filter(method)
 
-    def fit(t, rows, targets, phi):
-        lam, theta, report = select_lambda(rows, targets, filt, t, horizon, phi, cfg)
+    def fit(t, stage, targets, phi):
+        lam, theta, report = select_lambda(stage, targets, filt, t, horizon, phi, cfg)
         return theta, lam, report.selected_k, report
 
     return fit
 
 
 def train(dataset: BatchDataset, method: str, cfg: AdaptiveConfig | None = None,
-          seed: int = 0, feature_mask: np.ndarray | None = None,
+          seed: int = 0, spectra: StageSpectra | None = None,
           lasso_grid=DEFAULT_LASSO_GRID):
     """Backward induction over stages T..1 for any of the five methods.
 
     Each stage fits the outcomes of ``stage_targets`` with the method's
-    estimator, a fitter (t, rows, targets, phi) -> (theta, lambda, k,
+    estimator, a fitter (t, stage, targets, phi) -> (theta, lambda, k,
     report or None): a spectral filter at the balancing-rule level under
     ``cfg`` (default ``default_config(method, dataset.reward_bound)``), least
     squares, or lasso over ``lasso_grid``.  Baselines take no ``cfg``.
+    ``spectra`` are the dataset's ``stage_spectra``, feature mask included;
+    None builds them unmasked.
     Returns (ModelBundle, StageFitReports for t = 1..T, empty for a
     baseline); identical arguments produce an identical bundle.
     """
     horizon, d = dataset.horizon, dataset.feature_dim
+    if spectra is None:
+        spectra = stage_spectra(dataset)
+    elif spectra.dataset is not dataset:
+        raise ValueError("the stage spectra belong to a different dataset")
     if cfg is None:
         cfg = default_config(method, dataset.reward_bound)
     elif method in BASELINE_METHODS:
@@ -453,15 +499,22 @@ def train(dataset: BatchDataset, method: str, cfg: AdaptiveConfig | None = None,
         fit = _lasso_fitter(len(dataset), lasso_grid, seed)
     else:
         fit = _spectral_fitter(method, horizon, cfg)
+    if method == GRADIENT_DESCENT:
+        for t, stage in enumerate(spectra.stages, start=1):
+            top = stage.decomp.eigenvalues[-1]
+            if top > GRADIENT_DESCENT_MAX_EIGENVALUE:
+                raise DataError(f"stage {t}: the gradient-descent filter needs the "
+                                f"eigenvalues of Sigma_hat at most 1, but the largest is "
+                                f"{top:.6g}; unit-normalized features (normalize: true) "
+                                "keep them there")
 
     theta_next = np.zeros(d)
     stages: list[StageModel | None] = [None] * horizon
     reports: list[StageFitReport | None] = [None] * horizon
     for t in range(horizon, 0, -1):
-        rows = stage_design(dataset, t, mask=feature_mask)
-        targets, phi = stage_targets(dataset, t, theta_next, mask=feature_mask)
+        targets, phi = stage_targets(dataset, t, theta_next, mask=spectra.mask)
         try:
-            theta, lam, k, report = fit(t, rows, targets, phi)
+            theta, lam, k, report = fit(t, spectra.stages[t - 1], targets, phi)
         except (NumericError, FloatingPointError) as exc:
             raise NumericError(f"stage {t}: {exc}") from exc
         stages[t - 1] = StageModel(t=t, theta=theta, lambda_selected=lam, k_selected=k)
@@ -469,26 +522,25 @@ def train(dataset: BatchDataset, method: str, cfg: AdaptiveConfig | None = None,
         theta_next = theta
     bundle = ModelBundle(horizon=horizon, feature_dim=d, filter_kind=method,
                          stages=tuple(stages), config=cfg, seed=seed,
-                         feature_mask=None if feature_mask is None
-                         else np.asarray(feature_mask, dtype=float))
+                         feature_mask=spectra.mask)
     return bundle, [r for r in reports if r is not None]
 
 
-def error_decomposition(rows: np.ndarray, targets_y: np.ndarray,
+def error_decomposition(stage: Stage, targets_y: np.ndarray,
                         targets_ystar: np.ndarray, targets_noisefree: np.ndarray,
                         lam: float, filt: FilterSpec, theta_star: np.ndarray,
                         sigma_true: np.ndarray) -> dict:
     """Split the weighted estimation error into bias, variance and the
     multi-stage term.
 
-    The three auxiliary estimators apply the same filter to the observed
-    outcomes, the outcomes built from the true next-stage parameters, and
-    their conditional means.  All norms are taken in the
-    (Sigma_true + lambda I)^(1/2) metric.  Only usable when the ground truth
-    is known.
+    The three auxiliary estimators apply the same filter, on the stage's
+    Sigma_hat, to the observed outcomes, the outcomes built from the true
+    next-stage parameters, and their conditional means.  All norms are taken
+    in the (Sigma_true + lambda I)^(1/2) metric.  Only usable when the ground
+    truth is known.
     """
     theta_star = np.asarray(theta_star, dtype=float)
-    n, d = rows.shape
+    n, d = stage.rows.shape
     for name, arr in (("targets_y", targets_y), ("targets_ystar", targets_ystar),
                       ("targets_noisefree", targets_noisefree)):
         arr = np.asarray(arr)
@@ -496,11 +548,9 @@ def error_decomposition(rows: np.ndarray, targets_y: np.ndarray,
             raise ValueError(f"{name} has shape {arr.shape}, expected ({n},)")
     if theta_star.shape != (d,):
         raise ValueError(f"theta_star has shape {theta_star.shape}, expected ({d},)")
-    decomp = decompose(empirical_covariance(rows))
-    g = filter_values(filt, lam, decomp.eigenvalues)
+    g = filter_values(filt, lam, stage.decomp.eigenvalues)
     theta_obs, theta_true_targets, theta_clean = (
-        spectral_system(decomp, _moment(rows, y)).estimate(g)
-        for y in (targets_y, targets_ystar, targets_noisefree))
+        stage.estimate(g, stage.coords(y)) for y in (targets_y, targets_ystar, targets_noisefree))
     weight = decompose(np.asarray(sigma_true, dtype=float))
     return {
         "bias": weighted_half_norm(weight, lam, theta_clean - theta_star),

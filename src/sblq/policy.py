@@ -12,10 +12,10 @@ from functools import partial
 
 import numpy as np
 
-from .data import BatchDataset, candidate_scores, empirical_covariance, stage_design
+from .data import BatchDataset, candidate_scores
 from .envs import SyntheticEnv, simulate
-from .learner import ModelBundle
-from .spectral import decompose, weighted_half_norm
+from .learner import ModelBundle, stage_spectra
+from .spectral import weighted_half_norm
 
 
 @dataclass(frozen=True)
@@ -147,11 +147,9 @@ def comparison_diagnostic(model: ModelBundle, theta_star,
     truth = _truth_rows(theta_star, model.horizon, model.feature_dim)
     mu = float(len(dataset.action_table))
     total = 0.0
-    for t in range(1, model.horizon + 1):
-        rows = stage_design(dataset, t, mask=model.feature_mask)
-        decomp = decompose(empirical_covariance(rows))
+    for t, stage in enumerate(stage_spectra(dataset, model.feature_mask).stages, start=1):
         diff = model.theta(t) - truth[t - 1]
-        total += 2.0 * mu ** (t / 2.0) * weighted_half_norm(decomp, 0.0, diff)
+        total += 2.0 * mu ** (t / 2.0) * weighted_half_norm(stage.decomp, 0.0, diff)
     return total
 
 

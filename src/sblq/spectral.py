@@ -12,8 +12,8 @@ The gradient-descent filter is evaluated in closed form, (1 - (1-sigma)^p)/sigma
 and requires sigma <= 1; feature vectors are unit-normalized upstream so the
 covariance spectrum stays inside [0, 1].
 
-Everything here is a pure function of its inputs; decompositions, spectral
-systems and filter specs are frozen and safe to share across threads.
+Everything here is a pure function of its inputs; decompositions and filter
+specs are frozen and safe to share across threads.
 """
 from __future__ import annotations
 
@@ -34,6 +34,9 @@ FILTER_KINDS = (TIKHONOV, CUTOFF, GRADIENT_DESCENT)
 # Tolerances used when validating decomposition inputs.
 SYMMETRY_TOL = 1e-10
 EIGENVALUE_CLAMP_TOL = 1e-12
+# Largest eigenvalue the gradient-descent filter takes: 1 plus the round-off
+# of a covariance of unit-norm features.
+GRADIENT_DESCENT_MAX_EIGENVALUE = 1.0 + 1e-9
 
 
 @dataclass(frozen=True)
@@ -141,7 +144,7 @@ def filter_values(spec: FilterSpec, lam: float | np.ndarray, sigmas: np.ndarray)
         keep = s >= lam
         return np.divide(1.0, s, out=np.zeros(keep.shape), where=keep)
     if spec.kind == GRADIENT_DESCENT:
-        if np.any(s > 1.0 + 1e-9):
+        if np.any(s > GRADIENT_DESCENT_MAX_EIGENVALUE):
             raise ValueError("gradient-descent filter requires eigenvalues <= 1")
         s = np.minimum(s, 1.0)  # absorb round-off from unit-norm features
         p = np.maximum(1.0, np.ceil(1.0 / lam))  # iteration count per level
@@ -151,33 +154,6 @@ def filter_values(spec: FilterSpec, lam: float | np.ndarray, sigmas: np.ndarray)
         closed = -np.expm1(p * np.log1p(-si)) / si
         return np.where(inner, closed, np.where(s >= 1.0, 1.0, p))
     raise ValueError(f"unknown filter kind {spec.kind!r}")
-
-
-@dataclass(frozen=True)
-class SpectralSystem:
-    """A decomposition of Sigma with the eigen-coordinates c = U^T v of one vector.
-
-    Every filtered solve g_lambda(Sigma) v equals U (g_lambda(s) * c), so
-    quantities over many levels lambda work on (s, c) alone and only the
-    estimates that are kept are rotated back by ``estimate``.
-    """
-
-    decomp: SpectralDecomposition
-    coords: np.ndarray
-
-    def estimate(self, g: np.ndarray) -> np.ndarray:
-        """U (g * c) for filter values g on the stored eigenvalues."""
-        return self.decomp.eigenvectors @ (g * self.coords)
-
-
-def spectral_system(decomp: SpectralDecomposition, v: np.ndarray) -> SpectralSystem:
-    """Pair a decomposition with the eigen-coordinates of the vector v."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (decomp.dim,):
-        raise ValueError(f"vector has shape {v.shape}, expected ({decomp.dim},)")
-    if not np.all(np.isfinite(v)):
-        raise NumericError("vector contains non-finite entries")
-    return SpectralSystem(decomp, decomp.eigenvectors.T @ v)
 
 
 def empirical_effective_dimension(decomp: SpectralDecomposition, lam: float | np.ndarray):

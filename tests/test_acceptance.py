@@ -22,6 +22,7 @@ from sblq.learner import (
     error_decomposition,
     fit_stage,
     select_lambda,
+    stage_of,
     stage_targets,
     train,
 )
@@ -78,13 +79,13 @@ def test_criterion_2_oracle_equivalence():
         moment = rows.T @ y / n
 
         lam = float(rng.uniform(0.01, 1.0))
-        got = fit_stage(rows, y, default_filter("tikhonov"), lam)
+        got = fit_stage(stage_of(rows), y, default_filter("tikhonov"), lam)
         want = np.linalg.solve(cov + lam * np.eye(d), moment)
         worst_ridge = max(worst_ridge, np.linalg.norm(got - want) / np.linalg.norm(want))
 
         sig_min = np.linalg.eigvalsh(cov)[0]
         if sig_min > 1e-8:
-            got = fit_stage(rows, y, default_filter("cutoff"), 0.5 * sig_min)
+            got = fit_stage(stage_of(rows), y, default_filter("cutoff"), 0.5 * sig_min)
             want = np.linalg.pinv(rows) @ y
             worst_pinv = max(worst_pinv, np.linalg.norm(got - want) / np.linalg.norm(want))
 
@@ -97,7 +98,8 @@ def test_criterion_2_oracle_equivalence():
     bundle, _ = train(ds, "gradient-descent", cfg)
     rows = stage_design(ds, 1)
     targets, _ = stage_targets(ds, 1, np.zeros(ds.feature_dim))
-    lam, theta, _ = select_lambda(rows, targets, default_filter("gradient-descent"),
+    lam, theta, _ = select_lambda(stage_of(rows), targets,
+                                  default_filter("gradient-descent"),
                                   1, 1, 0.0, cfg)
     exact = bundle.stages[0].lambda_selected == lam and np.array_equal(bundle.stages[0].theta, theta)
 
@@ -171,11 +173,12 @@ def test_criterion_5_near_oracle_adaptivity():
             theta_star /= np.linalg.norm(theta_star)
             y = rows @ theta_star + noise * rng.standard_normal(n)
             cfg = default_config(kind, reward_bound=float(np.max(np.abs(y))))
-            _, theta_sel, _ = select_lambda(rows, y, default_filter(kind), 1, 1, 0.0, cfg)
+            stage = stage_of(rows)
+            _, theta_sel, _ = select_lambda(stage, y, default_filter(kind), 1, 1, 0.0, cfg)
             # exhaustive grid oracle; population covariance is I/d, so the
             # weighted error is proportional to the plain norm
             best = min(
-                np.linalg.norm(fit_stage(rows, y, default_filter(kind),
+                np.linalg.norm(fit_stage(stage, y, default_filter(kind),
                                          cfg.q0 * cfg.q**k) - theta_star)
                 for k in range(1, cfg.budget + 1)
             )
@@ -284,7 +287,7 @@ def test_criterion_8_error_decomposition_consistency():
         sigma_true = np.eye(d) / d
         lam = float(rng.uniform(0.01, 0.5))
         kind = ("tikhonov", "cutoff", "gradient-descent")[int(rng.integers(3))]
-        out = error_decomposition(rows, y, y_star, clean, lam,
+        out = error_decomposition(stage_of(rows), y, y_star, clean, lam,
                                   default_filter(kind), theta_star, sigma_true)
         worst_gap = max(worst_gap,
                         out["total"] - (out["bias"] + out["variance"] + out["multistage"]))
@@ -295,7 +298,7 @@ def test_criterion_8_error_decomposition_consistency():
     theta_star = rng.standard_normal(5)
     theta_star /= np.linalg.norm(theta_star)
     clean = rows @ theta_star
-    out = error_decomposition(rows, clean, clean, clean, 0.1,
+    out = error_decomposition(stage_of(rows), clean, clean, clean, 0.1,
                               default_filter("tikhonov"), theta_star, np.eye(5) / 5)
     degenerate_ok = out["variance"] <= 1e-10 and out["multistage"] <= 1e-10
 

@@ -14,7 +14,8 @@ from sblq.data import load_dataset
 from sblq.envs import A1_ENV, A2_ENV, EnvSpec, generate_trajectories, make_env
 from sblq.errors import ConfigError
 from sblq.experiments import build_world, method_cell
-from sblq.learner import AdaptiveConfig, default_config, load_model
+from sblq.learner import (AdaptiveConfig, ModelBundle, StageModel, default_config, load_model,
+                          save_model)
 
 from conftest import per_record_jsonl
 
@@ -206,6 +207,19 @@ def write_small_config(tmp_path, **extra):
     cfg = {"env": SMALL_ENV, "n_trajectories": 60, "n_episodes": 20, **extra}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
+    return path
+
+
+def write_dataset(path, states, table, normalize=True):
+    """A dataset directory of horizon-2 trajectories with the given (T, d_s)
+    ``states``, action 0 throughout and zero rewards."""
+    path.mkdir()
+    (path / "header.json").write_text(json.dumps({
+        "version": 1, "horizon": 2, "state_dim": 2, "action_dim": 1, "reward_bound": 1.0,
+        "normalize": normalize, "action_table": table}))
+    (path / "trajectories.jsonl").write_text("".join(
+        json.dumps({"states": rows, "actions": [0, 0], "rewards": [0.0, 0.0]}) + "\n"
+        for rows in states))
     return path
 
 
@@ -607,6 +621,46 @@ class TestCommands:
                      "--method", "lasso", "--out", str(run)]) == 3
         err = capsys.readouterr().err
         assert "data" in err and str(data) in err and "no training rows" in err
+        assert not run.exists()
+
+    def test_zero_state_row_with_zero_action_row_exits_three_naming_line(self, tmp_path,
+                                                                          capsys):
+        data = write_dataset(tmp_path / "data", [[[1.0, 0.0], [1.0, 1.0]],
+                                                 [[0.0, 1.0], [0.0, 0.0]]],
+                             table=[[0.0], [1.0]])
+        assert main(["train", "--dataset", str(data), "--method", "tikhonov",
+                     "--out", str(tmp_path / "run")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: data:") and "all-zero" in err
+        assert f"{data / 'trajectories.jsonl'}:2" in err
+
+    def test_gradient_descent_on_unnormalized_features_exits_three(self, tmp_path, capsys):
+        data = write_dataset(tmp_path / "data", [[[6.0, 0.0], [1.0, 0.0]],
+                                                 [[6.0, 1.0], [0.0, 1.0]]],
+                             table=[[1.0]], normalize=False)
+        run = tmp_path / "run"
+        assert main(["train", "--dataset", str(data), "--method", "gradient-descent",
+                     "--out", str(run)]) == 3
+        err = capsys.readouterr().err
+        rows = np.array([[6.0, 0.0, 1.0], [6.0, 1.0, 1.0]])  # the stage-1 features
+        top = np.linalg.eigvalsh(rows.T @ rows / 2)[-1]
+        assert err.startswith("error: data:") and str(data) in err
+        assert "stage 1" in err and f"{top:.6g}" in err and "gradient-descent" in err
+        assert not run.exists()
+        assert main(["train", "--dataset", str(data), "--method", "tikhonov",
+                     "--out", str(run)]) == 0
+
+    def test_report_on_all_zero_model_exits_three_naming_model(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        stages = tuple(StageModel(t=t, theta=np.zeros(4), lambda_selected=1.0, k_selected=1)
+                       for t in (1, 2))
+        save_model(ModelBundle(horizon=2, feature_dim=4, filter_kind="cutoff", stages=stages),
+                   model)
+        run = tmp_path / "run"
+        assert main(["report", "--model", str(model), "--out", str(run)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: data:") and str(model) in err
+        assert "all coefficients are zero" in err
         assert not run.exists()
 
     def test_missing_required_flag_exits_two(self, tmp_path):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from sblq.envs import EnvSpec, SyntheticEnv, generate_trajectories, make_env
 from sblq.interpret import clipped_weights, contribution_proportions, topk_feature_rewards
-from sblq.learner import ModelBundle, StageModel, default_config, train
+from sblq.learner import ModelBundle, StageModel, default_config, stage_spectra, train
 from sblq.policy import GreedyPolicy, rollout_reward
 
 
@@ -130,7 +130,7 @@ class TestTopkFeatureRewards:
         cfg = default_config("tikhonov", reward_bound=ds.reward_bound, budget=40)
 
         def trainer(mask):
-            bundle, _ = train(ds, "tikhonov", cfg, feature_mask=mask)
+            bundle, _ = train(ds, "tikhonov", cfg, spectra=stage_spectra(ds, mask))
             return bundle
 
         def reward_of(bundle):

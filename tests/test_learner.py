@@ -1,5 +1,8 @@
 import math
+import os
+import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +17,9 @@ from sblq.data import (
     empirical_covariance,
     stage_design,
 )
-from sblq.envs import EnvSpec, generate_trajectories, make_env
+from sblq.cli import _trace_text
+from sblq.envs import A2_ENV, EnvSpec, generate_trajectories, make_env
+from sblq.experiments import build_world, method_cell
 from sblq.learner import (
     AdaptiveConfig,
     ModelBundle,
@@ -30,6 +35,8 @@ from sblq.learner import (
     model_json_text,
     save_model,
     select_lambda,
+    stage_of,
+    stage_spectra,
     stage_targets,
     train,
     variance_proxy,
@@ -95,8 +102,8 @@ class TestConstructTargets:
 
 class TestFitStage:
     def test_zero_targets(self, small_dataset):
-        rows = stage_design(small_dataset, 1)
-        theta = fit_stage(rows, np.zeros(len(small_dataset)), default_filter("tikhonov"), 0.5)
+        stage = stage_of(stage_design(small_dataset, 1))
+        theta = fit_stage(stage, np.zeros(len(small_dataset)), default_filter("tikhonov"), 0.5)
         np.testing.assert_allclose(theta, 0.0, atol=1e-14)
 
     def test_tikhonov_matches_ridge_normal_equations(self, rng):
@@ -106,7 +113,7 @@ class TestFitStage:
             rows /= np.linalg.norm(rows, axis=1, keepdims=True)
             y = rng.standard_normal(n)
             lam = 0.2
-            got = fit_stage(rows, y, default_filter("tikhonov"), lam)
+            got = fit_stage(stage_of(rows), y, default_filter("tikhonov"), lam)
             cov = rows.T @ rows / n
             want = np.linalg.solve(cov + lam * np.eye(d), rows.T @ y / n)
             assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-8
@@ -114,7 +121,7 @@ class TestFitStage:
     def test_cutoff_above_spectrum_gives_zero(self, rng):
         rows = rng.standard_normal((10, 4))
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-        theta = fit_stage(rows, rng.standard_normal(10), default_filter("cutoff"), 5.0)
+        theta = fit_stage(stage_of(rows), rng.standard_normal(10), default_filter("cutoff"), 5.0)
         np.testing.assert_array_equal(theta, np.zeros(4))
 
 
@@ -227,25 +234,25 @@ class TestSelectLambda:
         theta = rng.standard_normal(d)
         theta /= np.linalg.norm(theta)
         y = rows @ theta + 0.1 * rng.standard_normal(n)
-        return rows, y
+        return stage_of(rows), y
 
     def test_unreachable_threshold_falls_back_to_smallest(self):
-        rows, y = self._design()
+        stage, y = self._design()
         cfg = AdaptiveConfig(c_ada=1e12, budget=20)
-        lam, theta, rep = select_lambda(rows, y, default_filter("tikhonov"), 1, 1, 0.0, cfg)
+        lam, theta, rep = select_lambda(stage, y, default_filter("tikhonov"), 1, 1, 0.0, cfg)
         assert rep.selected_k == 20
         assert lam == pytest.approx(cfg.q0 * cfg.q**20)
 
     def test_zero_multiplier_trips_immediately(self):
-        rows, y = self._design()
+        stage, y = self._design()
         cfg = AdaptiveConfig(c_ada=0.0, budget=20)
-        lam, theta, rep = select_lambda(rows, y, default_filter("tikhonov"), 1, 1, 0.0, cfg)
+        lam, theta, rep = select_lambda(stage, y, default_filter("tikhonov"), 1, 1, 0.0, cfg)
         assert rep.selected_k == 20
 
     def test_scan_visits_ascending_lambdas_from_grid(self):
-        rows, y = self._design(seed=3)
+        stage, y = self._design(seed=3)
         cfg = AdaptiveConfig(budget=15)
-        lam, _, rep = select_lambda(rows, y, default_filter("cutoff"), 1, 1, 0.0, cfg)
+        lam, _, rep = select_lambda(stage, y, default_filter("cutoff"), 1, 1, 0.0, cfg)
         assert np.all(np.diff(rep.lambdas) > 0)
         assert np.array_equal(rep.ks, np.arange(15, 0, -1))
         grid = cfg.q0 * cfg.q ** np.arange(1, 16)
@@ -254,18 +261,18 @@ class TestSelectLambda:
     def test_first_crossing_selected_on_two_point_grid(self):
         # manual scan oracle on a 2-point grid: recompute both gaps and
         # thresholds directly and emulate the rule
-        rows, y = self._design(seed=7, n=80, d=4)
+        stage, y = self._design(seed=7, n=80, d=4)
         filt = default_filter("tikhonov")
         cfg = AdaptiveConfig(budget=2, q0=2.0, c_ada=2e-4)
-        lam, theta, rep = select_lambda(rows, y, filt, 1, 1, 0.0, cfg)
-        cov = empirical_covariance(rows)
+        lam, theta, rep = select_lambda(stage, y, filt, 1, 1, 0.0, cfg)
+        cov = empirical_covariance(stage.rows)
         decomp = decompose(cov)
-        n = rows.shape[0]
+        n = stage.rows.shape[0]
         expected_k = None
         for k in (2, 1):
             lam_hi = cfg.q0 * cfg.q ** (k + 1)
-            t_hi = fit_stage(rows, y, filt, lam_hi)
-            t_lo = fit_stage(rows, y, filt, cfg.q0 * cfg.q**k)
+            t_hi = fit_stage(stage, y, filt, lam_hi)
+            t_lo = fit_stage(stage, y, filt, cfg.q0 * cfg.q**k)
             gap = weighted_half_norm(decomp, lam_hi, t_hi - t_lo)
             tau = adaptive_threshold(1, 1, 0.0, variance_proxy(decomp, lam_hi, n, 4, cfg), cfg)
             if gap >= tau:
@@ -276,9 +283,9 @@ class TestSelectLambda:
         assert rep.selected_k == expected_k
 
     def test_trace_arrays_aligned(self):
-        rows, y = self._design()
+        stage, y = self._design()
         cfg = AdaptiveConfig(budget=10)
-        _, _, rep = select_lambda(rows, y, default_filter("gradient-descent"), 1, 1, 0.0, cfg)
+        _, _, rep = select_lambda(stage, y, default_filter("gradient-descent"), 1, 1, 0.0, cfg)
         assert len(rep.ks) == len(rep.lambdas) == len(rep.diff_norms) == len(rep.thresholds) == 10
 
     @settings(max_examples=60, deadline=None)
@@ -298,14 +305,15 @@ class TestSelectLambda:
         filt = default_filter(kind)
         cfg = AdaptiveConfig(q0=1.0, budget=budget, c_ada=10.0**log_c_ada)
         t, horizon, phi = 2, 3, 0.4
-        lam, theta, rep = select_lambda(rows, y, filt, t, horizon, phi, cfg)
+        stage = stage_of(rows)
+        lam, theta, rep = select_lambda(stage, y, filt, t, horizon, phi, cfg)
 
         decomp = decompose(empirical_covariance(rows))
         gaps, taus, scale, expected_k = [], [], 0.0, None
         for k in range(budget, 0, -1):
             lam_hi = cfg.q0 * cfg.q ** (k + 1)
-            hi = fit_stage(rows, y, filt, lam_hi)
-            lo = fit_stage(rows, y, filt, cfg.q0 * cfg.q**k)
+            hi = fit_stage(stage, y, filt, lam_hi)
+            lo = fit_stage(stage, y, filt, cfg.q0 * cfg.q**k)
             gaps.append(weighted_half_norm(decomp, lam_hi, hi - lo))
             scale = max(scale, np.linalg.norm(hi) * math.sqrt(decomp.eigenvalues[-1] + lam_hi))
             w = variance_proxy(decomp, lam_hi, n, d, cfg)
@@ -316,7 +324,7 @@ class TestSelectLambda:
 
         assert rep.selected_k == expected_k
         assert lam == pytest.approx(cfg.q0 * cfg.q ** expected_k, rel=1e-14)
-        np.testing.assert_array_equal(theta, fit_stage(rows, y, filt, lam))
+        np.testing.assert_array_equal(theta, fit_stage(stage, y, filt, lam))
         # The oracle differences estimates in feature space, so a gap at the
         # round-off level of the estimates carries no relative accuracy.
         np.testing.assert_allclose(rep.diff_norms, gaps, rtol=1e-10, atol=1e-13 * scale)
@@ -339,9 +347,9 @@ class TestTrain:
                            reward_bound=ds.reward_bound)
         cfg = default_config("tikhonov", reward_bound=one.reward_bound, budget=30)
         bundle, reports = train(one, "tikhonov", cfg)
-        rows = stage_design(one, 1)
+        stage = stage_of(stage_design(one, 1))
         targets = stage_targets(one, 1, np.zeros(one.feature_dim))[0]
-        lam, theta, _ = select_lambda(rows, targets, default_filter("tikhonov"), 1, 1, 0.0, cfg)
+        lam, theta, _ = select_lambda(stage, targets, default_filter("tikhonov"), 1, 1, 0.0, cfg)
         assert bundle.stages[0].lambda_selected == lam
         np.testing.assert_array_equal(bundle.stages[0].theta, theta)
 
@@ -419,10 +427,83 @@ class TestTrain:
             train(ds, "ls", AdaptiveConfig())
 
 
+@pytest.fixture(scope="module")
+def a2_world():
+    return build_world(A2_ENV, 0, 200, 0.5)
+
+
+class TestStageSpectra:
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_shared_spectra_give_the_bytes_of_own_spectra(self, a2_world, masked):
+        ds = a2_world.train
+        mask = None
+        if masked:
+            mask = np.ones(ds.feature_dim)
+            mask[::3] = 0.0
+        shared = stage_spectra(ds, mask) if masked else a2_world.spectra
+        for method in METHODS:
+            own = train(ds, method, seed=3,
+                        spectra=stage_spectra(ds, mask) if masked else None)
+            got = train(ds, method, seed=3, spectra=shared)
+            assert model_json_text(got[0]) == model_json_text(own[0])
+            assert _trace_text(got[1]) == _trace_text(own[1])
+            assert (got[0].feature_mask is None) == (not masked)
+
+    def test_stages_are_the_stage_designs_decomposed(self, a2_world):
+        ds = a2_world.train
+        mask = np.ones(ds.feature_dim)
+        mask[1] = 0.0
+        spectra = stage_spectra(ds, mask)
+        assert spectra.dataset is ds and len(spectra.stages) == ds.horizon
+        for t, stage in enumerate(spectra.stages, start=1):
+            rows = stage_design(ds, t, mask=mask)
+            assert stage.rows.tobytes() == rows.tobytes() and not stage.rows.flags.writeable
+            want = decompose(empirical_covariance(rows))
+            assert stage.decomp.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+            assert stage.decomp.eigenvectors.tobytes() == want.eigenvectors.tobytes()
+
+    def test_spectra_of_another_dataset_rejected(self, a2_world):
+        with pytest.raises(ValueError, match="different dataset"):
+            train(a2_world.eval, "tikhonov", spectra=a2_world.spectra)
+
+    def test_world_and_its_cells_decompose_each_stage_once(self, monkeypatch):
+        import sblq.learner as learner_mod
+        built = []
+
+        def counting(rows):
+            built.append(1)
+            return stage_of(rows)
+
+        monkeypatch.setattr(learner_mod, "stage_of", counting)
+        world = build_world(A2_ENV, 1, 100, 0.5)
+        for method in METHODS:
+            method_cell(world, method, 1)
+        assert len(built) == world.train.horizon
+
+    def test_threads_sharing_spectra_match_serial(self, a2_world):
+        # compare's worker threads share a world's spectra: more threads than
+        # cores, switching often, must give the serial bytes
+        tasks = list(METHODS) * 2
+
+        def cell_text(method):
+            return model_json_text(method_cell(a2_world, method, 4).bundle)
+
+        serial = [cell_text(m) for m in tasks]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2 * (os.cpu_count() or 1) + 2) as pool:
+                threaded = list(pool.map(cell_text, tasks, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+
+
 def least_squares(rows, y):
     """The ls stage fit as train runs it: cut-off at 1e-10 sigma_max."""
-    s_max = decompose(empirical_covariance(rows)).eigenvalues[-1]
-    return fit_stage(rows, y, default_filter("cutoff"), 1e-10 * (s_max if s_max > 0 else 1.0))
+    stage = stage_of(rows)
+    s_max = stage.decomp.eigenvalues[-1]
+    return fit_stage(stage, y, default_filter("cutoff"), 1e-10 * (s_max if s_max > 0 else 1.0))
 
 
 def one_stage_dataset(rows, y):
@@ -564,7 +645,7 @@ class TestErrorDecomposition:
 
     def test_no_noise_exact_next_stage(self, rng):
         rows, _, _, clean, theta_star, sigma_true = self._instance(0, 0.0, 0.0)
-        out = error_decomposition(rows, clean, clean, clean, 0.1,
+        out = error_decomposition(stage_of(rows), clean, clean, clean, 0.1,
                                   default_filter("tikhonov"), theta_star, sigma_true)
         assert out["variance"] == pytest.approx(0.0, abs=1e-10)
         assert out["multistage"] == pytest.approx(0.0, abs=1e-10)
@@ -572,7 +653,7 @@ class TestErrorDecomposition:
     def test_triangle_inequality(self):
         for seed in range(6):
             rows, y, y_star, clean, theta_star, sigma_true = self._instance(seed)
-            out = error_decomposition(rows, y, y_star, clean, 0.05,
+            out = error_decomposition(stage_of(rows), y, y_star, clean, 0.05,
                                       default_filter("cutoff"), theta_star, sigma_true)
             assert out["total"] <= out["bias"] + out["variance"] + out["multistage"] + 1e-10
 
@@ -580,7 +661,8 @@ class TestErrorDecomposition:
         rows, y, y_star, clean, theta_star, sigma_true = self._instance(42)
         lam = 0.07
         filt = default_filter("tikhonov")
-        out = error_decomposition(rows, y, y_star, clean, lam, filt, theta_star, sigma_true)
+        out = error_decomposition(stage_of(rows), y, y_star, clean, lam, filt, theta_star,
+                                  sigma_true)
         # recompute the three estimators from their definitions
         n, d = rows.shape
         cov = rows.T @ rows / n

@@ -12,7 +12,6 @@ from sblq.spectral import (
     default_filter,
     empirical_effective_dimension,
     filter_values,
-    spectral_system,
     weighted_half_norm,
 )
 
@@ -23,8 +22,9 @@ def filter_value(spec, lam, sigma):
 
 
 def filtered_solve(decomp, spec, lam, v):
-    """g_lambda(Sigma) v through the spectral system of v."""
-    return spectral_system(decomp, v).estimate(filter_values(spec, lam, decomp.eigenvalues))
+    """g_lambda(Sigma) v = U (g_lambda(s) * U^T v), as a stage estimate forms it."""
+    u = decomp.eigenvectors
+    return u @ (filter_values(spec, lam, decomp.eigenvalues) * (u.T @ v))
 
 
 class TestDecompose:
