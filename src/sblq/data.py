@@ -18,13 +18,20 @@ Trajectories (JSON Lines, one object per line):
     {"states": [[...d_s reals...] x T], "actions": [int x T], "rewards": [real x T]}
 Reals are serialized with full round-trip precision.
 
-Each trajectory line holds the bytes of ``json.dumps`` of its record.  While
-state rows repeat, as the (user, video) states of simulated trajectories
-do, the writer encodes each distinct row once and the reader parses each
-distinct row text of lines in that layout once; both stop memoizing rows
-for the rest of the file once new rows outnumber repeated ones (past a
-first 512), so files of distinct rows cost what plain ``json`` costs.  Any
-other valid JSON line is read by ``json.loads`` with the same checks.
+Each trajectory line holds the bytes of ``json.dumps`` of its record.  State
+rows repeat, as the (user, video) states of simulated trajectories do, and
+so do the numbers they are made of, so both sides pay once per distinct
+number.  The writer joins each distinct row's text from the texts of its
+numbers, every distinct number (by its bits) formatted by one ``json.dumps``;
+it stops memoizing rows for the rest of the file once new rows outnumber
+repeated ones (past a first 512).  The reader takes a file whose lines are
+all in that layout in one pass: each distinct row text and number text is
+keyed once, the distinct numbers are parsed by one ``json.loads``, and the
+states are one gather of row indices.  New numbers outnumbering repeated
+ones (past a first 512) end that pass, and so does any line out of the
+layout; the file is then read line by line with
+``json.loads`` and the same checks, so files of distinct numbers cost what
+plain ``json`` costs.
 """
 from __future__ import annotations
 
@@ -225,19 +232,26 @@ def dataset_header_text(dataset: BatchDataset) -> str:
     return json.dumps(header) + "\n"
 
 
-# The writer's own line layout: {"states": [[row], [row], ...], "actions": ...
+# The writer's own line layout:
+# {"states": [[row], [row], ...], "actions": [...], "rewards": [...]}
 _STATES_OPEN = '{"states": [['
 _ROW_SEP = "], ["
-_STATES_CLOSE = ']], "actions": '
+_NUMBER_SEP = ", "
+_STATES_CLOSE = ']], "actions": ['
+_ACTIONS_CLOSE = '], "rewards": ['
+_LINE_CLOSE = "]}"
 # Rows stay memoized until new ones outnumber both the repeated ones and this
 # allowance, which lets through a file's first lines: they are mostly new rows
-# even where rows repeat later (a1 has at most 300 distinct states).
+# even where rows repeat later (a1 has at most 300 distinct states).  The
+# reader's number memo keeps the same rule from its second line on, counting
+# every number of the states read, a repeated row's as repeated: a first
+# line's numbers are mostly new (up to 524 of 960 on a1).
 _NEW_ROWS_ALLOWED = 512
 
 
 def _rows_repeat(n_new: int, n_looked_up: int) -> bool:
-    """Whether a row memo that ``n_looked_up`` rows filled with ``n_new``
-    distinct ones still pays for itself."""
+    """Whether a memo that ``n_looked_up`` lookups filled with ``n_new``
+    distinct entries still pays for itself."""
     return n_new <= max(n_looked_up - n_new, _NEW_ROWS_ALLOWED)
 
 
@@ -247,34 +261,46 @@ def _unbracketed_rows(values) -> list[str]:
     return json.dumps(values)[2:-2].split(_ROW_SEP)
 
 
+def _number_texts(values: np.ndarray) -> list[str]:
+    """The text between the brackets of ``json.dumps(row)`` for each row of
+    the (n, d_s) ``values``: each distinct number (by its bits, so -0.0 and
+    0.0 stay apart) formatted once, by one ``json.dumps``, and every row
+    joined from its numbers' texts."""
+    flat = np.ascontiguousarray(values).reshape(-1)
+    bits = flat.view(np.dtype(f"u{flat.itemsize}"))
+    distinct, index = np.unique(bits, return_inverse=True)
+    texts = json.dumps(distinct.view(flat.dtype).tolist())[1:-1].split(_NUMBER_SEP)
+    return [_NUMBER_SEP.join([texts[j] for j in row])
+            for row in index.reshape(values.shape).tolist()]
+
+
 def dataset_jsonl_text(dataset: BatchDataset) -> str:
     """One ``json.dumps({"states": ..., "actions": ..., "rewards": ...})`` line
     per trajectory, joined once from its pieces.  While state rows repeat,
-    each distinct row is encoded once; after that each trajectory's states
-    are encoded in one call."""
+    each distinct row's text is joined from the texts of its numbers, all
+    formatted by one ``json.dumps``; after that each trajectory's states are
+    encoded in one call."""
     d_s, dtype = dataset.state_dim, dataset.states.dtype
-    texts = {}  # a row's exact bytes, so -0.0 and 0.0 stay apart -> its JSON text
-    looked_up = 0
+    ids = {}  # a row's exact bytes -> its index among the distinct rows
+    memoized = []  # the row indices of each trajectory the memo covers
+    for states in dataset.states:
+        if not _rows_repeat(len(ids), len(memoized) * dataset.horizon):
+            break
+        memoized.append([ids.setdefault(row.tobytes(), len(ids)) for row in states])
+    rows = np.frombuffer(b"".join(ids), dtype=dtype).reshape(len(ids), d_s)
+    row_texts = _number_texts(rows)
     actions = _unbracketed_rows(dataset.actions.tolist())
     rewards = _unbracketed_rows(dataset.rewards.tolist())
     parts = []
     for i, states in enumerate(dataset.states):
-        tail = ', "actions": [' + actions[i] + '], "rewards": [' + rewards[i] + "]}\n"
-        if texts is not None and not _rows_repeat(len(texts), looked_up):
-            texts = None
-        if texts is None:
-            parts += ('{"states": ', json.dumps(states.tolist()), tail)
-            continue
-        keys = [row.tobytes() for row in states]
-        new = [key for key in dict.fromkeys(keys) if key not in texts]
-        if new:  # this trajectory's new rows, encoded in one call
-            values = np.frombuffer(b"".join(new), dtype=dtype).reshape(len(new), d_s)
-            texts.update(zip(new, _unbracketed_rows(values.tolist())))
-        looked_up += len(keys)
-        parts.append(_STATES_OPEN)
-        for key in keys:
-            parts += (texts[key], _ROW_SEP)
-        parts[-1] = "]]" + tail  # in place of the separator after the last row
+        if i < len(memoized):
+            parts.append(_STATES_OPEN)
+            for j in memoized[i]:
+                parts += (row_texts[j], _ROW_SEP)
+            parts[-1] = "]]"  # in place of the separator after the last row
+        else:
+            parts += ('{"states": ', json.dumps(states.tolist()))
+        parts += (', "actions": [', actions[i], '], "rewards": [', rewards[i], "]}\n")
     return "".join(parts)
 
 
@@ -324,96 +350,99 @@ def read_json_fields(path, *fields) -> dict:
     return require_fields(payload, fields, str(path))
 
 
-class _RecordParser:
-    """``json.loads`` of trajectory lines that parses each distinct state row
-    text once while lines are in the writer's layout and rows repeat.
+def _read_writer_layout(path, horizon: int, d_s: int):
+    """The (states, actions, rewards) arrays of trajectories file ``path`` if
+    every line is in the writer's layout, else None, in one pass.
 
-    Lines the layout does not take whole (other whitespace or key order, a
-    repeated key, a row that is not d_s numbers) are parsed by ``json.loads``,
-    so both routes give the same record.  The first such line, or new rows
-    outnumbering both repeated ones and ``_NEW_ROWS_ALLOWED``, ends the row
-    route for the rest of the file: it only pays where rows repeat.
+    Each distinct state-row text is split once into its number texts and each
+    distinct number text is kept once; all of them are parsed by one
+    ``json.loads`` at the end, and the states are one gather of row indices.
+    A line out of that layout, a number text that is not one JSON number, a
+    shape or type that ``json.loads`` of the line would not give, or new
+    numbers outnumbering both the repeated ones and ``_NEW_ROWS_ALLOWED``
+    give None, so the caller reads the file line by line instead.
     """
-
-    def __init__(self, d_s: int):
-        self.d_s = d_s
-        self.rows = {}  # row text -> its (d_s,) values; None once the route ends
-        self.looked_up = 0
-
-    def __call__(self, line: str) -> dict:
-        rec = None if self.rows is None else self._layout_record(line)
-        if rec is None:
-            self.rows = None
-            return json.loads(line)
-        if not _rows_repeat(len(self.rows), self.looked_up):
-            self.rows = None
-        return rec
-
-    def _layout_record(self, line: str):
-        end = line.find(_STATES_CLOSE) if line.startswith(_STATES_OPEN) else -1
-        if end < 0:
+    try:
+        with open(path) as fh:
+            read = _layout_texts(fh, horizon, d_s)
+        if read is None:
             return None
-        texts = line[len(_STATES_OPEN):end].split(_ROW_SEP)
-        new = [text for text in dict.fromkeys(texts) if text not in self.rows]
-        if new and not self._add_rows(new):
+        number_texts, row_numbers, gather, action_texts, reward_texts = read
+        numbers = json.loads("[" + ",".join(number_texts) + "]")
+        # as many values as texts is one value per text; a value that is not a
+        # number converts as in the line's own read, or fails
+        if len(numbers) != len(number_texts):
             return None
-        try:
-            rec = json.loads('{"actions": ' + line[end + len(_STATES_CLOSE):])
-        except (ValueError, RecursionError):
+        table = np.array(numbers, dtype=float)[np.array(row_numbers)].reshape(-1, d_s)
+        # a bracket in a text could only add a list, so n lists of T values
+        # each are the lines' own
+        actions = json.loads("[[" + _ROW_SEP.join(action_texts) + "]]")
+        if not set(map(type, chain.from_iterable(actions))) <= {int}:
             return None
-        if "states" in rec:
+        actions = np.array(actions, dtype=np.int64)
+        rewards = np.array(json.loads("[[" + _ROW_SEP.join(reward_texts) + "]]"), dtype=float)
+    except (ValueError, TypeError, OverflowError, RecursionError):
+        return None
+    n = len(action_texts)
+    if actions.shape != (n, horizon) or rewards.shape != (n, horizon):
+        return None
+    return table[np.array(gather)].reshape(n, horizon, d_s), actions, rewards
+
+
+def _layout_texts(lines, horizon: int, d_s: int):
+    """The distinct number texts of the writer-layout ``lines``, the number
+    indices of each distinct row, the row index of each state, and each
+    line's actions and rewards texts; None at the first line out of that
+    layout or, from the second line on, once new numbers outnumber both the
+    repeated ones and ``_NEW_ROWS_ALLOWED``."""
+    row_ids = {}  # row text -> its index among the distinct rows
+    number_ids = {}  # number text -> its index among the distinct numbers
+    row_numbers, gather, action_texts, reward_texts = [], [], [], []
+    for line in lines:
+        # the rows are the line cut at each row separator, less the head of
+        # the first and the tail of the last
+        texts = line.split(_ROW_SEP)
+        first, last = texts[0], texts[-1]
+        end = last.find(_STATES_CLOSE)
+        mid = last.find(_ACTIONS_CLOSE, end + len(_STATES_CLOSE)) if end >= 0 else -1
+        if (mid < 0 or len(texts) != horizon or not first.startswith(_STATES_OPEN)
+                or not last.endswith((_LINE_CLOSE, _LINE_CLOSE + "\n"))):
             return None
-        self.looked_up += len(texts)
-        rec["states"] = np.array([self.rows[text] for text in texts])
-        return rec
+        tail = last.rstrip("\n")
+        texts[-1] = tail[:end]
+        texts[0] = texts[0][len(_STATES_OPEN):]
+        new = [text for text in dict.fromkeys(texts) if text not in row_ids]
+        if new:
+            if any(text.count(_NUMBER_SEP) != d_s - 1 for text in new):
+                return None
+            row_ids.update(zip(new, range(len(row_ids), len(row_ids) + len(new))))
+            numbers = _NUMBER_SEP.join(new).split(_NUMBER_SEP)
+            fresh = set(numbers).difference(number_ids)
+            number_ids.update(zip(fresh, range(len(number_ids), len(number_ids) + len(fresh))))
+            row_numbers += map(number_ids.__getitem__, numbers)
+        if new and gather and not _rows_repeat(len(number_ids), (len(gather) + horizon) * d_s):
+            return None
+        gather += map(row_ids.__getitem__, texts)
+        action_texts.append(tail[end + len(_STATES_CLOSE):mid])
+        reward_texts.append(tail[mid + len(_ACTIONS_CLOSE):-len(_LINE_CLOSE)])
+    if not gather:
+        return None
+    return list(number_ids), row_numbers, gather, action_texts, reward_texts
 
-    def _add_rows(self, texts) -> bool:
-        """Parse the row ``texts`` in one ``json.loads``; False unless each
-        holds exactly d_s JSON numbers (only then, with no bracket inside a
-        text, does the parse give one row per text)."""
-        try:
-            values = json.loads("[[" + _ROW_SEP.join(texts) + "]]")
-            kinds = set(map(type, chain.from_iterable(values)))
-            if not kinds <= {float, int}:
-                return False
-            block = np.array(values, dtype=float)
-        except (ValueError, TypeError, OverflowError, RecursionError):
-            return False
-        if block.shape != (len(texts), self.d_s):
-            return False
-        self.rows.update(zip(texts, block))
-        return True
 
-
-def load_dataset(header_path, trajectories_path) -> BatchDataset:
-    """Load and validate a header/trajectories file pair."""
-    header = read_json_fields(header_path, *_HEADER_FIELDS)
-    for field_name, kind in _HEADER_FIELDS.items():
-        if not isinstance(header[field_name], kind) or isinstance(header[field_name], bool) != (kind is bool):
-            raise DataError(f"header {header_path}: field {field_name!r} has wrong type")
-    unknown = set(header) - set(_HEADER_FIELDS)
-    if unknown:
-        raise DataError(f"header {header_path}: unknown field {sorted(unknown)[0]!r}")
-    if header["version"] != 1:
-        raise DataError(f"header {header_path}: unsupported version {header['version']}")
-    horizon = header["horizon"]
-    d_s, d_a = header["state_dim"], header["action_dim"]
-    table = np.asarray(header["action_table"], dtype=float)
-    if table.ndim != 2 or table.shape[1] != d_a:
-        raise DataError(f"header {header_path}: field 'action_table' must be A x {d_a}")
-    if not np.all(np.isfinite(table)):
-        raise DataError(f"header {header_path}: field 'action_table' has non-finite values")
-
+def _read_lines(path, horizon: int, d_s: int):
+    """The (states, actions, rewards) arrays of trajectories file ``path``,
+    each line read by ``json.loads`` and checked on its own, and the line
+    number of each trajectory; an error names ``path:line``."""
     states_list, actions_list, rewards_list, linenos = [], [], [], []
-    parse = _RecordParser(d_s)
-    with open(trajectories_path) as fh:
+    with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            where = f"{trajectories_path}:{lineno}"
+            where = f"{path}:{lineno}"
             try:
-                rec = parse(line)
+                rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{where}: invalid JSON ({exc})") from exc
             require_fields(rec, ("states", "actions", "rewards"), where)
@@ -438,10 +467,37 @@ def load_dataset(header_path, trajectories_path) -> BatchDataset:
             rewards_list.append(rewards)
             linenos.append(lineno)
     if not states_list:
-        raise DataError(f"{trajectories_path}: no trajectories")
-    states, actions, rewards = (np.stack(states_list), np.stack(actions_list),
-                                np.stack(rewards_list))
+        raise DataError(f"{path}: no trajectories")
+    return (np.stack(states_list), np.stack(actions_list), np.stack(rewards_list)), linenos
+
+
+def load_dataset(header_path, trajectories_path) -> BatchDataset:
+    """Load and validate a header/trajectories file pair."""
+    header = read_json_fields(header_path, *_HEADER_FIELDS)
+    for field_name, kind in _HEADER_FIELDS.items():
+        if not isinstance(header[field_name], kind) or isinstance(header[field_name], bool) != (kind is bool):
+            raise DataError(f"header {header_path}: field {field_name!r} has wrong type")
+    unknown = set(header) - set(_HEADER_FIELDS)
+    if unknown:
+        raise DataError(f"header {header_path}: unknown field {sorted(unknown)[0]!r}")
+    if header["version"] != 1:
+        raise DataError(f"header {header_path}: unsupported version {header['version']}")
+    horizon = header["horizon"]
+    d_s, d_a = header["state_dim"], header["action_dim"]
+    table = np.asarray(header["action_table"], dtype=float)
+    if table.ndim != 2 or table.shape[1] != d_a:
+        raise DataError(f"header {header_path}: field 'action_table' must be A x {d_a}")
+    if not np.all(np.isfinite(table)):
+        raise DataError(f"header {header_path}: field 'action_table' has non-finite values")
     reward_bound, normalize = float(header["reward_bound"]), header["normalize"]
+
+    arrays = _read_writer_layout(trajectories_path, horizon, d_s)
+    if arrays is not None:
+        try:
+            return BatchDataset(*arrays, table, reward_bound, normalize)
+        except DataError:
+            pass  # the line-by-line read names the line
+    (states, actions, rewards), linenos = _read_lines(trajectories_path, horizon, d_s)
     try:
         return BatchDataset(states, actions, rewards, table, reward_bound, normalize)
     except DataError as exc:

@@ -196,16 +196,26 @@ def stage_targets(dataset: BatchDataset, t: int, theta_next: np.ndarray,
 
 @dataclass(frozen=True)
 class Stage:
-    """One stage's read-only (n, d) rows and the eigensystem U diag(s) U^T of
+    """One stage's read-only (n, k) rows and the eigensystem U diag(s) U^T of
     their Sigma_hat.  Every filtered estimate g_lambda(Sigma_hat) mean_i(x_i y_i)
     is U (g_lambda(s) * c) with c = ``coords(targets)``, so a method works on
-    (s, c) and rotates back only the estimates it keeps."""
+    (s, c) and rotates back only the estimates it keeps.
+
+    Under a 0/1 feature ``mask`` of length d the rows are the k kept columns
+    of the stage design, so every estimate is in those k coordinates and
+    ``lift`` writes it into the d features; without one, k = d."""
 
     rows: np.ndarray
     decomp: SpectralDecomposition
+    mask: np.ndarray | None = None
 
     def __post_init__(self):
         self.rows.setflags(write=False)
+
+    @property
+    def feature_dim(self) -> int:
+        """d, the features of the dataset, whatever the mask keeps."""
+        return self.rows.shape[1] if self.mask is None else len(self.mask)
 
     def coords(self, targets: np.ndarray) -> np.ndarray:
         """c = U^T (1/n) sum_i x_i y_i, after checking the outcomes are finite."""
@@ -218,10 +228,26 @@ class Stage:
         """U (g * c) for filter values g on the stage eigenvalues."""
         return self.decomp.eigenvectors @ (g * c)
 
+    def kept(self, v: np.ndarray) -> np.ndarray:
+        """The kept coordinates of a d-vector ``v``."""
+        return v if self.mask is None else v[self.mask != 0.0]
 
-def stage_of(rows: np.ndarray) -> Stage:
-    """The Stage of the (n, d) ``rows``: the one place Sigma_hat is decomposed."""
-    return Stage(rows, decompose(empirical_covariance(rows)))
+    def lift(self, theta: np.ndarray) -> np.ndarray:
+        """The d-vector of kept coordinates ``theta``, exactly 0 elsewhere."""
+        if self.mask is None:
+            return theta
+        full = np.zeros(len(self.mask))
+        full[self.mask != 0.0] = theta
+        return full
+
+
+def stage_of(rows: np.ndarray, mask: np.ndarray | None = None) -> Stage:
+    """The Stage of the (n, d) ``rows`` under ``mask``, on their kept columns:
+    the one place Sigma_hat is decomposed."""
+    if mask is not None:
+        mask = np.asarray(mask, dtype=float)
+        rows = rows[:, mask != 0.0]
+    return Stage(rows, decompose(empirical_covariance(rows)), mask)
 
 
 @dataclass(frozen=True)
@@ -235,22 +261,26 @@ class StageSpectra:
 
 
 def stage_spectra(dataset: BatchDataset, mask: np.ndarray | None = None) -> StageSpectra:
-    """Rows and Sigma_hat eigensystem of each stage of ``dataset`` under ``mask``."""
+    """Rows and Sigma_hat eigensystem of each stage of ``dataset`` under
+    ``mask``; a masked stage holds only the kept columns of the stage design."""
     if mask is not None:
         mask = np.asarray(mask, dtype=float)
         mask.setflags(write=False)
+        if not np.any(mask):
+            raise ValueError("the feature mask keeps no feature")
     stages = []
     for t in range(1, dataset.horizon + 1):
         rows = stage_design(dataset, t, mask=mask)
         try:
-            stages.append(stage_of(rows))
+            stages.append(stage_of(rows, mask))
         except NumericError as exc:
             raise NumericError(f"stage {t}: {exc}") from exc
     return StageSpectra(dataset, mask, tuple(stages))
 
 
 def fit_stage(stage: Stage, targets: np.ndarray, filt: FilterSpec, lam: float) -> np.ndarray:
-    """theta = g_lambda(Sigma_hat) * (1/n) sum_i x_i y_i on the stage's rows."""
+    """theta = g_lambda(Sigma_hat) * (1/n) sum_i x_i y_i on the stage's rows, in
+    the stage's kept coordinates."""
     return stage.estimate(filter_values(filt, lam, stage.decomp.eigenvalues),
                           stage.coords(targets))
 
@@ -317,9 +347,11 @@ def select_lambda(stage: Stage, targets: np.ndarray, filt: FilterSpec,
     The whole grid is evaluated in the stage eigenbasis: with filter values
     g_k at lambda_k and moment coordinates c, the gap for k is
     ||(s + lambda_{k+1})^{1/2} (g_{k+1} - g_k) c||, and only the selected
-    estimate is rotated back to feature space.
+    estimate is rotated back to feature space, in the stage's kept
+    coordinates.  The threshold's dimension is the dataset's d, whatever the
+    stage's feature mask keeps.
     """
-    n, d = stage.rows.shape
+    n, d = stage.rows.shape[0], stage.feature_dim
     k_max = cfg.budget
     s, c = stage.decomp.eigenvalues, stage.coords(targets)
     lambdas = cfg.q0 * cfg.q ** np.arange(1, k_max + 2, dtype=float)  # k = 1..K+1
@@ -480,7 +512,9 @@ def train(dataset: BatchDataset, method: str, cfg: AdaptiveConfig | None = None,
     ``cfg`` (default ``default_config(method, dataset.reward_bound)``), least
     squares, or lasso over ``lasso_grid``.  Baselines take no ``cfg``.
     ``spectra`` are the dataset's ``stage_spectra``, feature mask included;
-    None builds them unmasked.
+    None builds them unmasked.  A masked stage is fit in its kept
+    coordinates, and its theta is written into the d features with exact
+    zeros everywhere else.
     Returns (ModelBundle, StageFitReports for t = 1..T, empty for a
     baseline); identical arguments produce an identical bundle.
     """
@@ -517,9 +551,9 @@ def train(dataset: BatchDataset, method: str, cfg: AdaptiveConfig | None = None,
             theta, lam, k, report = fit(t, spectra.stages[t - 1], targets, phi)
         except (NumericError, FloatingPointError) as exc:
             raise NumericError(f"stage {t}: {exc}") from exc
-        stages[t - 1] = StageModel(t=t, theta=theta, lambda_selected=lam, k_selected=k)
+        theta_next = spectra.stages[t - 1].lift(theta)
+        stages[t - 1] = StageModel(t=t, theta=theta_next, lambda_selected=lam, k_selected=k)
         reports[t - 1] = report
-        theta_next = theta
     bundle = ModelBundle(horizon=horizon, feature_dim=d, filter_kind=method,
                          stages=tuple(stages), config=cfg, seed=seed,
                          feature_mask=spectra.mask)
@@ -536,11 +570,12 @@ def error_decomposition(stage: Stage, targets_y: np.ndarray,
     The three auxiliary estimators apply the same filter, on the stage's
     Sigma_hat, to the observed outcomes, the outcomes built from the true
     next-stage parameters, and their conditional means.  All norms are taken
-    in the (Sigma_true + lambda I)^(1/2) metric.  Only usable when the ground
-    truth is known.
+    in the (Sigma_true + lambda I)^(1/2) metric on the d features, a masked
+    stage's estimates being exactly 0 outside its kept ones.  Only usable when
+    the ground truth is known.
     """
     theta_star = np.asarray(theta_star, dtype=float)
-    n, d = stage.rows.shape
+    n, d = stage.rows.shape[0], stage.feature_dim
     for name, arr in (("targets_y", targets_y), ("targets_ystar", targets_ystar),
                       ("targets_noisefree", targets_noisefree)):
         arr = np.asarray(arr)
@@ -550,7 +585,8 @@ def error_decomposition(stage: Stage, targets_y: np.ndarray,
         raise ValueError(f"theta_star has shape {theta_star.shape}, expected ({d},)")
     g = filter_values(filt, lam, stage.decomp.eigenvalues)
     theta_obs, theta_true_targets, theta_clean = (
-        stage.estimate(g, stage.coords(y)) for y in (targets_y, targets_ystar, targets_noisefree))
+        stage.lift(stage.estimate(g, stage.coords(y)))
+        for y in (targets_y, targets_ystar, targets_noisefree))
     weight = decompose(np.asarray(sigma_true, dtype=float))
     return {
         "bias": weighted_half_norm(weight, lam, theta_clean - theta_star),

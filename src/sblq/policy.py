@@ -143,12 +143,14 @@ def policy_value(model: ModelBundle, dataset: BatchDataset, env: SyntheticEnv | 
 def comparison_diagnostic(model: ModelBundle, theta_star,
                           dataset: BatchDataset) -> float:
     """Value-suboptimality bound sum_t 2 mu^(t/2) ||theta_t - theta*_t||_Sigma_t,
-    with Sigma_t estimated from the dataset and mu the action-set size."""
+    with Sigma_t estimated from the dataset and mu the action-set size.  Under
+    the model's feature mask Sigma_t is 0 outside the kept features, so the
+    norm is taken on the kept coordinates."""
     truth = _truth_rows(theta_star, model.horizon, model.feature_dim)
     mu = float(len(dataset.action_table))
     total = 0.0
     for t, stage in enumerate(stage_spectra(dataset, model.feature_mask).stages, start=1):
-        diff = model.theta(t) - truth[t - 1]
+        diff = stage.kept(model.theta(t) - truth[t - 1])
         total += 2.0 * mu ** (t / 2.0) * weighted_half_norm(stage.decomp, 0.0, diff)
     return total
 

@@ -20,6 +20,7 @@ from sblq.data import (
     split,
     stage_design,
 )
+from sblq.envs import A1_ENV, generate_trajectories, make_env
 from sblq.errors import DataError
 
 from conftest import make_dataset, per_record_jsonl, reference_scores
@@ -350,6 +351,8 @@ def mutated_line(kind, rec):
         return json.dumps(rec).replace(", ", ",  ", 1)
     if kind == "spaced-rows":
         return json.dumps(rec).replace("], [", "],  [")
+    if kind == "comma-number":  # a row of d_s texts, one of them holding two numbers
+        return json.dumps(rec).replace(", ", ",7, ", 1)
     if kind == "duplicate-states":
         return json.dumps(rec)[:-1] + ', "states": ' + json.dumps(states[::-1]) + "}"
     if kind == "duplicate-states-misshapen":
@@ -383,7 +386,7 @@ def mutated_line(kind, rec):
     raise AssertionError(kind)
 
 
-MUTATIONS = ["reordered", "compact", "spaced-row", "spaced-rows", "duplicate-states",
+MUTATIONS = ["reordered", "compact", "spaced-row", "spaced-rows", "comma-number", "duplicate-states",
              "duplicate-states-misshapen", "bool", "int", "int-rows", "string", "nested", "ragged",
              "long-row", "long-rows", "huge-int", "nan", "extra-key", "float-actions", "truncated"]
 
@@ -406,31 +409,44 @@ class TestJsonlIO:
     @settings(max_examples=30, deadline=None)
     @given(dataset=datasets())
     def test_writer_lines_parse_each_distinct_row_once(self, dataset):
-        parse = data_mod._RecordParser(dataset.state_dim)
-        for line in dataset_jsonl_text(dataset).splitlines():
-            rec = parse(line)
-            want = json.loads(line)
-            assert rec.keys() == want.keys()
-            assert rec["states"].tobytes() == np.array(want["states"]).tobytes()
-            assert rec["actions"] == want["actions"] and rec["rewards"] == want["rewards"]
-        distinct = {json.dumps(row.tolist()) for row in dataset.states.reshape(-1, dataset.state_dim)}
-        assert len(parse.rows) == len(distinct)
+        # each distinct row text is split once and each distinct number text
+        # kept once, and the one-pass arrays are those of per-line json.loads
+        d_s = dataset.state_dim
+        text = dataset_jsonl_text(dataset)
+        read = data_mod._layout_texts(iter(text.splitlines(keepends=True)),
+                                      dataset.horizon, d_s)
+        assert read is not None
+        numbers, row_numbers = read[:2]
+        rows = dict.fromkeys(json.dumps(row)[1:-1]
+                             for row in dataset.states.reshape(-1, d_s).tolist())
+        assert len(row_numbers) == len(rows) * d_s
+        assert sorted(numbers) == sorted({v for row in rows for v in row.split(", ")})
+        with tempfile.TemporaryDirectory() as tmp:
+            header, trajectories = Path(tmp) / "h.json", Path(tmp) / "t.jsonl"
+            write_dataset(dataset, header, trajectories)
+            got = data_mod._read_writer_layout(trajectories, dataset.horizon, d_s)
+            want, _ = data_mod._read_lines(trajectories, dataset.horizon, d_s)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert [a.shape for a in got] == [a.shape for a in want]
 
     @pytest.mark.parametrize("kind", ["distinct", "pooled-then-distinct", "pooled"])
     def test_row_memo_kept_only_while_rows_repeat(self, kind):
         dataset = rows_dataset(kind)
         text = dataset_jsonl_text(dataset)
         assert text == per_record_jsonl(dataset)
-        parse = data_mod._RecordParser(dataset.state_dim)
-        kept = []
-        for line in text.splitlines():
-            got, want = parse(line)["states"], json.loads(line)["states"]
-            assert np.array(got).tobytes() == np.array(want).tobytes()
-            kept.append(parse.rows is not None)
-        # the route ends once new rows outnumber both repeated ones and 512
-        assert kept == {"distinct": [True] * 25 + [False] * 35,
-                        "pooled-then-distinct": [True] * 35 + [False] * 25,
-                        "pooled": [True] * 60}[kind]
+        consumed = []
+
+        def lines():
+            for line in text.splitlines(keepends=True):
+                consumed.append(line)
+                yield line
+
+        read = data_mod._layout_texts(lines(), dataset.horizon, dataset.state_dim)
+        # from the second line on, the pass ends once new numbers outnumber
+        # both 512 and the repeated ones, a repeated row's counted as repeated
+        assert (read is not None, len(consumed)) == {"distinct": (False, 9),
+                                                      "pooled-then-distinct": (False, 20),
+                                                      "pooled": (True, 60)}[kind]
         with tempfile.TemporaryDirectory() as tmp:
             header, trajectories = Path(tmp) / "h.json", Path(tmp) / "t.jsonl"
             write_dataset(dataset, header, trajectories)
@@ -442,23 +458,39 @@ class TestJsonlIO:
         for rec in map(json.loads, dataset_jsonl_text(dataset).splitlines()):
             rec["states"] = [[round(v * 4) for v in row] for row in rec["states"]]
             lines.append(json.dumps(rec))  # still in the writer's layout
-        parse = data_mod._RecordParser(dataset.state_dim)
-        for line in lines:
-            want = np.array(json.loads(line)["states"], dtype=float)
-            assert parse(line)["states"].tobytes() == want.tobytes()
-        assert parse.rows is not None and len(parse.rows) == 10
+        read = data_mod._layout_texts(iter(lines), dataset.horizon, dataset.state_dim)
+        assert read is not None and len(read[1]) == 10 * dataset.state_dim
+        with tempfile.TemporaryDirectory() as tmp:
+            trajectories = Path(tmp) / "t.jsonl"
+            trajectories.write_text("\n".join(lines) + "\n")
+            states = data_mod._read_writer_layout(trajectories, dataset.horizon,
+                                                  dataset.state_dim)[0]
+        want = np.array([json.loads(line)["states"] for line in lines], dtype=float)
+        assert states.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("kind", ["compact", "long-rows"])
     def test_line_the_layout_cannot_take_ends_the_row_memo(self, kind):
         dataset = rows_dataset("pooled")
         lines = dataset_jsonl_text(dataset).splitlines()
         lines[1] = mutated_line(kind, json.loads(lines[1]))
-        parse = data_mod._RecordParser(dataset.state_dim)
-        parse(lines[0])
-        assert parse.rows is not None
-        for line in lines[1:]:
-            assert parse(line) == json.loads(line)
-        assert parse.rows is None
+        consumed = []
+
+        def counted():
+            for line in lines:
+                consumed.append(line)
+                yield line
+
+        assert data_mod._layout_texts(counted(), dataset.horizon, dataset.state_dim) is None
+        assert len(consumed) == 2
+        with tempfile.TemporaryDirectory() as tmp:
+            header, trajectories = Path(tmp) / "h.json", Path(tmp) / "t.jsonl"
+            write_dataset(dataset, header, trajectories)
+            trajectories.write_text("\n".join(lines) + "\n")
+            got = load_outcome(header, trajectories)
+            with mock.patch.object(data_mod, "_read_writer_layout", lambda *args: None):
+                assert got == load_outcome(header, trajectories)
+        if kind == "compact":
+            assert got == bits(dataset)
 
     @settings(max_examples=120, deadline=None)
     @given(dataset=datasets(), kind=st.sampled_from(MUTATIONS), data=st.data())
@@ -471,9 +503,56 @@ class TestJsonlIO:
             write_dataset(dataset, header, trajectories)
             trajectories.write_text("\n".join(lines) + "\n")
             got = load_outcome(header, trajectories)
-            with mock.patch.object(data_mod, "_RecordParser", lambda d_s: json.loads):
+            # per-line json.loads of every line
+            with mock.patch.object(data_mod, "_read_writer_layout", lambda *args: None):
                 want = load_outcome(header, trajectories)
         assert got == want
+
+    def test_edge_numbers_keep_their_bits_through_the_memos(self, tmp_path):
+        # -0.0 and 0.0 in one file, subnormals, 1e16 and integer-valued floats,
+        # each in rows that repeat
+        rows = np.array([EDGE_FLOATS[i:i + 4] for i in range(len(EDGE_FLOATS) - 3)])
+        states = rows[np.arange(3 * 4) % len(rows)].reshape(3, 4, 4)
+        dataset = BatchDataset(states=states, actions=np.zeros((3, 4), dtype=np.int64),
+                               rewards=np.array([[0.0, -0.0, 5e-324, 1e16]] * 3),
+                               action_table=np.eye(4), reward_bound=1e16)
+        write_dataset(dataset, tmp_path / "h.json", tmp_path / "t.jsonl")
+        text = (tmp_path / "t.jsonl").read_text()
+        assert text == per_record_jsonl(dataset)
+        numbers = data_mod._layout_texts(iter(text.splitlines(keepends=True)), 4, 4)[0]
+        assert {"0.0", "-0.0", "5e-324", "1.5e-310", "1e+16", "1.0", "-2.0"} <= set(numbers)
+        assert len(numbers) == len(EDGE_FLOATS)
+        got = data_mod._read_writer_layout(tmp_path / "t.jsonl", 4, 4)
+        assert got[0].tobytes() == states.tobytes() and got[2].tobytes() == dataset.rewards.tobytes()
+        assert bits(load_dataset(tmp_path / "h.json", tmp_path / "t.jsonl")) == bits(dataset)
+
+    def test_a1_file_formats_and_parses_each_distinct_number_once(self, tmp_path):
+        dataset, _ = generate_trajectories(make_env(A1_ENV, 0), 100, seed=0)
+        # one json.dumps each for the distinct numbers, the actions and the rewards
+        with mock.patch.object(data_mod.json, "dumps", wraps=json.dumps) as dumps:
+            write_dataset(dataset, tmp_path / "h.json", tmp_path / "t.jsonl")
+        assert dumps.call_count == 1 + 3  # the header, then the trajectories
+        text = (tmp_path / "t.jsonl").read_text()
+        numbers = data_mod._layout_texts(iter(text.splitlines(keepends=True)),
+                                         dataset.horizon, dataset.state_dim)[0]
+        states = [rec["states"] for rec in map(json.loads, text.splitlines())]
+        distinct = {json.dumps(v) for traj in states for row in traj for v in row}
+        assert len(numbers) == len(distinct) == 1040 and set(numbers) == distinct
+        # one json.loads each for the header, the distinct numbers, the
+        # actions and the rewards
+        with mock.patch.object(data_mod.json, "loads", wraps=json.loads) as loads:
+            back = load_dataset(tmp_path / "h.json", tmp_path / "t.jsonl")
+        assert loads.call_count == 4
+        assert bits(back) == bits(dataset)
+
+    def test_a1_files_are_read_in_one_pass(self):
+        # a first line's numbers are mostly new (524 of 960 on world 10), so
+        # the number memo's rule starts at the second line
+        for world in range(32):
+            dataset, _ = generate_trajectories(make_env(A1_ENV, world), 100, seed=world)
+            lines = dataset_jsonl_text(dataset).splitlines(keepends=True)
+            read = data_mod._layout_texts(iter(lines), dataset.horizon, dataset.state_dim)
+            assert read is not None, world
 
 
 class TestSplit:

@@ -21,9 +21,11 @@ from sblq.cli import _trace_text
 from sblq.envs import A2_ENV, EnvSpec, generate_trajectories, make_env
 from sblq.experiments import build_world, method_cell
 from sblq.learner import (
+    LASSO_TOL,
     AdaptiveConfig,
     ModelBundle,
     StageModel,
+    StageSpectra,
     adaptive_threshold,
     default_config,
     dimension_adjusted_sample_size,
@@ -450,17 +452,23 @@ class TestStageSpectra:
             assert (got[0].feature_mask is None) == (not masked)
 
     def test_stages_are_the_stage_designs_decomposed(self, a2_world):
+        # a masked stage holds the kept columns of the masked design, whose
+        # other columns are exactly 0, and the eigensystem of those columns
         ds = a2_world.train
         mask = np.ones(ds.feature_dim)
         mask[1] = 0.0
-        spectra = stage_spectra(ds, mask)
-        assert spectra.dataset is ds and len(spectra.stages) == ds.horizon
-        for t, stage in enumerate(spectra.stages, start=1):
-            rows = stage_design(ds, t, mask=mask)
-            assert stage.rows.tobytes() == rows.tobytes() and not stage.rows.flags.writeable
-            want = decompose(empirical_covariance(rows))
-            assert stage.decomp.eigenvalues.tobytes() == want.eigenvalues.tobytes()
-            assert stage.decomp.eigenvectors.tobytes() == want.eigenvectors.tobytes()
+        for spectra in (a2_world.spectra, stage_spectra(ds, mask)):
+            kept = np.ones(ds.feature_dim, bool) if spectra.mask is None else mask != 0.0
+            assert spectra.dataset is ds and len(spectra.stages) == ds.horizon
+            for t, stage in enumerate(spectra.stages, start=1):
+                design = stage_design(ds, t, mask=spectra.mask)
+                assert not np.any(design[:, ~kept])
+                rows = design[:, kept]
+                assert stage.rows.tobytes() == rows.tobytes() and not stage.rows.flags.writeable
+                assert stage.feature_dim == ds.feature_dim
+                want = decompose(empirical_covariance(rows))
+                assert stage.decomp.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+                assert stage.decomp.eigenvectors.tobytes() == want.eigenvectors.tobytes()
 
     def test_spectra_of_another_dataset_rejected(self, a2_world):
         with pytest.raises(ValueError, match="different dataset"):
@@ -470,9 +478,9 @@ class TestStageSpectra:
         import sblq.learner as learner_mod
         built = []
 
-        def counting(rows):
+        def counting(rows, mask=None):
             built.append(1)
-            return stage_of(rows)
+            return stage_of(rows, mask)
 
         monkeypatch.setattr(learner_mod, "stage_of", counting)
         world = build_world(A2_ENV, 1, 100, 0.5)
@@ -497,6 +505,70 @@ class TestStageSpectra:
         finally:
             sys.setswitchinterval(interval)
         assert threaded == serial
+
+
+def full_matrix_spectra(ds, mask):
+    """Stage spectra as built on all d columns of each masked design, whose
+    excluded rows and columns of Sigma_hat are exactly 0."""
+    return StageSpectra(ds, mask, tuple(stage_of(stage_design(ds, t, mask=mask))
+                                        for t in range(1, ds.horizon + 1)))
+
+
+class TestMaskedStages:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_masked_fit_is_the_full_matrix_fit_with_exact_zeros(self, a2_world, method):
+        ds = a2_world.train
+        mask = np.ones(ds.feature_dim)
+        mask[::3] = 0.0
+        kept = mask != 0.0
+        got, _ = train(ds, method, seed=3, spectra=stage_spectra(ds, mask))
+        want, _ = train(ds, method, seed=3, spectra=full_matrix_spectra(ds, mask))
+        for g, w in zip(got.stages, want.stages):
+            assert not np.any(g.theta[~kept])
+            assert (g.lambda_selected, g.k_selected) == (w.lambda_selected, w.k_selected)
+            gap = np.max(np.abs(g.theta[kept] - w.theta[kept]))
+            if method == "lasso":
+                assert gap <= LASSO_TOL
+            else:  # relative to the stage's largest kept coefficient
+                assert gap <= 1e-12 * np.max(np.abs(w.theta[kept]))
+
+    def test_masked_stages_keep_the_datasets_dimension_in_the_threshold(self, a2_world,
+                                                                        monkeypatch):
+        import sblq.learner as learner_mod
+        ds = a2_world.train
+        mask = np.ones(ds.feature_dim)
+        mask[::3] = 0.0
+        seen = []
+
+        def spy(n, d, cfg):
+            seen.append(d)
+            return dimension_adjusted_sample_size(n, d, cfg)
+
+        monkeypatch.setattr(learner_mod, "dimension_adjusted_sample_size", spy)
+        cfg = default_config("tikhonov", ds.reward_bound, c0=0.5)
+        spectra = stage_spectra(ds, mask)
+        assert all(stage.rows.shape[1] == np.count_nonzero(mask) for stage in spectra.stages)
+        got, _ = train(ds, "tikhonov", cfg, spectra=spectra)
+        assert seen == [ds.feature_dim] * ds.horizon
+        want, _ = train(ds, "tikhonov", cfg, spectra=full_matrix_spectra(ds, mask))
+        assert ([(s.lambda_selected, s.k_selected) for s in got.stages]
+                == [(s.lambda_selected, s.k_selected) for s in want.stages])
+
+    def test_error_decomposition_of_a_masked_stage_is_the_full_matrix_one(self, a2_world):
+        ds = a2_world.train
+        mask = np.ones(ds.feature_dim)
+        mask[::3] = 0.0
+        rng = np.random.default_rng(5)
+        ys = [ds.rewards[:, 0] + 0.1 * rng.standard_normal(len(ds)) for _ in range(3)]
+        theta_star = rng.standard_normal(ds.feature_dim)
+        args = (*ys, 0.05, default_filter("tikhonov"), theta_star, np.eye(ds.feature_dim))
+        got = error_decomposition(stage_spectra(ds, mask).stages[0], *args)
+        want = error_decomposition(full_matrix_spectra(ds, mask).stages[0], *args)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_empty_mask_rejected(self, a2_world):
+        with pytest.raises(ValueError, match="keeps no feature"):
+            stage_spectra(a2_world.train, np.zeros(a2_world.train.feature_dim))
 
 
 def least_squares(rows, y):

@@ -330,6 +330,28 @@ class TestComparisonDiagnostic:
         assert comparison_diagnostic(model, truth, ds) == pytest.approx(total, abs=1e-10)
 
 
+    def test_masked_model_matches_term_by_term_recomputation(self, rng):
+        # Sigma_t of the masked design is 0 outside the kept features
+        ds = make_dataset(n=8, horizon=3, seed=9)
+        mask = np.ones(ds.feature_dim)
+        mask[[0, 4]] = 0.0
+        truth = rng.standard_normal((3, ds.feature_dim))
+        est = (truth + 0.2 * rng.standard_normal(truth.shape)) * mask
+        stages = tuple(StageModel(t=t + 1, theta=est[t].copy(), lambda_selected=0.1,
+                                  k_selected=1) for t in range(3))
+        model = ModelBundle(horizon=3, feature_dim=ds.feature_dim, filter_kind="cutoff",
+                            stages=stages, feature_mask=mask)
+        mu = float(len(ds.action_table))
+        from sblq.data import stage_design
+        total = 0.0
+        for t in (1, 2, 3):
+            rows = stage_design(ds, t, mask=mask)
+            cov = rows.T @ rows / rows.shape[0]
+            diff = est[t - 1] - truth[t - 1]
+            total += 2.0 * mu ** (t / 2.0) * np.sqrt(diff @ cov @ diff)
+        assert comparison_diagnostic(model, truth, ds) == pytest.approx(total, rel=1e-12)
+
+
 def test_evaluate_bundles_metrics():
     spec = EnvSpec(n_users=6, n_actions=5, d_video=3, d_user=3, d_action=3,
                    horizon=3, noise_sd=0.3)
