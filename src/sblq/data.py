@@ -21,16 +21,16 @@ Reals are serialized with full round-trip precision.
 Each trajectory line holds the bytes of ``json.dumps`` of its record.  State
 rows repeat, as the (user, video) states of simulated trajectories do, and
 so do the numbers they are made of, so both sides pay once per distinct
-number.  The writer joins each distinct row's text from the texts of its
-numbers, every distinct number (by its bits) formatted by one ``json.dumps``;
-it stops memoizing rows for the rest of the file once new rows outnumber
-repeated ones (past a first 512).  The reader takes a file whose lines are
-all in that layout in one pass: each distinct row text and number text is
-keyed once, the distinct numbers are parsed by one ``json.loads``, and the
-states are one gather of row indices.  New numbers outnumbering repeated
-ones (past a first 512) end that pass, and so does any line out of the
-layout; the file is then read line by line with
-``json.loads`` and the same checks, so files of distinct numbers cost what
+number.  While numbers repeat, the writer joins each distinct row's text
+from the texts of its numbers, every distinct number (by its bits) formatted
+by one ``json.dumps``; it stops memoizing rows for the rest of the file once
+new rows outnumber repeated ones (past a first 512).  The reader takes a
+file whose lines are all in that layout (blank lines aside) in one pass:
+each distinct row text and number text is keyed once, the distinct numbers
+are parsed by one ``json.loads``, and the states are one gather of row
+indices.  The writer's rule on rows ends that pass, and so does any line out
+of the layout; the file is then read again, line by line, with
+``json.loads`` and the same checks, so files of distinct rows cost what
 plain ``json`` costs.
 """
 from __future__ import annotations
@@ -243,9 +243,8 @@ _LINE_CLOSE = "]}"
 # Rows stay memoized until new ones outnumber both the repeated ones and this
 # allowance, which lets through a file's first lines: they are mostly new rows
 # even where rows repeat later (a1 has at most 300 distinct states).  The
-# reader's number memo keeps the same rule from its second line on, counting
-# every number of the states read, a repeated row's as repeated: a first
-# line's numbers are mostly new (up to 524 of 960 on a1).
+# writer and the reader keep the same rule, and it bounds the reader's number
+# memo too: a row holds d_s numbers.
 _NEW_ROWS_ALLOWED = 512
 
 
@@ -265,10 +264,13 @@ def _number_texts(values: np.ndarray) -> list[str]:
     """The text between the brackets of ``json.dumps(row)`` for each row of
     the (n, d_s) ``values``: each distinct number (by its bits, so -0.0 and
     0.0 stay apart) formatted once, by one ``json.dumps``, and every row
-    joined from its numbers' texts."""
+    joined from its numbers' texts, while numbers repeat; else the rows
+    formatted by one ``json.dumps``."""
     flat = np.ascontiguousarray(values).reshape(-1)
     bits = flat.view(np.dtype(f"u{flat.itemsize}"))
     distinct, index = np.unique(bits, return_inverse=True)
+    if not _rows_repeat(len(distinct), len(flat)):
+        return _unbracketed_rows(values.tolist())
     texts = json.dumps(distinct.view(flat.dtype).tolist())[1:-1].split(_NUMBER_SEP)
     return [_NUMBER_SEP.join([texts[j] for j in row])
             for row in index.reshape(values.shape).tolist()]
@@ -277,9 +279,8 @@ def _number_texts(values: np.ndarray) -> list[str]:
 def dataset_jsonl_text(dataset: BatchDataset) -> str:
     """One ``json.dumps({"states": ..., "actions": ..., "rewards": ...})`` line
     per trajectory, joined once from its pieces.  While state rows repeat,
-    each distinct row's text is joined from the texts of its numbers, all
-    formatted by one ``json.dumps``; after that each trajectory's states are
-    encoded in one call."""
+    each distinct row's text is formatted once (``_number_texts``); after
+    that each trajectory's states are encoded in one call."""
     d_s, dtype = dataset.state_dim, dataset.states.dtype
     ids = {}  # a row's exact bytes -> its index among the distinct rows
     memoized = []  # the row indices of each trajectory the memo covers
@@ -359,8 +360,8 @@ def _read_writer_layout(path, horizon: int, d_s: int):
     ``json.loads`` at the end, and the states are one gather of row indices.
     A line out of that layout, a number text that is not one JSON number, a
     shape or type that ``json.loads`` of the line would not give, or new
-    numbers outnumbering both the repeated ones and ``_NEW_ROWS_ALLOWED``
-    give None, so the caller reads the file line by line instead.
+    rows outnumbering both the repeated ones and ``_NEW_ROWS_ALLOWED`` give
+    None, so the caller reads the file line by line instead.
     """
     try:
         with open(path) as fh:
@@ -368,12 +369,12 @@ def _read_writer_layout(path, horizon: int, d_s: int):
         if read is None:
             return None
         number_texts, row_numbers, gather, action_texts, reward_texts = read
-        numbers = json.loads("[" + ",".join(number_texts) + "]")
-        # as many values as texts is one value per text; a value that is not a
+        # as many scalars as texts is one value per text; a value that is not a
         # number converts as in the line's own read, or fails
-        if len(numbers) != len(number_texts):
+        numbers = np.array(json.loads("[" + ",".join(number_texts) + "]"), dtype=float)
+        if numbers.shape != (len(number_texts),):
             return None
-        table = np.array(numbers, dtype=float)[np.array(row_numbers)].reshape(-1, d_s)
+        table = numbers[np.array(row_numbers)].reshape(-1, d_s)
         # a bracket in a text could only add a list, so n lists of T values
         # each are the lines' own
         actions = json.loads("[[" + _ROW_SEP.join(action_texts) + "]]")
@@ -393,40 +394,42 @@ def _layout_texts(lines, horizon: int, d_s: int):
     """The distinct number texts of the writer-layout ``lines``, the number
     indices of each distinct row, the row index of each state, and each
     line's actions and rewards texts; None at the first line out of that
-    layout or, from the second line on, once new numbers outnumber both the
-    repeated ones and ``_NEW_ROWS_ALLOWED``."""
+    layout or once new rows outnumber both the repeated ones and
+    ``_NEW_ROWS_ALLOWED``.  Blank lines are skipped, as the per-line read
+    skips them."""
     row_ids = {}  # row text -> its index among the distinct rows
-    number_ids = {}  # number text -> its index among the distinct numbers
-    row_numbers, gather, action_texts, reward_texts = [], [], [], []
+    gather, action_texts, reward_texts = [], [], []
     for line in lines:
+        if not line.startswith(_STATES_OPEN):
+            if line.isspace():
+                continue
+            return None
         # the rows are the line cut at each row separator, less the head of
         # the first and the tail of the last
         texts = line.split(_ROW_SEP)
-        first, last = texts[0], texts[-1]
+        last = texts[-1]
         end = last.find(_STATES_CLOSE)
         mid = last.find(_ACTIONS_CLOSE, end + len(_STATES_CLOSE)) if end >= 0 else -1
-        if (mid < 0 or len(texts) != horizon or not first.startswith(_STATES_OPEN)
+        if (mid < 0 or len(texts) != horizon
                 or not last.endswith((_LINE_CLOSE, _LINE_CLOSE + "\n"))):
             return None
         tail = last.rstrip("\n")
         texts[-1] = tail[:end]
         texts[0] = texts[0][len(_STATES_OPEN):]
         new = [text for text in dict.fromkeys(texts) if text not in row_ids]
-        if new:
-            if any(text.count(_NUMBER_SEP) != d_s - 1 for text in new):
-                return None
-            row_ids.update(zip(new, range(len(row_ids), len(row_ids) + len(new))))
-            numbers = _NUMBER_SEP.join(new).split(_NUMBER_SEP)
-            fresh = set(numbers).difference(number_ids)
-            number_ids.update(zip(fresh, range(len(number_ids), len(number_ids) + len(fresh))))
-            row_numbers += map(number_ids.__getitem__, numbers)
-        if new and gather and not _rows_repeat(len(number_ids), (len(gather) + horizon) * d_s):
+        if any(text.count(_NUMBER_SEP) != d_s - 1 for text in new):
             return None
+        row_ids.update(zip(new, range(len(row_ids), len(row_ids) + len(new))))
         gather += map(row_ids.__getitem__, texts)
+        if not _rows_repeat(len(row_ids), len(gather)):
+            return None
         action_texts.append(tail[end + len(_STATES_CLOSE):mid])
         reward_texts.append(tail[mid + len(_ACTIONS_CLOSE):-len(_LINE_CLOSE)])
     if not gather:
         return None
+    number_ids = {}  # number text -> its index among the distinct numbers
+    row_numbers = [number_ids.setdefault(text, len(number_ids))
+                   for row in row_ids for text in row.split(_NUMBER_SEP)]
     return list(number_ids), row_numbers, gather, action_texts, reward_texts
 
 

@@ -24,9 +24,8 @@ leaves.  So no tail algorithm is copied here.  ``_WI`` and ``_KI`` are numpy's
 ``wi_double`` and ``ki_double`` tables, read from its draws (see
 tests/test_streams.py).
 
-Every array operand is np.uint64 or np.uint32: at numpy 1.24, uint64
-arithmetic with an int64 operand is promoted to float64.  What does not
-depend on the spawn key is hashed in Python ints.
+Every operand is np.uint64 or np.uint32: at numpy 1.24, uint64 arithmetic
+with an int64 operand is promoted to float64.
 """
 from __future__ import annotations
 
@@ -48,37 +47,22 @@ _MULT_LO1, _MULT_LO0 = _U64((MULTIPLIER & _MASK64) >> 32), _U64(MULTIPLIER & 0xF
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MIX_MULT_L, _MIX_MULT_R = _U32(0xCA01F9DD), _U32(0x4973F715)
 _XSHIFT = _U32(16)
 
 
-def _hashmix(value: int, const: int):
-    """SeedSequence's ``hashmix`` of a 32-bit word; returns it and the next
+def _hashmix(value, const: int):
+    """SeedSequence's ``hashmix`` of a uint32 array; returns it and the next
     hash constant."""
-    next_const = const * _MULT_A & 0xFFFFFFFF
-    value = (value ^ const) * next_const & 0xFFFFFFFF
-    return value ^ (value >> 16), next_const
+    value = value ^ _U32(const)
+    const = const * _MULT_A & 0xFFFFFFFF
+    value = value * _U32(const)
+    return value ^ (value >> _XSHIFT), const
 
 
-def _mix(x: int, y: int) -> int:
-    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & 0xFFFFFFFF
-    return result ^ (result >> 16)
-
-
-def _constants(const: int, mult: int, k: int) -> list[int]:
-    """The k hash constants after ``const`` and ``const`` itself, in order."""
-    out = [const]
-    for _ in range(k):
-        out.append(out[-1] * mult & 0xFFFFFFFF)
-    return out
-
-
-def _hash_rows(values, consts: list[int]):
-    """Row r of the uint32 ``values`` hashed as SeedSequence hashes a word:
-    xor ``consts[r]``, times ``consts[r + 1]``, xor its top 16 bits."""
-    c = np.array(consts, dtype=np.uint32)[:, None]
-    value = (values ^ c[:-1]) * c[1:]
-    return value ^ (value >> _XSHIFT)
+def _mix(x, y):
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ (result >> _XSHIFT)
 
 
 def spawn_states(seed: int, n: int) -> np.ndarray:
@@ -86,9 +70,8 @@ def spawn_states(seed: int, n: int) -> np.ndarray:
     .generate_state(4, np.uint64)``.
 
     The children share the seed's words and differ only in the spawn key i,
-    which is mixed in last: the hashing before it runs once, on Python ints,
-    and only the key's steps and the output hashing run on arrays of the n
-    children."""
+    which is mixed in last: the hashing before it runs once, on one-element
+    arrays that broadcast against the n keys."""
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError("expected non-negative integer")
@@ -97,10 +80,12 @@ def spawn_states(seed: int, n: int) -> np.ndarray:
         seed >>= 32
         words.append(seed & 0xFFFFFFFF)
     # a spawn key follows, so the seed's words are padded to the pool size
-    words += [0] * (_POOL_SIZE - len(words))
+    entropy = [np.array([w], dtype=np.uint32)
+               for w in words + [0] * (_POOL_SIZE - len(words))]
+    entropy.append(np.arange(n, dtype=np.uint32))  # the spawn key (i,)
     const = _INIT_A
     pool = []
-    for word in words[:_POOL_SIZE]:
+    for word in entropy[:_POOL_SIZE]:
         mixed, const = _hashmix(word, const)
         pool.append(mixed)
     for src in range(_POOL_SIZE):
@@ -108,21 +93,22 @@ def spawn_states(seed: int, n: int) -> np.ndarray:
             if src != dst:
                 mixed, const = _hashmix(pool[src], const)
                 pool[dst] = _mix(pool[dst], mixed)
-    for word in words[_POOL_SIZE:]:
+    for word in entropy[_POOL_SIZE:]:
         for dst in range(_POOL_SIZE):
             mixed, const = _hashmix(word, const)
             pool[dst] = _mix(pool[dst], mixed)
-    # the spawn key (i,) mixed into each pool word: row dst of (4, n)
-    mixed = _hash_rows(np.arange(n, dtype=np.uint32)[None, :],
-                       _constants(const, _MULT_A, _POOL_SIZE))
-    left = np.array([_MIX_MULT_L * x & 0xFFFFFFFF for x in pool], dtype=np.uint32)
-    result = left[:, None] - _U32(_MIX_MULT_R) * mixed
-    children = result ^ (result >> _XSHIFT)
     # generate_state: 8 hashed 32-bit words from the cycled pool, paired
     # little-endian into 4 64-bit words
-    halves = _hash_rows(children[np.arange(8) % _POOL_SIZE],
-                        _constants(_INIT_B, _MULT_B, 8)).astype(np.uint64)
-    return np.ascontiguousarray((halves[0::2] | (halves[1::2] << _SHIFT32)).T)
+    const, out = _INIT_B, np.empty((n, 4), dtype=np.uint64)
+    halves = []
+    for k in range(8):
+        value = pool[k % _POOL_SIZE] ^ _U32(const)
+        const = const * _MULT_B & 0xFFFFFFFF
+        value = value * _U32(const)
+        halves.append((value ^ (value >> _XSHIFT)).astype(np.uint64))
+    for k in range(4):
+        out[:, k] = halves[2 * k] | (halves[2 * k + 1] << _SHIFT32)
+    return out
 
 
 def _mulhi(a):

@@ -308,13 +308,14 @@ def datasets(draw):
         reward_bound=float(np.max(np.abs(rewards))))
 
 
-def rows_dataset(kind, n=60, horizon=20, d_s=3):
+def rows_dataset(kind, n=60, horizon=20, d_s=3, pool=10):
     """n trajectories whose state rows are all distinct, all drawn from a
-    10-row pool, or pooled for the first 10 trajectories and distinct after."""
+    pool of ``pool`` rows, or pooled for the first 10 trajectories and
+    distinct after; no number is shared by two distinct rows."""
     rng = np.random.default_rng(0)
     states = rng.standard_normal((n * horizon, d_s))
     pooled = {"distinct": 0, "pooled-then-distinct": 10 * horizon, "pooled": n * horizon}[kind]
-    states[:pooled] = states[rng.integers(0, 10, size=pooled)]
+    states[:pooled] = states[rng.integers(0, pool, size=pooled)]
     return BatchDataset(states=states.reshape(n, horizon, d_s),
                         actions=rng.integers(0, 3, size=(n, horizon)),
                         rewards=rng.uniform(-1.0, 1.0, size=(n, horizon)),
@@ -442,15 +443,49 @@ class TestJsonlIO:
                 yield line
 
         read = data_mod._layout_texts(lines(), dataset.horizon, dataset.state_dim)
-        # from the second line on, the pass ends once new numbers outnumber
-        # both 512 and the repeated ones, a repeated row's counted as repeated
-        assert (read is not None, len(consumed)) == {"distinct": (False, 9),
-                                                      "pooled-then-distinct": (False, 20),
+        # the pass ends once new rows outnumber both 512 and the repeated ones
+        assert (read is not None, len(consumed)) == {"distinct": (False, 26),
+                                                      "pooled-then-distinct": (False, 36),
                                                       "pooled": (True, 60)}[kind]
         with tempfile.TemporaryDirectory() as tmp:
             header, trajectories = Path(tmp) / "h.json", Path(tmp) / "t.jsonl"
             write_dataset(dataset, header, trajectories)
             assert bits(load_dataset(header, trajectories)) == bits(dataset)
+
+    @pytest.mark.parametrize("pool", [30, 300])
+    def test_pooled_rows_of_distinct_numbers_are_read_in_one_pass(self, pool, tmp_path):
+        # rows that repeat while no two of them share a number: the rule on
+        # rows keeps the pass, and each of the pool's numbers is kept once
+        dataset = rows_dataset("pooled", n=100, d_s=48, pool=pool)
+        with mock.patch.object(data_mod.json, "dumps", wraps=json.dumps) as dumps:
+            write_dataset(dataset, tmp_path / "h.json", tmp_path / "t.jsonl")
+        # no number repeats, so the writer formats the distinct rows whole
+        assert isinstance(dumps.call_args_list[1].args[0][0], list)
+        lines = (tmp_path / "t.jsonl").read_text().splitlines(keepends=True)
+        assert "".join(lines) == per_record_jsonl(dataset)
+        read = data_mod._layout_texts(iter(lines), dataset.horizon, dataset.state_dim)
+        rows = np.unique(dataset.states.reshape(-1, dataset.state_dim), axis=0)
+        assert read is not None and len(read[0]) == len(rows) * dataset.state_dim
+        with mock.patch.object(data_mod.json, "loads", wraps=json.loads) as loads:
+            back = load_dataset(tmp_path / "h.json", tmp_path / "t.jsonl")
+        assert loads.call_count == 4  # the header, numbers, actions and rewards
+        assert bits(back) == bits(dataset)
+
+    @pytest.mark.parametrize("blank", ["\n", "  \n", "\n\n"])
+    def test_blank_lines_keep_the_one_pass(self, blank, tmp_path):
+        dataset = rows_dataset("pooled")
+        write_dataset(dataset, tmp_path / "h.json", tmp_path / "t.jsonl")
+        lines = (tmp_path / "t.jsonl").read_text().splitlines(keepends=True)
+        lines.insert(7, blank)
+        (tmp_path / "t.jsonl").write_text("".join(lines) + blank)
+        with mock.patch.object(data_mod.json, "loads", wraps=json.loads) as loads:
+            back = load_dataset(tmp_path / "h.json", tmp_path / "t.jsonl")
+        assert loads.call_count == 4
+        assert bits(back) == bits(dataset)
+        (tmp_path / "t.jsonl").write_text(blank * 2)
+        assert data_mod._read_writer_layout(tmp_path / "t.jsonl", 20, 3) is None
+        with pytest.raises(DataError, match="no trajectories"):
+            load_dataset(tmp_path / "h.json", tmp_path / "t.jsonl")
 
     def test_integer_rows_keep_the_row_memo(self):
         dataset = rows_dataset("pooled")
@@ -508,6 +543,23 @@ class TestJsonlIO:
                 want = load_outcome(header, trajectories)
         assert got == want
 
+    @pytest.mark.parametrize("rows", ["first", "every"])
+    def test_nested_values_in_rows_of_one_number_read_as_json_loads(self, rows, tmp_path):
+        # at d_s = 1 a row text "[x]" holds no number separator, so only the
+        # parsed values show that it is not one number
+        dataset = make_dataset(n=3, horizon=2, d_s=1)
+        write_dataset(dataset, tmp_path / "h.json", tmp_path / "t.jsonl")
+        lines = []
+        for i, rec in enumerate(map(json.loads, dataset_jsonl_text(dataset).splitlines())):
+            if rows == "every" or i == 0:
+                rec["states"] = [[row] for row in rec["states"]]
+            lines.append(json.dumps(rec))
+        (tmp_path / "t.jsonl").write_text("\n".join(lines) + "\n")
+        got = load_outcome(tmp_path / "h.json", tmp_path / "t.jsonl")
+        with mock.patch.object(data_mod, "_read_writer_layout", lambda *args: None):
+            assert got == load_outcome(tmp_path / "h.json", tmp_path / "t.jsonl")
+        assert "field 'states' has shape (2, 1, 1)" in got
+
     def test_edge_numbers_keep_their_bits_through_the_memos(self, tmp_path):
         # -0.0 and 0.0 in one file, subnormals, 1e16 and integer-valued floats,
         # each in rows that repeat
@@ -532,6 +584,7 @@ class TestJsonlIO:
         with mock.patch.object(data_mod.json, "dumps", wraps=json.dumps) as dumps:
             write_dataset(dataset, tmp_path / "h.json", tmp_path / "t.jsonl")
         assert dumps.call_count == 1 + 3  # the header, then the trajectories
+        assert len(dumps.call_args_list[1].args[0]) == 1040
         text = (tmp_path / "t.jsonl").read_text()
         numbers = data_mod._layout_texts(iter(text.splitlines(keepends=True)),
                                          dataset.horizon, dataset.state_dim)[0]
@@ -546,8 +599,6 @@ class TestJsonlIO:
         assert bits(back) == bits(dataset)
 
     def test_a1_files_are_read_in_one_pass(self):
-        # a first line's numbers are mostly new (524 of 960 on world 10), so
-        # the number memo's rule starts at the second line
         for world in range(32):
             dataset, _ = generate_trajectories(make_env(A1_ENV, world), 100, seed=world)
             lines = dataset_jsonl_text(dataset).splitlines(keepends=True)
