@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -253,6 +254,7 @@ def cmd_compare(cfg: RunConfig, out: Path) -> None:
     })
 
 
+@cache  # one parser per process: each parse_args call starts a new namespace
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sblq",

@@ -1,10 +1,16 @@
 """Batch dataset model, feature construction, and dataset ingestion.
 
-A dataset holds n logged trajectories of horizon T as (n, T, d_s) state
-features, (n, T) indices into a shared candidate-action table and (n, T)
-rewards.  The regression rows for stage t are the (n, d) unit-normalized
-concatenations of each trajectory's stage-t state features and its chosen
-action's features; a stage fit takes those rows and nothing else.
+A dataset holds n logged trajectories of horizon T: (m, d_s) state feature
+rows with an (n, T) index of each state's row, (n, T) indices into a shared
+candidate-action table and (n, T) rewards.  Simulated states are (user,
+video) pairs from finite pools, so a generated dataset holds each distinct
+state once (a1: at most 300 rows for any n), and the loaded one holds each
+distinct row text once; memory is O(m d_s + n T).  Data whose rows never
+repeat cost the same state bytes as an (n, T, d_s) array plus the index,
+about 1/d_s more.  The regression rows for stage t are the (n, d)
+unit-normalized concatenations of each trajectory's stage-t state features
+and its chosen action's features; a stage fit takes those rows and nothing
+else.
 
 Datasets and design rows are immutable after construction (arrays are marked
 read-only) and safe for concurrent use.
@@ -18,20 +24,19 @@ Trajectories (JSON Lines, one object per line):
     {"states": [[...d_s reals...] x T], "actions": [int x T], "rewards": [real x T]}
 Reals are serialized with full round-trip precision.
 
-Each trajectory line holds the bytes of ``json.dumps`` of its record.  State
-rows repeat, as the (user, video) states of simulated trajectories do, and
-so do the numbers they are made of, so both sides pay once per distinct
-number.  While numbers repeat, the writer joins each distinct row's text
-from the texts of its numbers, every distinct number (by its bits) formatted
-by one ``json.dumps``; it stops memoizing rows for the rest of the file once
-new rows outnumber repeated ones (past a first 512).  The reader takes a
-file whose lines are all in that layout (blank lines aside) in one pass:
-each distinct row text and number text is keyed once, the distinct numbers
-are parsed by one ``json.loads``, and the states are one gather of row
-indices.  The writer's rule on rows ends that pass, and so does any line out
-of the layout; the file is then read again, line by line, with
-``json.loads`` and the same checks, so files of distinct rows cost what
-plain ``json`` costs.
+Each trajectory line holds the bytes of ``json.dumps`` of its record.  The
+writer formats each distinct state row once and joins each line from its
+rows' texts.
+While the numbers of the rows repeat, as those of simulated states do, it
+joins each row's text from the texts of its numbers, every distinct number
+(by its bits) formatted by one ``json.dumps``.  The reader takes a file
+whose lines are all in that layout (blank lines aside) in one pass: each
+distinct row text and number text is keyed once, the distinct numbers are
+parsed by one ``json.loads``, and the distinct rows become the state rows.
+The pass ends once new rows outnumber both the repeated ones and a first
+512, and at any line out of the layout; the file is then read again, line
+by line, with ``json.loads`` and the same checks, so files of distinct rows
+cost what plain ``json`` costs.
 """
 from __future__ import annotations
 
@@ -48,25 +53,47 @@ from .errors import ConfigError, DataError, NumericError
 
 @dataclass(frozen=True)
 class BatchDataset:
-    """A batch of logged trajectories plus the shared candidate-action table."""
+    """A batch of logged trajectories plus the shared candidate-action table.
 
-    states: np.ndarray        # (n, T, d_s)
+    The state of trajectory i at stage t is ``state_rows[state_index[i, t - 1]]``.
+    """
+
+    state_rows: np.ndarray    # (m, d_s) state feature rows
+    state_index: np.ndarray   # (n, T) int, each state's row in state_rows
     actions: np.ndarray       # (n, T) int
     rewards: np.ndarray       # (n, T)
     action_table: np.ndarray  # (A, d_a)
     reward_bound: float
     normalize: bool = True
 
+    @classmethod
+    def from_states(cls, states, actions, rewards, action_table, reward_bound: float,
+                    normalize: bool = True) -> "BatchDataset":
+        """The dataset of (n, T, d_s) ``states``, one state row per state."""
+        states = np.asarray(states)
+        if states.ndim != 3:
+            raise DataError(f"states have shape {states.shape}, expected (n, T, d_s)")
+        n, horizon, d_s = states.shape
+        index = np.arange(n * horizon).reshape(n, horizon)
+        return cls(states.reshape(n * horizon, d_s), index, actions, rewards, action_table,
+                   reward_bound, normalize)
+
     def __post_init__(self):
-        for name in ("states", "actions", "rewards", "action_table"):
+        for name in ("state_rows", "state_index", "actions", "rewards", "action_table"):
             arr = getattr(self, name)
             arr.setflags(write=False)
-        n, t, _ = self.states.shape
+        if self.state_rows.ndim != 2 or self.state_index.ndim != 2:
+            raise DataError("state rows must be (m, d_s) and the state index (n, T)")
+        n, t = self.state_index.shape
         if n < 1:
             raise DataError("dataset must contain at least one trajectory")
         if self.actions.shape != (n, t) or self.rewards.shape != (n, t):
-            raise DataError("states, actions and rewards disagree on (n, T)")
-        if not np.all(np.isfinite(self.states)):
+            raise DataError("state index, actions and rewards disagree on (n, T)")
+        if not np.issubdtype(self.state_index.dtype, np.integer):
+            raise DataError("state index must hold integers")
+        if np.any(self.state_index < 0) or np.any(self.state_index >= len(self.state_rows)):
+            raise DataError("state index outside the state rows")
+        if not np.all(np.isfinite(self.state_rows)):
             raise DataError("state features contain non-finite values")
         if not np.all(np.isfinite(self.action_table)):
             raise DataError("action table contains non-finite values")
@@ -76,7 +103,7 @@ class BatchDataset:
             raise DataError("action id outside the candidate-action table")
         # the small table first, so that a table without a zero row costs nothing
         if (self.normalize and not np.all(np.any(self.action_table, axis=1))
-                and not np.all(np.any(self.states, axis=2))):
+                and not np.all(np.any(self.state_rows, axis=1))):
             raise DataError("an all-zero state row meets an all-zero action-table row, "
                             "so their feature vector cannot be normalized")
         worst = float(np.max(np.abs(self.rewards)))
@@ -86,15 +113,15 @@ class BatchDataset:
             )
 
     def __len__(self) -> int:
-        return self.states.shape[0]
+        return self.state_index.shape[0]
 
     @property
     def horizon(self) -> int:
-        return self.states.shape[1]
+        return self.state_index.shape[1]
 
     @property
     def state_dim(self) -> int:
-        return self.states.shape[2]
+        return self.state_rows.shape[1]
 
     @property
     def action_dim(self) -> int:
@@ -103,6 +130,15 @@ class BatchDataset:
     @property
     def feature_dim(self) -> int:
         return self.state_dim + self.action_dim
+
+    def stage_states(self, t: int) -> np.ndarray:
+        """The (n, d_s) states of stage t (1-based)."""
+        return self.state_rows[self.state_index[:, t - 1]]
+
+    @property
+    def states(self) -> np.ndarray:
+        """All (n, T, d_s) states, gathered anew on each access."""
+        return self.state_rows[self.state_index]
 
 
 def feature_vector(state, action, normalize: bool = True) -> np.ndarray:
@@ -125,12 +161,12 @@ def feature_matrix(states, actions, normalize: bool = True,
     """
     x = np.hstack([np.asarray(states, dtype=float), np.asarray(actions, dtype=float)])
     if mask is not None:
-        x = x * np.asarray(mask, dtype=float)[None, :]
+        x *= np.asarray(mask, dtype=float)[None, :]
     if normalize:
         norms = np.linalg.norm(x, axis=1)
         if np.any(norms == 0.0):
             raise ValueError("cannot normalize an all-zero feature vector")
-        x = x / norms[:, None]
+        x /= norms[:, None]
     return x
 
 
@@ -172,7 +208,7 @@ def stage_design(dataset: BatchDataset, t: int,
     """The read-only (n, d) regression rows for stage t (1-based)."""
     if not 1 <= t <= dataset.horizon:
         raise IndexError(f"stage {t} outside 1..{dataset.horizon}")
-    states = dataset.states[:, t - 1, :]
+    states = dataset.stage_states(t)
     chosen = dataset.action_table[dataset.actions[:, t - 1]]
     rows = feature_matrix(states, chosen, normalize=dataset.normalize, mask=mask)
     rows.setflags(write=False)
@@ -199,7 +235,8 @@ def split_size(n: int, train_fraction: float) -> int:
 
 
 def split(dataset: BatchDataset, train_fraction: float, seed: int):
-    """Deterministic shuffled partition into (train, test) datasets."""
+    """Deterministic shuffled partition into (train, test) datasets, both
+    holding the state rows of ``dataset`` itself."""
     n = len(dataset)
     n_train = split_size(n, train_fraction)
     perm = np.random.default_rng(seed).permutation(n)
@@ -208,7 +245,8 @@ def split(dataset: BatchDataset, train_fraction: float, seed: int):
 
     def take(idx):
         return BatchDataset(
-            states=dataset.states[idx],
+            state_rows=dataset.state_rows,
+            state_index=dataset.state_index[idx],
             actions=dataset.actions[idx],
             rewards=dataset.rewards[idx],
             action_table=dataset.action_table,
@@ -240,11 +278,12 @@ _NUMBER_SEP = ", "
 _STATES_CLOSE = ']], "actions": ['
 _ACTIONS_CLOSE = '], "rewards": ['
 _LINE_CLOSE = "]}"
-# Rows stay memoized until new ones outnumber both the repeated ones and this
-# allowance, which lets through a file's first lines: they are mostly new rows
-# even where rows repeat later (a1 has at most 300 distinct states).  The
-# writer and the reader keep the same rule, and it bounds the reader's number
-# memo too: a row holds d_s numbers.
+# The reader keeps its row memo until new rows outnumber both the repeated
+# ones and this allowance, which lets through a file's first lines: they are
+# mostly new rows even where rows repeat later (a1 has at most 300 distinct
+# states).  The same rule bounds the reader's number memo (a row holds d_s
+# numbers), and the writer formats each distinct row, and each distinct
+# number, once only while they repeat.
 _NEW_ROWS_ALLOWED = 512
 
 
@@ -276,32 +315,39 @@ def _number_texts(values: np.ndarray) -> list[str]:
             for row in index.reshape(values.shape).tolist()]
 
 
+def _row_texts(rows: np.ndarray, n_states: int) -> list[str]:
+    """The text between the brackets of ``json.dumps(row)`` for each of the
+    (m, d_s) ``rows`` that ``n_states`` states refer to.  While rows repeat,
+    as those of ``BatchDataset.from_states`` may, each distinct row (by its
+    bytes, so -0.0 and 0.0 stay apart) is formatted once, by
+    ``_number_texts``; else all rows are formatted by one ``json.dumps``."""
+    if rows.shape[1]:  # a row of no numbers has no bytes to key
+        keys = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
+        _, first, inverse = np.unique(keys.reshape(-1), return_index=True, return_inverse=True)
+        if _rows_repeat(len(first), n_states):
+            texts = _number_texts(rows[first])
+            return [texts[j] for j in inverse.reshape(-1).tolist()]
+    return _unbracketed_rows(rows.tolist())
+
+
 def dataset_jsonl_text(dataset: BatchDataset) -> str:
     """One ``json.dumps({"states": ..., "actions": ..., "rewards": ...})`` line
-    per trajectory, joined once from its pieces.  While state rows repeat,
-    each distinct row's text is formatted once (``_number_texts``); after
-    that each trajectory's states are encoded in one call."""
-    d_s, dtype = dataset.state_dim, dataset.states.dtype
-    ids = {}  # a row's exact bytes -> its index among the distinct rows
-    memoized = []  # the row indices of each trajectory the memo covers
-    for states in dataset.states:
-        if not _rows_repeat(len(ids), len(memoized) * dataset.horizon):
-            break
-        memoized.append([ids.setdefault(row.tobytes(), len(ids)) for row in states])
-    rows = np.frombuffer(b"".join(ids), dtype=dtype).reshape(len(ids), d_s)
-    row_texts = _number_texts(rows)
+    per trajectory, joined once from its pieces: each state row's text is
+    formatted once (``_row_texts``) and each line joins its rows' texts."""
+    rows, index = dataset.state_rows, dataset.state_index
+    if len(rows) > index.size:  # rows shared with a larger dataset: format only these
+        used, index = np.unique(index, return_inverse=True)
+        rows, index = rows[used], index.reshape(dataset.state_index.shape)
+    row_texts = _row_texts(rows, index.size)
     actions = _unbracketed_rows(dataset.actions.tolist())
     rewards = _unbracketed_rows(dataset.rewards.tolist())
-    parts = []
-    for i, states in enumerate(dataset.states):
-        if i < len(memoized):
-            parts.append(_STATES_OPEN)
-            for j in memoized[i]:
-                parts += (row_texts[j], _ROW_SEP)
-            parts[-1] = "]]"  # in place of the separator after the last row
-        else:
-            parts += ('{"states": ', json.dumps(states.tolist()))
-        parts += (', "actions": [', actions[i], '], "rewards": [', rewards[i], "]}\n")
+    parts = []  # one join at the end: the texts of a row repeat, uncopied
+    for row_ids, action_text, reward_text in zip(index.tolist(), actions, rewards):
+        parts.append(_STATES_OPEN)
+        for j in row_ids:
+            parts += (row_texts[j], _ROW_SEP)
+        parts[-1] = _STATES_CLOSE  # in place of the separator after the last row
+        parts += (action_text, _ACTIONS_CLOSE, reward_text, _LINE_CLOSE + "\n")
     return "".join(parts)
 
 
@@ -352,12 +398,14 @@ def read_json_fields(path, *fields) -> dict:
 
 
 def _read_writer_layout(path, horizon: int, d_s: int):
-    """The (states, actions, rewards) arrays of trajectories file ``path`` if
-    every line is in the writer's layout, else None, in one pass.
+    """The (state rows, state index, actions, rewards) arrays of trajectories
+    file ``path`` if every line is in the writer's layout, else None, in one
+    pass.
 
     Each distinct state-row text is split once into its number texts and each
     distinct number text is kept once; all of them are parsed by one
-    ``json.loads`` at the end, and the states are one gather of row indices.
+    ``json.loads`` at the end.  The state rows are those of the distinct row
+    texts, and the index holds each state's row.
     A line out of that layout, a number text that is not one JSON number, a
     shape or type that ``json.loads`` of the line would not give, or new
     rows outnumbering both the repeated ones and ``_NEW_ROWS_ALLOWED`` give
@@ -387,7 +435,7 @@ def _read_writer_layout(path, horizon: int, d_s: int):
     n = len(action_texts)
     if actions.shape != (n, horizon) or rewards.shape != (n, horizon):
         return None
-    return table[np.array(gather)].reshape(n, horizon, d_s), actions, rewards
+    return table, np.array(gather).reshape(n, horizon), actions, rewards
 
 
 def _layout_texts(lines, horizon: int, d_s: int):
@@ -487,7 +535,8 @@ def load_dataset(header_path, trajectories_path) -> BatchDataset:
         raise DataError(f"header {header_path}: unsupported version {header['version']}")
     horizon = header["horizon"]
     d_s, d_a = header["state_dim"], header["action_dim"]
-    table = np.asarray(header["action_table"], dtype=float)
+    with file_values(f"header {header_path}: field 'action_table'"):
+        table = np.asarray(header["action_table"], dtype=float)
     if table.ndim != 2 or table.shape[1] != d_a:
         raise DataError(f"header {header_path}: field 'action_table' must be A x {d_a}")
     if not np.all(np.isfinite(table)):
@@ -502,7 +551,8 @@ def load_dataset(header_path, trajectories_path) -> BatchDataset:
             pass  # the line-by-line read names the line
     (states, actions, rewards), linenos = _read_lines(trajectories_path, horizon, d_s)
     try:
-        return BatchDataset(states, actions, rewards, table, reward_bound, normalize)
+        return BatchDataset.from_states(states, actions, rewards, table, reward_bound,
+                                        normalize)
     except DataError as exc:
         error = exc
     # Each value check holds for a batch exactly when it holds for each of its
@@ -511,8 +561,8 @@ def load_dataset(header_path, trajectories_path) -> BatchDataset:
     while hi - lo > 1:
         mid = (lo + hi) // 2
         try:
-            BatchDataset(states[:mid], actions[:mid], rewards[:mid], table, reward_bound,
-                         normalize)
+            BatchDataset.from_states(states[:mid], actions[:mid], rewards[:mid], table,
+                                     reward_bound, normalize)
             lo = mid
         except DataError as exc:
             error, hi = exc, mid

@@ -26,14 +26,15 @@ Generator.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 import json
 import numpy as np
 
 from .data import (BatchDataset, candidate_scores, feature_matrix, file_values,
-                   read_json_fields)
+                   read_json_fields, require_fields)
+from .errors import DataError
 from .streams import EpisodeStreams
 
 TIME_VARYING = "time-varying"
@@ -156,11 +157,19 @@ def load_ground_truth(path) -> GroundTruth:
         return GroundTruth(theta_star=np.asarray(payload["theta_star"], dtype=float))
 
 
+def pool_states(env: SyntheticEnv, cells: np.ndarray) -> np.ndarray:
+    """The (len(cells), d_s) states of the pool cells user * n_actions + video:
+    the user's features, then the video's."""
+    user, video = np.divmod(cells, env.spec.n_actions)
+    return np.hstack([env.user_pool[user], env.video_pool[video]])
+
+
 def episode_draws(env: SyntheticEnv, n: int, seed: int, logged: bool):
     """Each episode's draws from its own child of SeedSequence(seed): user,
     video, then per stage the logging action (if ``logged``), u (if no
-    ``reward_fn``) and e (if also noise_sd > 0).  Returns initial states
-    (n, d_s) and (n, T) actions, u and clipped e; undrawn entries are 0.
+    ``reward_fn``) and e (if also noise_sd > 0).  Returns the (n,) pool cells
+    user * n_actions + video of the initial states (see ``pool_states``) and
+    (n, T) actions, u and clipped e; undrawn entries are 0.
 
     The draws of all episodes are taken together by ``EpisodeStreams``, equal
     to ``integers``, ``uniform`` and ``standard_normal`` on each episode's
@@ -182,9 +191,8 @@ def episode_draws(env: SyntheticEnv, n: int, seed: int, logged: bool):
                 z[:, t] = streams.normals()
     if draw_u:  # numpy's uniform(low, high) = low + width * random()
         u = spec.reward_low + (spec.reward_high - spec.reward_low) * u
-    states = np.hstack([env.user_pool[users], env.video_pool[videos]])
     clip = NOISE_CLIP_SDS * spec.noise_sd
-    return states, acts, u, np.clip(spec.noise_sd * z, -clip, clip)
+    return users * spec.n_actions + videos, acts, u, np.clip(spec.noise_sd * z, -clip, clip)
 
 
 def stage_step(env: SyntheticEnv, t: int, states: np.ndarray, actions: np.ndarray):
@@ -203,28 +211,36 @@ def stage_step(env: SyntheticEnv, t: int, states: np.ndarray, actions: np.ndarra
 def simulate(env: SyntheticEnv, n: int, seed: int, choose: Optional[Callable] = None):
     """Step ``n`` seeded episodes together, with actions from
     ``choose(t, states) -> (n,)`` or, if None, the uniform logging policy.
-    Returns states (n, T, d_s), actions (n, T) and rewards (n, T)."""
+    Returns the (n, T) pool cell of each state (see ``pool_states``), actions
+    (n, T) and rewards (n, T)."""
     spec = env.spec
-    state, actions, u, eps = episode_draws(env, n, seed, logged=choose is None)
-    states = np.empty((n, spec.horizon, spec.state_dim))
+    cells, actions, u, eps = episode_draws(env, n, seed, logged=choose is None)
+    state = pool_states(env, cells)
+    state_cells = np.empty((n, spec.horizon), dtype=np.int64)
     rewards = np.empty((n, spec.horizon))
     for t in range(1, spec.horizon + 1):
-        states[:, t - 1] = state
+        state_cells[:, t - 1] = cells
         if choose is not None:
             actions[:, t - 1] = choose(t, state)
         term, state = stage_step(env, t, state, actions[:, t - 1])
         rewards[:, t - 1] = term + u[:, t - 1] + eps[:, t - 1]
-    return states, actions, rewards
+        # the cells of the next states, which stage_step builds from the chosen videos
+        cells = cells - cells % spec.n_actions + actions[:, t - 1]
+    return state_cells, actions, rewards
 
 
 def generate_trajectories(env: SyntheticEnv, n: int, seed: int = 0):
     """Roll out ``n`` seeded episodes under the uniform-random logging policy.
-    Returns (BatchDataset, GroundTruth)."""
+    Returns (BatchDataset, GroundTruth); the dataset's state rows are the
+    distinct pool states its episodes visit."""
     if n < 1:
         raise ValueError("need at least one trajectory")
-    states, actions, rewards = simulate(env, n, seed)
+    state_cells, actions, rewards = simulate(env, n, seed)
+    cells, index = np.unique(state_cells, return_inverse=True)
     bound = env.reward_bound if env.reward_fn is None else float(np.max(np.abs(rewards)))
-    dataset = BatchDataset(states=states, actions=actions, rewards=rewards,
+    dataset = BatchDataset(state_rows=pool_states(env, cells),
+                           state_index=index.reshape(state_cells.shape),
+                           actions=actions, rewards=rewards,
                            action_table=env.action_pool, reward_bound=bound)
     return dataset, GroundTruth(theta_star=env.theta_star.copy())
 
@@ -233,7 +249,16 @@ def env_json_text(env: SyntheticEnv) -> str:
     return json.dumps({"version": 1, "seed": env.seed, "spec": vars(env.spec).copy()}) + "\n"
 
 
+# EnvSpec fields that only an int may fill: a JSON true or 2.0 is not a size
+_SPEC_INTEGERS = tuple(f.name for f in fields(EnvSpec) if type(f.default) is int)
+
+
 def load_env(path) -> SyntheticEnv:
     payload = read_json_fields(path, "spec", "seed")
+    spec = require_fields(payload["spec"], (), f"{path}: field 'spec'")
+    integers = {f"spec.{name}": spec[name] for name in _SPEC_INTEGERS if name in spec}
+    for name, value in {**integers, "seed": payload["seed"]}.items():
+        if type(value) is not int:
+            raise DataError(f"{path}: field {name!r} must be an integer, got {value!r}")
     with file_values(path):
-        return make_env(EnvSpec(**payload["spec"]), payload["seed"])
+        return make_env(EnvSpec(**spec), payload["seed"])

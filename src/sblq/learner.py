@@ -186,7 +186,7 @@ def stage_targets(dataset: BatchDataset, t: int, theta_next: np.ndarray,
         if np.any(theta_next != 0.0):
             raise ValueError("theta_next must be all zeros at the final stage")
         return rewards.copy(), 0.0
-    ctx = dataset.states[:, t, :]
+    ctx = dataset.stage_states(t + 1)
     scores = candidate_scores(ctx, dataset.action_table, theta_next,
                               normalize=dataset.normalize, mask=mask)
     best = scores.max(axis=0)
@@ -618,20 +618,33 @@ def save_model(bundle: ModelBundle, path) -> None:
     Path(path).write_text(model_json_text(bundle))
 
 
+def _stage_model(record, t: int, feature_dim, where: str) -> StageModel:
+    """The StageModel of a model file's record for stage ``t``, which must
+    hold the integer ``t`` and a ``theta`` of ``feature_dim`` entries."""
+    require_fields(record, ("t", "theta", "lambda", "k"), where)
+    if type(record["t"]) is not int or record["t"] != t:
+        raise DataError(f"{where}: field 't' must be the integer {t}, got {record['t']!r}")
+    with file_values(f"{where}: field 'theta'"):
+        theta = np.asarray(record["theta"], dtype=float)
+    if theta.shape != (feature_dim,):
+        raise DataError(f"{where}: field 'theta' has shape {theta.shape}, "
+                        f"expected ({feature_dim},)")
+    with file_values(where):
+        return StageModel(t=t, theta=theta, lambda_selected=record["lambda"],
+                          k_selected=record["k"])
+
+
 def load_model(path) -> ModelBundle:
     payload = read_json_fields(path, "version", "horizon", "feature_dim", "filter",
                                "stages", "config", "seed")
     if payload["version"] != 1:
         raise DataError(f"{path}: unsupported model file version {payload['version']!r}")
-    records = [require_fields(rec, ("t", "theta", "lambda", "k"), f"{path}: stage {i}")
-               for i, rec in enumerate(payload["stages"])]
+    if not isinstance(payload["stages"], list):
+        raise DataError(f"{path}: field 'stages' must be a list")
+    stages = tuple(_stage_model(rec, t, payload["feature_dim"], f"{path}: stage {t}")
+                   for t, rec in enumerate(payload["stages"], start=1))
     mask = payload.get("feature_mask")
     with file_values(path):
-        stages = tuple(
-            StageModel(t=rec["t"], theta=np.asarray(rec["theta"], dtype=float),
-                       lambda_selected=rec["lambda"], k_selected=rec["k"])
-            for rec in records
-        )
         cfg = None if payload["config"] is None else AdaptiveConfig(**payload["config"])
         return ModelBundle(
             horizon=payload["horizon"], feature_dim=payload["feature_dim"],

@@ -92,7 +92,7 @@ def policy_gap(model: ModelBundle, theta_star, dataset: BatchDataset) -> float:
     horizon = model.horizon
     stage_mse = np.zeros(horizon)
     for t in range(1, horizon):
-        ctx = dataset.states[:, t, :]
+        ctx = dataset.stage_states(t + 1)
         if model.feature_mask is None:
             est_best, true_best = candidate_scores(
                 ctx, dataset.action_table, np.stack([model.theta(t + 1), truth[t]]),
@@ -124,7 +124,7 @@ def rollout_reward(policy: GreedyPolicy, env: SyntheticEnv, n_episodes: int,
 def direct_value_estimate(model: ModelBundle, dataset: BatchDataset) -> float:
     """Model-implied initial value: mean over trajectories of the best
     stage-1 action score.  Offline stand-in when no simulator is available."""
-    ctx = dataset.states[:, 0, :]
+    ctx = dataset.stage_states(1)
     scores = candidate_scores(ctx, dataset.action_table, model.theta(1),
                               normalize=dataset.normalize, mask=model.feature_mask)
     return float(np.mean(scores.max(axis=0)))

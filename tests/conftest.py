@@ -14,8 +14,9 @@ def make_dataset(n=6, horizon=3, d_s=4, d_a=3, n_actions=5, seed=0,
     draws = [(rng.standard_normal((horizon, d_s)), rng.integers(0, n_actions, size=horizon),
               rng.uniform(-1.0, 1.0, size=horizon)) for _ in range(n)]
     states, actions, rewards = (np.stack(column) for column in zip(*draws))
-    return BatchDataset(states=states, actions=actions, rewards=rewards, action_table=table,
-                        reward_bound=reward_bound, normalize=normalize)
+    return BatchDataset.from_states(states=states, actions=actions, rewards=rewards,
+                                    action_table=table, reward_bound=reward_bound,
+                                    normalize=normalize)
 
 
 def reference_scores(states, action_table, theta, normalize=True, mask=None):

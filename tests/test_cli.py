@@ -501,6 +501,16 @@ class TestCommands:
                      id="model-feature_mask-not-0-1"),
         pytest.param("--model", lambda p: {**p, "feature_mask": [1.0] * (p["feature_dim"] - 1)},
                      id="model-feature_mask-short"),
+        pytest.param("--model", lambda p: {**p, "stages": {"t": 1}},
+                     id="model-stages-not-a-list"),
+        pytest.param("--env", lambda p: {**p, "spec": {**p["spec"], "horizon": True}},
+                     id="env-spec-horizon-bool"),
+        pytest.param("--env", lambda p: {**p, "spec": {**p["spec"], "n_users": 4.0}},
+                     id="env-spec-n_users-float"),
+        pytest.param("--env", lambda p: {**p, "seed": False},
+                     id="env-seed-bool"),
+        pytest.param("--env", lambda p: {**p, "spec": [3]},
+                     id="env-spec-not-an-object"),
     ])
     def test_malformed_input_file_exits_three(self, tmp_path, capsys, flag, corrupt):
         cfg = write_small_config(tmp_path)
@@ -521,6 +531,49 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: data:") and str(paths[flag]) in err
         assert not (run / "metrics.json").exists()
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("t", "x", "field 't' must be the integer 2, got 'x'"),
+        ("t", 3, "field 't' must be the integer 2, got 3"),
+        ("t", 2.0, "field 't' must be the integer 2, got 2.0"),
+        ("t", True, "field 't' must be the integer 2, got True"),
+        ("t", None, "field 't' must be the integer 2, got None"),
+        ("t", [], "field 't' must be the integer 2, got []"),
+        ("t", 1e308, "field 't' must be the integer 2, got 1e+308"),
+        ("theta", [0.5] * 8, "field 'theta' has shape (8,), expected (9,)"),
+        ("theta", [[0.5] * 9], "field 'theta' has shape (1, 9), expected (9,)"),
+        ("theta", [0.5] * 8 + [[0.5]], "field 'theta'"),
+        ("lambda", "x", "stage 2"),
+    ])
+    def test_malformed_model_stage_exits_three_naming_stage(self, tmp_path, capsys, field,
+                                                            value, message):
+        cfg = write_small_config(tmp_path)
+        data, run = tmp_path / "data", tmp_path / "run"
+        main(["gen", "--config", str(cfg), "--seed", "2", "--out", str(data)])
+        main(["train", "--config", str(cfg), "--seed", "2", "--dataset", str(data),
+              "--method", "ls", "--out", str(run)])
+        model = run / "model.json"
+        payload = json.loads(model.read_text())
+        payload["stages"][1][field] = value
+        model.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["eval", "--config", str(cfg), "--model", str(model), "--dataset", str(data),
+                     "--truth", str(data / "ground_truth.json"), "--out", str(run)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: data: {model}: stage 2: ") and message in err
+        assert not (run / "metrics.json").exists()
+
+    @pytest.mark.parametrize("table", [[[1.0], []], [[1.0], [1.0, 2.0]], [[1.0], 2.0],
+                                       [[1.0], ["x"]]])
+    def test_malformed_action_table_exits_three_naming_header(self, tmp_path, capsys, table):
+        data = write_dataset(tmp_path / "data", [[[1.0, 0.0], [1.0, 1.0]]], table=table)
+        run = tmp_path / "run"
+        assert main(["train", "--dataset", str(data), "--method", "cutoff",
+                     "--out", str(run)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: data: header {data / 'header.json'}: ")
+        assert "action_table" in err
+        assert not run.exists()
 
     @pytest.mark.parametrize("command", ["eval", "report"])
     def test_model_misfitting_dataset_exits_three(self, tmp_path, capsys, command):
@@ -662,6 +715,26 @@ class TestCommands:
         assert err.startswith("error: data:") and str(model) in err
         assert "all coefficients are zero" in err
         assert not run.exists()
+
+    def test_commands_in_one_process_share_the_parser_not_its_values(self, monkeypatch,
+                                                                     tmp_path):
+        seen = []
+        for command in ("gen", "train"):
+            monkeypatch.setattr(cli, f"cmd_{command}",
+                                lambda cfg, *rest: seen.append((cfg, rest)))
+        parser = cli._build_parser()
+        assert main(["gen", "--seed", "5", "--n", "7", "--jobs", "3",
+                     "--preset", "a2-interpretability", "--out", str(tmp_path / "a")]) == 0
+        assert main(["train", "--dataset", "d", "--method", "ls",
+                     "--out", str(tmp_path / "b")]) == 0
+        assert main(["gen", "--out", str(tmp_path / "c")]) == 0
+        assert cli._build_parser() is parser
+        (gen_cfg, gen_rest), (train_cfg, train_rest), (bare_cfg, _) = seen
+        assert (gen_cfg.seed, gen_cfg.n_trajectories, gen_cfg.jobs) == (5, 7, 3)
+        assert gen_cfg.preset == "a2-interpretability" and gen_rest == (tmp_path / "a",)
+        assert train_cfg == parse_config(overrides={"method": "ls"})
+        assert bare_cfg == parse_config()
+        assert train_rest == (Path("d"), tmp_path / "b")
 
     def test_missing_required_flag_exits_two(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

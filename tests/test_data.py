@@ -115,10 +115,10 @@ class TestCandidateScores:
 
 def one_stage(states, actions, rewards, table):
     """Horizon-1 dataset of one trajectory per row of ``states``."""
-    return BatchDataset(states=np.array(states, dtype=float)[:, None, :],
-                        actions=np.array(actions)[:, None],
-                        rewards=np.array(rewards, dtype=float)[:, None],
-                        action_table=np.array(table, dtype=float), reward_bound=1.0)
+    return BatchDataset.from_states(states=np.array(states, dtype=float)[:, None, :],
+                                    actions=np.array(actions)[:, None],
+                                    rewards=np.array(rewards, dtype=float)[:, None],
+                                    action_table=np.array(table, dtype=float), reward_bound=1.0)
 
 
 class TestStageDesign:
@@ -301,7 +301,8 @@ def datasets(draw):
     rewards = np.array(draw(st.lists(reals, min_size=n_rows, max_size=n_rows)))
     actions = draw(st.lists(st.integers(0, n_actions - 1), min_size=n_rows, max_size=n_rows))
     return BatchDataset(
-        states=np.array(pool)[index].reshape(n, horizon, d_s),
+        state_rows=np.array(pool).reshape(pool_size, d_s),
+        state_index=np.array(index).reshape(n, horizon),
         actions=np.array(actions, dtype=np.int64).reshape(n, horizon),
         rewards=rewards.reshape(n, horizon),
         action_table=np.arange(2.0 * n_actions).reshape(n_actions, 2),
@@ -311,12 +312,15 @@ def datasets(draw):
 def rows_dataset(kind, n=60, horizon=20, d_s=3, pool=10):
     """n trajectories whose state rows are all distinct, all drawn from a
     pool of ``pool`` rows, or pooled for the first 10 trajectories and
-    distinct after; no number is shared by two distinct rows."""
+    distinct after; no number is shared by two distinct rows.  Each distinct
+    row is held once, as in a generated dataset."""
     rng = np.random.default_rng(0)
     states = rng.standard_normal((n * horizon, d_s))
     pooled = {"distinct": 0, "pooled-then-distinct": 10 * horizon, "pooled": n * horizon}[kind]
-    states[:pooled] = states[rng.integers(0, pool, size=pooled)]
-    return BatchDataset(states=states.reshape(n, horizon, d_s),
+    index = np.arange(n * horizon)
+    index[:pooled] = rng.integers(0, pool, size=pooled)
+    used, index = np.unique(index, return_inverse=True)
+    return BatchDataset(state_rows=states[used], state_index=index.reshape(n, horizon),
                         actions=rng.integers(0, 3, size=(n, horizon)),
                         rewards=rng.uniform(-1.0, 1.0, size=(n, horizon)),
                         action_table=np.eye(3), reward_bound=1.0)
@@ -425,8 +429,10 @@ class TestJsonlIO:
         with tempfile.TemporaryDirectory() as tmp:
             header, trajectories = Path(tmp) / "h.json", Path(tmp) / "t.jsonl"
             write_dataset(dataset, header, trajectories)
-            got = data_mod._read_writer_layout(trajectories, dataset.horizon, d_s)
+            table, index, *got = data_mod._read_writer_layout(trajectories, dataset.horizon, d_s)
             want, _ = data_mod._read_lines(trajectories, dataset.horizon, d_s)
+        assert len(table) == len(rows)  # one state row per distinct row text
+        got.insert(0, table[index])
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
         assert [a.shape for a in got] == [a.shape for a in want]
 
@@ -498,8 +504,9 @@ class TestJsonlIO:
         with tempfile.TemporaryDirectory() as tmp:
             trajectories = Path(tmp) / "t.jsonl"
             trajectories.write_text("\n".join(lines) + "\n")
-            states = data_mod._read_writer_layout(trajectories, dataset.horizon,
-                                                  dataset.state_dim)[0]
+            rows, index = data_mod._read_writer_layout(trajectories, dataset.horizon,
+                                                       dataset.state_dim)[:2]
+        states = rows[index]
         want = np.array([json.loads(line)["states"] for line in lines], dtype=float)
         assert states.tobytes() == want.tobytes()
 
@@ -565,9 +572,10 @@ class TestJsonlIO:
         # each in rows that repeat
         rows = np.array([EDGE_FLOATS[i:i + 4] for i in range(len(EDGE_FLOATS) - 3)])
         states = rows[np.arange(3 * 4) % len(rows)].reshape(3, 4, 4)
-        dataset = BatchDataset(states=states, actions=np.zeros((3, 4), dtype=np.int64),
-                               rewards=np.array([[0.0, -0.0, 5e-324, 1e16]] * 3),
-                               action_table=np.eye(4), reward_bound=1e16)
+        dataset = BatchDataset.from_states(states=states,
+                                           actions=np.zeros((3, 4), dtype=np.int64),
+                                           rewards=np.array([[0.0, -0.0, 5e-324, 1e16]] * 3),
+                                           action_table=np.eye(4), reward_bound=1e16)
         write_dataset(dataset, tmp_path / "h.json", tmp_path / "t.jsonl")
         text = (tmp_path / "t.jsonl").read_text()
         assert text == per_record_jsonl(dataset)
@@ -575,7 +583,8 @@ class TestJsonlIO:
         assert {"0.0", "-0.0", "5e-324", "1.5e-310", "1e+16", "1.0", "-2.0"} <= set(numbers)
         assert len(numbers) == len(EDGE_FLOATS)
         got = data_mod._read_writer_layout(tmp_path / "t.jsonl", 4, 4)
-        assert got[0].tobytes() == states.tobytes() and got[2].tobytes() == dataset.rewards.tobytes()
+        assert got[0][got[1]].tobytes() == states.tobytes()
+        assert got[3].tobytes() == dataset.rewards.tobytes()
         assert bits(load_dataset(tmp_path / "h.json", tmp_path / "t.jsonl")) == bits(dataset)
 
     def test_a1_file_formats_and_parses_each_distinct_number_once(self, tmp_path):
@@ -638,3 +647,79 @@ class TestSplit:
             split(small_dataset, 1.0, seed=0)
         with pytest.raises(ValueError):
             split(small_dataset, 0.01, seed=0)
+
+
+class TestStateRows:
+    def test_a1_dataset_holds_each_visited_pool_state_once(self):
+        dataset, _ = generate_trajectories(make_env(A1_ENV, 0), 1000, seed=0)
+        rows, index = dataset.state_rows, dataset.state_index
+        assert len(rows) <= A1_ENV.n_users * A1_ENV.n_actions == 300
+        assert len(np.unique(rows, axis=0)) == len(rows)
+        assert index.shape == (1000, 20) and np.issubdtype(index.dtype, np.integer)
+        assert set(index.ravel().tolist()) == set(range(len(rows)))
+        for t in (1, 7, 20):
+            np.testing.assert_array_equal(dataset.stage_states(t), dataset.states[:, t - 1])
+
+    @pytest.mark.parametrize("source", ["generated", "per-state rows"])
+    def test_split_sides_share_the_state_rows_and_write_their_own(self, source, tmp_path):
+        if source == "generated":
+            dataset, _ = generate_trajectories(make_env(A1_ENV, 1), 100, seed=1)
+        else:
+            dataset = make_dataset(n=30, horizon=4, d_s=3)
+        sides = split(dataset, 0.3, seed=2)
+        for side in sides:
+            assert side.state_rows is dataset.state_rows
+            with mock.patch.object(data_mod, "_number_texts",
+                                   wraps=data_mod._number_texts) as formatted:
+                write_dataset(side, tmp_path / "h.json", tmp_path / "t.jsonl")
+            # the rows are formatted once, and no more of them than the side has states
+            n_rows = len(formatted.call_args.args[0])
+            assert formatted.call_count == 1
+            assert len(np.unique(side.state_index)) <= n_rows <= side.state_index.size
+            assert (tmp_path / "t.jsonl").read_text() == per_record_jsonl(side)
+            assert bits(load_dataset(tmp_path / "h.json", tmp_path / "t.jsonl")) == bits(side)
+
+    def test_per_state_rows_that_repeat_are_formatted_once(self):
+        dataset, _ = generate_trajectories(make_env(A1_ENV, 2), 100, seed=2)
+        per_state = BatchDataset.from_states(dataset.states, dataset.actions, dataset.rewards,
+                                             dataset.action_table, dataset.reward_bound)
+        assert len(per_state.state_rows) == 2000
+        with mock.patch.object(data_mod, "_number_texts",
+                               wraps=data_mod._number_texts) as formatted:
+            text = dataset_jsonl_text(per_state)
+        assert len(formatted.call_args.args[0]) == len(dataset.state_rows)
+        assert text == dataset_jsonl_text(dataset) == per_record_jsonl(dataset)
+
+    def test_states_of_no_features_round_trip(self, tmp_path):
+        dataset = BatchDataset.from_states(np.zeros((2, 3, 0)), np.zeros((2, 3), dtype=np.int64),
+                                           np.zeros((2, 3)), np.eye(1), 1.0)
+        write_dataset(dataset, tmp_path / "h.json", tmp_path / "t.jsonl")
+        assert (tmp_path / "t.jsonl").read_text() == per_record_jsonl(dataset)
+        assert bits(load_dataset(tmp_path / "h.json", tmp_path / "t.jsonl")) == bits(dataset)
+
+    def test_per_state_rows_are_a_view(self):
+        states = np.arange(24.0).reshape(2, 3, 4)
+        dataset = BatchDataset.from_states(states, np.zeros((2, 3), dtype=np.int64),
+                                           np.zeros((2, 3)), np.eye(1), 1.0)
+        assert np.shares_memory(dataset.state_rows, states)
+        np.testing.assert_array_equal(dataset.state_index, np.arange(6).reshape(2, 3))
+        np.testing.assert_array_equal(dataset.states, states)
+
+    @pytest.mark.parametrize("index,message", [
+        ([[0, -1]], "outside the state rows"),
+        ([[0, 2]], "outside the state rows"),
+        ([[0.0, 1.0]], "must hold integers"),
+        ([[True, False]], "must hold integers"),
+        ([0, 1], "state index"),
+        ([[0], [1]], "disagree on"),
+    ])
+    def test_bad_state_index_rejected(self, index, message):
+        with pytest.raises(DataError, match=message):
+            BatchDataset(state_rows=np.eye(2), state_index=np.array(index),
+                         actions=np.zeros((1, 2), dtype=np.int64), rewards=np.zeros((1, 2)),
+                         action_table=np.eye(2), reward_bound=1.0)
+
+    def test_states_of_wrong_rank_rejected(self):
+        with pytest.raises(DataError, match="expected"):
+            BatchDataset.from_states(np.zeros((2, 3)), np.zeros((2, 3), dtype=np.int64),
+                                     np.zeros((2, 3)), np.eye(1), 1.0)

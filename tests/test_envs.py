@@ -15,6 +15,7 @@ from sblq.envs import (
     episode_draws,
     generate_trajectories,
     make_env,
+    pool_states,
     sample_theta_star,
 )
 from sblq.learner import ModelBundle, StageModel
@@ -255,7 +256,8 @@ class TestEpisodeDraws:
     def test_match_per_call_uniform(self, spec, low, width, seed, n, logged):
         spec = dataclasses.replace(spec, reward_low=low, reward_high=low + width)
         env = make_env(spec, 0)
-        states, actions, u, eps = episode_draws(env, n, seed, logged)
+        cells, actions, u, eps = episode_draws(env, n, seed, logged)
+        states = pool_states(env, cells)
         clip = NOISE_CLIP_SDS * spec.noise_sd
         for i, stream in enumerate(np.random.SeedSequence(seed).spawn(n)):
             rng = np.random.default_rng(stream)
@@ -308,9 +310,12 @@ class TestEpisodeDraws:
                  "406dc1d42ddc312923dda3dee2cf1160ede90efb1abfeb05bff4253ff79b07f2")),
     ])
     def test_a1_bytes_pinned(self, logged, digests):
-        # states, actions, u and e of 200 a1 episodes, as numpy's integers()
-        # and uniform() drew them; no BLAS call touches these bytes
-        arrays = episode_draws(make_env(A1_ENV, 0), 200, 0, logged)
+        # states (gathered from the drawn pool cells), actions, u and e of 200
+        # a1 episodes, as numpy's integers() and uniform() drew them; no BLAS
+        # call touches these bytes
+        env = make_env(A1_ENV, 0)
+        cells, *arrays = episode_draws(env, 200, 0, logged)
+        arrays.insert(0, pool_states(env, cells))
         assert [(a.dtype.str, a.shape) for a in arrays] == [
             ("<f8", (200, 48)), ("<i8", (200, 20)), ("<f8", (200, 20)), ("<f8", (200, 20))]
         assert tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays) == digests

@@ -58,8 +58,9 @@ def two_action_dataset(r=1.0, scores=(0.2, -0.1)):
     """
     table = np.array([[1.0, 0.0], [0.0, 1.0]])
     states = np.array([[1.0, 0.0], [1.0, 0.0]])  # stage-2 context = e1
-    ds = BatchDataset(states=states[None], actions=np.array([[0, 0]]),
-                      rewards=np.array([[r, 0.0]]), action_table=table, reward_bound=2.0)
+    ds = BatchDataset.from_states(states=states[None], actions=np.array([[0, 0]]),
+                                  rewards=np.array([[r, 0.0]]), action_table=table,
+                                  reward_bound=2.0)
     # x(ctx, a0) = (1,0,1,0)/sqrt2, x(ctx, a1) = (1,0,0,1)/sqrt2
     s0, s1 = scores
     theta_next = np.array([0.0, 0.0, s0 * math.sqrt(2), s1 * math.sqrt(2)])
@@ -188,8 +189,9 @@ class TestNextValueBound:
     def test_cauchy_schwarz_equality(self):
         table = np.array([[0.0, 0.0]])
         states = np.array([[1.0, 0.0], [1.0, 0.0]])
-        ds = BatchDataset(states=states[None], actions=np.array([[0, 0]]),
-                          rewards=np.zeros((1, 2)), action_table=table, reward_bound=1.0)
+        ds = BatchDataset.from_states(states=states[None], actions=np.array([[0, 0]]),
+                                      rewards=np.zeros((1, 2)), action_table=table,
+                                      reward_bound=1.0)
         theta = np.array([1.0, 0.0, 0.0, 0.0])  # aligned with the unique context
         assert stage_targets(ds, 1, theta)[1] == pytest.approx(1.0)
 
@@ -344,9 +346,9 @@ def small_env_dataset(n=400, seed=0, noise=0.3):
 class TestTrain:
     def test_horizon_one_equals_single_stage_selection(self):
         ds, _ = small_env_dataset(n=60, seed=1)
-        one = BatchDataset(states=ds.states[:, :1], actions=ds.actions[:, :1],
-                           rewards=ds.rewards[:, :1], action_table=ds.action_table,
-                           reward_bound=ds.reward_bound)
+        one = BatchDataset.from_states(states=ds.states[:, :1], actions=ds.actions[:, :1],
+                                       rewards=ds.rewards[:, :1], action_table=ds.action_table,
+                                       reward_bound=ds.reward_bound)
         cfg = default_config("tikhonov", reward_bound=one.reward_bound, budget=30)
         bundle, reports = train(one, "tikhonov", cfg)
         stage = stage_of(stage_design(one, 1))
@@ -581,9 +583,10 @@ def least_squares(rows, y):
 def one_stage_dataset(rows, y):
     """Horizon-1 unnormalized dataset whose stage rows are ``rows`` followed by
     one all-zero action column, with rewards ``y``."""
-    return BatchDataset(states=rows[:, None, :], actions=np.zeros((len(rows), 1), dtype=np.int64),
-                        rewards=y[:, None], action_table=np.zeros((1, 1)),
-                        reward_bound=float(np.max(np.abs(y))) + 1.0, normalize=False)
+    return BatchDataset.from_states(states=rows[:, None, :],
+                                    actions=np.zeros((len(rows), 1), dtype=np.int64),
+                                    rewards=y[:, None], action_table=np.zeros((1, 1)),
+                                    reward_bound=float(np.max(np.abs(y))) + 1.0, normalize=False)
 
 
 class TestBaselines:
@@ -666,9 +669,9 @@ class TestBaselines:
 
     def test_baseline_ls_horizon_one(self):
         ds, _ = small_env_dataset(n=50, seed=6)
-        one = BatchDataset(states=ds.states[:, :1], actions=ds.actions[:, :1],
-                           rewards=ds.rewards[:, :1], action_table=ds.action_table,
-                           reward_bound=ds.reward_bound)
+        one = BatchDataset.from_states(states=ds.states[:, :1], actions=ds.actions[:, :1],
+                                       rewards=ds.rewards[:, :1], action_table=ds.action_table,
+                                       reward_bound=ds.reward_bound)
         bundle, reports = train(one, "ls")
         assert reports == []
         rows = stage_design(one, 1)

@@ -127,8 +127,9 @@ class TestPolicyGap:
         # differ by a constant c at every trajectory and stage
         table = np.array([[1.0, 0.0]])
         states = np.tile(np.array([1.0, 0.0]), (4, 3, 1))
-        ds = BatchDataset(states=states, actions=np.zeros((4, 3), dtype=np.int64),
-                          rewards=np.zeros((4, 3)), action_table=table, reward_bound=1.0)
+        ds = BatchDataset.from_states(states=states, actions=np.zeros((4, 3), dtype=np.int64),
+                                      rewards=np.zeros((4, 3)), action_table=table,
+                                      reward_bound=1.0)
         truth = np.zeros((4, 4))
         c = 0.37
         x = feature_vector([1.0, 0.0], [1.0, 0.0])
@@ -275,8 +276,9 @@ class TestDirectValueEstimate:
 
     def test_single_trajectory_two_actions(self):
         table = np.array([[1.0, 0.0], [0.0, 1.0]])
-        ds = BatchDataset(states=np.array([[[1.0, 0.0]]]), actions=np.array([[0]]),
-                          rewards=np.array([[0.0]]), action_table=table, reward_bound=1.0)
+        ds = BatchDataset.from_states(states=np.array([[[1.0, 0.0]]]), actions=np.array([[0]]),
+                                      rewards=np.array([[0.0]]), action_table=table,
+                                      reward_bound=1.0)
         theta = np.array([0.0, 0.0, 1.0, 2.0]) * np.sqrt(2)
         model = bundle_from_thetas(theta[None, :])
         assert direct_value_estimate(model, ds) == pytest.approx(2.0)
@@ -305,9 +307,10 @@ class TestComparisonDiagnostic:
         # stage covariance exactly I on the state block
         d_s = 3
         table = np.array([[0.0]])
-        ds = BatchDataset(states=np.sqrt(3.0) * np.eye(d_s)[:, None, :],
-                          actions=np.zeros((d_s, 1), dtype=np.int64), rewards=np.zeros((d_s, 1)),
-                          action_table=table, reward_bound=1.0, normalize=False)
+        ds = BatchDataset.from_states(states=np.sqrt(3.0) * np.eye(d_s)[:, None, :],
+                                      actions=np.zeros((d_s, 1), dtype=np.int64),
+                                      rewards=np.zeros((d_s, 1)),
+                                      action_table=table, reward_bound=1.0, normalize=False)
         truth = np.zeros((1, d_s + 1))
         est = truth.copy()
         est[0, 0] = 1.0  # difference e_1
