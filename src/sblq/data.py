@@ -25,8 +25,8 @@ Trajectories (JSON Lines, one object per line):
 Reals are serialized with full round-trip precision.
 
 Each trajectory line holds the bytes of ``json.dumps`` of its record.  The
-writer formats each distinct state row once and joins each line from its
-rows' texts.
+writer formats each state row once and joins each line from its rows'
+texts.
 While the numbers of the rows repeat, as those of simulated states do, it
 joins each row's text from the texts of its numbers, every distinct number
 (by its bits) formatted by one ``json.dumps``.  The reader takes a file
@@ -71,6 +71,7 @@ class BatchDataset:
                     normalize: bool = True) -> "BatchDataset":
         """The dataset of (n, T, d_s) ``states``, one state row per state."""
         states = np.asarray(states)
+        states.setflags(write=False)  # the rows are a view of it
         if states.ndim != 3:
             raise DataError(f"states have shape {states.shape}, expected (n, T, d_s)")
         n, horizon, d_s = states.shape
@@ -282,8 +283,8 @@ _LINE_CLOSE = "]}"
 # ones and this allowance, which lets through a file's first lines: they are
 # mostly new rows even where rows repeat later (a1 has at most 300 distinct
 # states).  The same rule bounds the reader's number memo (a row holds d_s
-# numbers), and the writer formats each distinct row, and each distinct
-# number, once only while they repeat.
+# numbers), and the writer formats each distinct number once only while
+# numbers repeat.
 _NEW_ROWS_ALLOWED = 512
 
 
@@ -315,34 +316,16 @@ def _number_texts(values: np.ndarray) -> list[str]:
             for row in index.reshape(values.shape).tolist()]
 
 
-def _row_texts(rows: np.ndarray, n_states: int) -> list[str]:
-    """The text between the brackets of ``json.dumps(row)`` for each of the
-    (m, d_s) ``rows`` that ``n_states`` states refer to.  While rows repeat,
-    as those of ``BatchDataset.from_states`` may, each distinct row (by its
-    bytes, so -0.0 and 0.0 stay apart) is formatted once, by
-    ``_number_texts``; else all rows are formatted by one ``json.dumps``."""
-    if rows.shape[1]:  # a row of no numbers has no bytes to key
-        keys = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
-        _, first, inverse = np.unique(keys.reshape(-1), return_index=True, return_inverse=True)
-        if _rows_repeat(len(first), n_states):
-            texts = _number_texts(rows[first])
-            return [texts[j] for j in inverse.reshape(-1).tolist()]
-    return _unbracketed_rows(rows.tolist())
-
-
 def dataset_jsonl_text(dataset: BatchDataset) -> str:
     """One ``json.dumps({"states": ..., "actions": ..., "rewards": ...})`` line
     per trajectory, joined once from its pieces: each state row's text is
-    formatted once (``_row_texts``) and each line joins its rows' texts."""
-    rows, index = dataset.state_rows, dataset.state_index
-    if len(rows) > index.size:  # rows shared with a larger dataset: format only these
-        used, index = np.unique(index, return_inverse=True)
-        rows, index = rows[used], index.reshape(dataset.state_index.shape)
-    row_texts = _row_texts(rows, index.size)
+    formatted once (``_number_texts``) and each line joins its rows' texts."""
+    row_texts = _number_texts(dataset.state_rows)
     actions = _unbracketed_rows(dataset.actions.tolist())
     rewards = _unbracketed_rows(dataset.rewards.tolist())
     parts = []  # one join at the end: the texts of a row repeat, uncopied
-    for row_ids, action_text, reward_text in zip(index.tolist(), actions, rewards):
+    for row_ids, action_text, reward_text in zip(dataset.state_index.tolist(), actions,
+                                                 rewards):
         parts.append(_STATES_OPEN)
         for j in row_ids:
             parts += (row_texts[j], _ROW_SEP)

@@ -195,24 +195,26 @@ def episode_draws(env: SyntheticEnv, n: int, seed: int, logged: bool):
     return users * spec.n_actions + videos, acts, u, np.clip(spec.noise_sd * z, -clip, clip)
 
 
-def stage_step(env: SyntheticEnv, t: int, states: np.ndarray, actions: np.ndarray):
-    """Reward term (n,) and next states for ``actions`` (n,) in ``states``
-    (n, d_s) at stage t: <x_t, theta*_t> - max_a' <theta*_{t+1}, x_{t+1}(a')>,
-    or ``reward_fn(t, states, actions)`` if set.  The logged reward adds u + e."""
-    nxt = np.hstack([states[:, :env.spec.d_user], env.video_pool[actions]])
+def stage_step(env: SyntheticEnv, t: int, states: np.ndarray, actions: np.ndarray,
+               next_states: np.ndarray) -> np.ndarray:
+    """Reward term (n,) for ``actions`` (n,) in ``states`` (n, d_s) at stage t,
+    which lead to ``next_states``: <x_t, theta*_t> - max_a' <theta*_{t+1},
+    x_{t+1}(a')>, or ``reward_fn(t, states, actions)`` if set.  The logged
+    reward adds u + e."""
     if env.reward_fn is not None:
-        return np.asarray(env.reward_fn(t, states, actions), dtype=float), nxt
+        return np.asarray(env.reward_fn(t, states, actions), dtype=float)
     term = feature_matrix(states, env.action_pool[actions]) @ env.theta_star[t - 1]
     if t < env.spec.horizon:
-        term -= candidate_scores(nxt, env.action_pool, env.theta_star[t]).max(axis=0)
-    return term, nxt
+        term -= candidate_scores(next_states, env.action_pool, env.theta_star[t]).max(axis=0)
+    return term
 
 
 def simulate(env: SyntheticEnv, n: int, seed: int, choose: Optional[Callable] = None):
     """Step ``n`` seeded episodes together, with actions from
     ``choose(t, states) -> (n,)`` or, if None, the uniform logging policy.
     Returns the (n, T) pool cell of each state (see ``pool_states``), actions
-    (n, T) and rewards (n, T)."""
+    (n, T) and rewards (n, T).  The next state keeps the user and shows the
+    chosen video."""
     spec = env.spec
     cells, actions, u, eps = episode_draws(env, n, seed, logged=choose is None)
     state = pool_states(env, cells)
@@ -222,10 +224,11 @@ def simulate(env: SyntheticEnv, n: int, seed: int, choose: Optional[Callable] = 
         state_cells[:, t - 1] = cells
         if choose is not None:
             actions[:, t - 1] = choose(t, state)
-        term, state = stage_step(env, t, state, actions[:, t - 1])
-        rewards[:, t - 1] = term + u[:, t - 1] + eps[:, t - 1]
-        # the cells of the next states, which stage_step builds from the chosen videos
         cells = cells - cells % spec.n_actions + actions[:, t - 1]
+        nxt = pool_states(env, cells)
+        term = stage_step(env, t, state, actions[:, t - 1], nxt)
+        rewards[:, t - 1] = term + u[:, t - 1] + eps[:, t - 1]
+        state = nxt
     return state_cells, actions, rewards
 
 
