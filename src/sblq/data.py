@@ -9,8 +9,10 @@ distinct row text once; memory is O(m d_s + n T).  Data whose rows never
 repeat cost the same state bytes as an (n, T, d_s) array plus the index,
 about 1/d_s more.  The regression rows for stage t are the (n, d)
 unit-normalized concatenations of each trajectory's stage-t state features
-and its chosen action's features; a stage fit takes those rows and nothing
-else.
+and its chosen action's features.  A spectral or least-squares stage fit
+reads them through the stage's distinct state rows, action ids and
+normalizers (``learner.Stage``) and never builds them; ``stage_design``
+builds them for lasso, which fits the rows themselves.
 
 Datasets and design rows are immutable after construction (arrays are marked
 read-only) and safe for concurrent use.

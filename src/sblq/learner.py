@@ -22,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (BatchDataset, candidate_scores, empirical_covariance, file_values,
-                   read_json_fields, require_fields, stage_design)
+from .data import (BatchDataset, candidate_scores, file_values, read_json_fields,
+                   require_fields, stage_design)
 from .errors import DataError, NumericError
 from .spectral import (
     CUTOFF,
@@ -168,69 +168,65 @@ class StageFitReport:
     selected_lambda: float
 
 
-def stage_targets(dataset: BatchDataset, t: int, theta_next: np.ndarray,
-                  mask: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-    """Stage-t outcomes y_i = r_i + max_a' <theta_next, x(next state_i, a')> and
-    the bound phi = max |<theta_next, x>| over the same candidates, scored once.
-
-    The post-transition context for stage t < T is the logged stage-(t+1)
-    state.  At the final stage theta_next must be zero and (y, phi) is
-    (rewards, 0).
-    """
-    theta_next = np.asarray(theta_next, dtype=float)
-    if theta_next.shape != (dataset.feature_dim,):
-        raise ValueError(
-            f"theta_next has shape {theta_next.shape}, expected ({dataset.feature_dim},)")
-    rewards = dataset.rewards[:, t - 1]
-    if t == dataset.horizon:
-        if np.any(theta_next != 0.0):
-            raise ValueError("theta_next must be all zeros at the final stage")
-        return rewards.copy(), 0.0
-    ctx = dataset.stage_states(t + 1)
-    scores = candidate_scores(ctx, dataset.action_table, theta_next,
-                              normalize=dataset.normalize, mask=mask)
-    best = scores.max(axis=0)
-    # max |score| without the |.| temporary; abs only fixes the sign of a zero
-    return rewards + best, float(abs(max(best.max(), -scores.min())))
-
-
 @dataclass(frozen=True)
 class Stage:
-    """One stage's read-only (n, k) rows and the eigensystem U diag(s) U^T of
-    their Sigma_hat.  Every filtered estimate g_lambda(Sigma_hat) mean_i(x_i y_i)
-    is U (g_lambda(s) * c) with c = ``coords(targets)``, so a method works on
-    (s, c) and rotates back only the estimates it keeps.
+    """One stage's design at the cost of its distinct states, and the
+    eigensystem U diag(s) U^T of its Sigma_hat.
 
-    Under a 0/1 feature ``mask`` of length d the rows are the k kept columns
-    of the stage design, so every estimate is in those k coordinates and
-    ``lift`` writes it into the d features; without one, k = d."""
+    Row i of the design is x_i = scale_i [states[state_of_i], table[action_i]]:
+    ``states`` are the stage's p distinct state rows and ``table`` the
+    action table, both on the kept columns, and scale_i is 1/||x_i|| on a
+    unit-normalized feature map, else 1.  Every filtered estimate
+    g_lambda(Sigma_hat) mean_i(x_i y_i) is U (g_lambda(s) * c) with
+    c = ``coords(targets)``, so a method works on (s, c) and rotates back
+    only the estimates it keeps.
 
-    rows: np.ndarray
+    Under a 0/1 feature ``mask`` of length d the columns are the k kept
+    ones, so every estimate is in those k coordinates and ``lift`` writes it
+    into the d features; without one, k = d."""
+
+    states: np.ndarray         # (p, k_s) distinct state rows, kept columns
+    table: np.ndarray          # (A, k_a) action table, kept columns
+    state_of: np.ndarray       # (n,) each trajectory's row of states
+    action: np.ndarray         # (n,) each trajectory's row of table
+    scale: np.ndarray          # (n,) 1/||x_i||, or ones
     decomp: SpectralDecomposition
     mask: np.ndarray | None = None
 
     def __post_init__(self):
-        self.rows.setflags(write=False)
+        for arr in (self.states, self.table, self.state_of, self.action, self.scale):
+            arr.setflags(write=False)
+
+    @property
+    def n(self) -> int:
+        return len(self.state_of)
 
     @property
     def feature_dim(self) -> int:
         """d, the features of the dataset, whatever the mask keeps."""
-        return self.rows.shape[1] if self.mask is None else len(self.mask)
+        if self.mask is None:
+            return self.states.shape[1] + self.table.shape[1]
+        return len(self.mask)
 
     def coords(self, targets: np.ndarray) -> np.ndarray:
         """c = U^T (1/n) sum_i x_i y_i, after checking the outcomes are finite."""
         targets = np.asarray(targets, dtype=float)
         if not np.all(np.isfinite(targets)):
             raise NumericError("targets contain non-finite values")
-        return self.decomp.eigenvectors.T @ (self.rows.T @ targets / self.rows.shape[0])
+        wy = self.scale * targets
+        moment = np.concatenate([
+            self.states.T @ np.bincount(self.state_of, wy, minlength=len(self.states)),
+            self.table.T @ np.bincount(self.action, wy, minlength=len(self.table))])
+        return self.decomp.eigenvectors.T @ (moment / self.n)
 
     def estimate(self, g: np.ndarray, c: np.ndarray) -> np.ndarray:
         """U (g * c) for filter values g on the stage eigenvalues."""
         return self.decomp.eigenvectors @ (g * c)
 
     def kept(self, v: np.ndarray) -> np.ndarray:
-        """The kept coordinates of a d-vector ``v``."""
-        return v if self.mask is None else v[self.mask != 0.0]
+        """The kept coordinates of a d-vector ``v``, or the kept columns of
+        (n, d) rows."""
+        return v if self.mask is None else v[..., self.mask != 0.0]
 
     def lift(self, theta: np.ndarray) -> np.ndarray:
         """The d-vector of kept coordinates ``theta``, exactly 0 elsewhere."""
@@ -241,13 +237,60 @@ class Stage:
         return full
 
 
-def stage_of(rows: np.ndarray, mask: np.ndarray | None = None) -> Stage:
-    """The Stage of the (n, d) ``rows`` under ``mask``, on their kept columns:
-    the one place Sigma_hat is decomposed."""
+def _stage_covariance(states, table, state_of, action, weights) -> np.ndarray:
+    """(1/n) sum_i w_i [s_i, a_i]^T [s_i, a_i] with w_i = ``weights[i]``, in blocks.
+
+    Each diagonal block is W^T W, W the distinct rows scaled by the root of
+    their summed weight, which numpy forms by one symmetric rank-k update,
+    so it is exactly symmetric.  The off-diagonal block is states^T C table,
+    C the (p, A) summed weight of each (state, action) pair, and its
+    transpose is copied into place.
+    """
+    (p, k_s), n_actions = states.shape, len(table)
+    w_s = states * np.sqrt(np.bincount(state_of, weights, minlength=p))[:, None]
+    w_a = table * np.sqrt(np.bincount(action, weights, minlength=n_actions))[:, None]
+    pairs = np.bincount(state_of * n_actions + action, weights,
+                        minlength=p * n_actions).reshape(p, n_actions)
+    cov = np.empty((k_s + table.shape[1],) * 2)
+    cov[:k_s, :k_s] = w_s.T @ w_s
+    cov[k_s:, k_s:] = w_a.T @ w_a
+    cov[:k_s, k_s:] = states.T @ (pairs @ table)
+    cov[k_s:, :k_s] = cov[:k_s, k_s:].T
+    cov /= len(state_of)
+    return cov
+
+
+def stage_of(rows: np.ndarray, mask: np.ndarray | None = None,
+             state_of: np.ndarray | None = None, table: np.ndarray | None = None,
+             action: np.ndarray | None = None, normalize: bool = False) -> Stage:
+    """The Stage of the design whose row i is [rows[state_of_i], table[action_i]],
+    unit-normalized if ``normalize``, on the columns ``mask`` keeps: the one
+    place Sigma_hat is decomposed.  Bare ``rows`` (no ``state_of``, ``table``
+    or ``action``) are the design itself, each row its own state and no
+    action columns."""
+    rows = np.asarray(rows, dtype=float)
+    if state_of is None:
+        n = len(rows)
+        states, state_of = rows, np.arange(n)
+        table, action = np.zeros((1, 0)), np.zeros(n, dtype=np.intp)
+    else:
+        used, state_of = np.unique(state_of, return_inverse=True)
+        states = rows[used]
+    if len(state_of) < 1:
+        raise ValueError("empty design")
     if mask is not None:
         mask = np.asarray(mask, dtype=float)
-        rows = rows[:, mask != 0.0]
-    return Stage(rows, decompose(empirical_covariance(rows)), mask)
+        kept = mask != 0.0
+        states, table = states[:, kept[:states.shape[1]]], table[:, kept[states.shape[1]:]]
+    if normalize:
+        sq = np.sum(states**2, axis=1)[state_of] + np.sum(table**2, axis=1)[action]
+        if np.any(sq == 0.0):
+            raise ValueError("cannot normalize an all-zero feature vector")
+        weights, scale = 1.0 / sq, 1.0 / np.sqrt(sq)
+    else:
+        weights = scale = np.ones(len(state_of))
+    cov = _stage_covariance(states, table, state_of, action, weights)
+    return Stage(states, table, state_of, action, scale, decompose(cov), mask)
 
 
 @dataclass(frozen=True)
@@ -261,8 +304,8 @@ class StageSpectra:
 
 
 def stage_spectra(dataset: BatchDataset, mask: np.ndarray | None = None) -> StageSpectra:
-    """Rows and Sigma_hat eigensystem of each stage of ``dataset`` under
-    ``mask``; a masked stage holds only the kept columns of the stage design."""
+    """Distinct states and Sigma_hat eigensystem of each stage of ``dataset``
+    under ``mask``, on the kept columns; no stage builds its (n, d) design."""
     if mask is not None:
         mask = np.asarray(mask, dtype=float)
         mask.setflags(write=False)
@@ -270,17 +313,47 @@ def stage_spectra(dataset: BatchDataset, mask: np.ndarray | None = None) -> Stag
             raise ValueError("the feature mask keeps no feature")
     stages = []
     for t in range(1, dataset.horizon + 1):
-        rows = stage_design(dataset, t, mask=mask)
         try:
-            stages.append(stage_of(rows, mask))
+            stages.append(stage_of(dataset.state_rows, mask, dataset.state_index[:, t - 1],
+                                   dataset.action_table, dataset.actions[:, t - 1],
+                                   dataset.normalize))
         except NumericError as exc:
             raise NumericError(f"stage {t}: {exc}") from exc
     return StageSpectra(dataset, mask, tuple(stages))
 
 
+def stage_targets(spectra: StageSpectra, t: int,
+                  theta_next: np.ndarray) -> tuple[np.ndarray, float]:
+    """Stage-t outcomes y_i = r_i + max_a' <theta_next, x(next state_i, a')> and
+    the bound phi = max |<theta_next, x>| over the same candidates, for the
+    dataset of ``spectra``.
+
+    The post-transition context for stage t < T is the logged stage-(t+1)
+    state.  The candidates are scored once per distinct state of that stage,
+    on its kept features, and each trajectory takes its state's best score.
+    At the final stage theta_next must be zero and (y, phi) is (rewards, 0).
+    """
+    dataset = spectra.dataset
+    theta_next = np.asarray(theta_next, dtype=float)
+    if theta_next.shape != (dataset.feature_dim,):
+        raise ValueError(
+            f"theta_next has shape {theta_next.shape}, expected ({dataset.feature_dim},)")
+    rewards = dataset.rewards[:, t - 1]
+    if t == dataset.horizon:
+        if np.any(theta_next != 0.0):
+            raise ValueError("theta_next must be all zeros at the final stage")
+        return rewards.copy(), 0.0
+    following = spectra.stages[t]
+    scores = candidate_scores(following.states, following.table,
+                              following.kept(theta_next), normalize=dataset.normalize)
+    best = scores.max(axis=0)
+    # max |score| without the |.| temporary; abs only fixes the sign of a zero
+    return rewards + best[following.state_of], float(abs(max(best.max(), -scores.min())))
+
+
 def fit_stage(stage: Stage, targets: np.ndarray, filt: FilterSpec, lam: float) -> np.ndarray:
-    """theta = g_lambda(Sigma_hat) * (1/n) sum_i x_i y_i on the stage's rows, in
-    the stage's kept coordinates."""
+    """theta = g_lambda(Sigma_hat) * (1/n) sum_i x_i y_i on the stage's design,
+    in the stage's kept coordinates."""
     return stage.estimate(filter_values(filt, lam, stage.decomp.eigenvalues),
                           stage.coords(targets))
 
@@ -351,7 +424,7 @@ def select_lambda(stage: Stage, targets: np.ndarray, filt: FilterSpec,
     coordinates.  The threshold's dimension is the dataset's d, whatever the
     stage's feature mask keeps.
     """
-    n, d = stage.rows.shape[0], stage.feature_dim
+    n, d = stage.n, stage.feature_dim
     k_max = cfg.budget
     s, c = stage.decomp.eigenvalues, stage.coords(targets)
     lambdas = cfg.q0 * cfg.q ** np.arange(1, k_max + 2, dtype=float)  # k = 1..K+1
@@ -450,17 +523,20 @@ def lasso_holdout(n: int) -> int:
     return max(1, int(LASSO_VAL_FRACTION * n))
 
 
-def _lasso_fitter(n: int, lasso_grid, seed: int):
+def _lasso_fitter(spectra: StageSpectra, lasso_grid, seed: int):
     """Lasso with the penalty chosen per stage on held-out trajectories.
 
-    The grid is fit path-wise on the training rows (each penalty
-    warm-started from the next larger one), the penalty with the lowest
-    target RMSE on the validation rows wins, and the stage is refit on all
-    rows at that penalty.  The split depends on ``seed`` only.
+    Lasso is the one method that fits the (n, k) rows themselves: each stage
+    builds its ``stage_design`` on the kept columns.  The grid is fit
+    path-wise on the training rows (each penalty warm-started from the next
+    larger one), the penalty with the lowest target RMSE on the validation
+    rows wins, and the stage is refit on all rows at that penalty.  The
+    split depends on ``seed`` only.
     """
     grid = [float(g) for g in lasso_grid]
     if not grid:
         raise ValueError("lasso requires a nonempty penalty grid")
+    n = len(spectra.dataset)
     perm = np.random.default_rng(seed).permutation(n)
     n_val = lasso_holdout(n)
     if n - n_val < 1:
@@ -470,7 +546,7 @@ def _lasso_fitter(n: int, lasso_grid, seed: int):
     fit_idx = np.sort(perm[n_val:])
 
     def fit(t, stage, targets, phi):
-        rows = stage.rows
+        rows = stage.kept(stage_design(spectra.dataset, t, mask=spectra.mask))
         fit_rows, fit_targets = rows[fit_idx], targets[fit_idx]
         candidates = {}
         warm = None
@@ -530,7 +606,7 @@ def train(dataset: BatchDataset, method: str, cfg: AdaptiveConfig | None = None,
     if method == LS:
         fit = _fit_least_squares
     elif method == LASSO:
-        fit = _lasso_fitter(len(dataset), lasso_grid, seed)
+        fit = _lasso_fitter(spectra, lasso_grid, seed)
     else:
         fit = _spectral_fitter(method, horizon, cfg)
     if method == GRADIENT_DESCENT:
@@ -546,7 +622,7 @@ def train(dataset: BatchDataset, method: str, cfg: AdaptiveConfig | None = None,
     stages: list[StageModel | None] = [None] * horizon
     reports: list[StageFitReport | None] = [None] * horizon
     for t in range(horizon, 0, -1):
-        targets, phi = stage_targets(dataset, t, theta_next, mask=spectra.mask)
+        targets, phi = stage_targets(spectra, t, theta_next)
         try:
             theta, lam, k, report = fit(t, spectra.stages[t - 1], targets, phi)
         except (NumericError, FloatingPointError) as exc:
@@ -575,7 +651,7 @@ def error_decomposition(stage: Stage, targets_y: np.ndarray,
     the ground truth is known.
     """
     theta_star = np.asarray(theta_star, dtype=float)
-    n, d = stage.rows.shape[0], stage.feature_dim
+    n, d = stage.n, stage.feature_dim
     for name, arr in (("targets_y", targets_y), ("targets_ystar", targets_ystar),
                       ("targets_noisefree", targets_noisefree)):
         arr = np.asarray(arr)

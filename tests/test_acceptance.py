@@ -23,6 +23,7 @@ from sblq.learner import (
     fit_stage,
     select_lambda,
     stage_of,
+    stage_spectra,
     stage_targets,
     train,
 )
@@ -89,27 +90,34 @@ def test_criterion_2_oracle_equivalence():
             want = np.linalg.pinv(rows) @ y
             worst_pinv = max(worst_pinv, np.linalg.norm(got - want) / np.linalg.norm(want))
 
-    # (c) horizon-1 training equals a direct single-stage selection, exactly
+    # (c) horizon-1 training equals a direct single-stage selection on the
+    # stage it fits, exactly, and on that stage's design rows, which sum
+    # Sigma_hat and the moment in another order, to round-off
     spec = EnvSpec(n_users=6, n_actions=5, d_video=3, d_user=3, d_action=3,
                    horizon=1, noise_sd=0.2)
     env = make_env(spec, seed=7)
     ds, _ = generate_trajectories(env, 80, seed=7)
     cfg = default_config("gradient-descent", reward_bound=ds.reward_bound, budget=50)
     bundle, _ = train(ds, "gradient-descent", cfg)
-    rows = stage_design(ds, 1)
-    targets, _ = stage_targets(ds, 1, np.zeros(ds.feature_dim))
-    lam, theta, _ = select_lambda(stage_of(rows), targets,
+    spectra = stage_spectra(ds)
+    targets, _ = stage_targets(spectra, 1, np.zeros(ds.feature_dim))
+    lam, theta, _ = select_lambda(spectra.stages[0], targets,
                                   default_filter("gradient-descent"),
                                   1, 1, 0.0, cfg)
     exact = bundle.stages[0].lambda_selected == lam and np.array_equal(bundle.stages[0].theta, theta)
+    lam_rows, theta_rows, _ = select_lambda(stage_of(stage_design(ds, 1)), targets,
+                                            default_filter("gradient-descent"), 1, 1, 0.0, cfg)
+    design_gap = np.max(np.abs(theta_rows - theta)) / np.max(np.abs(theta))
+    design = lam_rows == lam and design_gap <= 1e-12
 
     elapsed = time.monotonic() - started
-    ok = worst_ridge < 1e-8 and worst_pinv < 1e-8 and exact and elapsed < 10.0
+    ok = worst_ridge < 1e-8 and worst_pinv < 1e-8 and exact and design and elapsed < 10.0
     assert announce(2, "oracle equivalence", ok,
                     f"ridge={worst_ridge:.2e} pinv={worst_pinv:.2e} exact={exact} "
-                    f"elapsed={elapsed:.2f}s")
+                    f"design={design_gap:.1e} elapsed={elapsed:.2f}s")
     assert worst_ridge < 1e-8 and worst_pinv < 1e-8
     assert exact
+    assert design
     assert elapsed < 10.0
 
 

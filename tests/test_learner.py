@@ -18,7 +18,7 @@ from sblq.data import (
     stage_design,
 )
 from sblq.cli import _trace_text
-from sblq.envs import A2_ENV, EnvSpec, generate_trajectories, make_env
+from sblq.envs import A1_ENV, A2_ENV, EnvSpec, generate_trajectories, make_env
 from sblq.experiments import build_world, method_cell
 from sblq.learner import (
     LASSO_TOL,
@@ -48,6 +48,11 @@ from sblq.spectral import decompose, default_filter, weighted_half_norm
 
 from conftest import make_dataset
 
+# A stage and the design rows it stands for sum Sigma_hat and the moment in
+# another order; their estimates agree to this bound, relative to the
+# stage's largest coefficient.
+DESIGN_RTOL = 1e-12
+
 
 def two_action_dataset(r=1.0, scores=(0.2, -0.1)):
     """One trajectory, horizon 2, two candidate actions with controlled
@@ -70,30 +75,31 @@ def two_action_dataset(r=1.0, scores=(0.2, -0.1)):
 class TestConstructTargets:
     def test_zero_theta_gives_rewards(self, small_dataset):
         t = small_dataset.horizon
-        y = stage_targets(small_dataset, t, np.zeros(small_dataset.feature_dim))[0]
+        spectra = stage_spectra(small_dataset)
+        y = stage_targets(spectra, t, np.zeros(small_dataset.feature_dim))[0]
         np.testing.assert_array_equal(y, small_dataset.rewards[:, t - 1])
 
     def test_two_action_enumeration(self):
         ds, theta_next = two_action_dataset(r=1.0, scores=(0.2, -0.1))
-        y = stage_targets(ds, 1, theta_next)[0]
+        y = stage_targets(stage_spectra(ds), 1, theta_next)[0]
         assert y[0] == pytest.approx(1.2)
 
     def test_negated_theta_flips_argmax(self):
         ds, theta_next = two_action_dataset(r=1.0, scores=(0.2, -0.1))
-        y = stage_targets(ds, 1, -theta_next)[0]
+        y = stage_targets(stage_spectra(ds), 1, -theta_next)[0]
         assert y[0] == pytest.approx(1.0 + 0.1)
 
     def test_nonzero_theta_at_final_stage_rejected(self, small_dataset):
         theta = np.ones(small_dataset.feature_dim)
         with pytest.raises(ValueError):
-            stage_targets(small_dataset, small_dataset.horizon, theta)[0]
+            stage_targets(stage_spectra(small_dataset), small_dataset.horizon, theta)[0]
 
     def test_matches_brute_force(self):
         ds = make_dataset(n=5, horizon=3, seed=8)
         rng = np.random.default_rng(0)
         theta = rng.standard_normal(ds.feature_dim)
         t = 2
-        y = stage_targets(ds, t, theta)[0]
+        y = stage_targets(stage_spectra(ds), t, theta)[0]
         from sblq.data import feature_vector
         for i in range(len(ds)):
             best = max(
@@ -184,7 +190,8 @@ class TestVarianceProxy:
 
 class TestNextValueBound:
     def test_zero_theta(self, small_dataset):
-        assert stage_targets(small_dataset, 1, np.zeros(small_dataset.feature_dim))[1] == 0.0
+        spectra = stage_spectra(small_dataset)
+        assert stage_targets(spectra, 1, np.zeros(small_dataset.feature_dim))[1] == 0.0
 
     def test_cauchy_schwarz_equality(self):
         table = np.array([[0.0, 0.0]])
@@ -193,7 +200,7 @@ class TestNextValueBound:
                                       rewards=np.zeros((1, 2)), action_table=table,
                                       reward_bound=1.0)
         theta = np.array([1.0, 0.0, 0.0, 0.0])  # aligned with the unique context
-        assert stage_targets(ds, 1, theta)[1] == pytest.approx(1.0)
+        assert stage_targets(stage_spectra(ds), 1, theta)[1] == pytest.approx(1.0)
 
     def test_matches_brute_force(self):
         ds = make_dataset(n=4, horizon=3, seed=2)
@@ -205,7 +212,7 @@ class TestNextValueBound:
             abs(float(feature_vector(ds.states[i, t], a) @ theta))
             for i in range(len(ds)) for a in ds.action_table
         )
-        assert stage_targets(ds, t, theta)[1] == pytest.approx(want, abs=1e-12)
+        assert stage_targets(stage_spectra(ds), t, theta)[1] == pytest.approx(want, abs=1e-12)
 
 
 class TestAdaptiveThreshold:
@@ -231,13 +238,16 @@ class TestAdaptiveThreshold:
 
 
 class TestSelectLambda:
-    def _design(self, seed=0, n=60, d=5):
+    def _rows(self, seed=0, n=60, d=5):
         rng = np.random.default_rng(seed)
         rows = rng.standard_normal((n, d))
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
         theta = rng.standard_normal(d)
         theta /= np.linalg.norm(theta)
-        y = rows @ theta + 0.1 * rng.standard_normal(n)
+        return rows, rows @ theta + 0.1 * rng.standard_normal(n)
+
+    def _design(self, seed=0, n=60, d=5):
+        rows, y = self._rows(seed, n, d)
         return stage_of(rows), y
 
     def test_unreachable_threshold_falls_back_to_smallest(self):
@@ -265,13 +275,14 @@ class TestSelectLambda:
     def test_first_crossing_selected_on_two_point_grid(self):
         # manual scan oracle on a 2-point grid: recompute both gaps and
         # thresholds directly and emulate the rule
-        stage, y = self._design(seed=7, n=80, d=4)
+        rows, y = self._rows(seed=7, n=80, d=4)
+        stage = stage_of(rows)
         filt = default_filter("tikhonov")
         cfg = AdaptiveConfig(budget=2, q0=2.0, c_ada=2e-4)
         lam, theta, rep = select_lambda(stage, y, filt, 1, 1, 0.0, cfg)
-        cov = empirical_covariance(stage.rows)
+        cov = empirical_covariance(rows)
         decomp = decompose(cov)
-        n = stage.rows.shape[0]
+        n = rows.shape[0]
         expected_k = None
         for k in (2, 1):
             lam_hi = cfg.q0 * cfg.q ** (k + 1)
@@ -351,11 +362,15 @@ class TestTrain:
                                        reward_bound=ds.reward_bound)
         cfg = default_config("tikhonov", reward_bound=one.reward_bound, budget=30)
         bundle, reports = train(one, "tikhonov", cfg)
+        # the selection on the stage's design rows, which sum Sigma_hat and the
+        # moment in another order than the stage train fits
         stage = stage_of(stage_design(one, 1))
-        targets = stage_targets(one, 1, np.zeros(one.feature_dim))[0]
-        lam, theta, _ = select_lambda(stage, targets, default_filter("tikhonov"), 1, 1, 0.0, cfg)
-        assert bundle.stages[0].lambda_selected == lam
-        np.testing.assert_array_equal(bundle.stages[0].theta, theta)
+        targets = stage_targets(stage_spectra(one), 1, np.zeros(one.feature_dim))[0]
+        lam, theta, rep = select_lambda(stage, targets, default_filter("tikhonov"), 1, 1, 0.0,
+                                        cfg)
+        got = bundle.stages[0]
+        assert (got.lambda_selected, got.k_selected) == (lam, rep.selected_k)
+        assert np.max(np.abs(got.theta - theta)) <= DESIGN_RTOL * np.max(np.abs(theta))
 
     def test_deterministic(self):
         ds, _ = small_env_dataset(n=80, seed=2)
@@ -386,9 +401,10 @@ class TestTrain:
         horizon, d = ds.horizon, ds.feature_dim
         theta_next = np.zeros(d)
         ridge = [None] * horizon
+        spectra = stage_spectra(ds)
         for t in range(horizon, 0, -1):
             rows = stage_design(ds, t)
-            y = stage_targets(ds, t, theta_next)[0]
+            y = stage_targets(spectra, t, theta_next)[0]
             n = len(ds)
             cov = rows.T @ rows / n
             theta_next = np.linalg.solve(cov + lam * np.eye(d), rows.T @ y / n)
@@ -401,9 +417,10 @@ class TestTrain:
         ds, _ = small_env_dataset(n=100, seed=5)
         cfg = default_config("gradient-descent", reward_bound=ds.reward_bound, budget=40)
         bundle, _ = train(ds, "gradient-descent", cfg)
+        spectra = stage_spectra(ds)
         for t in range(ds.horizon, 0, -1):
             theta_next = bundle.theta(t + 1)
-            y, phi = stage_targets(ds, t, theta_next)
+            y, phi = stage_targets(spectra, t, theta_next)
             bound = ds.reward_bound + phi
             assert np.max(np.abs(y)) <= bound + 1e-9
 
@@ -454,8 +471,10 @@ class TestStageSpectra:
             assert (got[0].feature_mask is None) == (not masked)
 
     def test_stages_are_the_stage_designs_decomposed(self, a2_world):
-        # a masked stage holds the kept columns of the masked design, whose
-        # other columns are exactly 0, and the eigensystem of those columns
+        # a masked stage stands for the kept columns of the masked design,
+        # whose other columns are exactly 0, and holds the eigensystem of
+        # their Sigma_hat; it forms both by sums in another order than the
+        # design's, so they agree to round-off
         ds = a2_world.train
         mask = np.ones(ds.feature_dim)
         mask[1] = 0.0
@@ -466,11 +485,15 @@ class TestStageSpectra:
                 design = stage_design(ds, t, mask=spectra.mask)
                 assert not np.any(design[:, ~kept])
                 rows = design[:, kept]
-                assert stage.rows.tobytes() == rows.tobytes() and not stage.rows.flags.writeable
-                assert stage.feature_dim == ds.feature_dim
-                want = decompose(empirical_covariance(rows))
-                assert stage.decomp.eigenvalues.tobytes() == want.eigenvalues.tobytes()
-                assert stage.decomp.eigenvectors.tobytes() == want.eigenvectors.tobytes()
+                assert within(stage_rows(stage), rows, np.max(np.abs(rows)))
+                assert not any(arr.flags.writeable for arr in (
+                    stage.states, stage.table, stage.state_of, stage.action, stage.scale))
+                assert stage.n == len(ds) and stage.feature_dim == ds.feature_dim
+                want = decompose(empirical_covariance(rows)).eigenvalues
+                # Weyl's bound on the gap between the two Sigma_hat, plus eigh's
+                # backward error of some d ulps of sigma_max on each
+                gap = np.max(np.abs(stage.decomp.eigenvalues - want))
+                assert gap <= 1e-13 * want[-1]
 
     def test_spectra_of_another_dataset_rejected(self, a2_world):
         with pytest.raises(ValueError, match="different dataset"):
@@ -480,9 +503,9 @@ class TestStageSpectra:
         import sblq.learner as learner_mod
         built = []
 
-        def counting(rows, mask=None):
+        def counting(*args):
             built.append(1)
-            return stage_of(rows, mask)
+            return stage_of(*args)
 
         monkeypatch.setattr(learner_mod, "stage_of", counting)
         world = build_world(A2_ENV, 1, 100, 0.5)
@@ -509,11 +532,157 @@ class TestStageSpectra:
         assert threaded == serial
 
 
+# A stage's Sigma_hat, moments and candidate scores are sums over its
+# distinct states that the design path takes over its rows; both round, and
+# they agree to this bound relative to the largest term.
+STAGE_RTOL = 1e-14
+
+
+def within(got, want, scale) -> bool:
+    return bool(np.max(np.abs(np.asarray(got) - want), initial=0.0) <= STAGE_RTOL * scale)
+
+
+def stage_rows(stage):
+    """The (n, k) design rows a Stage stands for, gathered from its parts."""
+    return stage.scale[:, None] * np.hstack([stage.states[stage.state_of],
+                                             stage.table[stage.action]])
+
+
+def spectra_and_covariances(ds, mask=None):
+    """``stage_spectra(ds, mask)`` and the Sigma_hat each of its stages decomposed."""
+    import sblq.learner as learner_mod
+    seen = []
+
+    def spy(matrix):
+        seen.append(np.array(matrix))
+        return decompose(matrix)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(learner_mod, "decompose", spy)
+        spectra = stage_spectra(ds, mask)
+    return spectra, seen
+
+
+def property_dataset(source, seed, n, normalize):
+    """A generated a1 or a2 dataset, whose states repeat, or one whose every
+    state is its own row (``from_states``), on the feature map ``normalize``."""
+    if source == "from_states":
+        ds = make_dataset(n=n, horizon=3, seed=seed)
+    else:
+        ds, _ = generate_trajectories(make_env(A1_ENV if source == "a1" else A2_ENV, seed),
+                                      n, seed=seed)
+    return BatchDataset(ds.state_rows, ds.state_index, ds.actions, ds.rewards,
+                        ds.action_table, ds.reward_bound, normalize)
+
+
+class TestStageIsItsDesign:
+    @settings(max_examples=40, deadline=None)
+    @given(source=st.sampled_from(["a1", "a2", "from_states"]), seed=st.integers(0, 10_000),
+           n=st.integers(1, 120), normalize=st.booleans(), masked=st.booleans(),
+           data=st.data())
+    def test_stage_equals_the_design_path(self, source, seed, n, normalize, masked, data):
+        ds = property_dataset(source, seed, n, normalize)
+        d = ds.feature_dim
+        mask = None
+        if masked:
+            mask = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=d,
+                                               max_size=d).filter(any)))
+        kept = np.ones(d, bool) if mask is None else mask != 0.0
+        try:
+            designs = [stage_design(ds, t, mask=mask)[:, kept]
+                       for t in range(1, ds.horizon + 1)]
+        except ValueError:  # the mask leaves a row all zero: both paths refuse it
+            with pytest.raises(ValueError, match="all-zero"):
+                stage_spectra(ds, mask)
+            return
+        spectra, covs = spectra_and_covariances(ds, mask)
+        rng = np.random.default_rng(seed)
+        for t, (stage, cov, rows) in enumerate(zip(spectra.stages, covs, designs), start=1):
+            want = empirical_covariance(rows)
+            assert np.array_equal(cov, cov.T)
+            assert within(cov, want, np.max(np.abs(want)))
+            y = rng.standard_normal(n)
+            moment = rows.T @ y / n
+            assert within(stage.coords(y), stage.decomp.eigenvectors.T @ moment,
+                          np.linalg.norm(moment))
+            if t < ds.horizon:
+                theta = rng.standard_normal(d)
+                got_y, got_phi = stage_targets(spectra, t, theta)
+                scores = candidate_scores(ds.stage_states(t + 1), ds.action_table, theta,
+                                          normalize=ds.normalize, mask=mask)
+                scale = np.max(np.abs(scores))
+                assert within(got_y, ds.rewards[:, t - 1] + scores.max(axis=0), scale)
+                assert within(got_phi, scale, scale)
+
+    def test_rank_deficient_a1_stage(self):
+        # 100 a1 trajectories: the stage-1 design has rank 62 of 72
+        ds, _ = generate_trajectories(make_env(A1_ENV, 0), 100, seed=0)
+        spectra, covs = spectra_and_covariances(ds)
+        rows = stage_design(ds, 1)
+        assert np.linalg.matrix_rank(rows) == 62
+        want = empirical_covariance(rows)
+        assert np.array_equal(covs[0], covs[0].T) and within(covs[0], want, np.max(np.abs(want)))
+        stage, bare = spectra.stages[0], stage_of(rows)
+        theta_next = np.random.default_rng(1).standard_normal(ds.feature_dim) / 4.0
+        y = stage_targets(spectra, 1, theta_next)[0]
+        for kind in ("tikhonov", "gradient-descent", "cutoff"):
+            cfg = default_config(kind, ds.reward_bound)
+            got = select_lambda(stage, y, default_filter(kind), 1, ds.horizon, 0.5, cfg)
+            ref = select_lambda(bare, y, default_filter(kind), 1, ds.horizon, 0.5, cfg)
+            assert (got[0], got[2].selected_k) == (ref[0], ref[2].selected_k), kind
+            assert np.max(np.abs(got[1] - ref[1])) <= DESIGN_RTOL * np.max(np.abs(ref[1]))
+        # least squares keeps every eigenvalue down to 1e-10 sigma_max, whose
+        # 1/sigma scales the round-off up by the kept condition number
+        got, ref = least_squares_stage(stage, y), least_squares_stage(bare, y)
+        assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+    def test_unnormalized_large_features_train(self):
+        # repeated states with 1e4-scale features: Sigma_hat entries near 1e8,
+        # where decompose takes only an exactly symmetric matrix (a state block
+        # formed as (states^T * counts) @ states is off by 4e-9 here)
+        base, _ = generate_trajectories(make_env(A2_ENV, 0), 100, seed=0)
+        ds = BatchDataset(base.state_rows * 1e4, base.state_index, base.actions, base.rewards,
+                          base.action_table * 1e4, base.reward_bound, normalize=False)
+        spectra, covs = spectra_and_covariances(ds)
+        assert np.max(np.abs(covs[0])) > 1e7
+        assert all(np.array_equal(cov, cov.T) for cov in covs)
+        for method in ("tikhonov", "cutoff", "ls"):
+            bundle, _ = train(ds, method, spectra=spectra)
+            assert np.all(np.isfinite(bundle.theta_matrix())), method
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("method", ["tikhonov", "gradient-descent", "cutoff", "ls"])
+    def test_train_builds_no_design(self, monkeypatch, method, masked):
+        import sblq.data as data_mod
+        import sblq.learner as learner_mod
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("stage_design called")
+
+        monkeypatch.setattr(learner_mod, "stage_design", refuse)
+        monkeypatch.setattr(data_mod, "stage_design", refuse)
+        ds, _ = generate_trajectories(make_env(A1_ENV, 0), 400, seed=0)  # <= 300 states
+        mask = None
+        if masked:
+            mask = np.ones(ds.feature_dim)
+            mask[::3] = 0.0
+        spectra = stage_spectra(ds, mask)
+        train(ds, method, spectra=spectra)
+        for stage in spectra.stages:
+            for value in vars(stage).values():
+                assert not (isinstance(value, np.ndarray) and value.ndim == 2
+                            and len(value) == len(ds))
+
+
 def full_matrix_spectra(ds, mask):
-    """Stage spectra as built on all d columns of each masked design, whose
-    excluded rows and columns of Sigma_hat are exactly 0."""
-    return StageSpectra(ds, mask, tuple(stage_of(stage_design(ds, t, mask=mask))
-                                        for t in range(1, ds.horizon + 1)))
+    """Stage spectra as built on all d columns of each stage, the excluded
+    state and action columns set to exactly 0, and so the excluded rows and
+    columns of Sigma_hat."""
+    rows, table = ds.state_rows * mask[:ds.state_dim], ds.action_table * mask[ds.state_dim:]
+    return StageSpectra(ds, mask, tuple(
+        stage_of(rows, None, ds.state_index[:, t - 1], table, ds.actions[:, t - 1],
+                 ds.normalize)
+        for t in range(1, ds.horizon + 1)))
 
 
 class TestMaskedStages:
@@ -549,7 +718,8 @@ class TestMaskedStages:
         monkeypatch.setattr(learner_mod, "dimension_adjusted_sample_size", spy)
         cfg = default_config("tikhonov", ds.reward_bound, c0=0.5)
         spectra = stage_spectra(ds, mask)
-        assert all(stage.rows.shape[1] == np.count_nonzero(mask) for stage in spectra.stages)
+        assert all(stage.states.shape[1] + stage.table.shape[1] == np.count_nonzero(mask)
+                   for stage in spectra.stages)
         got, _ = train(ds, "tikhonov", cfg, spectra=spectra)
         assert seen == [ds.feature_dim] * ds.horizon
         want, _ = train(ds, "tikhonov", cfg, spectra=full_matrix_spectra(ds, mask))
@@ -574,8 +744,12 @@ class TestMaskedStages:
 
 
 def least_squares(rows, y):
+    """The ls stage fit as train runs it on the design ``rows``."""
+    return least_squares_stage(stage_of(rows), y)
+
+
+def least_squares_stage(stage, y):
     """The ls stage fit as train runs it: cut-off at 1e-10 sigma_max."""
-    stage = stage_of(rows)
     s_max = stage.decomp.eigenvalues[-1]
     return fit_stage(stage, y, default_filter("cutoff"), 1e-10 * (s_max if s_max > 0 else 1.0))
 
@@ -675,7 +849,8 @@ class TestBaselines:
         bundle, reports = train(one, "ls")
         assert reports == []
         rows = stage_design(one, 1)
-        want = least_squares(rows, stage_targets(one, 1, np.zeros(one.feature_dim))[0])
+        want = least_squares(rows, stage_targets(stage_spectra(one), 1,
+                                                 np.zeros(one.feature_dim))[0])
         np.testing.assert_allclose(bundle.stages[0].theta, want, atol=1e-12)
 
     def test_baseline_lasso_singleton_grid(self):
@@ -684,9 +859,10 @@ class TestBaselines:
         bundle, reports = train(ds, "lasso", seed=1, lasso_grid=[lam])
         assert reports == []
         theta_next = np.zeros(ds.feature_dim)
+        spectra = stage_spectra(ds)
         for t in range(ds.horizon, 0, -1):
             rows = stage_design(ds, t)
-            y = stage_targets(ds, t, theta_next)[0]
+            y = stage_targets(spectra, t, theta_next)[0]
             want = fit_lasso(rows, y, lam, max_iters=2000).theta
             np.testing.assert_allclose(bundle.stages[t - 1].theta, want, atol=1e-12)
             theta_next = want
