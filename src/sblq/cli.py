@@ -6,7 +6,9 @@ output bytes, except for the wall-clock column of ``compare``.  Outputs are
 assembled in memory and written atomically (write-temp-then-rename), so a
 failing command leaves no partial files.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric failure.
+Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric failure
+(a NumericError, LinAlgError or FloatingPointError); any other exception is a
+defect and escapes with its traceback.
 """
 from __future__ import annotations
 
@@ -76,29 +78,20 @@ def _train(cfg: RunConfig, dataset, method: str, seed: int, model_cfg=None, mask
     """``learner.train`` on the dataset's stage spectra under feature ``mask``,
     with the run's adaptive overrides and lasso grid; ``model_cfg`` (a loaded
     model's settings) replaces the overrides when set.  Returns (bundle, reports)."""
-    acfg = model_cfg or default_config(method, dataset.reward_bound, **cfg.adaptive)
+    # a configured adaptive.reward_bound replaces the dataset's
+    acfg = model_cfg or default_config(
+        method, **{"reward_bound": dataset.reward_bound, **cfg.adaptive})
     return train(dataset, method, acfg, seed=seed, spectra=stage_spectra(dataset, mask),
                  lasso_grid=cfg.lasso_grid)
 
 
 def _trace_text(reports) -> str:
-    payload = {
-        "version": 1,
-        "stages": [
-            {
-                "t": r.stage,
-                "ks": r.ks.tolist(),
-                "lambdas": r.lambdas.tolist(),
-                "diff_norms": r.diff_norms.tolist(),
-                "thresholds": r.thresholds.tolist(),
-                "phi_next": r.phi_next,
-                "selected_k": r.selected_k,
-                "selected_lambda": r.selected_lambda,
-            }
-            for r in reports
-        ],
-    }
-    return _json_text(payload)
+    return _json_text({"version": 1, "stages": [
+        {"t": r.stage, "ks": r.ks.tolist(), "lambdas": r.lambdas.tolist(),
+         "diff_norms": r.diff_norms.tolist(), "thresholds": r.thresholds.tolist(),
+         "phi_next": r.phi_next, "selected_k": r.selected_k,
+         "selected_lambda": r.selected_lambda}
+        for r in reports]})
 
 
 def cmd_gen(cfg: RunConfig, out: Path) -> None:
@@ -137,12 +130,29 @@ def _require_fit(model, model_path: Path, dataset, dataset_dir: Path) -> None:
                         f"has horizon {dataset.horizon} and {dataset.feature_dim} features")
 
 
+def _load_env(env_path: Path | None, dataset, dataset_dir: Path):
+    """The env of ``env_path``, or None without one.  Its rollouts step the
+    dataset's states and actions, which the model fits, so it must have the
+    dataset's horizon, state features and action table shape."""
+    if env_path is None:
+        return None
+    env = _read(envs_mod.load_env, env_path)
+    spec = env.spec
+    got = (spec.horizon, spec.state_dim, spec.n_actions, spec.d_action)
+    want = (dataset.horizon, dataset.state_dim, *dataset.action_table.shape)
+    if got != want:
+        shape = "horizon {}, {} state features and {} x {} actions"
+        raise DataError(f"{env_path}: env has {shape.format(*got)}, but the model and the "
+                        f"dataset in {dataset_dir} have {shape.format(*want)}")
+    return env
+
+
 def cmd_train(cfg: RunConfig, dataset_dir: Path, out: Path) -> None:
     dataset = _load_dataset_dir(dataset_dir)
     try:
         bundle, reports = _train(cfg, dataset, cfg.method, cfg.seed)
-    except DataError as exc:
-        raise DataError(f"dataset {dataset_dir}: {exc}") from exc
+    except (ConfigError, DataError) as exc:  # the settings do not fit this dataset
+        raise type(exc)(f"dataset {dataset_dir}: {exc}") from exc
     _atomic_write_all({
         out / "model.json": model_json_text(bundle),
         out / "trace.json": _trace_text(reports),
@@ -159,9 +169,12 @@ def cmd_eval(cfg: RunConfig, model_path: Path, dataset_dir: Path,
     if truth.theta_star.shape not in ((horizon, dim), (horizon + 1, dim)):
         raise DataError(f"{truth_path}: theta_star has shape {truth.theta_star.shape}, "
                         f"but the model needs ({horizon + 1}, {dim})")
-    env = _read(envs_mod.load_env, env_path) if env_path is not None else None
+    env = _load_env(env_path, dataset, dataset_dir)
     report = evaluate(model, truth.theta_star, dataset, env=env,
                       n_episodes=cfg.n_episodes, seed=cfg.seed)
+    stages = [s[key] for s in report.per_stage for key in ("theta_norm", "stage_gap")]
+    if not np.all(np.isfinite([report.parameter_gap, report.policy_gap, *stages])):
+        raise DataError(f"the metrics of model {model_path} against {truth_path} overflow")
     _atomic_write_all({
         out / "metrics.json": _json_text(report.as_dict()),
         out / "metrics.csv": _csv_text(
@@ -198,11 +211,19 @@ def cmd_report(cfg: RunConfig, model_path: Path, dataset_dir: Path | None,
             raise ConfigError("--topk requires --dataset to retrain masked models")
         dataset = _load_dataset_dir(dataset_dir)
         _require_fit(model, model_path, dataset, dataset_dir)
-        env = _read(envs_mod.load_env, env_path) if env_path is not None else None
+        env = _load_env(env_path, dataset, dataset_dir)
+
+        def refit(mask):
+            try:
+                return _train(cfg, dataset, model.filter_kind, model.seed, model.config,
+                              mask)[0]
+            except (ConfigError, DataError) as exc:
+                if isinstance(exc, ConfigError) and model.config is not None:
+                    raise DataError(f"{model_path}: field 'config': {exc}") from exc
+                raise type(exc)(f"dataset {dataset_dir}: {exc}") from exc
 
         curve = topk_feature_rewards(
-            contrib, lambda mask: _train(cfg, dataset, model.filter_kind, model.seed,
-                                         model.config, mask)[0],
+            contrib, refit,
             lambda bundle: policy_value(bundle, dataset, env, cfg.n_episodes, cfg.seed),
             cfg.topk)
         outputs[out / "topk.csv"] = _csv_text(
@@ -336,7 +357,7 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"error: data: {exc}", file=sys.stderr)
         return 3
-    except (NumericError, FloatingPointError, np.linalg.LinAlgError, ValueError) as exc:
+    except (NumericError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"error: numeric: {exc}", file=sys.stderr)
         return 4
     return 0

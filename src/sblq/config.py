@@ -9,74 +9,37 @@ overridable.
 from __future__ import annotations
 
 import json
-import operator
 import os
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
-from .envs import A1_ENV, A2_ENV, STATIC, TIME_VARYING, EnvSpec
+from .data import check, record
+from .envs import A1_ENV, A2_ENV, ENV_SPEC_NODE, EnvSpec
 from .errors import ConfigError
-from .learner import DEFAULT_LASSO_GRID, AdaptiveConfig
+from .learner import ADAPTIVE_NODE, DEFAULT_LASSO_GRID, METHODS
 
-METHODS = ("ls", "lasso", "tikhonov", "gradient-descent", "cutoff")
 PRESET_NAMES = ("a1-performance", "a2-interpretability")
 LOCKED_ENV_FIELDS = ("d_video", "d_user", "d_action", "horizon", "theta_mode")
 
 # Published schema for config files and the one declaration of their keys,
 # types and ranges: validate_config walks it.  Unknown keys anywhere are rejected.
-CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "preset": {"enum": list(PRESET_NAMES)},
-        "seed": {"type": "integer", "minimum": 0},
-        "n_trajectories": {"type": "integer", "minimum": 1},
-        "train_fraction": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-        "method": {"enum": list(METHODS)},
-        "n_episodes": {"type": "integer", "minimum": 1},
-        "seeds": {"type": "integer", "minimum": 1},
-        "jobs": {"type": "integer", "minimum": 1},
-        "topk": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-        "lasso_grid": {"type": "array", "minItems": 1, "items": {"type": "number", "minimum": 0}},
-        "env": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "n_users": {"type": "integer", "minimum": 1},
-                "n_actions": {"type": "integer", "minimum": 1},
-                "d_video": {"type": "integer", "minimum": 1},
-                "d_user": {"type": "integer", "minimum": 1},
-                "d_action": {"type": "integer", "minimum": 1},
-                "horizon": {"type": "integer", "minimum": 1},
-                "noise_sd": {"type": "number", "minimum": 0},
-                "reward_low": {"type": "number"},
-                "reward_high": {"type": "number"},
-                "theta_mode": {"enum": [TIME_VARYING, STATIC]},
-            },
-        },
-        "adaptive": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                f.name: {"type": "integer" if f.name == "budget" else "number"}
-                for f in dc_fields(AdaptiveConfig)
-            },
-        },
-    },
-}
+CONFIG_SCHEMA = record({
+    "preset": {"enum": list(PRESET_NAMES)},
+    "seed": {"type": "integer", "minimum": 0},
+    "n_trajectories": {"type": "integer", "minimum": 1},
+    "train_fraction": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
+    "method": {"enum": list(METHODS)},
+    "n_episodes": {"type": "integer", "minimum": 1},
+    "seeds": {"type": "integer", "minimum": 1},
+    "jobs": {"type": "integer", "minimum": 1},
+    "topk": {"type": "array", "items": {"type": "integer", "minimum": 1}},
+    "lasso_grid": {"type": "array", "minItems": 1, "items": {"type": "number", "minimum": 0}},
+    "env": ENV_SPEC_NODE,
+    "adaptive": ADAPTIVE_NODE,
+}, required=())
 
-PRESETS = {
-    "a1-performance": {
-        "env": A1_ENV,
-        "n_trajectories": 1000,
-        "train_fraction": 0.5,
-    },
-    "a2-interpretability": {
-        "env": A2_ENV,
-        "n_trajectories": 1000,
-        "train_fraction": 0.5,
-    },
-}
+PRESETS = {name: {"env": env, "n_trajectories": 1000, "train_fraction": 0.5}
+           for name, env in zip(PRESET_NAMES, (A1_ENV, A2_ENV))}
 
 
 @dataclass(frozen=True)
@@ -95,43 +58,9 @@ class RunConfig:
     adaptive: dict = field(default_factory=dict)
 
 
-_TYPES = {"integer": (int, "an integer"), "number": ((int, float), "a number"),
-          "array": (list, "an array"), "object": (dict, "a JSON object")}
-_BOUNDS = (("minimum", operator.ge, "at least"),
-           ("exclusiveMinimum", operator.gt, "above"),
-           ("exclusiveMaximum", operator.lt, "below"))
-
-
-def _check(value, schema: dict, where: str, what: str) -> None:
-    """Check ``value`` against one schema node; ``where`` prefixes the names
-    of its properties ("" at the top, "env." inside env) and ``what`` names
-    the value itself in errors."""
-    if "type" in schema:
-        cls, noun = _TYPES[schema["type"]]
-        if isinstance(value, bool) or not isinstance(value, cls):  # bool subclasses int
-            raise ConfigError(f"{what} must be {noun}")
-    if "enum" in schema and value not in schema["enum"]:
-        raise ConfigError(f"{what} must be one of {schema['enum']}, got {value!r}")
-    for keyword, holds, phrase in _BOUNDS:
-        if keyword in schema and not holds(value, schema[keyword]):
-            raise ConfigError(f"{what} must be {phrase} {schema[keyword]}, got {value!r}")
-    if "minItems" in schema and len(value) < schema["minItems"]:
-        raise ConfigError(f"{what} must list at least {schema['minItems']} item(s)")
-    if "items" in schema:
-        for i, item in enumerate(value):
-            _check(item, schema["items"], where, f"{what} item {i}")
-    if "properties" in schema:
-        properties = schema["properties"]
-        for key, item in value.items():
-            if key in properties:
-                _check(item, properties[key], f"{where}{key}.", f"config field {where}{key!r}")
-            elif schema.get("additionalProperties") is False:
-                raise ConfigError(f"unknown config field {where}{key!r}")
-
-
 def validate_config(obj) -> None:
     """Check a raw config mapping against CONFIG_SCHEMA."""
-    _check(obj, CONFIG_SCHEMA, "", "config")
+    check(obj, CONFIG_SCHEMA, ConfigError, "config")
 
 
 def parse_config(path=None, overrides: dict | None = None) -> RunConfig:
@@ -183,12 +112,7 @@ def parse_config(path=None, overrides: dict | None = None) -> RunConfig:
                 merged["seed"] = int(raw)
             except ValueError:
                 raise ConfigError(f"SBLQ_SEED must be an integer, got {raw!r}") from None
-            _check(merged["seed"], CONFIG_SCHEMA["properties"]["seed"], "", "SBLQ_SEED")
-
-    try:
-        AdaptiveConfig(**merged.get("adaptive", {}))
-    except ValueError as exc:
-        raise ConfigError(f"invalid adaptive configuration: {exc}") from None
+            check(merged["seed"], CONFIG_SCHEMA["properties"]["seed"], ConfigError, "SBLQ_SEED")
 
     env_kwargs = merged.pop("env", {})
     base_env = vars(RunConfig().env) | env_kwargs

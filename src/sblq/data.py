@@ -19,38 +19,39 @@ read-only) and safe for concurrent use.
 
 File formats
 ------------
-Header (JSON, one object):
+Header (JSON, one object; ``HEADER_SCHEMA``):
     {"version": 1, "horizon": T, "state_dim": d_s, "action_dim": d_a,
      "reward_bound": M, "normalize": true, "action_table": [[...], ...]}
-Trajectories (JSON Lines, one object per line):
+Trajectories (JSON Lines, one object per line; ``LINE_SCHEMA``):
     {"states": [[...d_s reals...] x T], "actions": [int x T], "rewards": [real x T]}
 Reals are serialized with full round-trip precision.
 
-Each trajectory line holds the bytes of ``json.dumps`` of its record.  The
-writer formats each state row once and joins each line from its rows'
-texts.
-While the numbers of the rows repeat, as those of simulated states do, it
-joins each row's text from the texts of its numbers, every distinct number
-(by its bits) formatted by one ``json.dumps``.  The reader takes a file
-whose lines are all in that layout (blank lines aside) in one pass: each
-distinct row text and number text is keyed once, the distinct numbers are
-parsed by one ``json.loads``, and the distinct rows become the state rows.
-The pass ends once new rows outnumber both the repeated ones and a first
-512, and at any line out of the layout; the file is then read again, line
-by line, with ``json.loads`` and the same checks, so files of distinct rows
-cost what plain ``json`` costs.
+Every JSON input the CLI reads (config, header, trajectories line, env,
+ground truth, model) is checked by one walker, ``check``, against a schema
+declared next to its writer; ``read_json`` reads a file and checks it.  The
+loaders add only the cross-field rules a schema cannot state (here: the
+action table's width and each line's shape against the header).
+
+Each trajectory line holds the bytes of ``json.dumps`` of its record; the
+writer formats each distinct state row, and while numbers repeat each
+distinct number, once.  The reader takes a file whose lines are all in that
+layout in one pass, keying each distinct row and number text once, while
+rows repeat; otherwise it reads the file line by line with ``json.loads``
+and the same checks (``_read_writer_layout``, ``_read_lines``).
 """
 from __future__ import annotations
 
 import json
+import math
+import operator
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError
 
 
 @dataclass(frozen=True)
@@ -144,13 +145,22 @@ class BatchDataset:
         return self.state_rows[self.state_index]
 
 
+def require_normalizable(sq_norms) -> None:
+    """A DataError unless every squared feature norm is positive and finite:
+    a feature vector that is all zero, or whose squares overflow, has no
+    unit-normalized form."""
+    if np.any(sq_norms == 0.0):
+        raise DataError("cannot normalize an all-zero feature vector")
+    if not np.all(np.isfinite(sq_norms)):
+        raise DataError("cannot normalize a feature vector whose squared norm overflows")
+
+
 def feature_vector(state, action, normalize: bool = True) -> np.ndarray:
     """Concatenate state and action features, optionally unit-normalizing."""
     x = np.concatenate([np.asarray(state, dtype=float), np.asarray(action, dtype=float)])
     if normalize:
         norm = np.linalg.norm(x)
-        if norm == 0.0:
-            raise ValueError("cannot normalize an all-zero feature vector")
+        require_normalizable(norm)
         x = x / norm
     return x
 
@@ -167,8 +177,7 @@ def feature_matrix(states, actions, normalize: bool = True,
         x *= np.asarray(mask, dtype=float)[None, :]
     if normalize:
         norms = np.linalg.norm(x, axis=1)
-        if np.any(norms == 0.0):
-            raise ValueError("cannot normalize an all-zero feature vector")
+        require_normalizable(norms)
         x /= norms[:, None]
     return x
 
@@ -199,10 +208,12 @@ def candidate_scores(states, action_table, theta, normalize: bool = True,
     for out, th in zip(scores, thetas):
         np.add((a @ th[d_s:])[:, None], (s @ th[:d_s])[None, :], out=out)
     if normalize:
-        sq = np.sum(a**2, axis=1)[:, None] + np.sum(s**2, axis=1)[None, :]
-        if np.any(sq == 0.0):
-            raise ValueError("cannot normalize an all-zero feature vector")
-        scores /= np.sqrt(sq)
+        sq_a, sq_s = np.sum(a**2, axis=1), np.sum(s**2, axis=1)
+        # some sq_a[j] + sq_s[i] is 0 (or overflows) just when the least (or
+        # greatest) of each sum to it; an empty side makes no pair
+        require_normalizable(np.array([sq_a.min(initial=1.0) + sq_s.min(initial=1.0),
+                                       sq_a.max(initial=0.0) + sq_s.max(initial=0.0)]))
+        scores /= np.sqrt(sq_a[:, None] + sq_s[None, :])
     return scores if theta.ndim == 2 else scores[0]
 
 
@@ -228,8 +239,6 @@ def empirical_covariance(rows: np.ndarray) -> np.ndarray:
 
 def split_size(n: int, train_fraction: float) -> int:
     """Trajectories on the training side of a split of n; both sides nonempty."""
-    if not 0.0 < train_fraction < 1.0:
-        raise ConfigError("train_fraction must lie strictly between 0 and 1")
     n_train = int(train_fraction * n)
     if n_train < 1 or n - n_train < 1:
         raise ConfigError(f"split of {n} trajectories at train_fraction {train_fraction} "
@@ -247,29 +256,16 @@ def split(dataset: BatchDataset, train_fraction: float, seed: int):
     idx_test = np.sort(perm[n_train:])
 
     def take(idx):
-        return BatchDataset(
-            state_rows=dataset.state_rows,
-            state_index=dataset.state_index[idx],
-            actions=dataset.actions[idx],
-            rewards=dataset.rewards[idx],
-            action_table=dataset.action_table,
-            reward_bound=dataset.reward_bound,
-            normalize=dataset.normalize,
-        )
+        return replace(dataset, state_index=dataset.state_index[idx],
+                       actions=dataset.actions[idx], rewards=dataset.rewards[idx])
 
     return take(idx_train), take(idx_test)
 
 
 def dataset_header_text(dataset: BatchDataset) -> str:
-    header = {
-        "version": 1,
-        "horizon": dataset.horizon,
-        "state_dim": dataset.state_dim,
-        "action_dim": dataset.action_dim,
-        "reward_bound": dataset.reward_bound,
-        "normalize": dataset.normalize,
-        "action_table": dataset.action_table.tolist(),
-    }
+    header = {"version": 1, "horizon": dataset.horizon, "state_dim": dataset.state_dim,
+              "action_dim": dataset.action_dim, "reward_bound": dataset.reward_bound,
+              "normalize": dataset.normalize, "action_table": dataset.action_table.tolist()}
     return json.dumps(header) + "\n"
 
 
@@ -288,6 +284,7 @@ _LINE_CLOSE = "]}"
 # numbers), and the writer formats each distinct number once only while
 # numbers repeat.
 _NEW_ROWS_ALLOWED = 512
+_NUMBER_TYPES = {int, float}
 
 
 def _rows_repeat(n_new: int, n_looked_up: int) -> bool:
@@ -336,50 +333,141 @@ def dataset_jsonl_text(dataset: BatchDataset) -> str:
     return "".join(parts)
 
 
-_HEADER_FIELDS = {
-    "version": int,
-    "horizon": int,
-    "state_dim": int,
-    "action_dim": int,
-    "reward_bound": (int, float),
-    "normalize": bool,
-    "action_table": list,
-}
+def record(properties: dict, required=None) -> dict:
+    """The schema node of a JSON object of ``properties`` that holds no other
+    key and every one of ``required`` (default: all of them)."""
+    return {"type": "object", "additionalProperties": False, "properties": properties,
+            "required": list(properties if required is None else required)}
 
 
-def require_fields(record, fields, where: str) -> dict:
-    """Return ``record`` if it is a JSON object holding every one of ``fields``."""
-    if not isinstance(record, dict):
-        raise DataError(f"{where}: expected a JSON object")
-    missing = [name for name in fields if name not in record]
+# One declaration of each file's keys, types and ranges, which ``check``
+# walks: the header (``dataset_header_text``) and one trajectories line
+# (``dataset_jsonl_text``).  ``load_dataset`` adds the cross-field rules: the
+# action table's width and each line's shape.
+HEADER_SCHEMA = record({
+    "version": {"const": 1},
+    "horizon": {"type": "integer", "minimum": 1},
+    "state_dim": {"type": "integer", "minimum": 0},
+    "action_dim": {"type": "integer", "minimum": 1},
+    "reward_bound": {"type": "number", "minimum": 0},
+    "normalize": {"type": "boolean"},
+    "action_table": {"type": "numbers", "rank": 2},
+})
+LINE_SCHEMA = record({
+    "states": {"type": "numbers", "rank": 2},
+    "actions": {"type": "array", "items": {"type": "integer"}},
+    "rewards": {"type": "numbers", "rank": 1},
+})
+
+_TYPES = {"integer": (int, "an integer"), "number": ((int, float), "a finite number"),
+          "boolean": (bool, "a boolean"), "array": (list, "an array"),
+          "numbers": (list, "an array of finite numbers"), "object": (dict, "a JSON object")}
+_BOUNDS = (("minimum", operator.ge, "at least"), ("maximum", operator.le, "at most"),
+           ("exclusiveMinimum", operator.gt, "above"),
+           ("exclusiveMaximum", operator.lt, "below"))
+
+
+def check(value, schema: dict, error: type, doc: str, where: str = "", what: str = ""):
+    """``value`` if it meets ``schema``, with each "numbers" node a float
+    array; else ``error`` naming the key path within ``doc`` (a config, a
+    file, a model's stage record, a trajectories line).  ``where`` prefixes
+    the names of the value's properties ("env." inside env) and ``what``
+    names the value (default ``doc``).
+
+    The keywords: "type" (a name or a list of names: "null" admits None, a
+    bool is no integer or number, a number is finite, and "numbers" is an
+    array of finite numbers, of "rank" axes if given, read by one
+    ``np.asarray``), "const", "enum", "minimum", "maximum",
+    "exclusiveMinimum", "exclusiveMaximum", "minItems", "items",
+    "properties", "required" and "additionalProperties": false.
+    """
+    what = what or doc
+    if "const" in schema and (type(value) is not type(schema["const"])
+                              or value != schema["const"]):
+        raise error(f"{what} must be {schema['const']!r}, got {value!r:.40}")
+    if "enum" in schema and value not in schema["enum"]:
+        raise error(f"{what} must be one of {schema['enum']}, got {value!r:.40}")
+    types = schema.get("type", [])
+    types = [types] if isinstance(types, str) else types
+    if value is None and "null" in types:
+        return None
+    name = next((name for name in types if name != "null"), None)
+    if name is not None:
+        cls, noun = _TYPES[name]
+        if (not isinstance(value, cls) or isinstance(value, bool) != (name == "boolean")
+                or (name == "number" and not math.isfinite(value))):
+            raise error(f"{what} must be {noun}, got {value!r:.40}")
+    for keyword, holds, phrase in _BOUNDS:
+        if keyword in schema and not holds(value, schema[keyword]):
+            raise error(f"{what} must be {phrase} {schema[keyword]}, got {value!r}")
+    if name == "numbers":
+        return _numbers(value, schema.get("rank"), error, what)
+    if "minItems" in schema and len(value) < schema["minItems"]:
+        raise error(f"{what} must list at least {schema['minItems']} item(s)")
+    if "items" in schema:
+        return [check(item, schema["items"], error, doc, where, f"{what} item {i}")
+                for i, item in enumerate(value)]
+    if "properties" not in schema:
+        return value
+    checked, properties = {}, schema["properties"]
+    for key, item in value.items():
+        named = f"{doc} field {where}{key!r}"
+        if key in properties:
+            checked[key] = check(item, properties[key], error, doc, f"{where}{key}.", named)
+        elif schema.get("additionalProperties") is False:
+            raise error(f"{named} is unknown")
+        else:
+            checked[key] = item
+    missing = [key for key in schema.get("required", ()) if key not in value]
     if missing:
-        raise DataError(f"{where}: missing field {missing[0]!r}")
-    return record
+        raise error(f"{doc} field {where}{missing[0]!r} is missing")
+    return checked
+
+
+def _numbers(value, rank, error: type, what: str) -> np.ndarray:
+    """The float array of nested lists ``value`` whose leaves are numbers, as
+    numpy reads them (so a boolean among numbers reads as one, and an int
+    past int64 as a float), of ``rank`` axes if given, all finite; else
+    ``error``."""
+    try:
+        arr = np.asarray(value)
+        if arr.dtype == object and set(map(type, arr.flat)) <= {int, float, bool}:
+            arr = np.asarray(value, dtype=float)  # ints past int64
+    except (ValueError, OverflowError):  # ragged, or past the float range
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise error(f"{what} must be an array of finite numbers")
+    if rank is not None and arr.ndim != rank:
+        raise error(f"{what} has shape {arr.shape}, expected {rank} axes")
+    arr = arr.astype(float)
+    if not np.all(np.isfinite(arr)):
+        raise error(f"{what} has non-finite values")
+    return arr
+
+
+def read_json(path, schema: dict, doc: str | None = None):
+    """The JSON value of file ``path``, ``check``ed against ``schema`` under
+    the name ``doc`` (default: the path).  Content that is not such a value
+    is a DataError naming the file; a file that cannot be read raises
+    OSError."""
+    doc = doc or f"{path}:"
+    try:
+        payload = json.loads(Path(path).read_text())
+    except ValueError as exc:  # invalid JSON or undecodable bytes
+        raise DataError(f"{doc} invalid JSON ({exc})") from exc
+    return check(payload, schema, DataError, doc)
 
 
 @contextmanager
 def file_values(path):
-    """Report a TypeError, ValueError, OverflowError or NumericError from
-    values read from ``path`` as a DataError naming the file."""
+    """Report a ValueError from values read from ``path`` as a DataError
+    naming the file: a cross-field rule of a dataclass that a file fills."""
     try:
         yield
     except DataError:
         raise
-    except (TypeError, ValueError, OverflowError, NumericError) as exc:
+    except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
-
-
-def read_json_fields(path, *fields) -> dict:
-    """Parse the JSON object in file ``path`` and require ``fields`` in it.
-
-    Content that is not such an object is a DataError naming the file; a file
-    that cannot be read raises OSError.
-    """
-    try:
-        payload = json.loads(Path(path).read_text())
-    except ValueError as exc:  # invalid JSON or undecodable bytes
-        raise DataError(f"{path}: invalid JSON ({exc})") from exc
-    return require_fields(payload, fields, str(path))
 
 
 def _read_writer_layout(path, horizon: int, d_s: int):
@@ -402,19 +490,22 @@ def _read_writer_layout(path, horizon: int, d_s: int):
         if read is None:
             return None
         number_texts, row_numbers, gather, action_texts, reward_texts = read
-        # as many scalars as texts is one value per text; a value that is not a
-        # number converts as in the line's own read, or fails
-        numbers = np.array(json.loads("[" + ",".join(number_texts) + "]"), dtype=float)
-        if numbers.shape != (len(number_texts),):
+        # as many ints and floats as texts is one number per text; anything
+        # else (a boolean too, which numpy may read as a number) is left to
+        # the line's own read
+        numbers = json.loads("[" + ",".join(number_texts) + "]")
+        if len(numbers) != len(number_texts) or not set(map(type, numbers)) <= _NUMBER_TYPES:
             return None
-        table = numbers[np.array(row_numbers)].reshape(-1, d_s)
+        table = np.array(numbers, dtype=float)[np.array(row_numbers)].reshape(-1, d_s)
         # a bracket in a text could only add a list, so n lists of T values
         # each are the lines' own
         actions = json.loads("[[" + _ROW_SEP.join(action_texts) + "]]")
-        if not set(map(type, chain.from_iterable(actions))) <= {int}:
+        rewards = json.loads("[[" + _ROW_SEP.join(reward_texts) + "]]")
+        if (not set(map(type, chain.from_iterable(actions))) <= {int}
+                or not set(map(type, chain.from_iterable(rewards))) <= _NUMBER_TYPES):
             return None
         actions = np.array(actions, dtype=np.int64)
-        rewards = np.array(json.loads("[[" + _ROW_SEP.join(reward_texts) + "]]"), dtype=float)
+        rewards = np.array(rewards, dtype=float)
     except (ValueError, TypeError, OverflowError, RecursionError):
         return None
     n = len(action_texts)
@@ -468,38 +559,32 @@ def _layout_texts(lines, horizon: int, d_s: int):
 
 def _read_lines(path, horizon: int, d_s: int):
     """The (states, actions, rewards) arrays of trajectories file ``path``,
-    each line read by ``json.loads`` and checked on its own, and the line
-    number of each trajectory; an error names ``path:line``."""
+    each line read by ``json.loads`` and checked against ``LINE_SCHEMA`` and
+    the header's shape on its own, and the line number of each trajectory;
+    an error names ``path:line``."""
     states_list, actions_list, rewards_list, linenos = [], [], [], []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            where = f"{path}:{lineno}"
+            where = f"{path}:{lineno}:"
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise DataError(f"{where}: invalid JSON ({exc})") from exc
-            require_fields(rec, ("states", "actions", "rewards"), where)
-            unknown = set(rec) - {"states", "actions", "rewards"}
-            if unknown:
-                raise DataError(f"{where}: unknown field {sorted(unknown)[0]!r}")
-            with file_values(where):
-                states = np.asarray(rec["states"], dtype=float)
-                actions = np.asarray(rec["actions"])
-                rewards = np.asarray(rec["rewards"], dtype=float)
+                raise DataError(f"{where} invalid JSON ({exc})") from exc
+            rec = check(rec, LINE_SCHEMA, DataError, where)
+            states, rewards = rec["states"], rec["rewards"]
+            actions = np.array(rec["actions"])  # ints past int64 stay objects, out of range
             if states.shape != (horizon, d_s):
-                raise DataError(f"{where}: field 'states' has shape {states.shape}, "
+                raise DataError(f"{where} field 'states' has shape {states.shape}, "
                                 f"expected ({horizon}, {d_s})")
             if actions.shape != (horizon,):
-                raise DataError(f"{where}: field 'actions' must have length {horizon}")
-            if not np.issubdtype(actions.dtype, np.integer):
-                raise DataError(f"{where}: field 'actions' must be integers")
+                raise DataError(f"{where} field 'actions' must have length {horizon}")
             if rewards.shape != (horizon,):
-                raise DataError(f"{where}: field 'rewards' must have length {horizon}")
+                raise DataError(f"{where} field 'rewards' must have length {horizon}")
             states_list.append(states)
-            actions_list.append(actions.astype(np.int64))
+            actions_list.append(actions)
             rewards_list.append(rewards)
             linenos.append(lineno)
     if not states_list:
@@ -509,23 +594,12 @@ def _read_lines(path, horizon: int, d_s: int):
 
 def load_dataset(header_path, trajectories_path) -> BatchDataset:
     """Load and validate a header/trajectories file pair."""
-    header = read_json_fields(header_path, *_HEADER_FIELDS)
-    for field_name, kind in _HEADER_FIELDS.items():
-        if not isinstance(header[field_name], kind) or isinstance(header[field_name], bool) != (kind is bool):
-            raise DataError(f"header {header_path}: field {field_name!r} has wrong type")
-    unknown = set(header) - set(_HEADER_FIELDS)
-    if unknown:
-        raise DataError(f"header {header_path}: unknown field {sorted(unknown)[0]!r}")
-    if header["version"] != 1:
-        raise DataError(f"header {header_path}: unsupported version {header['version']}")
-    horizon = header["horizon"]
-    d_s, d_a = header["state_dim"], header["action_dim"]
-    with file_values(f"header {header_path}: field 'action_table'"):
-        table = np.asarray(header["action_table"], dtype=float)
-    if table.ndim != 2 or table.shape[1] != d_a:
-        raise DataError(f"header {header_path}: field 'action_table' must be A x {d_a}")
-    if not np.all(np.isfinite(table)):
-        raise DataError(f"header {header_path}: field 'action_table' has non-finite values")
+    doc = f"header {header_path}:"
+    header = read_json(header_path, HEADER_SCHEMA, doc)
+    horizon, d_s, table = header["horizon"], header["state_dim"], header["action_table"]
+    if table.shape[1] != header["action_dim"]:
+        raise DataError(f"{doc} field 'action_table' has shape {table.shape}, "
+                        f"expected (A, {header['action_dim']})")
     reward_bound, normalize = float(header["reward_bound"]), header["normalize"]
 
     arrays = _read_writer_layout(trajectories_path, horizon, d_s)

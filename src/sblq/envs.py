@@ -26,20 +26,30 @@ Generator.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import json
+import math
+from dataclasses import dataclass
 from typing import Callable, Optional
 
-import json
 import numpy as np
 
-from .data import (BatchDataset, candidate_scores, feature_matrix, file_values,
-                   read_json_fields, require_fields)
-from .errors import DataError
+from .data import (BatchDataset, candidate_scores, check, feature_matrix, file_values,
+                   read_json, record)
 from .streams import EpisodeStreams
 
 TIME_VARYING = "time-varying"
 STATIC = "static"
 NOISE_CLIP_SDS = 8.0
+
+# The keys, types and ranges of an EnvSpec, in a config's "env" and in env.json
+ENV_SPEC_NODE = record({
+    **dict.fromkeys(("n_users", "n_actions", "d_video", "d_user", "d_action", "horizon"),
+                    {"type": "integer", "minimum": 1}),
+    "noise_sd": {"type": "number", "minimum": 0},
+    "reward_low": {"type": "number"},
+    "reward_high": {"type": "number"},
+    "theta_mode": {"enum": [TIME_VARYING, STATIC]},
+}, required=())
 
 
 @dataclass(frozen=True)
@@ -56,15 +66,16 @@ class EnvSpec:
     theta_mode: str = TIME_VARYING
 
     def __post_init__(self):
-        if min(self.n_users, self.n_actions, self.d_video, self.d_user,
-               self.d_action, self.horizon) < 1:
-            raise ValueError("all pool sizes and dimensions must be >= 1")
-        if self.noise_sd < 0:
-            raise ValueError("noise_sd must be nonnegative")
+        check(vars(self), ENV_SPEC_NODE, ValueError, "env spec")
         if not self.reward_low < self.reward_high:
             raise ValueError("reward_low must be below reward_high")
-        if self.theta_mode not in (TIME_VARYING, STATIC):
-            raise ValueError(f"unknown theta_mode {self.theta_mode!r}")
+        # the reward bound of a unit-norm truth (SyntheticEnv.reward_bound),
+        # summed over the horizon and one more stage, must be finite
+        bound = (max(abs(self.reward_low), abs(self.reward_high)) + 2.0
+                 + NOISE_CLIP_SDS * self.noise_sd)
+        if not math.isfinite((self.horizon + 1) * bound):
+            raise ValueError(f"reward_low, reward_high and noise_sd give the reward bound "
+                             f"{bound:.6g}, which over horizon {self.horizon} is not finite")
 
     @property
     def state_dim(self) -> int:
@@ -142,9 +153,11 @@ class GroundTruth:
     theta_star: np.ndarray  # (T+1, d)
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.theta_star)):
-            raise ValueError("theta_star contains non-finite values")
         self.theta_star.setflags(write=False)
+
+
+GROUND_TRUTH_SCHEMA = record({"version": {"const": 1},
+                              "theta_star": {"type": "numbers", "rank": 2}})
 
 
 def ground_truth_json_text(truth: GroundTruth) -> str:
@@ -152,9 +165,7 @@ def ground_truth_json_text(truth: GroundTruth) -> str:
 
 
 def load_ground_truth(path) -> GroundTruth:
-    payload = read_json_fields(path, "theta_star")
-    with file_values(path):
-        return GroundTruth(theta_star=np.asarray(payload["theta_star"], dtype=float))
+    return GroundTruth(theta_star=read_json(path, GROUND_TRUTH_SCHEMA)["theta_star"])
 
 
 def pool_states(env: SyntheticEnv, cells: np.ndarray) -> np.ndarray:
@@ -248,20 +259,16 @@ def generate_trajectories(env: SyntheticEnv, n: int, seed: int = 0):
     return dataset, GroundTruth(theta_star=env.theta_star.copy())
 
 
+ENV_SCHEMA = record({"version": {"const": 1}, "seed": {"type": "integer", "minimum": 0},
+                     "spec": ENV_SPEC_NODE})
+
+
 def env_json_text(env: SyntheticEnv) -> str:
     return json.dumps({"version": 1, "seed": env.seed, "spec": vars(env.spec).copy()}) + "\n"
 
 
-# EnvSpec fields that only an int may fill: a JSON true or 2.0 is not a size
-_SPEC_INTEGERS = tuple(f.name for f in fields(EnvSpec) if type(f.default) is int)
-
-
 def load_env(path) -> SyntheticEnv:
-    payload = read_json_fields(path, "spec", "seed")
-    spec = require_fields(payload["spec"], (), f"{path}: field 'spec'")
-    integers = {f"spec.{name}": spec[name] for name in _SPEC_INTEGERS if name in spec}
-    for name, value in {**integers, "seed": payload["seed"]}.items():
-        if type(value) is not int:
-            raise DataError(f"{path}: field {name!r} must be an integer, got {value!r}")
-    with file_values(path):
-        return make_env(EnvSpec(**spec), payload["seed"])
+    payload = read_json(path, ENV_SCHEMA)
+    with file_values(path):  # EnvSpec's cross-field rules
+        spec = EnvSpec(**payload["spec"])
+    return make_env(spec, payload["seed"])

@@ -60,7 +60,7 @@ def method_cell(world: World, method: str, seed: int, adaptive: dict | None = No
     """Train ``method`` on the world's training side under ``adaptive``
     overrides and score it on the evaluation side; rollout rewards need
     ``env``, and without it the reward is the direct value estimate."""
-    cfg = default_config(method, world.train.reward_bound, **(adaptive or {}))
+    cfg = default_config(method, **{"reward_bound": world.train.reward_bound, **(adaptive or {})})
     started = time.monotonic()
     bundle, _ = train(world.train, method, cfg, seed=seed, spectra=world.spectra,
                       lasso_grid=lasso_grid)

@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .data import (BatchDataset, candidate_scores, file_values, read_json_fields,
-                   require_fields, stage_design)
-from .errors import DataError, NumericError
+from .data import (BatchDataset, candidate_scores, check, file_values, read_json, record,
+                   require_normalizable, stage_design)
+from .errors import ConfigError, DataError, NumericError
 from .spectral import (
     CUTOFF,
     GRADIENT_DESCENT,
@@ -41,6 +41,7 @@ from .spectral import (
 LS = "ls"
 LASSO = "lasso"
 BASELINE_METHODS = (LS, LASSO)
+METHODS = (LS, LASSO, "tikhonov", "gradient-descent", "cutoff")
 LS_RELATIVE_FLOOR = 1e-10      # least squares keeps eigenvalues >= this * sigma_max
 
 
@@ -70,16 +71,21 @@ class AdaptiveConfig:
     theta_norm_hint: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.q < 1.0:
-            raise ValueError("q must lie in (0, 1)")
-        if not 0.0 < self.delta <= 0.5:
-            raise ValueError("delta must lie in (0, 0.5]")
-        if not 0.0 < self.c_tilde < 0.5:
-            raise ValueError("c_tilde must lie in (0, 0.5)")
-        if self.budget < 1:
-            raise ValueError("budget must be at least 1")
-        if self.q0 <= 0:
-            raise ValueError("q0 must be positive")
+        check(vars(self), ADAPTIVE_NODE, ValueError, "adaptive configuration")
+
+
+# The keys, types and ranges of an AdaptiveConfig, in a config's "adaptive"
+# and in model.json's "config"
+_ADAPTIVE_RANGES = {
+    "q": {"exclusiveMinimum": 0, "exclusiveMaximum": 1}, "q0": {"exclusiveMinimum": 0},
+    "budget": {"type": "integer", "minimum": 1}, "c_ada": {"minimum": 0},
+    "delta": {"exclusiveMinimum": 0, "maximum": 0.5}, "c_x": {"exclusiveMinimum": 0},
+    "reward_bound": {"minimum": 0}, "b0": {"exclusiveMinimum": 0}, "c0": {"minimum": 0},
+    "gamma0": {"exclusiveMinimum": 0}, "c_tilde": {"exclusiveMinimum": 0, "exclusiveMaximum": 0.5},
+    "c0_effdim": {"minimum": 1}, "theta_norm_hint": {"minimum": 0},
+}
+ADAPTIVE_NODE = record({f.name: {"type": "number", **_ADAPTIVE_RANGES.get(f.name, {})}
+                        for f in fields(AdaptiveConfig)}, required=())
 
 
 # Per-filter experiment defaults: grid anchor and threshold multiplier.
@@ -284,8 +290,7 @@ def stage_of(rows: np.ndarray, mask: np.ndarray | None = None,
         states, table = states[:, kept[:states.shape[1]]], table[:, kept[states.shape[1]:]]
     if normalize:
         sq = np.sum(states**2, axis=1)[state_of] + np.sum(table**2, axis=1)[action]
-        if np.any(sq == 0.0):
-            raise ValueError("cannot normalize an all-zero feature vector")
+        require_normalizable(sq)
         weights, scale = 1.0 / sq, 1.0 / np.sqrt(sq)
     else:
         weights = scale = np.ones(len(state_of))
@@ -395,7 +400,7 @@ def variance_proxy(decomp: SpectralDecomposition, lam: float | np.ndarray, n: in
     n_gamma = effective_sample_size(n, cfg)
     ell = dimension_adjusted_sample_size(n, d, cfg)
     front = 1.0 + 4.0 * (13.0 * cfg.c_x / np.sqrt(lam * ell)
-                         + 21.0 * cfg.c_x**2 / (lam * ell))
+                         + 21.0 * cfg.c_x * cfg.c_x / (lam * ell))
     eff = np.maximum(np.sqrt(empirical_effective_dimension(decomp, lam)), 1.0)
     return front * eff / math.sqrt(n_gamma) + 1.0 / (n_gamma * np.sqrt(lam))
 
@@ -428,12 +433,18 @@ def select_lambda(stage: Stage, targets: np.ndarray, filt: FilterSpec,
     k_max = cfg.budget
     s, c = stage.decomp.eigenvalues, stage.coords(targets)
     lambdas = cfg.q0 * cfg.q ** np.arange(1, k_max + 2, dtype=float)  # k = 1..K+1
+    if lambdas[-1] == 0.0:
+        raise ConfigError(f"stage {t}: the grid's last level q0 q^(budget + 1) underflows "
+                          f"to 0 under the adaptive configuration {vars(cfg)}")
     g = filter_values(filt, lambdas, s)                                 # row k-1: lambda_k
     lam_next = lambdas[1:]                                              # lambda_{k+1}, k = 1..K
     step = (g[1:] - g[:-1]) * c
     gaps = np.sqrt(np.sum((s + lam_next[:, None]) * step**2, axis=1))
     taus = adaptive_threshold(t, horizon, phi_next,
                               variance_proxy(stage.decomp, lam_next, n, d, cfg), cfg)
+    if not np.all(np.isfinite(taus)):
+        raise ConfigError(f"stage {t}: the balancing thresholds overflow under the adaptive "
+                          f"configuration {vars(cfg)}")
 
     ks = np.arange(k_max, 0, -1)
     diff_norms, thresholds = gaps[ks - 1], taus[ks - 1]
@@ -694,37 +705,43 @@ def save_model(bundle: ModelBundle, path) -> None:
     Path(path).write_text(model_json_text(bundle))
 
 
-def _stage_model(record, t: int, feature_dim, where: str) -> StageModel:
-    """The StageModel of a model file's record for stage ``t``, which must
-    hold the integer ``t`` and a ``theta`` of ``feature_dim`` entries."""
-    require_fields(record, ("t", "theta", "lambda", "k"), where)
-    if type(record["t"]) is not int or record["t"] != t:
-        raise DataError(f"{where}: field 't' must be the integer {t}, got {record['t']!r}")
-    with file_values(f"{where}: field 'theta'"):
-        theta = np.asarray(record["theta"], dtype=float)
-    if theta.shape != (feature_dim,):
-        raise DataError(f"{where}: field 'theta' has shape {theta.shape}, "
-                        f"expected ({feature_dim},)")
-    with file_values(where):
-        return StageModel(t=t, theta=theta, lambda_selected=record["lambda"],
-                          k_selected=record["k"])
+# model.json, written by ``model_json_text``.  Each record of "stages" is
+# checked against STAGE_SCHEMA and named by its stage; a record's "t" must be
+# its position, a rule the loader states.
+MODEL_SCHEMA = record({
+    "version": {"const": 1},
+    "horizon": {"type": "integer", "minimum": 1},
+    "feature_dim": {"type": "integer", "minimum": 1},
+    "filter": {"enum": list(METHODS)},
+    "stages": {"type": "array"},
+    "config": {**ADAPTIVE_NODE, "type": ["object", "null"]},
+    "seed": {"type": "integer", "minimum": 0},
+    "feature_mask": {"type": ["numbers", "null"], "rank": 1},
+}, required=("version", "horizon", "feature_dim", "filter", "stages", "config", "seed"))
+STAGE_SCHEMA = record({"t": {}, "lambda": {"type": "number", "minimum": 0},
+                       "k": {"type": "integer", "minimum": 0}, "theta": {"type": "numbers"}})
 
 
 def load_model(path) -> ModelBundle:
-    payload = read_json_fields(path, "version", "horizon", "feature_dim", "filter",
-                               "stages", "config", "seed")
-    if payload["version"] != 1:
-        raise DataError(f"{path}: unsupported model file version {payload['version']!r}")
-    if not isinstance(payload["stages"], list):
-        raise DataError(f"{path}: field 'stages' must be a list")
-    stages = tuple(_stage_model(rec, t, payload["feature_dim"], f"{path}: stage {t}")
-                   for t, rec in enumerate(payload["stages"], start=1))
-    mask = payload.get("feature_mask")
-    with file_values(path):
-        cfg = None if payload["config"] is None else AdaptiveConfig(**payload["config"])
+    payload = read_json(path, MODEL_SCHEMA)
+    stages = []
+    for t, rec in enumerate(payload["stages"], start=1):
+        where = f"{path}: stage {t}:"
+        rec = check(rec, STAGE_SCHEMA, DataError, where)
+        if type(rec["t"]) is not int or rec["t"] != t:
+            raise DataError(f"{where} field 't' must be the integer {t}, got {rec['t']!r}")
+        if rec["theta"].shape != (payload["feature_dim"],):
+            raise DataError(f"{where} field 'theta' has shape {rec['theta'].shape}, "
+                            f"expected ({payload['feature_dim']},)")
+        stages.append(StageModel(t=t, theta=rec["theta"], lambda_selected=rec["lambda"],
+                                 k_selected=rec["k"]))
+    config = payload["config"]
+    if config is not None and payload["filter"] in BASELINE_METHODS:
+        raise DataError(f"{path}: field 'config' must be null for filter "
+                        f"{payload['filter']!r}, which takes no adaptive configuration")
+    with file_values(path):  # one stage record per stage; the mask's length and 0/1 entries
         return ModelBundle(
             horizon=payload["horizon"], feature_dim=payload["feature_dim"],
-            filter_kind=payload["filter"], stages=stages, config=cfg,
-            seed=payload["seed"],
-            feature_mask=None if mask is None else np.asarray(mask, dtype=float),
-        )
+            filter_kind=payload["filter"], stages=tuple(stages),
+            config=None if config is None else AdaptiveConfig(**config),
+            seed=payload["seed"], feature_mask=payload.get("feature_mask"))

@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -44,6 +45,37 @@ def per_record_jsonl(dataset):
                                "actions": dataset.actions[i].tolist(),
                                "rewards": dataset.rewards[i].tolist()}) + "\n"
                    for i in range(len(dataset)))
+
+
+# The census mutations of one leaf of a JSON input: a wrong type, true for an
+# integer, null, an empty and a one-element list, NaN, 1e308, -1 and 0
+LEAF_MUTATIONS = ("x", True, None, [], [1], float("nan"), 1e308, -1, 0)
+
+
+def leaf_paths(doc, path=()):
+    """The key path of each leaf below the root of JSON value ``doc``: every
+    value of an object, every array and its first element, descending into
+    each of these."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list) and doc:
+        items = [(0, doc[0])]
+    else:
+        return
+    for key, value in items:
+        yield path + (key,)
+        yield from leaf_paths(value, path + (key,))
+
+
+def mutated(doc, path, value):
+    """A copy of JSON value ``doc`` with the leaf at key path ``path`` set to
+    ``value``."""
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
 
 
 @pytest.fixture

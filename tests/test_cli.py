@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import threading
 from dataclasses import asdict, fields
@@ -17,7 +18,7 @@ from sblq.experiments import build_world, method_cell
 from sblq.learner import (AdaptiveConfig, ModelBundle, StageModel, default_config, load_model,
                           save_model)
 
-from conftest import per_record_jsonl
+from conftest import LEAF_MUTATIONS, leaf_paths, mutated, per_record_jsonl
 
 
 class TestParseConfig:
@@ -747,3 +748,200 @@ class TestCommands:
         main(["train", "--config", str(cfg), "--dataset", str(tmp_path / "missing"),
               "--out", str(out)])
         assert not out.exists() or not any(out.iterdir())
+
+
+class TestExitCodes:
+    def test_linalg_failure_exits_four(self, tmp_path, capsys, monkeypatch):
+        cfg = write_small_config(tmp_path)
+        data, run = tmp_path / "data", tmp_path / "run"
+        assert main(["gen", "--config", str(cfg), "--out", str(data)]) == 0
+
+        def eigh(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg), "--dataset", str(data),
+                     "--out", str(run)]) == 4
+        assert capsys.readouterr().err.startswith("error: numeric: ")
+        assert not run.exists()
+
+    def test_value_error_is_not_numeric(self, tmp_path, monkeypatch):
+        def cmd_gen(cfg, out):
+            raise ValueError("a defect, not a numeric failure")
+
+        monkeypatch.setattr(cli, "cmd_gen", cmd_gen)
+        with pytest.raises(ValueError, match="a defect"):
+            main(["gen", "--out", str(tmp_path / "o")])
+
+
+@pytest.fixture(scope="module")
+def a1_run(tmp_path_factory):
+    """An a1 world-0 dataset of 100 trajectories and its cutoff model."""
+    root = tmp_path_factory.mktemp("a1")
+    data, run = root / "data", root / "run"
+    assert main(["gen", "--preset", "a1-performance", "--seed", "0", "--n", "100",
+                 "--out", str(data)]) == 0
+    assert main(["train", "--preset", "a1-performance", "--dataset", str(data),
+                 "--method", "cutoff", "--out", str(run)]) == 0
+    return data, run / "model.json"
+
+
+class TestMisfitInputs:
+    """Inputs that once exited 0, 1 or 4 on a1 files; each exits 3 naming the file."""
+
+    @pytest.mark.parametrize("name,path,value", [
+        ("model", ("filter",), "bogus"),
+        ("model", ("config", "budget"), 2.5),
+        ("model", ("config", "budget"), True),
+        ("model", ("seed",), "x"),
+        ("model", ("stages", 0, "k"), "x"),
+        ("truth", ("version",), 7),
+        ("truth", ("theta_star",), "all-true"),
+        ("env", ("version",), "x"),
+        ("env", ("spec", "horizon"), 5),
+        ("env", ("spec", "d_user"), 3),
+        ("env", ("spec", "noise_sd"), 1e308),
+        ("env", ("spec", "reward_high"), 1e308),
+    ])
+    def test_exits_three_naming_file(self, a1_run, tmp_path, capsys, name, path, value):
+        data, model = a1_run
+        files = {"model": model, "truth": data / "ground_truth.json", "env": data / "env.json"}
+        doc = json.loads(files[name].read_text())
+        if value == "all-true":
+            value = [[True] * len(row) for row in doc["theta_star"]]
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(mutated(doc, path, value)))
+        common = ["--preset", "a1-performance", "--model", str(files["model"]),
+                  "--dataset", str(data), "--env", str(files["env"]), "--n-episodes", "5",
+                  "--out", str(tmp_path / "out")]
+        commands = [["eval", "--truth", str(files["truth"])]]
+        if name != "truth":
+            commands.append(["report", "--topk", "4"])
+        for command in commands:
+            capsys.readouterr()
+            assert main(command[:1] + common + command[1:]) == 3, command[0]
+            err = capsys.readouterr().err
+            assert err.startswith("error: data:") and str(files[name]) in err, err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_noise_without_finite_reward_bound_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["gen", "--preset", "a2-interpretability", "--n", "5",
+                     "--config", str(write_small_config(tmp_path, env={"noise_sd": 1e308})),
+                     "--out", str(out)]) == 2
+        assert "noise_sd" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def finite_outputs(out: Path) -> bool:
+    """Whether every number in the JSON and CSV files under ``out`` is finite."""
+    for path in out.iterdir():
+        text = path.read_text()
+        if path.suffix == ".json":
+            try:
+                json.loads(text, parse_constant=lambda name: 1 / 0)
+            except ZeroDivisionError:  # NaN, Infinity or -Infinity
+                return False
+            continue
+        for cell in text.replace("\n", ",").split(","):
+            try:
+                if not math.isfinite(float(cell)):
+                    return False
+            except ValueError:
+                pass
+    return True
+
+
+CENSUS_CONFIG = {"seed": 0, "n_trajectories": 20, "train_fraction": 0.5, "method": "cutoff",
+                 "n_episodes": 5, "seeds": 1, "jobs": 1, "topk": [2],
+                 "lasso_grid": [0.01, 0.1], "env": asdict(A2_ENV),
+                 "adaptive": asdict(AdaptiveConfig())}
+
+
+@pytest.fixture(scope="module")
+def census_run(tmp_path_factory):
+    """A config naming every key, its a2-sized dataset of 20 trajectories and
+    their cutoff model."""
+    root = tmp_path_factory.mktemp("census")
+    config = root / "config.json"
+    config.write_text(json.dumps(CENSUS_CONFIG))
+    data, run = root / "data", root / "run"
+    assert main(["gen", "--config", str(config), "--out", str(data)]) == 0
+    assert main(["train", "--config", str(config), "--dataset", str(data),
+                 "--out", str(run)]) == 0
+    return root, config, data, run / "model.json"
+
+
+class TestInputCensus:
+    """Each leaf of each JSON input the CLI reads (conftest.leaf_paths: every
+    value, every array and its first element), set in turn to each of
+    conftest.LEAF_MUTATIONS, and run through the commands that read it.  A
+    run exits 0, 2 or 3, never 1 (a traceback) or 4 (numeric); a failing run
+    names the file on stderr, or the key for a config; a passing run writes
+    only finite numbers."""
+
+    @pytest.mark.parametrize("name", ["config", "header", "line", "env", "truth", "model"])
+    def test_every_mutation_exits_zero_two_or_three(self, census_run, capsys, name):
+        root, config, data, model = census_run
+        case, out = root / name, root / f"{name}-out"
+        files = {"env": data / "env.json", "truth": data / "ground_truth.json",
+                 "model": model}
+        lines = (data / "trajectories.jsonl").read_text().splitlines(keepends=True)
+        if name == "config":
+            doc = CENSUS_CONFIG
+        elif name == "header":
+            doc = json.loads((data / "header.json").read_text())
+        elif name == "line":
+            doc = json.loads(lines[0])
+        else:
+            doc = json.loads(files[name].read_text())
+        failures, runs = [], 0
+        for path in leaf_paths(doc):
+            for value in LEAF_MUTATIONS:
+                text = json.dumps(mutated(doc, path, value))
+                if name == "config":
+                    (root / "mutated.json").write_text(text)
+                    commands = [["gen", "--config", str(root / "mutated.json")],
+                                ["train", "--config", str(root / "mutated.json"),
+                                 "--dataset", str(data)]]
+                    named = [key for key in path if isinstance(key, str)][-1]
+                elif name in ("header", "line"):
+                    case.mkdir(exist_ok=True)
+                    header = text if name == "header" else (data / "header.json").read_text()
+                    (case / "header.json").write_text(header)
+                    (case / "trajectories.jsonl").write_text(
+                        "".join(lines) if name == "header" else text + "\n" + "".join(lines[1:]))
+                    commands = [["train", "--config", str(config), "--dataset", str(case)]]
+                    named = str(case)  # the directory of both dataset files
+                else:
+                    named = root / f"mutated-{name}.json"
+                    named.write_text(text)
+                    paths = {**files, name: named}
+                    commands = [["eval", "--config", str(config), "--model", str(paths["model"]),
+                                 "--dataset", str(data), "--truth", str(paths["truth"]),
+                                 "--env", str(paths["env"])]]
+                    if name != "truth":
+                        commands.append(["report", "--config", str(config),
+                                         "--model", str(paths["model"]), "--dataset", str(data),
+                                         "--env", str(paths["env"]), "--topk", "2,15"])
+                    named = str(named)
+                for argv in commands:
+                    runs += 1
+                    for stale in out.glob("*") if out.exists() else ():
+                        stale.unlink()
+                    try:
+                        code = main(argv + ["--out", str(out)])
+                    except Exception as exc:  # noqa: BLE001 - a traceback is exit 1
+                        code = f"1 ({type(exc).__name__}: {exc})"
+                    err = capsys.readouterr().err
+                    if code not in (0, 2, 3):
+                        failures.append((path, value, argv[0], code, err))
+                    elif code != 0 and named not in err:
+                        failures.append((path, value, argv[0], "unnamed", err))
+                    elif code == 0 and not finite_outputs(out):
+                        failures.append((path, value, argv[0], "non-finite output", ""))
+                    if code != 0:
+                        break
+        assert runs >= 9 * len(list(leaf_paths(doc)))
+        assert not failures, "\n".join(map(repr, failures[:20]))

@@ -23,7 +23,8 @@ from sblq.data import (
 from sblq.envs import A1_ENV, generate_trajectories, make_env
 from sblq.errors import DataError
 
-from conftest import make_dataset, per_record_jsonl, reference_scores
+from conftest import (LEAF_MUTATIONS, leaf_paths, make_dataset, mutated, per_record_jsonl,
+                      reference_scores)
 
 
 def write_dataset(dataset, header_path, trajectories_path):
@@ -535,11 +536,16 @@ class TestJsonlIO:
             assert got == bits(dataset)
 
     @settings(max_examples=120, deadline=None)
-    @given(dataset=datasets(), kind=st.sampled_from(MUTATIONS), data=st.data())
+    @given(dataset=datasets(), kind=st.sampled_from(MUTATIONS + ["leaf"]), data=st.data())
     def test_other_layouts_read_as_json_loads(self, dataset, kind, data):
         lines = dataset_jsonl_text(dataset).splitlines()
         i = data.draw(st.integers(0, len(lines) - 1))
-        lines[i] = mutated_line(kind, json.loads(lines[i]))
+        rec = json.loads(lines[i])
+        if kind == "leaf":  # a mutation of the input census (tests/test_cli.py)
+            path = data.draw(st.sampled_from(list(leaf_paths(rec))))
+            lines[i] = json.dumps(mutated(rec, path, data.draw(st.sampled_from(LEAF_MUTATIONS))))
+        else:
+            lines[i] = mutated_line(kind, rec)
         with tempfile.TemporaryDirectory() as tmp:
             header, trajectories = Path(tmp) / "h.json", Path(tmp) / "t.jsonl"
             write_dataset(dataset, header, trajectories)

@@ -1,5 +1,6 @@
 """The refactor gate: a small matrix of trained models and their ``eval
---truth`` metrics against the numbers in tests/golden.json.
+--truth`` metrics, and two ``report --topk`` curves run through the CLI's
+files, against the numbers in tests/golden.json.
 
 Every stage must select the recorded (lambda, k), and every theta and metric
 must match within ``GOLDEN_RTOL``: round-off from a different order of the
@@ -30,6 +31,11 @@ def test_models_and_metrics_match_the_recorded_ones():
     got = golden_values()
     assert sorted(got) == sorted(golden)
     for key, want in golden.items():
+        if key.endswith("/topk"):
+            assert sorted(got[key]) == sorted(want), key
+            for k, reward in want.items():
+                assert_close(got[key][k], reward, f"{key} k = {k}")
+            continue
         stages = got[key]["stages"]
         assert [(s["lambda"], s["k"]) for s in stages] == [
             (s["lambda"], s["k"]) for s in want["stages"]], key
