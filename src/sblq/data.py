@@ -145,22 +145,13 @@ class BatchDataset:
         return self.state_rows[self.state_index]
 
 
-def require_normalizable(sq_norms) -> None:
-    """A DataError unless every squared feature norm is positive and finite:
-    a feature vector that is all zero, or whose squares overflow, has no
-    unit-normalized form."""
-    if np.any(sq_norms == 0.0):
-        raise DataError("cannot normalize an all-zero feature vector")
-    if not np.all(np.isfinite(sq_norms)):
-        raise DataError("cannot normalize a feature vector whose squared norm overflows")
-
-
 def feature_vector(state, action, normalize: bool = True) -> np.ndarray:
     """Concatenate state and action features, optionally unit-normalizing."""
     x = np.concatenate([np.asarray(state, dtype=float), np.asarray(action, dtype=float)])
     if normalize:
         norm = np.linalg.norm(x)
-        require_normalizable(norm)
+        if norm == 0.0:
+            raise DataError("cannot normalize an all-zero feature vector")
         x = x / norm
     return x
 
@@ -177,7 +168,8 @@ def feature_matrix(states, actions, normalize: bool = True,
         x *= np.asarray(mask, dtype=float)[None, :]
     if normalize:
         norms = np.linalg.norm(x, axis=1)
-        require_normalizable(norms)
+        if np.any(norms == 0.0):
+            raise DataError("cannot normalize an all-zero feature vector")
         x /= norms[:, None]
     return x
 
@@ -208,12 +200,10 @@ def candidate_scores(states, action_table, theta, normalize: bool = True,
     for out, th in zip(scores, thetas):
         np.add((a @ th[d_s:])[:, None], (s @ th[:d_s])[None, :], out=out)
     if normalize:
-        sq_a, sq_s = np.sum(a**2, axis=1), np.sum(s**2, axis=1)
-        # some sq_a[j] + sq_s[i] is 0 (or overflows) just when the least (or
-        # greatest) of each sum to it; an empty side makes no pair
-        require_normalizable(np.array([sq_a.min(initial=1.0) + sq_s.min(initial=1.0),
-                                       sq_a.max(initial=0.0) + sq_s.max(initial=0.0)]))
-        scores /= np.sqrt(sq_a[:, None] + sq_s[None, :])
+        sq = np.sum(a**2, axis=1)[:, None] + np.sum(s**2, axis=1)[None, :]
+        if np.any(sq == 0.0):
+            raise DataError("cannot normalize an all-zero feature vector")
+        scores /= np.sqrt(sq)
     return scores if theta.ndim == 2 else scores[0]
 
 
@@ -374,34 +364,32 @@ def check(value, schema: dict, error: type, doc: str, where: str = "", what: str
     the names of the value's properties ("env." inside env) and ``what``
     names the value (default ``doc``).
 
-    The keywords: "type" (a name or a list of names: "null" admits None, a
-    bool is no integer or number, a number is finite, and "numbers" is an
-    array of finite numbers, of "rank" axes if given, read by one
-    ``np.asarray``), "const", "enum", "minimum", "maximum",
-    "exclusiveMinimum", "exclusiveMaximum", "minItems", "items",
-    "properties", "required" and "additionalProperties": false.
+    The keywords: "null" (true admits None), "type" (a bool is no integer
+    or number, a number is finite, and "numbers" is an array of finite
+    numbers, of "rank" axes if given, read by one ``np.asarray``), "const",
+    "enum", "minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum",
+    "minItems", "items", "properties" (every object node is closed, as
+    ``record`` declares it: another key is an error) and "required".
     """
     what = what or doc
+    if value is None and schema.get("null"):
+        return None
     if "const" in schema and (type(value) is not type(schema["const"])
                               or value != schema["const"]):
         raise error(f"{what} must be {schema['const']!r}, got {value!r:.40}")
     if "enum" in schema and value not in schema["enum"]:
         raise error(f"{what} must be one of {schema['enum']}, got {value!r:.40}")
-    types = schema.get("type", [])
-    types = [types] if isinstance(types, str) else types
-    if value is None and "null" in types:
-        return None
-    name = next((name for name in types if name != "null"), None)
+    name = schema.get("type")
     if name is not None:
         cls, noun = _TYPES[name]
         if (not isinstance(value, cls) or isinstance(value, bool) != (name == "boolean")
                 or (name == "number" and not math.isfinite(value))):
             raise error(f"{what} must be {noun}, got {value!r:.40}")
+        if name == "numbers":
+            return _numbers(value, schema.get("rank"), error, what)
     for keyword, holds, phrase in _BOUNDS:
         if keyword in schema and not holds(value, schema[keyword]):
             raise error(f"{what} must be {phrase} {schema[keyword]}, got {value!r}")
-    if name == "numbers":
-        return _numbers(value, schema.get("rank"), error, what)
     if "minItems" in schema and len(value) < schema["minItems"]:
         raise error(f"{what} must list at least {schema['minItems']} item(s)")
     if "items" in schema:
@@ -412,12 +400,9 @@ def check(value, schema: dict, error: type, doc: str, where: str = "", what: str
     checked, properties = {}, schema["properties"]
     for key, item in value.items():
         named = f"{doc} field {where}{key!r}"
-        if key in properties:
-            checked[key] = check(item, properties[key], error, doc, f"{where}{key}.", named)
-        elif schema.get("additionalProperties") is False:
+        if key not in properties:
             raise error(f"{named} is unknown")
-        else:
-            checked[key] = item
+        checked[key] = check(item, properties[key], error, doc, f"{where}{key}.", named)
     missing = [key for key in schema.get("required", ()) if key not in value]
     if missing:
         raise error(f"{doc} field {where}{missing[0]!r} is missing")
@@ -439,7 +424,7 @@ def _numbers(value, rank, error: type, what: str) -> np.ndarray:
         raise error(f"{what} must be an array of finite numbers")
     if rank is not None and arr.ndim != rank:
         raise error(f"{what} has shape {arr.shape}, expected {rank} axes")
-    arr = arr.astype(float)
+    arr = arr.astype(float, copy=False)
     if not np.all(np.isfinite(arr)):
         raise error(f"{what} has non-finite values")
     return arr

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import (BatchDataset, candidate_scores, check, file_values, read_json, record,
-                   require_normalizable, stage_design)
+                   stage_design)
 from .errors import ConfigError, DataError, NumericError
 from .spectral import (
     CUTOFF,
@@ -290,7 +290,10 @@ def stage_of(rows: np.ndarray, mask: np.ndarray | None = None,
         states, table = states[:, kept[:states.shape[1]]], table[:, kept[states.shape[1]:]]
     if normalize:
         sq = np.sum(states**2, axis=1)[state_of] + np.sum(table**2, axis=1)[action]
-        require_normalizable(sq)
+        if np.any(sq == 0.0):
+            raise DataError("cannot normalize an all-zero feature vector")
+        if not np.all(np.isfinite(sq)):
+            raise DataError("cannot normalize a feature vector whose squared norm overflows")
         weights, scale = 1.0 / sq, 1.0 / np.sqrt(sq)
     else:
         weights = scale = np.ones(len(state_of))
@@ -714,9 +717,9 @@ MODEL_SCHEMA = record({
     "feature_dim": {"type": "integer", "minimum": 1},
     "filter": {"enum": list(METHODS)},
     "stages": {"type": "array"},
-    "config": {**ADAPTIVE_NODE, "type": ["object", "null"]},
+    "config": {**ADAPTIVE_NODE, "null": True},
     "seed": {"type": "integer", "minimum": 0},
-    "feature_mask": {"type": ["numbers", "null"], "rank": 1},
+    "feature_mask": {"type": "numbers", "rank": 1, "null": True},
 }, required=("version", "horizon", "feature_dim", "filter", "stages", "config", "seed"))
 STAGE_SCHEMA = record({"t": {}, "lambda": {"type": "number", "minimum": 0},
                        "k": {"type": "integer", "minimum": 0}, "theta": {"type": "numbers"}})
