@@ -425,7 +425,7 @@ def _numbers(value, rank, error: type, what: str) -> np.ndarray:
     if rank is not None and arr.ndim != rank:
         raise error(f"{what} has shape {arr.shape}, expected {rank} axes")
     arr = arr.astype(float, copy=False)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise error(f"{what} has non-finite values")
     return arr
 

@@ -292,7 +292,7 @@ def stage_of(rows: np.ndarray, mask: np.ndarray | None = None,
         sq = np.sum(states**2, axis=1)[state_of] + np.sum(table**2, axis=1)[action]
         if np.any(sq == 0.0):
             raise DataError("cannot normalize an all-zero feature vector")
-        if not np.all(np.isfinite(sq)):
+        if not np.isfinite(sq).all():
             raise DataError("cannot normalize a feature vector whose squared norm overflows")
         weights, scale = 1.0 / sq, 1.0 / np.sqrt(sq)
     else:
@@ -445,7 +445,7 @@ def select_lambda(stage: Stage, targets: np.ndarray, filt: FilterSpec,
     gaps = np.sqrt(np.sum((s + lam_next[:, None]) * step**2, axis=1))
     taus = adaptive_threshold(t, horizon, phi_next,
                               variance_proxy(stage.decomp, lam_next, n, d, cfg), cfg)
-    if not np.all(np.isfinite(taus)):
+    if not np.isfinite(taus).all():
         raise ConfigError(f"stage {t}: the balancing thresholds overflow under the adaptive "
                           f"configuration {vars(cfg)}")
 
