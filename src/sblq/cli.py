@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from functools import cache
 from pathlib import Path
 
@@ -238,33 +237,21 @@ def cmd_compare(cfg: RunConfig, out: Path) -> None:
             f"n_trajectories {cfg.n_trajectories} at train_fraction {cfg.train_fraction} "
             f"leaves lasso {n_train} training trajectories, all held out to choose "
             "its penalty")
-    seeds = [cfg.seed + i for i in range(cfg.seeds)]
-    worlds = {seed: build_world(cfg.env, seed, cfg.n_trajectories, cfg.train_fraction)
-              for seed in seeds}
-    tasks = [(method, seed) for method in METHODS for seed in seeds]
+    seeds = range(cfg.seed, cfg.seed + cfg.seeds)
+    values = {}
+    for seed in seeds:
+        world = build_world(cfg.env, seed, cfg.n_trajectories, cfg.train_fraction)
+        for method in METHODS:
+            cell = method_cell(world, method, seed, cfg.adaptive, cfg.lasso_grid,
+                               world.env, cfg.n_episodes)
+            m = cell.metrics
+            values[method, seed] = (m.parameter_gap, m.policy_gap, m.cumulative_reward,
+                                    cell.train_s)
+        del world  # before the next seed's is built: one world in memory at a time
 
-    def run_cell(task):
-        method, seed = task
-        world = worlds[seed]
-        return method_cell(world, method, seed, cfg.adaptive, cfg.lasso_grid,
-                           world.env, cfg.n_episodes)
-
-    workers = min(cfg.jobs, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(run_cell, tasks))
-    else:
-        cells = [run_cell(t) for t in tasks]
-
-    rows = []
-    by_method = {m: [] for m in METHODS}
-    for (method, seed), cell in zip(tasks, cells):
-        m = cell.metrics
-        values = (m.parameter_gap, m.policy_gap, m.cumulative_reward, cell.train_s)
-        rows.append((method, str(seed), *values))
-        by_method[method].append(values)
+    rows = [(method, str(seed), *values[method, seed]) for method in METHODS for seed in seeds]
     for method in METHODS:
-        block = np.array(by_method[method])
+        block = np.array([values[method, seed] for seed in seeds])
         rows.append((method, "mean", *[float(v) for v in block.mean(axis=0)]))
         sd = block.std(axis=0, ddof=1) if len(block) > 1 else np.zeros(4)
         rows.append((method, "sd", *[float(v) for v in sd]))
@@ -286,7 +273,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=Path, help="JSON config file")
         p.add_argument("--preset", choices=PRESET_NAMES)
         p.add_argument("--seed", type=int)
-        p.add_argument("--jobs", type=int)
         p.add_argument("--out", type=Path, required=True, help="output directory")
 
     p = sub.add_parser("gen", help="generate a synthetic dataset with ground truth")

@@ -31,7 +31,6 @@ CONFIG_SCHEMA = record({
     "method": {"enum": list(METHODS)},
     "n_episodes": {"type": "integer", "minimum": 1},
     "seeds": {"type": "integer", "minimum": 1},
-    "jobs": {"type": "integer", "minimum": 1},
     "topk": {"type": "array", "items": {"type": "integer", "minimum": 1}},
     "lasso_grid": {"type": "array", "minItems": 1, "items": {"type": "number", "minimum": 0}},
     "env": ENV_SPEC_NODE,
@@ -51,7 +50,6 @@ class RunConfig:
     method: str = "cutoff"
     n_episodes: int = 200
     seeds: int = 5
-    jobs: int = 1
     topk: tuple = ()
     lasso_grid: tuple = DEFAULT_LASSO_GRID
     env: EnvSpec = field(default_factory=lambda: A1_ENV)

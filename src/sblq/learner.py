@@ -372,6 +372,9 @@ def effective_sample_size(n: int, cfg: AdaptiveConfig) -> float:
         raise ValueError("n must be at least 1")
     if cfg.c0 == 0.0:
         return n * cfg.b0 / 2.0
+    if cfg.reward_bound == 0.0:  # c1* divides by it
+        raise ConfigError(f"adaptive c0 {cfg.c0!r} > 0 needs a positive reward_bound, "
+                          "but reward_bound is 0")
     inner = max(
         math.sqrt(2.0) * max(cfg.reward_bound + 2.0 * cfg.c_x * cfg.theta_norm_hint, cfg.c_x)
         / (2.0 * cfg.c_x * cfg.reward_bound),
@@ -434,11 +437,12 @@ def select_lambda(stage: Stage, targets: np.ndarray, filt: FilterSpec,
     """
     n, d = stage.n, stage.feature_dim
     k_max = cfg.budget
-    s, c = stage.decomp.eigenvalues, stage.coords(targets)
-    lambdas = cfg.q0 * cfg.q ** np.arange(1, k_max + 2, dtype=float)  # k = 1..K+1
-    if lambdas[-1] == 0.0:
+    # checked before the (K + 1)-level grid and its filter values are allocated
+    if cfg.q0 * cfg.q ** float(k_max + 1) == 0.0:
         raise ConfigError(f"stage {t}: the grid's last level q0 q^(budget + 1) underflows "
                           f"to 0 under the adaptive configuration {vars(cfg)}")
+    s, c = stage.decomp.eigenvalues, stage.coords(targets)
+    lambdas = cfg.q0 * cfg.q ** np.arange(1, k_max + 2, dtype=float)  # k = 1..K+1
     g = filter_values(filt, lambdas, s)                                 # row k-1: lambda_k
     lam_next = lambdas[1:]                                              # lambda_{k+1}, k = 1..K
     step = (g[1:] - g[:-1]) * c

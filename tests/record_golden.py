@@ -10,8 +10,10 @@ every stage's (lambda, k) and theta with the ``eval --truth`` metrics of the
 model on the same dataset (direct value estimate, no simulator).  For a1
 world 0 and a2 seed 0 it also keeps the ``report --topk`` curve of a cutoff
 model, run through the files of ``sblq gen`` and ``sblq train`` with the
-env's rollouts, so the file loaders are on the refit path.  It writes them
-to tests/golden.json with the numpy version they were recorded under.
+env's rollouts, so the file loaders are on the refit path.  For a2 seeds 0
+and 1 it keeps every row of ``sblq compare --seeds 2`` but its wall-clock
+column.  It writes them to tests/golden.json with the numpy version they
+were recorded under.
 Re-record only in a change that means to alter these numbers, and say in
 CHANGES.md which of them moved and why.
 """
@@ -42,6 +44,8 @@ TOPK_CASES = (
     ("a2", 0, (4, 15)),
 )
 CLI_PRESETS = {"a1": "a1-performance", "a2": "a2-interpretability"}
+# (preset, first seed, seeds, rollout episodes per cell)
+COMPARE_CASE = ("a2", 0, 2, 20)
 
 
 def golden_values() -> dict:
@@ -59,6 +63,8 @@ def golden_values() -> dict:
             }
     for preset, seed, ks in TOPK_CASES:
         values[f"{preset}/{seed}/topk"] = topk_curve(preset, seed, ks)
+    preset, seed, seeds, episodes = COMPARE_CASE
+    values[f"{preset}/{seed}/compare"] = compare_rows(preset, seed, seeds, episodes)
     return values
 
 
@@ -77,6 +83,20 @@ def topk_curve(preset: str, seed: int, ks) -> dict:
                 raise RuntimeError(f"sblq {' '.join(argv)} failed")
         rows = (run / "topk.csv").read_text().splitlines()[1:]
     return {k: float(v) for k, v in (row.split(",") for row in rows)}
+
+
+def compare_rows(preset: str, seed: int, seeds: int, episodes: int) -> list:
+    """The rows of ``sblq compare`` in file order, each (method, seed,
+    parameter_gap, policy_gap, reward): every column but wall_clock_s."""
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["compare", "--preset", CLI_PRESETS[preset], "--seed", str(seed),
+                "--n", str(N_TRAJECTORIES), "--seeds", str(seeds),
+                "--n-episodes", str(episodes), "--out", tmp]
+        if main(argv) != 0:
+            raise RuntimeError(f"sblq {' '.join(argv)} failed")
+        rows = (Path(tmp) / "compare.csv").read_text().splitlines()[1:]
+    return [[method, row_seed, *map(float, values[:-1])]
+            for method, row_seed, *values in (row.split(",") for row in rows)]
 
 
 def write_golden():

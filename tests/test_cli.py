@@ -1,7 +1,5 @@
 import json
 import math
-import os
-import threading
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -139,6 +137,7 @@ class TestSchemaRejections:
         pytest.param({"gamma": 0.9}, "gamma", id="unknown-top"),
         pytest.param({"env": {"width": 3}}, "width", id="unknown-env"),
         pytest.param({"adaptive": {"alpha": 1}}, "alpha", id="unknown-adaptive"),
+        pytest.param({"jobs": 2}, "'jobs'", id="removed-jobs"),
     ])
     def test_rejected_config_exits_two_naming_field(self, tmp_path, capsys, config, field):
         path = tmp_path / "bad.json"
@@ -172,7 +171,7 @@ class TestOverrideFlags:
     @pytest.mark.parametrize("argv,key,value", [
         (["gen", "--n", "7"], "n_trajectories", 7),
         (["gen", "--seed", "5"], "seed", 5),
-        (["gen", "--jobs", "3"], "jobs", 3),
+        (["train", "--dataset", "d", "--seed", "3"], "seed", 3),
         (["gen", "--preset", "a2-interpretability"], "preset", "a2-interpretability"),
         (["train", "--dataset", "d", "--method", "ls"], "method", "ls"),
         (["eval", "--model", "m", "--dataset", "d", "--truth", "t",
@@ -290,49 +289,25 @@ class TestCommands:
         data_rows = [l.split(",") for l in lines[1:] if l.split(",")[1] not in ("mean", "sd")]
         assert all(float(r[-1]) > 0 for r in data_rows)
 
-    def test_compare_jobs_matches_serial(self, tmp_path):
+    def test_compare_builds_each_world_after_the_previous_cells(self, tmp_path,
+                                                                  monkeypatch):
+        events = []
+
+        def world_of(spec, seed, *rest):
+            events.append(("world", seed))
+            return build_world(spec, seed, *rest)
+
+        def cell_of(world, method, seed, *rest):
+            events.append((method, seed))
+            return method_cell(world, method, seed, *rest)
+
+        monkeypatch.setattr(cli, "build_world", world_of)
+        monkeypatch.setattr(cli, "method_cell", cell_of)
         cfg = write_small_config(tmp_path, n_trajectories=40, n_episodes=10)
-        out1, out2 = tmp_path / "s", tmp_path / "p"
-        main(["compare", "--config", str(cfg), "--seed", "0", "--seeds", "2", "--out", str(out1)])
-        main(["compare", "--config", str(cfg), "--seed", "0", "--seeds", "2",
-              "--jobs", "4", "--out", str(out2)])
-
-        def strip_clock(path):
-            rows = [l.split(",") for l in (path / "compare.csv").read_text().splitlines()]
-            return [r[:-1] for r in rows]
-
-        assert strip_clock(out1) == strip_clock(out2)
-
-    @pytest.mark.parametrize("jobs,cpus,workers", [
-        pytest.param(10_000, 64, 5, id="one-per-cell"),
-        pytest.param(10_000, 3, 3, id="one-per-cpu"),
-        pytest.param(2, 64, 2, id="jobs"),
-        pytest.param(10_000, None, None, id="cpus-unknown-serial"),
-    ])
-    def test_compare_pool_is_capped(self, tmp_path, monkeypatch, jobs, cpus, workers):
-        pools = []
-
-        class SerialPool:  # records the pool size and runs the cells in order
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", SerialPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(threading.Thread, "start",
-                            lambda self: pytest.fail("compare started a thread"))
-        cfg = write_small_config(tmp_path, n_trajectories=40, n_episodes=10)
-        assert main(["compare", "--config", str(cfg), "--seed", "0", "--seeds", "1",
-                     "--jobs", str(jobs), "--out", str(tmp_path / "cmp")]) == 0
-        assert pools == ([] if workers is None else [workers])
+        assert main(["compare", "--config", str(cfg), "--seed", "3", "--seeds", "2",
+                     "--out", str(tmp_path / "cmp")]) == 0
+        assert events == [event for seed in (3, 4)
+                          for event in [("world", seed)] + [(m, seed) for m in METHODS]]
 
     def test_compare_rows_equal_library_cells(self, tmp_path):
         cfg_path = write_small_config(tmp_path, n_trajectories=40, n_episodes=10)
@@ -638,6 +613,18 @@ class TestCommands:
         assert "configuration" in capsys.readouterr().err
         assert not run.exists()
 
+    def test_c0_with_zero_reward_bound_exits_two_naming_both(self, tmp_path, capsys):
+        cfg = write_small_config(tmp_path)
+        data, run = tmp_path / "data", tmp_path / "run"
+        main(["gen", "--config", str(cfg), "--seed", "2", "--out", str(data)])
+        bad = write_small_config(tmp_path, adaptive={"c0": 0.5, "reward_bound": 0})
+        capsys.readouterr()
+        assert main(["train", "--config", str(bad), "--dataset", str(data),
+                     "--method", "tikhonov", "--out", str(run)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration" in err and "c0" in err and "reward_bound" in err
+        assert not run.exists()
+
     def test_empty_lasso_grid_exits_two(self, tmp_path):
         cfg = write_small_config(tmp_path)
         data, run = tmp_path / "data", tmp_path / "run"
@@ -724,14 +711,16 @@ class TestCommands:
             monkeypatch.setattr(cli, f"cmd_{command}",
                                 lambda cfg, *rest: seen.append((cfg, rest)))
         parser = cli._build_parser()
-        assert main(["gen", "--seed", "5", "--n", "7", "--jobs", "3",
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n_episodes": 3}))
+        assert main(["gen", "--seed", "5", "--n", "7", "--config", str(config),
                      "--preset", "a2-interpretability", "--out", str(tmp_path / "a")]) == 0
         assert main(["train", "--dataset", "d", "--method", "ls",
                      "--out", str(tmp_path / "b")]) == 0
         assert main(["gen", "--out", str(tmp_path / "c")]) == 0
         assert cli._build_parser() is parser
         (gen_cfg, gen_rest), (train_cfg, train_rest), (bare_cfg, _) = seen
-        assert (gen_cfg.seed, gen_cfg.n_trajectories, gen_cfg.jobs) == (5, 7, 3)
+        assert (gen_cfg.seed, gen_cfg.n_trajectories, gen_cfg.n_episodes) == (5, 7, 3)
         assert gen_cfg.preset == "a2-interpretability" and gen_rest == (tmp_path / "a",)
         assert train_cfg == parse_config(overrides={"method": "ls"})
         assert bare_cfg == parse_config()
@@ -741,6 +730,13 @@ class TestCommands:
         with pytest.raises(SystemExit) as exc:
             main(["train", "--out", str(tmp_path / "o")])
         assert exc.value.code == 2
+
+    def test_removed_jobs_flag_exits_two(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--jobs", "2", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_failed_command_leaves_no_partial_outputs(self, tmp_path):
         cfg = write_small_config(tmp_path)
@@ -854,7 +850,7 @@ def finite_outputs(out: Path) -> bool:
 
 
 CENSUS_CONFIG = {"seed": 0, "n_trajectories": 20, "train_fraction": 0.5, "method": "cutoff",
-                 "n_episodes": 5, "seeds": 1, "jobs": 1, "topk": [2],
+                 "n_episodes": 5, "seeds": 1, "topk": [2],
                  "lasso_grid": [0.01, 0.1], "env": asdict(A2_ENV),
                  "adaptive": asdict(AdaptiveConfig())}
 

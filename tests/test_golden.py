@@ -1,11 +1,12 @@
 """The refactor gate: a small matrix of trained models and their ``eval
---truth`` metrics, and two ``report --topk`` curves run through the CLI's
-files, against the numbers in tests/golden.json.
+--truth`` metrics, two ``report --topk`` curves run through the CLI's files,
+and the rows of one ``compare``, against the numbers in tests/golden.json.
 
-Every stage must select the recorded (lambda, k), and every theta and metric
-must match within ``GOLDEN_RTOL``: round-off from a different order of the
-same sums passes, a changed model does not.  ``tests/record_golden.py``
-re-records the file.
+Every stage must select the recorded (lambda, k), every compare row must
+name the recorded method and seed in the recorded order, and every theta and
+metric must match within ``GOLDEN_RTOL``: round-off from a different order
+of the same sums passes, a changed model does not.
+``tests/record_golden.py`` re-records the file.
 """
 import json
 
@@ -17,6 +18,7 @@ from record_golden import GOLDEN_PATH, golden_values
 # a metric; the stage fits move by about 1e-10 relative when only their
 # round-off changes
 GOLDEN_RTOL = 1e-8
+COMPARE_COLUMNS = ("parameter_gap", "policy_gap", "reward")
 
 
 def assert_close(got, want, what):
@@ -35,6 +37,12 @@ def test_models_and_metrics_match_the_recorded_ones():
             assert sorted(got[key]) == sorted(want), key
             for k, reward in want.items():
                 assert_close(got[key][k], reward, f"{key} k = {k}")
+            continue
+        if key.endswith("/compare"):
+            assert [row[:2] for row in got[key]] == [row[:2] for row in want], key
+            for g, w in zip(got[key], want):
+                for name, g_value, w_value in zip(COMPARE_COLUMNS, g[2:], w[2:], strict=True):
+                    assert_close(g_value, w_value, f"{key} {w[0]} {w[1]} {name}")
             continue
         stages = got[key]["stages"]
         assert [(s["lambda"], s["k"]) for s in stages] == [

@@ -2,6 +2,7 @@ import math
 import os
 import sys
 import tempfile
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from sblq.data import (
 )
 from sblq.cli import _trace_text
 from sblq.envs import A1_ENV, A2_ENV, EnvSpec, generate_trajectories, make_env
+from sblq.errors import ConfigError
 from sblq.experiments import build_world, method_cell
 from sblq.learner import (
     LASSO_TOL,
@@ -297,6 +299,23 @@ class TestSelectLambda:
             expected_k = 2
         assert rep.selected_k == expected_k
 
+    def test_underflowing_grid_raises_before_it_is_allocated(self, monkeypatch):
+        # 0.9^(K + 1) underflows for K above about 7,000; a grid of 10^7
+        # levels would take 80 MB per array
+        import sblq.learner as learner_mod
+        stage, y = self._design()
+        monkeypatch.setattr(learner_mod, "filter_values",
+                            lambda *args: pytest.fail("filter values of the grid computed"))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=r"q0 q\^\(budget \+ 1\) underflows to 0"):
+                select_lambda(stage, y, default_filter("tikhonov"), 1, 1, 0.0,
+                              AdaptiveConfig(budget=10_000_000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
     def test_trace_arrays_aligned(self):
         stage, y = self._design()
         cfg = AdaptiveConfig(budget=10)
@@ -514,8 +533,9 @@ class TestStageSpectra:
         assert len(built) == world.train.horizon
 
     def test_threads_sharing_spectra_match_serial(self, a2_world):
-        # compare's worker threads share a world's spectra: more threads than
-        # cores, switching often, must give the serial bytes
+        # a library caller may train a world's methods on threads that share
+        # its spectra (compare itself runs serially): more threads than cores,
+        # switching often, must give the serial bytes
         tasks = list(METHODS) * 2
 
         def cell_text(method):
