@@ -1,7 +1,6 @@
 """Spectral-filter batch linear Q-learning with adaptive regularization."""
 
-from .data import (BatchDataset, empirical_covariance, feature_vector, load_dataset, split,
-                   stage_design)
+from .data import BatchDataset, load_dataset, split
 from .envs import (A1_ENV, A2_ENV, EnvSpec, GroundTruth, SyntheticEnv, generate_trajectories,
                    load_env, load_ground_truth, make_env, sample_theta_star)
 from .interpret import ContributionReport, clipped_weights, contribution_proportions, topk_feature_rewards

@@ -7,15 +7,14 @@ video) pairs from finite pools, so a generated dataset holds each distinct
 state once (a1: at most 300 rows for any n), and the loaded one holds each
 distinct row text once; memory is O(m d_s + n T).  Data whose rows never
 repeat cost the same state bytes as an (n, T, d_s) array plus the index,
-about 1/d_s more.  The regression rows for stage t are the (n, d)
-unit-normalized concatenations of each trajectory's stage-t state features
-and its chosen action's features.  A spectral or least-squares stage fit
-reads them through the stage's distinct state rows, action ids and
-normalizers (``learner.Stage``) and never builds them; ``stage_design``
-builds them for lasso, which fits the rows themselves.
+about 1/d_s more.  Trajectory i's features at stage t are the
+unit-normalized concatenation of its stage-t state features and its chosen
+action's features.  Every method reads a stage through its distinct state
+rows, action ids and normalizers (``learner.Stage``), by Sigma_hat and the
+moment, and no (n, d) matrix of these features is built.
 
-Datasets and design rows are immutable after construction (arrays are marked
-read-only) and safe for concurrent use.
+Datasets are immutable after construction (arrays are marked read-only) and
+safe for concurrent use.
 
 File formats
 ------------
@@ -137,6 +136,8 @@ class BatchDataset:
 
     def stage_states(self, t: int) -> np.ndarray:
         """The (n, d_s) states of stage t (1-based)."""
+        if not 1 <= t <= self.horizon:
+            raise IndexError(f"stage {t} outside 1..{self.horizon}")
         return self.state_rows[self.state_index[:, t - 1]]
 
     @property
@@ -145,27 +146,11 @@ class BatchDataset:
         return self.state_rows[self.state_index]
 
 
-def feature_vector(state, action, normalize: bool = True) -> np.ndarray:
-    """Concatenate state and action features, optionally unit-normalizing."""
-    x = np.concatenate([np.asarray(state, dtype=float), np.asarray(action, dtype=float)])
-    if normalize:
-        norm = np.linalg.norm(x)
-        if norm == 0.0:
-            raise DataError("cannot normalize an all-zero feature vector")
-        x = x / norm
-    return x
-
-
-def feature_matrix(states, actions, normalize: bool = True,
-                   mask: np.ndarray | None = None) -> np.ndarray:
-    """Row-wise feature_vector over matching (n, d_s) states and (n, d_a) actions.
-
-    A boolean/0-1 ``mask`` of length d zeroes excluded columns of the raw
-    concatenation before normalization.
-    """
+def feature_matrix(states, actions, normalize: bool = True) -> np.ndarray:
+    """The (n, d) features x(state_i, action_i) of matching (n, d_s) states
+    and (n, d_a) actions: their concatenation, unit-normalized row by row if
+    ``normalize``."""
     x = np.hstack([np.asarray(states, dtype=float), np.asarray(actions, dtype=float)])
-    if mask is not None:
-        x *= np.asarray(mask, dtype=float)[None, :]
     if normalize:
         norms = np.linalg.norm(x, axis=1)
         if np.any(norms == 0.0):
@@ -176,7 +161,7 @@ def feature_matrix(states, actions, normalize: bool = True,
 
 def candidate_scores(states, action_table, theta, normalize: bool = True,
                      mask: np.ndarray | None = None) -> np.ndarray:
-    """Inner products <theta, feature_vector(state_i, action_j)>, actions on the
+    """Inner products <theta, x(state_i, action_j)>, actions on the
     leading axis: (A, n) for one theta (d,), (k, A, n) for a stack (k, d).
 
     Exploits the block structure of the concatenation so the (A, n, d) feature
@@ -205,26 +190,6 @@ def candidate_scores(states, action_table, theta, normalize: bool = True,
             raise DataError("cannot normalize an all-zero feature vector")
         scores /= np.sqrt(sq)
     return scores if theta.ndim == 2 else scores[0]
-
-
-def stage_design(dataset: BatchDataset, t: int,
-                 mask: np.ndarray | None = None) -> np.ndarray:
-    """The read-only (n, d) regression rows for stage t (1-based)."""
-    if not 1 <= t <= dataset.horizon:
-        raise IndexError(f"stage {t} outside 1..{dataset.horizon}")
-    states = dataset.stage_states(t)
-    chosen = dataset.action_table[dataset.actions[:, t - 1]]
-    rows = feature_matrix(states, chosen, normalize=dataset.normalize, mask=mask)
-    rows.setflags(write=False)
-    return rows
-
-
-def empirical_covariance(rows: np.ndarray) -> np.ndarray:
-    """The d x d matrix (1/n) sum_i x_i x_i^T of the (n, d) rows."""
-    n = rows.shape[0]
-    if n < 1:
-        raise ValueError("empty design")
-    return rows.T @ rows / n
 
 
 def split_size(n: int, train_fraction: float) -> int:

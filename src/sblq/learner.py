@@ -22,8 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (BatchDataset, candidate_scores, check, file_values, read_json, record,
-                   stage_design)
+from .data import BatchDataset, candidate_scores, check, file_values, read_json, record
 from .errors import ConfigError, DataError, NumericError
 from .spectral import (
     CUTOFF,
@@ -66,8 +65,6 @@ class AdaptiveConfig:
     b0: float = 2.0
     c0: float = 0.0
     gamma0: float = 1.0
-    c_tilde: float = 0.25          # in (0, 0.5)
-    c0_effdim: float = 1.0         # effective-dimension constant, >= 1
     theta_norm_hint: float = 1.0
 
     def __post_init__(self):
@@ -81,8 +78,7 @@ _ADAPTIVE_RANGES = {
     "budget": {"type": "integer", "minimum": 1}, "c_ada": {"minimum": 0},
     "delta": {"exclusiveMinimum": 0, "maximum": 0.5}, "c_x": {"exclusiveMinimum": 0},
     "reward_bound": {"minimum": 0}, "b0": {"exclusiveMinimum": 0}, "c0": {"minimum": 0},
-    "gamma0": {"exclusiveMinimum": 0}, "c_tilde": {"exclusiveMinimum": 0, "exclusiveMaximum": 0.5},
-    "c0_effdim": {"minimum": 1}, "theta_norm_hint": {"minimum": 0},
+    "gamma0": {"exclusiveMinimum": 0}, "theta_norm_hint": {"minimum": 0},
 }
 ADAPTIVE_NODE = record({f.name: {"type": "number", **_ADAPTIVE_RANGES.get(f.name, {})}
                         for f in fields(AdaptiveConfig)}, required=())
@@ -136,7 +132,6 @@ class ModelBundle:
     config: AdaptiveConfig | None = None
     seed: int = 0
     feature_mask: np.ndarray | None = None
-    format_version: int = 1
 
     def __post_init__(self):
         if len(self.stages) != self.horizon:
@@ -176,16 +171,18 @@ class StageFitReport:
 
 @dataclass(frozen=True)
 class Stage:
-    """One stage's design at the cost of its distinct states, and the
+    """One stage's features at the cost of its distinct states, and the
     eigensystem U diag(s) U^T of its Sigma_hat.
 
-    Row i of the design is x_i = scale_i [states[state_of_i], table[action_i]]:
+    Trajectory i's features are x_i = scale_i [states[state_of_i], table[action_i]]:
     ``states`` are the stage's p distinct state rows and ``table`` the
     action table, both on the kept columns, and scale_i is 1/||x_i|| on a
-    unit-normalized feature map, else 1.  Every filtered estimate
-    g_lambda(Sigma_hat) mean_i(x_i y_i) is U (g_lambda(s) * c) with
-    c = ``coords(targets)``, so a method works on (s, c) and rotates back
-    only the estimates it keeps.
+    unit-normalized feature map, else 1.  No (n, d) matrix of the x_i is
+    built: every method reads the stage through Sigma_hat and the moment
+    mean_i(x_i y_i), over all trajectories or some (``gram``, ``moment``).
+    Every filtered estimate g_lambda(Sigma_hat) mean_i(x_i y_i) is
+    U (g_lambda(s) * c) with c = ``coords(targets)``, so a spectral method
+    works on (s, c) and rotates back only the estimates it keeps.
 
     Under a 0/1 feature ``mask`` of length d the columns are the k kept
     ones, so every estimate is in those k coordinates and ``lift`` writes it
@@ -214,25 +211,43 @@ class Stage:
             return self.states.shape[1] + self.table.shape[1]
         return len(self.mask)
 
-    def coords(self, targets: np.ndarray) -> np.ndarray:
-        """c = U^T (1/n) sum_i x_i y_i, after checking the outcomes are finite."""
+    def moment(self, targets: np.ndarray, among=slice(None)) -> np.ndarray:
+        """(1/m) sum_i x_i y_i over the m trajectories ``among`` (an index
+        array; default all), after checking the outcomes are finite."""
         targets = np.asarray(targets, dtype=float)
         if not np.all(np.isfinite(targets)):
             raise NumericError("targets contain non-finite values")
-        wy = self.scale * targets
+        state_of, action = self.state_of[among], self.action[among]
+        wy = self.scale[among] * targets[among]
         moment = np.concatenate([
-            self.states.T @ np.bincount(self.state_of, wy, minlength=len(self.states)),
-            self.table.T @ np.bincount(self.action, wy, minlength=len(self.table))])
-        return self.decomp.eigenvectors.T @ (moment / self.n)
+            self.states.T @ np.bincount(state_of, wy, minlength=len(self.states)),
+            self.table.T @ np.bincount(action, wy, minlength=len(self.table))])
+        return moment / len(state_of)
+
+    def gram(self, among=slice(None)) -> np.ndarray:
+        """(1/m) sum_i x_i x_i^T over the m trajectories ``among`` (default
+        all): Sigma_hat of those trajectories."""
+        return _stage_covariance(self.states, self.table, self.state_of[among],
+                                 self.action[among], self.scale[among] ** 2)
+
+    def predict(self, theta: np.ndarray, among=slice(None)) -> np.ndarray:
+        """<x_i, theta> for the trajectories ``among``, theta in the kept
+        coordinates."""
+        k_s = self.states.shape[1]
+        return self.scale[among] * ((self.states @ theta[:k_s])[self.state_of[among]]
+                                    + (self.table @ theta[k_s:])[self.action[among]])
+
+    def coords(self, targets: np.ndarray) -> np.ndarray:
+        """c = U^T (1/n) sum_i x_i y_i."""
+        return self.decomp.eigenvectors.T @ self.moment(targets)
 
     def estimate(self, g: np.ndarray, c: np.ndarray) -> np.ndarray:
         """U (g * c) for filter values g on the stage eigenvalues."""
         return self.decomp.eigenvectors @ (g * c)
 
     def kept(self, v: np.ndarray) -> np.ndarray:
-        """The kept coordinates of a d-vector ``v``, or the kept columns of
-        (n, d) rows."""
-        return v if self.mask is None else v[..., self.mask != 0.0]
+        """The kept coordinates of a d-vector ``v``."""
+        return v if self.mask is None else v[self.mask != 0.0]
 
     def lift(self, theta: np.ndarray) -> np.ndarray:
         """The d-vector of kept coordinates ``theta``, exactly 0 elsewhere."""
@@ -289,7 +304,8 @@ def stage_of(rows: np.ndarray, mask: np.ndarray | None = None,
         kept = mask != 0.0
         states, table = states[:, kept[:states.shape[1]]], table[:, kept[states.shape[1]:]]
     if normalize:
-        sq = np.sum(states**2, axis=1)[state_of] + np.sum(table**2, axis=1)[action]
+        with np.errstate(over="ignore"):  # an overflowing norm is refused below
+            sq = np.sum(states**2, axis=1)[state_of] + np.sum(table**2, axis=1)[action]
         if np.any(sq == 0.0):
             raise DataError("cannot normalize an all-zero feature vector")
         if not np.isfinite(sq).all():
@@ -405,10 +421,14 @@ def variance_proxy(decomp: SpectralDecomposition, lam: float | np.ndarray, n: in
         raise ValueError("lambda must be positive")
     n_gamma = effective_sample_size(n, cfg)
     ell = dimension_adjusted_sample_size(n, d, cfg)
-    front = 1.0 + 4.0 * (13.0 * cfg.c_x / np.sqrt(lam * ell)
-                         + 21.0 * cfg.c_x * cfg.c_x / (lam * ell))
     eff = np.maximum(np.sqrt(empirical_effective_dimension(decomp, lam)), 1.0)
-    return front * eff / math.sqrt(n_gamma) + 1.0 / (n_gamma * np.sqrt(lam))
+    # lam * ell past the float range gives its terms their limit 0, and an
+    # effective sample size of 0 gives an infinite proxy, which the
+    # balancing rule refuses as an overflowing threshold
+    with np.errstate(over="ignore", divide="ignore"):
+        front = 1.0 + 4.0 * (13.0 * cfg.c_x / np.sqrt(lam * ell)
+                             + 21.0 * cfg.c_x * cfg.c_x / (lam * ell))
+        return front * eff / math.sqrt(n_gamma) + 1.0 / (n_gamma * np.sqrt(lam))
 
 
 def adaptive_threshold(t: int, horizon: int, phi_next: float, w: float | np.ndarray,
@@ -473,11 +493,12 @@ class LassoFit:
     converged: bool
 
 
-def fit_lasso(rows: np.ndarray, targets: np.ndarray, lam: float,
+def fit_lasso(gram: np.ndarray, moment: np.ndarray, lam: float,
               max_iters: int = 1000, tol: float = 1e-8,
               theta0: np.ndarray | None = None) -> LassoFit:
-    """Cyclic coordinate descent on (1/n)||y - X theta||^2 + lam ||theta||_1,
-    with X the (n, d) ``rows``.
+    """Cyclic coordinate descent on (1/n)||y - X theta||^2 + lam ||theta||_1
+    from the d x d ``gram`` (1/n) X^T X and the ``moment`` (1/n) X^T y alone,
+    by covariance updates (Friedman, Hastie & Tibshirani 2010, section 2.2).
 
     Runs until the largest coordinate change in a sweep drops below tol.
     Non-convergence is reported through the ``converged`` flag, not an error.
@@ -485,10 +506,8 @@ def fit_lasso(rows: np.ndarray, targets: np.ndarray, lam: float,
     """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    y = np.asarray(targets, dtype=float)
-    n, d = rows.shape
-    gram = rows.T @ rows / n
-    xty = rows.T @ y / n
+    gram, xty = np.asarray(gram, dtype=float), np.asarray(moment, dtype=float)
+    d = len(xty)
     col_sq = np.diag(gram).copy()
     if theta0 is None:
         theta = np.zeros(d)
@@ -544,12 +563,13 @@ def lasso_holdout(n: int) -> int:
 def _lasso_fitter(spectra: StageSpectra, lasso_grid, seed: int):
     """Lasso with the penalty chosen per stage on held-out trajectories.
 
-    Lasso is the one method that fits the (n, k) rows themselves: each stage
-    builds its ``stage_design`` on the kept columns.  The grid is fit
-    path-wise on the training rows (each penalty warm-started from the next
-    larger one), the penalty with the lowest target RMSE on the validation
-    rows wins, and the stage is refit on all rows at that penalty.  The
-    split depends on ``seed`` only.
+    Lasso reads its stage as every method does, through Sigma_hat and the
+    moment (``Stage.gram``, ``Stage.moment``).  The grid is fit path-wise
+    from those of the fit split, built once per stage (each penalty
+    warm-started from the next larger one), the penalty with the lowest
+    target RMSE on the validation trajectories wins, and the stage is refit
+    from all trajectories' at that penalty.  The split depends on ``seed``
+    only.
     """
     grid = [float(g) for g in lasso_grid]
     if not grid:
@@ -564,22 +584,21 @@ def _lasso_fitter(spectra: StageSpectra, lasso_grid, seed: int):
     fit_idx = np.sort(perm[n_val:])
 
     def fit(t, stage, targets, phi):
-        rows = stage.kept(stage_design(spectra.dataset, t, mask=spectra.mask))
-        fit_rows, fit_targets = rows[fit_idx], targets[fit_idx]
+        gram, moment = stage.gram(fit_idx), stage.moment(targets, fit_idx)
         candidates = {}
         warm = None
         for lam_c in sorted(set(grid), reverse=True):
-            warm = fit_lasso(fit_rows, fit_targets, lam_c, max_iters=LASSO_MAX_ITERS,
+            warm = fit_lasso(gram, moment, lam_c, max_iters=LASSO_MAX_ITERS,
                              tol=LASSO_TOL, theta0=warm).theta
             candidates[lam_c] = warm
         best_lam, best_rmse = grid[0], math.inf
         for lam_c in grid:
-            resid = rows[val_idx] @ candidates[lam_c] - targets[val_idx]
+            resid = stage.predict(candidates[lam_c], val_idx) - targets[val_idx]
             rmse = float(np.sqrt(np.mean(resid**2)))
             if rmse < best_rmse:
                 best_lam, best_rmse = lam_c, rmse
-        theta = fit_lasso(rows, targets, best_lam, max_iters=LASSO_MAX_ITERS,
-                          tol=LASSO_TOL).theta
+        theta = fit_lasso(stage.gram(), stage.moment(targets), best_lam,
+                          max_iters=LASSO_MAX_ITERS, tol=LASSO_TOL).theta
         return theta, best_lam, grid.index(best_lam), None
 
     return fit
@@ -690,9 +709,14 @@ def error_decomposition(stage: Stage, targets_y: np.ndarray,
     }
 
 
+# model.json's format version: the one the writer writes and the one
+# MODEL_SCHEMA admits
+MODEL_VERSION = 2
+
+
 def model_json_text(bundle: ModelBundle) -> str:
     payload = {
-        "version": bundle.format_version,
+        "version": MODEL_VERSION,
         "horizon": bundle.horizon,
         "feature_dim": bundle.feature_dim,
         "filter": bundle.filter_kind,
@@ -716,7 +740,7 @@ def save_model(bundle: ModelBundle, path) -> None:
 # checked against STAGE_SCHEMA and named by its stage; a record's "t" must be
 # its position, a rule the loader states.
 MODEL_SCHEMA = record({
-    "version": {"const": 1},
+    "version": {"const": MODEL_VERSION},
     "horizon": {"type": "integer", "minimum": 1},
     "feature_dim": {"type": "integer", "minimum": 1},
     "filter": {"enum": list(METHODS)},

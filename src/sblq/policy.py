@@ -160,18 +160,21 @@ def evaluate(model: ModelBundle, theta_star, dataset: BatchDataset,
              seed: int = 0) -> MetricsReport:
     """Bundle the three headline metrics plus per-stage diagnostics."""
     truth = _truth_rows(theta_star, model.horizon, model.feature_dim)
-    pgap = parameter_gap(model.theta_matrix(), truth[:-1])
+    # a norm whose square passes the float range is inf, which the caller
+    # reports as metrics that overflow
+    with np.errstate(over="ignore"):
+        pgap = parameter_gap(model.theta_matrix(), truth[:-1])
+        per_stage = tuple(
+            {
+                "t": s.t,
+                "lambda": s.lambda_selected,
+                "k": s.k_selected,
+                "theta_norm": float(np.linalg.norm(s.theta)),
+                "stage_gap": float(np.linalg.norm(s.theta - truth[s.t - 1])),
+            }
+            for s in model.stages
+        )
     ygap = policy_gap(model, truth, dataset)
     reward = policy_value(model, dataset, env, n_episodes, seed)
-    per_stage = tuple(
-        {
-            "t": s.t,
-            "lambda": s.lambda_selected,
-            "k": s.k_selected,
-            "theta_norm": float(np.linalg.norm(s.theta)),
-            "stage_gap": float(np.linalg.norm(s.theta - truth[s.t - 1])),
-        }
-        for s in model.stages
-    )
     return MetricsReport(parameter_gap=pgap, policy_gap=ygap,
                          cumulative_reward=reward, per_stage=per_stage)

@@ -39,6 +39,36 @@ def reference_scores(states, action_table, theta, normalize=True, mask=None):
     return raw / np.sqrt(sq)
 
 
+def reference_features(state, action, normalize=True, mask=None):
+    """One feature vector: the concatenation of ``state`` and ``action``,
+    the columns a 0/1 ``mask`` excludes set to 0, unit-normalized if
+    ``normalize``."""
+    x = np.concatenate([np.asarray(state, dtype=float), np.asarray(action, dtype=float)])
+    if mask is not None:
+        x = x * np.asarray(mask, dtype=float)
+    if normalize:
+        norm = np.linalg.norm(x)
+        if norm == 0.0:
+            raise ValueError("cannot normalize an all-zero feature vector")
+        x = x / norm
+    return x
+
+
+def reference_design(dataset, t, mask=None):
+    """The (n, d) stage-t design of ``dataset`` built row by row: each
+    trajectory's stage-t state and chosen action, by ``reference_features``."""
+    states, actions = dataset.states[:, t - 1], dataset.actions[:, t - 1]
+    return np.array([reference_features(state, dataset.action_table[action],
+                                        dataset.normalize, mask)
+                     for state, action in zip(states, actions)])
+
+
+def stage_rows(stage):
+    """The (n, k) features a ``learner.Stage`` stands for, gathered from its parts."""
+    return stage.scale[:, None] * np.hstack([stage.states[stage.state_of],
+                                             stage.table[stage.action]])
+
+
 def per_record_jsonl(dataset):
     """Reference trajectories writer: one ``json.dumps`` of each record."""
     return "".join(json.dumps({"states": dataset.states[i].tolist(),

@@ -13,7 +13,6 @@ from pathlib import Path
 import numpy as np
 
 from sblq.cli import main
-from sblq.data import stage_design
 from sblq.envs import A1_ENV, EnvSpec, generate_trajectories, make_env
 from sblq.experiments import (SHRINKING_FILTERS, build_world, interpretability_comparison,
                               method_cell, rate_curve)
@@ -28,6 +27,8 @@ from sblq.learner import (
     train,
 )
 from sblq.spectral import default_filter, filter_values
+
+from conftest import reference_design
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -105,7 +106,7 @@ def test_criterion_2_oracle_equivalence():
                                   default_filter("gradient-descent"),
                                   1, 1, 0.0, cfg)
     exact = bundle.stages[0].lambda_selected == lam and np.array_equal(bundle.stages[0].theta, theta)
-    lam_rows, theta_rows, _ = select_lambda(stage_of(stage_design(ds, 1)), targets,
+    lam_rows, theta_rows, _ = select_lambda(stage_of(reference_design(ds, 1)), targets,
                                             default_filter("gradient-descent"), 1, 1, 0.0, cfg)
     design_gap = np.max(np.abs(theta_rows - theta)) / np.max(np.abs(theta))
     design = lam_rows == lam and design_gap <= 1e-12

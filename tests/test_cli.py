@@ -138,6 +138,8 @@ class TestSchemaRejections:
         pytest.param({"env": {"width": 3}}, "width", id="unknown-env"),
         pytest.param({"adaptive": {"alpha": 1}}, "alpha", id="unknown-adaptive"),
         pytest.param({"jobs": 2}, "'jobs'", id="removed-jobs"),
+        pytest.param({"adaptive": {"c_tilde": 0.25}}, "'c_tilde'", id="removed-c_tilde"),
+        pytest.param({"adaptive": {"c0_effdim": 1.0}}, "'c0_effdim'", id="removed-c0_effdim"),
     ])
     def test_rejected_config_exits_two_naming_field(self, tmp_path, capsys, config, field):
         path = tmp_path / "bad.json"
@@ -799,6 +801,7 @@ class TestMisfitInputs:
         ("env", ("spec", "d_user"), 3),
         ("env", ("spec", "noise_sd"), 1e308),
         ("env", ("spec", "reward_high"), 1e308),
+        ("model", ("version",), 1),
     ])
     def test_exits_three_naming_file(self, a1_run, tmp_path, capsys, name, path, value):
         data, model = a1_run
@@ -869,6 +872,7 @@ def census_run(tmp_path_factory):
     return root, config, data, run / "model.json"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestInputCensus:
     """Each leaf of each JSON input the CLI reads (conftest.leaf_paths: every
     value, every array and its first element), set in turn to each of

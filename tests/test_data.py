@@ -14,17 +14,16 @@ from sblq.data import (
     candidate_scores,
     dataset_header_text,
     dataset_jsonl_text,
-    empirical_covariance,
-    feature_vector,
+    feature_matrix,
     load_dataset,
     split,
-    stage_design,
 )
 from sblq.envs import A1_ENV, generate_trajectories, make_env
 from sblq.errors import DataError
+from sblq.learner import stage_of, stage_spectra
 
 from conftest import (LEAF_MUTATIONS, leaf_paths, make_dataset, mutated, per_record_jsonl,
-                      reference_scores)
+                      reference_features, reference_scores, stage_rows)
 
 
 def write_dataset(dataset, header_path, trajectories_path):
@@ -34,21 +33,23 @@ def write_dataset(dataset, header_path, trajectories_path):
 
 
 class TestFeatureVector:
+    """The simulator's feature map, one state and action per row."""
+
     def test_concat_then_normalize(self):
-        out = feature_vector([1.0, 0.0], [0.0, 0.0])
-        np.testing.assert_allclose(out, [1.0, 0.0, 0.0, 0.0])
+        out = feature_matrix([[1.0, 0.0]], [[0.0, 0.0]])
+        np.testing.assert_allclose(out, [[1.0, 0.0, 0.0, 0.0]])
 
     def test_three_four_five(self):
-        out = feature_vector([3.0, 0.0], [4.0, 0.0])
-        np.testing.assert_allclose(out, [0.6, 0.0, 0.8, 0.0])
+        out = feature_matrix([[3.0, 0.0]], [[4.0, 0.0]])
+        np.testing.assert_allclose(out, [[0.6, 0.0, 0.8, 0.0]])
 
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):
-            feature_vector([0.0, 0.0], [0.0])
+            feature_matrix([[1.0, 0.0], [0.0, 0.0]], [[1.0], [0.0]])
 
     def test_unnormalized(self):
-        out = feature_vector([3.0], [4.0], normalize=False)
-        np.testing.assert_allclose(out, [3.0, 4.0])
+        out = feature_matrix([[3.0]], [[4.0]], normalize=False)
+        np.testing.assert_allclose(out, [[3.0, 4.0]])
 
 
 @st.composite
@@ -123,53 +124,61 @@ def one_stage(states, actions, rewards, table):
 
 
 class TestStageDesign:
+    """A stage's features, gathered from its parts, are each trajectory's
+    state and chosen action concatenated and unit-normalized."""
+
     def test_single_trajectory(self):
         ds = make_dataset(n=1, horizon=1)
-        rows = stage_design(ds, 1)
-        want = feature_vector(ds.states[0, 0], ds.action_table[ds.actions[0, 0]])
-        np.testing.assert_allclose(rows[0], want)
-        assert not rows.flags.writeable
+        stage = stage_spectra(ds).stages[0]
+        want = reference_features(ds.states[0, 0], ds.action_table[ds.actions[0, 0]])
+        np.testing.assert_allclose(stage_rows(stage)[0], want)
+        assert not any(arr.flags.writeable for arr in (
+            stage.states, stage.table, stage.state_of, stage.action, stage.scale))
 
     def test_identical_rows_for_identical_state_action(self):
         ds = one_stage([[0.5, -1.0], [0.5, -1.0]], [0, 0], [0.1, -0.3], [[1.0, 2.0]])
-        rows = stage_design(ds, 1)
+        rows = stage_rows(stage_spectra(ds).stages[0])
         np.testing.assert_allclose(rows[0], rows[1])
 
     def test_rows_match_per_trajectory_recomputation(self):
         ds = make_dataset(n=7, horizon=4, seed=3)
+        stages = stage_spectra(ds).stages
         for t in (1, 2, 4):
-            rows = stage_design(ds, t)
+            rows = stage_rows(stages[t - 1])
             for i in range(len(ds)):
-                want = feature_vector(ds.states[i, t - 1], ds.action_table[ds.actions[i, t - 1]])
+                want = reference_features(ds.states[i, t - 1],
+                                          ds.action_table[ds.actions[i, t - 1]])
                 np.testing.assert_allclose(rows[i], want, atol=1e-12)
 
     def test_row_norms_are_unit(self):
-        rows = stage_design(make_dataset(n=20, seed=9), 2)
+        rows = stage_rows(stage_spectra(make_dataset(n=20, seed=9)).stages[1])
         np.testing.assert_allclose(np.linalg.norm(rows, axis=1), 1.0, atol=1e-10)
 
     def test_stage_out_of_range(self, small_dataset):
         with pytest.raises(IndexError):
-            stage_design(small_dataset, 0)
+            small_dataset.stage_states(0)
         with pytest.raises(IndexError):
-            stage_design(small_dataset, small_dataset.horizon + 1)
+            small_dataset.stage_states(small_dataset.horizon + 1)
 
 
 class TestEmpiricalCovariance:
+    """A stage's Sigma_hat, (1/n) sum_i x_i x_i^T (``Stage.gram``)."""
+
     def test_single_basis_row(self):
         ds = one_stage([[1.0, 0.0]], [0], [0.0], [[0.0]])
-        cov = empirical_covariance(stage_design(ds, 1))
+        cov = stage_spectra(ds).stages[0].gram()
         want = np.zeros((3, 3))
         want[0, 0] = 1.0
         np.testing.assert_allclose(cov, want, atol=1e-12)
 
     def test_two_orthogonal_rows(self):
         ds = one_stage([[1.0, 0.0], [0.0, 1.0]], [0, 0], [0.0, 0.0], [[0.0]])
-        cov = empirical_covariance(stage_design(ds, 1))
+        cov = stage_spectra(ds).stages[0].gram()
         np.testing.assert_allclose(cov, np.diag([0.5, 0.5, 0.0]), atol=1e-12)
 
     def test_matches_double_loop_oracle(self, rng):
         rows = rng.standard_normal((20, 6))
-        got = empirical_covariance(rows)
+        got = stage_of(rows).gram()
         want = np.zeros((6, 6))
         for x in rows:  # naive summation oracle
             for a in range(6):
@@ -179,7 +188,7 @@ class TestEmpiricalCovariance:
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_eigenvalues_within_norm_bound(self):
-        cov = empirical_covariance(stage_design(make_dataset(n=30, seed=4), 1))
+        cov = stage_spectra(make_dataset(n=30, seed=4)).stages[0].gram()
         eig = np.linalg.eigvalsh(cov)
         assert eig[0] > -1e-12 and eig[-1] <= 1.0 + 1e-10
 

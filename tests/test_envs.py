@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sblq.data import candidate_scores, feature_vector, stage_design
+from sblq.data import candidate_scores
 from sblq.envs import (
     A1_ENV,
     A2_ENV,
@@ -18,9 +18,11 @@ from sblq.envs import (
     pool_states,
     sample_theta_star,
 )
-from sblq.learner import ModelBundle, StageModel
+from sblq.learner import ModelBundle, StageModel, stage_spectra
 from sblq.policy import GreedyPolicy, rollout_reward
 from sblq.streams import EpisodeStreams
+
+from conftest import reference_design, reference_features, stage_rows
 
 
 class TestSampleThetaStar:
@@ -96,7 +98,7 @@ class TestGenerateTrajectories:
                                d_action=3, horizon=3), seed=3)
         ds, _ = generate_trajectories(env, 20, seed=3)
         for t in range(1, 4):
-            rows = stage_design(ds, t)
+            rows = stage_rows(stage_spectra(ds).stages[t - 1])
             np.testing.assert_allclose(np.linalg.norm(rows, axis=1), 1.0, atol=1e-12)
 
     def test_deterministic(self):
@@ -130,7 +132,7 @@ class TestGenerateTrajectories:
             if t < ds.horizon:
                 y += candidate_scores(ds.states[:, t, :], ds.action_table,
                                       truth.theta_star[t]).max(axis=0)
-            resid.append(y - stage_design(ds, t) @ truth.theta_star[t - 1])
+            resid.append(y - reference_design(ds, t) @ truth.theta_star[t - 1])
         return np.concatenate(resid)
 
     def test_outcome_law_at_centred_range(self):
@@ -181,7 +183,7 @@ def scalar_episodes(env, n, seed, choose=None):
                     eps = float(np.clip(spec.noise_sd * rng.standard_normal(),
                                         -NOISE_CLIP_SDS * spec.noise_sd,
                                         NOISE_CLIP_SDS * spec.noise_sd))
-                x = feature_vector(state, env.action_pool[action])
+                x = reference_features(state, env.action_pool[action])
                 next_best = 0.0
                 if t < spec.horizon:
                     next_best = float(candidate_scores(nxt[None, :], env.action_pool,

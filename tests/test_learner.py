@@ -1,5 +1,7 @@
+import json
 import math
 import os
+import re
 import sys
 import tempfile
 import tracemalloc
@@ -8,21 +10,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sblq.config import METHODS
-from sblq.data import (
-    BatchDataset,
-    candidate_scores,
-    empirical_covariance,
-    stage_design,
-)
+from sblq.data import BatchDataset, candidate_scores
 from sblq.cli import _trace_text
 from sblq.envs import A1_ENV, A2_ENV, EnvSpec, generate_trajectories, make_env
-from sblq.errors import ConfigError
+from sblq.errors import ConfigError, DataError
 from sblq.experiments import build_world, method_cell
 from sblq.learner import (
+    DEFAULT_LASSO_GRID,
+    LASSO_MAX_ITERS,
     LASSO_TOL,
     AdaptiveConfig,
     ModelBundle,
@@ -32,9 +31,11 @@ from sblq.learner import (
     default_config,
     dimension_adjusted_sample_size,
     effective_sample_size,
+    _lasso_fitter,
     error_decomposition,
     fit_lasso,
     fit_stage,
+    lasso_holdout,
     load_model,
     model_json_text,
     save_model,
@@ -48,12 +49,22 @@ from sblq.learner import (
 from sblq.policy import parameter_gap
 from sblq.spectral import decompose, default_filter, weighted_half_norm
 
-from conftest import make_dataset
+from conftest import make_dataset, reference_design, reference_features, stage_rows
 
 # A stage and the design rows it stands for sum Sigma_hat and the moment in
 # another order; their estimates agree to this bound, relative to the
 # stage's largest coefficient.
 DESIGN_RTOL = 1e-12
+
+
+def covariance(rows):
+    """(1/n) sum_i x_i x_i^T of the (n, d) ``rows``."""
+    return rows.T @ rows / len(rows)
+
+
+def gram_and_moment(rows, y):
+    """The lasso inputs (1/n) X^T X and (1/n) X^T y of the (n, d) ``rows``."""
+    return covariance(rows), rows.T @ y / len(rows)
 
 
 def two_action_dataset(r=1.0, scores=(0.2, -0.1)):
@@ -102,10 +113,9 @@ class TestConstructTargets:
         theta = rng.standard_normal(ds.feature_dim)
         t = 2
         y = stage_targets(stage_spectra(ds), t, theta)[0]
-        from sblq.data import feature_vector
         for i in range(len(ds)):
             best = max(
-                float(feature_vector(ds.states[i, t], a) @ theta)
+                float(reference_features(ds.states[i, t], a) @ theta)
                 for a in ds.action_table
             )
             assert y[i] == pytest.approx(ds.rewards[i, t - 1] + best, abs=1e-12)
@@ -113,7 +123,7 @@ class TestConstructTargets:
 
 class TestFitStage:
     def test_zero_targets(self, small_dataset):
-        stage = stage_of(stage_design(small_dataset, 1))
+        stage = stage_of(reference_design(small_dataset, 1))
         theta = fit_stage(stage, np.zeros(len(small_dataset)), default_filter("tikhonov"), 0.5)
         np.testing.assert_allclose(theta, 0.0, atol=1e-14)
 
@@ -208,10 +218,9 @@ class TestNextValueBound:
         ds = make_dataset(n=4, horizon=3, seed=2)
         rng = np.random.default_rng(5)
         theta = rng.standard_normal(ds.feature_dim)
-        from sblq.data import feature_vector
         t = 1
         want = max(
-            abs(float(feature_vector(ds.states[i, t], a) @ theta))
+            abs(float(reference_features(ds.states[i, t], a) @ theta))
             for i in range(len(ds)) for a in ds.action_table
         )
         assert stage_targets(stage_spectra(ds), t, theta)[1] == pytest.approx(want, abs=1e-12)
@@ -282,8 +291,7 @@ class TestSelectLambda:
         filt = default_filter("tikhonov")
         cfg = AdaptiveConfig(budget=2, q0=2.0, c_ada=2e-4)
         lam, theta, rep = select_lambda(stage, y, filt, 1, 1, 0.0, cfg)
-        cov = empirical_covariance(rows)
-        decomp = decompose(cov)
+        decomp = decompose(covariance(rows))
         n = rows.shape[0]
         expected_k = None
         for k in (2, 1):
@@ -342,7 +350,7 @@ class TestSelectLambda:
         stage = stage_of(rows)
         lam, theta, rep = select_lambda(stage, y, filt, t, horizon, phi, cfg)
 
-        decomp = decompose(empirical_covariance(rows))
+        decomp = decompose(covariance(rows))
         gaps, taus, scale, expected_k = [], [], 0.0, None
         for k in range(budget, 0, -1):
             lam_hi = cfg.q0 * cfg.q ** (k + 1)
@@ -383,7 +391,7 @@ class TestTrain:
         bundle, reports = train(one, "tikhonov", cfg)
         # the selection on the stage's design rows, which sum Sigma_hat and the
         # moment in another order than the stage train fits
-        stage = stage_of(stage_design(one, 1))
+        stage = stage_of(reference_design(one, 1))
         targets = stage_targets(stage_spectra(one), 1, np.zeros(one.feature_dim))[0]
         lam, theta, rep = select_lambda(stage, targets, default_filter("tikhonov"), 1, 1, 0.0,
                                         cfg)
@@ -422,7 +430,7 @@ class TestTrain:
         ridge = [None] * horizon
         spectra = stage_spectra(ds)
         for t in range(horizon, 0, -1):
-            rows = stage_design(ds, t)
+            rows = reference_design(ds, t)
             y = stage_targets(spectra, t, theta_next)[0]
             n = len(ds)
             cov = rows.T @ rows / n
@@ -501,14 +509,14 @@ class TestStageSpectra:
             kept = np.ones(ds.feature_dim, bool) if spectra.mask is None else mask != 0.0
             assert spectra.dataset is ds and len(spectra.stages) == ds.horizon
             for t, stage in enumerate(spectra.stages, start=1):
-                design = stage_design(ds, t, mask=spectra.mask)
+                design = reference_design(ds, t, mask=spectra.mask)
                 assert not np.any(design[:, ~kept])
                 rows = design[:, kept]
                 assert within(stage_rows(stage), rows, np.max(np.abs(rows)))
                 assert not any(arr.flags.writeable for arr in (
                     stage.states, stage.table, stage.state_of, stage.action, stage.scale))
                 assert stage.n == len(ds) and stage.feature_dim == ds.feature_dim
-                want = decompose(empirical_covariance(rows)).eigenvalues
+                want = decompose(covariance(rows)).eigenvalues
                 # Weyl's bound on the gap between the two Sigma_hat, plus eigh's
                 # backward error of some d ulps of sigma_max on each
                 gap = np.max(np.abs(stage.decomp.eigenvalues - want))
@@ -562,12 +570,6 @@ def within(got, want, scale) -> bool:
     return bool(np.max(np.abs(np.asarray(got) - want), initial=0.0) <= STAGE_RTOL * scale)
 
 
-def stage_rows(stage):
-    """The (n, k) design rows a Stage stands for, gathered from its parts."""
-    return stage.scale[:, None] * np.hstack([stage.states[stage.state_of],
-                                             stage.table[stage.action]])
-
-
 def spectra_and_covariances(ds, mask=None):
     """``stage_spectra(ds, mask)`` and the Sigma_hat each of its stages decomposed."""
     import sblq.learner as learner_mod
@@ -609,7 +611,7 @@ class TestStageIsItsDesign:
                                                max_size=d).filter(any)))
         kept = np.ones(d, bool) if mask is None else mask != 0.0
         try:
-            designs = [stage_design(ds, t, mask=mask)[:, kept]
+            designs = [reference_design(ds, t, mask=mask)[:, kept]
                        for t in range(1, ds.horizon + 1)]
         except ValueError:  # the mask leaves a row all zero: both paths refuse it
             with pytest.raises(ValueError, match="all-zero"):
@@ -618,7 +620,7 @@ class TestStageIsItsDesign:
         spectra, covs = spectra_and_covariances(ds, mask)
         rng = np.random.default_rng(seed)
         for t, (stage, cov, rows) in enumerate(zip(spectra.stages, covs, designs), start=1):
-            want = empirical_covariance(rows)
+            want = covariance(rows)
             assert np.array_equal(cov, cov.T)
             assert within(cov, want, np.max(np.abs(want)))
             y = rng.standard_normal(n)
@@ -638,9 +640,9 @@ class TestStageIsItsDesign:
         # 100 a1 trajectories: the stage-1 design has rank 62 of 72
         ds, _ = generate_trajectories(make_env(A1_ENV, 0), 100, seed=0)
         spectra, covs = spectra_and_covariances(ds)
-        rows = stage_design(ds, 1)
+        rows = reference_design(ds, 1)
         assert np.linalg.matrix_rank(rows) == 62
-        want = empirical_covariance(rows)
+        want = covariance(rows)
         assert np.array_equal(covs[0], covs[0].T) and within(covs[0], want, np.max(np.abs(want)))
         stage, bare = spectra.stages[0], stage_of(rows)
         theta_next = np.random.default_rng(1).standard_normal(ds.feature_dim) / 4.0
@@ -671,23 +673,26 @@ class TestStageIsItsDesign:
             assert np.all(np.isfinite(bundle.theta_matrix())), method
 
     @pytest.mark.parametrize("masked", [False, True])
-    @pytest.mark.parametrize("method", ["tikhonov", "gradient-descent", "cutoff", "ls"])
-    def test_train_builds_no_design(self, monkeypatch, method, masked):
-        import sblq.data as data_mod
-        import sblq.learner as learner_mod
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("stage_design called")
-
-        monkeypatch.setattr(learner_mod, "stage_design", refuse)
-        monkeypatch.setattr(data_mod, "stage_design", refuse)
-        ds, _ = generate_trajectories(make_env(A1_ENV, 0), 400, seed=0)  # <= 300 states
+    @pytest.mark.parametrize("method", ["tikhonov", "gradient-descent", "cutoff", "ls", "lasso"])
+    def test_train_builds_no_design(self, method, masked):
+        # 4,000 a1 trajectories hold at most 300 distinct states, so their
+        # (n, k) design takes at least 1.5 MB and a train that built it
+        # would allocate more than half of that; lasso's one large penalty
+        # keeps its coordinate descent short, not its Gram and moment
+        ds, _ = generate_trajectories(make_env(A1_ENV, 0), 4000, seed=0)
         mask = None
         if masked:
             mask = np.ones(ds.feature_dim)
             mask[::3] = 0.0
         spectra = stage_spectra(ds, mask)
-        train(ds, method, spectra=spectra)
+        kept = ds.feature_dim if mask is None else int(mask.sum())
+        tracemalloc.start()
+        try:
+            train(ds, method, spectra=spectra, lasso_grid=[1.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(ds) * kept * 8 / 2
         for stage in spectra.stages:
             for value in vars(stage).values():
                 assert not (isinstance(value, np.ndarray) and value.ndim == 2
@@ -808,7 +813,7 @@ class TestBaselines:
         y = rows @ rng.standard_normal(10) + 0.1 * rng.standard_normal(90)
         ds = one_stage_dataset(rows, y)
         theta = train(ds, "ls")[0].stages[0].theta
-        features = stage_design(ds, 1)
+        features = reference_design(ds, 1)
         assert np.linalg.matrix_rank(features) == 6
         want = np.linalg.pinv(features) @ y
         assert np.linalg.norm(theta - want) / np.linalg.norm(want) < 1e-8
@@ -826,7 +831,7 @@ class TestBaselines:
     def test_lasso_zero_penalty_matches_ls(self, rng):
         rows = rng.standard_normal((60, 4))
         y = rng.standard_normal(60)
-        fit = fit_lasso(rows, y, 0.0, max_iters=5000, tol=1e-12)
+        fit = fit_lasso(*gram_and_moment(rows, y), 0.0, max_iters=5000, tol=1e-12)
         want = least_squares(rows, y)
         np.testing.assert_allclose(fit.theta, want, atol=1e-6)
 
@@ -834,7 +839,7 @@ class TestBaselines:
         rows = rng.standard_normal((30, 5))
         y = rng.standard_normal(30)
         lam = 2.0 * np.max(np.abs(rows.T @ y / 30)) + 1e-9
-        fit = fit_lasso(rows, y, lam)
+        fit = fit_lasso(*gram_and_moment(rows, y), lam)
         np.testing.assert_array_equal(fit.theta, np.zeros(5))
 
     def test_lasso_orthonormal_soft_threshold(self, rng):
@@ -843,23 +848,47 @@ class TestBaselines:
         rows = q  # orthonormal columns: X^T X = I
         y = rng.standard_normal(n)
         lam = 0.05
-        fit = fit_lasso(rows, y, lam, max_iters=500, tol=1e-12)
+        fit = fit_lasso(*gram_and_moment(rows, y), lam, max_iters=500, tol=1e-12)
         # closed-form soft-threshold oracle under (1/n)||y - X theta||^2 + lam |theta|_1
         ols = rows.T @ y
         want = np.sign(ols) * np.maximum(np.abs(ols) - n * lam / 2, 0.0)
         np.testing.assert_allclose(fit.theta, want, atol=1e-8)
 
-    def test_lasso_kkt_at_convergence(self, rng):
-        rows = rng.standard_normal((80, 6))
-        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-        y = rng.standard_normal(80)
-        lam, tol = 0.02, 1e-10
-        fit = fit_lasso(rows, y, lam, max_iters=20_000, tol=tol)
-        assert fit.converged
-        grad = rows.T @ (y - rows @ fit.theta) / 80
-        for j in range(6):
-            if fit.theta[j] == 0.0:
-                assert abs(grad[j]) <= lam / 2 + 1e-8
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), d=st.integers(1, 8),
+           rank=st.integers(1, 8), log_lam=st.floats(-4.0, 0.0),
+           start=st.sampled_from(["cold", "path", "random"]))
+    def test_lasso_kkt_at_convergence(self, seed, n, d, rank, log_lam, start):
+        # X = A B has rank at most min(n, rank) and a zero column, so
+        # Sigma_hat is singular and the minimizer of
+        # (1/n)||y - X theta||^2 + lam ||theta||_1 need not be unique; a
+        # converged fit meets its KKT conditions: (1/n) X^T (y - X theta) is
+        # lam/2 sign(theta_j) on the support and at most lam/2 off it.  A warm
+        # start is the next larger penalty's solution, as lasso fits its
+        # grid, or any start that is 0 where Sigma_hat's column is.
+        rng = np.random.default_rng(seed)
+        rows = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, d))
+        rows[:, rng.integers(d)] = 0.0
+        y = rng.standard_normal(n)
+        gram, moment = gram_and_moment(rows, y)
+        lam, tol = 10.0 ** log_lam, 1e-10
+        theta0 = None
+        if start == "path":
+            theta0 = fit_lasso(gram, moment, 2.0 * lam, max_iters=20_000, tol=tol).theta
+        elif start == "random":
+            theta0 = rng.standard_normal(d) * (np.diag(gram) > 0.0)
+        fit = fit_lasso(gram, moment, lam, max_iters=20_000, tol=tol, theta0=theta0)
+        # on nearly collinear columns at a small penalty the sweeps can run
+        # out first (about 6% of draws), which the flag reports
+        assume(fit.converged)
+        grad = moment - gram @ fit.theta
+        # each coordinate met its condition when it was last updated; the
+        # sweep's later changes, each under tol, move it by at most this
+        slack = tol * np.max(np.sum(np.abs(gram), axis=1)) + 1e-12 * (
+            np.max(np.abs(moment)) + np.max(np.abs(gram)) * np.max(np.abs(fit.theta)))
+        support = fit.theta != 0.0
+        assert np.all(np.abs(grad[~support]) <= lam / 2 + slack)
+        assert np.all(np.abs(grad[support] - lam / 2 * np.sign(fit.theta[support])) <= slack)
 
     def test_baseline_ls_horizon_one(self):
         ds, _ = small_env_dataset(n=50, seed=6)
@@ -868,7 +897,7 @@ class TestBaselines:
                                        reward_bound=ds.reward_bound)
         bundle, reports = train(one, "ls")
         assert reports == []
-        rows = stage_design(one, 1)
+        rows = reference_design(one, 1)
         want = least_squares(rows, stage_targets(stage_spectra(one), 1,
                                                  np.zeros(one.feature_dim))[0])
         np.testing.assert_allclose(bundle.stages[0].theta, want, atol=1e-12)
@@ -881,9 +910,9 @@ class TestBaselines:
         theta_next = np.zeros(ds.feature_dim)
         spectra = stage_spectra(ds)
         for t in range(ds.horizon, 0, -1):
-            rows = stage_design(ds, t)
+            rows = reference_design(ds, t)
             y = stage_targets(spectra, t, theta_next)[0]
-            want = fit_lasso(rows, y, lam, max_iters=2000).theta
+            want = fit_lasso(*gram_and_moment(rows, y), lam, max_iters=2000).theta
             np.testing.assert_allclose(bundle.stages[t - 1].theta, want, atol=1e-12)
             theta_next = want
 
@@ -896,6 +925,56 @@ class TestBaselines:
         for t in range(1, 4):
             err = np.linalg.norm(bundle.theta(t) - truth.theta_star[t - 1])
             assert err < 1e-3
+
+
+def reference_lasso(rows, targets, grid, seed):
+    """Lasso's stage fit on the (n, k) ``rows`` themselves: the grid fit
+    path-wise on the trajectories a ``seed`` split keeps, the penalty of
+    least validation RMSE (the first on a tie), and the refit on all rows;
+    returns (theta, penalty)."""
+    n = len(rows)
+    perm = np.random.default_rng(seed).permutation(n)
+    val, kept = np.sort(perm[:lasso_holdout(n)]), np.sort(perm[lasso_holdout(n):])
+    gram, moment = gram_and_moment(rows[kept], targets[kept])
+    path, warm = {}, None
+    for lam in sorted(set(grid), reverse=True):
+        warm = path[lam] = fit_lasso(gram, moment, lam, max_iters=LASSO_MAX_ITERS,
+                                     tol=LASSO_TOL, theta0=warm).theta
+    rmse = [np.sqrt(np.mean((rows[val] @ path[lam] - targets[val]) ** 2)) for lam in grid]
+    best = grid[int(np.argmin(rmse))]
+    theta = fit_lasso(*gram_and_moment(rows, targets), best, max_iters=LASSO_MAX_ITERS,
+                      tol=LASSO_TOL).theta
+    return theta, best
+
+
+class TestLassoFromStage:
+    @pytest.mark.parametrize("case", ["unmasked", "masked", "unnormalized"])
+    def test_fitter_on_stage_parts_equals_fit_lasso_on_reference_rows(self, case):
+        # the stage's Gram and moment sum the rows' terms in another order,
+        # so the fits agree to round-off, and each stage picks the same penalty
+        base, _ = generate_trajectories(make_env(A2_ENV, 0), 100, seed=0)
+        ds = BatchDataset(base.state_rows, base.state_index, base.actions, base.rewards,
+                          base.action_table, base.reward_bound, case != "unnormalized")
+        mask = None
+        if case == "masked":
+            mask = np.ones(ds.feature_dim)
+            mask[::3] = 0.0
+        spectra = stage_spectra(ds, mask)
+        kept = np.ones(ds.feature_dim, bool) if mask is None else mask != 0.0
+        grid = list(DEFAULT_LASSO_GRID)
+        fit = _lasso_fitter(spectra, grid, seed=3)
+        theta_next, supports = np.zeros(ds.feature_dim), []
+        for t in range(ds.horizon, 0, -1):  # the backward induction, on the reference fits
+            stage = spectra.stages[t - 1]
+            targets, phi = stage_targets(spectra, t, theta_next)
+            theta, lam, k, report = fit(t, stage, targets, phi)
+            want, want_lam = reference_lasso(reference_design(ds, t, mask)[:, kept], targets,
+                                             grid, seed=3)
+            assert (lam, k, report) == (want_lam, grid.index(want_lam), None)
+            assert np.max(np.abs(theta - want), initial=0.0) <= 1e-10 * np.max(np.abs(want))
+            theta_next = stage.lift(want)
+            supports.append(np.count_nonzero(want))
+        assert max(supports) > 1
 
 
 class TestErrorDecomposition:
@@ -958,6 +1037,19 @@ class TestErrorDecomposition:
 
 
 class TestModelSerialization:
+    def test_version_one_model_is_refused_naming_the_file(self, tmp_path):
+        # version 1 carried the adaptive settings c_tilde and c0_effdim, which
+        # AdaptiveConfig no longer has
+        bundle, _ = train(small_env_dataset(n=40, seed=11)[0], "cutoff")
+        payload = json.loads(model_json_text(bundle))
+        assert payload["version"] == 2 and len(payload["config"]) == 11
+        old = {**payload, "version": 1,
+               "config": {**payload["config"], "c_tilde": 0.25, "c0_effdim": 1.0}}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(old))
+        with pytest.raises(DataError, match=re.escape(f"{path}: field 'version' must be 2, got 1")):
+            load_model(path)
+
     def test_round_trip(self, tmp_path):
         ds, _ = small_env_dataset(n=40, seed=11)
         cfg = default_config("cutoff", reward_bound=ds.reward_bound, budget=25)

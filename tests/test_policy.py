@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sblq.data import BatchDataset, candidate_scores, feature_vector
+from sblq.data import BatchDataset, candidate_scores
 from sblq.envs import A2_ENV, EnvSpec, SyntheticEnv, generate_trajectories, make_env
 from sblq.learner import AdaptiveConfig, ModelBundle, StageModel, default_config, train
 from sblq.policy import (
@@ -20,7 +20,7 @@ from sblq.policy import (
     rollout_reward,
 )
 
-from conftest import make_dataset, reference_scores
+from conftest import make_dataset, reference_design, reference_features, reference_scores
 
 
 def bundle_from_thetas(thetas, filter_kind="cutoff"):
@@ -62,7 +62,7 @@ class TestAct:
         state = rng.standard_normal(2)
         policy = GreedyPolicy(bundle_from_thetas(theta[None, :]), table)
         got = one_row_action(policy, 1, state)
-        scores = [float(feature_vector(state, a) @ theta) for a in table]
+        scores = [float(reference_features(state, a) @ theta) for a in table]
         assert got == int(np.argmax(scores))
 
     @settings(max_examples=25, deadline=None)
@@ -132,7 +132,7 @@ class TestPolicyGap:
                                       reward_bound=1.0)
         truth = np.zeros((4, 4))
         c = 0.37
-        x = feature_vector([1.0, 0.0], [1.0, 0.0])
+        x = reference_features([1.0, 0.0], [1.0, 0.0])
         delta = c * x  # <delta, x> = c on the unique context
         est = truth[:-1] + delta
         model = bundle_from_thetas(est)
@@ -155,8 +155,9 @@ class TestPolicyGap:
                     errs.append(0.0)
                     continue
                 ctx = ds.states[i, t]
-                best_est = max(float(feature_vector(ctx, a) @ est[t]) for a in ds.action_table)
-                best_tru = max(float(feature_vector(ctx, a) @ truth[t]) for a in ds.action_table)
+                xs = [reference_features(ctx, a) for a in ds.action_table]
+                best_est = max(float(x @ est[t]) for x in xs)
+                best_tru = max(float(x @ truth[t]) for x in xs)
                 errs.append((best_est - best_tru) ** 2)
             mse.append(np.mean(errs))
         want = float(np.sqrt(np.mean(mse)))
@@ -289,7 +290,7 @@ class TestDirectValueEstimate:
         model = bundle_from_thetas(np.stack([theta, np.zeros_like(theta)]))
         vals = []
         for i in range(10):
-            vals.append(max(float(feature_vector(ds.states[i, 0], a) @ theta)
+            vals.append(max(float(reference_features(ds.states[i, 0], a) @ theta)
                             for a in ds.action_table))
         assert direct_value_estimate(model, ds) == pytest.approx(np.mean(vals), abs=1e-12)
 
@@ -323,10 +324,9 @@ class TestComparisonDiagnostic:
         est = truth + 0.2 * rng.standard_normal(truth.shape)
         model = bundle_from_thetas(est)
         mu = float(len(ds.action_table))
-        from sblq.data import stage_design
         total = 0.0
         for t in (1, 2, 3):
-            rows = stage_design(ds, t)
+            rows = reference_design(ds, t)
             cov = rows.T @ rows / rows.shape[0]
             diff = est[t - 1] - truth[t - 1]
             total += 2.0 * mu ** (t / 2.0) * np.sqrt(diff @ cov @ diff)
@@ -345,10 +345,9 @@ class TestComparisonDiagnostic:
         model = ModelBundle(horizon=3, feature_dim=ds.feature_dim, filter_kind="cutoff",
                             stages=stages, feature_mask=mask)
         mu = float(len(ds.action_table))
-        from sblq.data import stage_design
         total = 0.0
         for t in (1, 2, 3):
-            rows = stage_design(ds, t, mask=mask)
+            rows = reference_design(ds, t, mask=mask)
             cov = rows.T @ rows / rows.shape[0]
             diff = est[t - 1] - truth[t - 1]
             total += 2.0 * mu ** (t / 2.0) * np.sqrt(diff @ cov @ diff)
