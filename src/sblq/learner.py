@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 import numpy as np
 
@@ -281,22 +280,13 @@ def _stage_covariance(states, table, state_of, action, weights) -> np.ndarray:
     return cov
 
 
-def stage_of(rows: np.ndarray, mask: np.ndarray | None = None,
-             state_of: np.ndarray | None = None, table: np.ndarray | None = None,
-             action: np.ndarray | None = None, normalize: bool = False) -> Stage:
+def stage_of(rows: np.ndarray, mask: np.ndarray | None, state_of: np.ndarray,
+             table: np.ndarray, action: np.ndarray, normalize: bool = False) -> Stage:
     """The Stage of the design whose row i is [rows[state_of_i], table[action_i]],
     unit-normalized if ``normalize``, on the columns ``mask`` keeps: the one
-    place Sigma_hat is decomposed.  Bare ``rows`` (no ``state_of``, ``table``
-    or ``action``) are the design itself, each row its own state and no
-    action columns."""
-    rows = np.asarray(rows, dtype=float)
-    if state_of is None:
-        n = len(rows)
-        states, state_of = rows, np.arange(n)
-        table, action = np.zeros((1, 0)), np.zeros(n, dtype=np.intp)
-    else:
-        used, state_of = np.unique(state_of, return_inverse=True)
-        states = rows[used]
+    place Sigma_hat is decomposed."""
+    used, state_of = np.unique(state_of, return_inverse=True)
+    states = np.asarray(rows, dtype=float)[used]
     if len(state_of) < 1:
         raise ValueError("empty design")
     if mask is not None:
@@ -486,63 +476,86 @@ def select_lambda(stage: Stage, targets: np.ndarray, filt: FilterSpec,
     return lam, stage.estimate(g[selected - 1], c), report
 
 
-@dataclass(frozen=True)
-class LassoFit:
-    theta: np.ndarray
-    iterations: int
-    converged: bool
+# A column whose residual against the active columns, in Sigma_hat's inner
+# product, is at most this share of its diagonal lies in their span: it never
+# joins, as its correlation is theirs (a zero column included).  Round-off
+# leaves such residuals at up to 4e-13 on a1 stages; a nearly collinear
+# column below this share would be taken for one in the span.
+_LASSO_RANK_RTOL = 1e-11
+_SIGNS = np.array([1.0, -1.0])
 
 
-def fit_lasso(gram: np.ndarray, moment: np.ndarray, lam: float,
-              max_iters: int = 1000, tol: float = 1e-8,
-              theta0: np.ndarray | None = None) -> LassoFit:
-    """Cyclic coordinate descent on (1/n)||y - X theta||^2 + lam ||theta||_1
-    from the d x d ``gram`` (1/n) X^T X and the ``moment`` (1/n) X^T y alone,
-    by covariance updates (Friedman, Hastie & Tibshirani 2010, section 2.2).
+def lasso_path(gram: np.ndarray, moment: np.ndarray, penalties) -> np.ndarray:
+    """The minimizer of theta^T G theta - 2 m^T theta + lam ||theta||_1 at each
+    of the ``penalties`` lam, one row each, in input order, for the d x d
+    ``gram`` G = (1/n) X^T X and the ``moment`` m = (1/n) X^T y.
 
-    Runs until the largest coordinate change in a sweep drops below tol.
-    Non-convergence is reported through the ``converged`` flag, not an error.
-    ``theta0`` warm-starts the iteration (path-wise fits over a penalty grid).
+    The exact LARS-lasso homotopy (Efron, Hastie, Johnstone & Tibshirani 2004):
+    with mu = lam / 2 and the correlations c = m - G theta, theta = 0 at
+    mu = max |m|, and walking mu down, the active set A holds the columns with
+    |c_j| = mu.  On it G_AA theta_A = m_A - mu s_A, s the signs of c_A, so
+    theta is linear in mu between knots, where a column's |c_j| reaches mu
+    and it joins, or a coefficient reaches 0 and its column leaves.  A column
+    in the span of the active ones never joins (see _LASSO_RANK_RTOL), so
+    G_AA stays nonsingular on a rank-deficient Sigma_hat; a column that has
+    just left may not rejoin at the sign it left before the next knot.
+    Raises NumericError should round-off bring the path back to an active
+    set it has left.
     """
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
-    gram, xty = np.asarray(gram, dtype=float), np.asarray(moment, dtype=float)
-    d = len(xty)
-    col_sq = np.diag(gram).copy()
-    if theta0 is None:
-        theta = np.zeros(d)
-        grad = xty.copy()  # (1/n) X^T (y - X theta), maintained incrementally
-    else:
-        theta = np.array(theta0, dtype=float)
-        grad = xty - gram @ theta
-    if lam >= 2.0 * np.max(np.abs(xty), initial=0.0) and theta0 is None:
-        # every coordinate is soft-thresholded to zero from the start
-        return LassoFit(theta=np.zeros(d), iterations=0, converged=True)
-    half_lam = lam / 2.0
-    iterations = 0
-    converged = False
-    for iterations in range(1, max_iters + 1):
-        max_change = 0.0
-        for j in range(d):
-            if col_sq[j] == 0.0:
-                continue
-            rho = grad[j] + col_sq[j] * theta[j]
-            new = math.copysign(max(abs(rho) - half_lam, 0.0), rho) / col_sq[j]
-            change = new - theta[j]
-            if change != 0.0:
-                grad -= gram[:, j] * change
-                theta[j] = new
-                max_change = max(max_change, abs(change))
-        if max_change < tol:
-            converged = True
-            break
-    return LassoFit(theta=theta, iterations=iterations, converged=converged)
+    gram, moment = np.asarray(gram, dtype=float), np.asarray(moment, dtype=float)
+    targets = np.asarray(penalties, dtype=float) / 2.0
+    if np.any(targets < 0.0):
+        raise ValueError("lasso penalties must be nonnegative")
+    d = len(moment)
+    diag, thetas = np.diag(gram), np.zeros((len(targets), d))
+    active, signs, barred, left = [], [], None, set()
+    mu = np.max(np.abs(moment), initial=0.0)
+    for i in np.argsort(-targets, kind="stable"):
+        while True:
+            a, s = np.array(active, dtype=np.intp), np.array(signs)
+            # theta_A = v - mu w, and c = p + mu q off the active set
+            solved = np.linalg.solve(gram[np.ix_(a, a)],
+                                     np.column_stack([moment[a], s, gram[a]]))
+            v, w = solved[:, 0], solved[:, 1]
+            p, q = moment - gram[:, a] @ v, gram[:, a] @ w
+            free = diag - np.einsum("ij,ij->j", gram[a], solved[:, 2:]) > _LASSO_RANK_RTOL * diag
+            free[a] = False
+            # the mu at which each column joins at sign +1 (row 0) or -1 (row
+            # 1), where sign c_j - mu grows at the rate 1 - sign q_j as mu
+            # falls, or at which its coefficient reaches 0 and it leaves (row 2)
+            knots = np.full((3, d), -np.inf)
+            slopes = 1.0 - np.outer(_SIGNS, q)
+            np.divide(np.outer(_SIGNS, p), slopes, out=knots[:2], where=free & (slopes > 0.0))
+            leaving = s * w < 0.0
+            knots[2, a[leaving]] = v[leaving] / w[leaving]
+            if barred is not None:
+                knots[barred] = -np.inf
+            row, j = np.unravel_index(np.argmax(knots), knots.shape)
+            knot = min(mu, knots[row, j])
+            if knot <= targets[i]:
+                mu = min(mu, targets[i])
+                thetas[i, a] = s * np.maximum(s * (v - mu * w), 0.0)  # no round-off sign flip
+                break
+            # each signed active set holds on one interval of mu, so the
+            # path leaves it once; a second time is round-off cycling
+            state = (frozenset(zip(active, signs)), barred)
+            if state in left:
+                raise NumericError("the lasso path returned to an active set it had left")
+            left.add(state)
+            mu = knot
+            if row < 2:
+                active.append(j)
+                signs.append(_SIGNS[row])
+                barred = None
+            else:
+                k = active.index(j)
+                barred = (int(signs[k] < 0.0), j)
+                del active[k], signs[k]
+    return thetas
 
 
 DEFAULT_LASSO_GRID = tuple(float(v) for v in np.geomspace(1e-4, 1.0, 9))
 LASSO_VAL_FRACTION = 0.2       # share of trajectories held out to choose the penalty
-LASSO_MAX_ITERS = 2000
-LASSO_TOL = 1e-8
 
 
 def _fit_least_squares(t, stage, targets, phi):
@@ -564,12 +577,11 @@ def _lasso_fitter(spectra: StageSpectra, lasso_grid, seed: int):
     """Lasso with the penalty chosen per stage on held-out trajectories.
 
     Lasso reads its stage as every method does, through Sigma_hat and the
-    moment (``Stage.gram``, ``Stage.moment``).  The grid is fit path-wise
-    from those of the fit split, built once per stage (each penalty
-    warm-started from the next larger one), the penalty with the lowest
-    target RMSE on the validation trajectories wins, and the stage is refit
-    from all trajectories' at that penalty.  The split depends on ``seed``
-    only.
+    moment (``Stage.gram``, ``Stage.moment``).  One ``lasso_path`` on those of
+    the fit split gives the whole grid, the penalty with the lowest target
+    RMSE on the validation trajectories wins (the first on a tie), and one
+    more path, on all trajectories', gives the stage's theta at that
+    penalty.  The split depends on ``seed`` only.
     """
     grid = [float(g) for g in lasso_grid]
     if not grid:
@@ -584,22 +596,12 @@ def _lasso_fitter(spectra: StageSpectra, lasso_grid, seed: int):
     fit_idx = np.sort(perm[n_val:])
 
     def fit(t, stage, targets, phi):
-        gram, moment = stage.gram(fit_idx), stage.moment(targets, fit_idx)
-        candidates = {}
-        warm = None
-        for lam_c in sorted(set(grid), reverse=True):
-            warm = fit_lasso(gram, moment, lam_c, max_iters=LASSO_MAX_ITERS,
-                             tol=LASSO_TOL, theta0=warm).theta
-            candidates[lam_c] = warm
-        best_lam, best_rmse = grid[0], math.inf
-        for lam_c in grid:
-            resid = stage.predict(candidates[lam_c], val_idx) - targets[val_idx]
-            rmse = float(np.sqrt(np.mean(resid**2)))
-            if rmse < best_rmse:
-                best_lam, best_rmse = lam_c, rmse
-        theta = fit_lasso(stage.gram(), stage.moment(targets), best_lam,
-                          max_iters=LASSO_MAX_ITERS, tol=LASSO_TOL).theta
-        return theta, best_lam, grid.index(best_lam), None
+        path = lasso_path(stage.gram(fit_idx), stage.moment(targets, fit_idx), grid)
+        rmse = [float(np.sqrt(np.mean((stage.predict(theta, val_idx) - targets[val_idx]) ** 2)))
+                for theta in path]
+        k = int(np.argmin(rmse))
+        theta = lasso_path(stage.gram(), stage.moment(targets), [grid[k]])[0]
+        return theta, grid[k], k, None
 
     return fit
 
@@ -623,7 +625,8 @@ def train(dataset: BatchDataset, method: str, cfg: AdaptiveConfig | None = None,
     estimator, a fitter (t, stage, targets, phi) -> (theta, lambda, k,
     report or None): a spectral filter at the balancing-rule level under
     ``cfg`` (default ``default_config(method, dataset.reward_bound)``), least
-    squares, or lasso over ``lasso_grid``.  Baselines take no ``cfg``.
+    squares, or lasso's exact path over ``lasso_grid``.  Baselines take no
+    ``cfg``.
     ``spectra`` are the dataset's ``stage_spectra``, feature mask included;
     None builds them unmasked.  A masked stage is fit in its kept
     coordinates, and its theta is written into the d features with exact
@@ -730,10 +733,6 @@ def model_json_text(bundle: ModelBundle) -> str:
         "feature_mask": None if bundle.feature_mask is None else bundle.feature_mask.tolist(),
     }
     return json.dumps(payload) + "\n"
-
-
-def save_model(bundle: ModelBundle, path) -> None:
-    Path(path).write_text(model_json_text(bundle))
 
 
 # model.json, written by ``model_json_text``.  Each record of "stages" is

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sblq.data import BatchDataset
+from sblq.learner import stage_of
 
 
 def make_dataset(n=6, horizon=3, d_s=4, d_a=3, n_actions=5, seed=0,
@@ -61,6 +62,13 @@ def reference_design(dataset, t, mask=None):
     return np.array([reference_features(state, dataset.action_table[action],
                                         dataset.normalize, mask)
                      for state, action in zip(states, actions)])
+
+
+def design_stage(rows):
+    """The ``learner.Stage`` of the (n, k) design ``rows`` itself: each row its
+    own state, and no action columns."""
+    n = len(rows)
+    return stage_of(rows, None, np.arange(n), np.zeros((1, 0)), np.zeros(n, dtype=np.intp))
 
 
 def stage_rows(stage):

@@ -21,14 +21,13 @@ from sblq.learner import (
     error_decomposition,
     fit_stage,
     select_lambda,
-    stage_of,
     stage_spectra,
     stage_targets,
     train,
 )
 from sblq.spectral import default_filter, filter_values
 
-from conftest import reference_design
+from conftest import design_stage, reference_design
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -81,13 +80,13 @@ def test_criterion_2_oracle_equivalence():
         moment = rows.T @ y / n
 
         lam = float(rng.uniform(0.01, 1.0))
-        got = fit_stage(stage_of(rows), y, default_filter("tikhonov"), lam)
+        got = fit_stage(design_stage(rows), y, default_filter("tikhonov"), lam)
         want = np.linalg.solve(cov + lam * np.eye(d), moment)
         worst_ridge = max(worst_ridge, np.linalg.norm(got - want) / np.linalg.norm(want))
 
         sig_min = np.linalg.eigvalsh(cov)[0]
         if sig_min > 1e-8:
-            got = fit_stage(stage_of(rows), y, default_filter("cutoff"), 0.5 * sig_min)
+            got = fit_stage(design_stage(rows), y, default_filter("cutoff"), 0.5 * sig_min)
             want = np.linalg.pinv(rows) @ y
             worst_pinv = max(worst_pinv, np.linalg.norm(got - want) / np.linalg.norm(want))
 
@@ -106,7 +105,7 @@ def test_criterion_2_oracle_equivalence():
                                   default_filter("gradient-descent"),
                                   1, 1, 0.0, cfg)
     exact = bundle.stages[0].lambda_selected == lam and np.array_equal(bundle.stages[0].theta, theta)
-    lam_rows, theta_rows, _ = select_lambda(stage_of(reference_design(ds, 1)), targets,
+    lam_rows, theta_rows, _ = select_lambda(design_stage(reference_design(ds, 1)), targets,
                                             default_filter("gradient-descent"), 1, 1, 0.0, cfg)
     design_gap = np.max(np.abs(theta_rows - theta)) / np.max(np.abs(theta))
     design = lam_rows == lam and design_gap <= 1e-12
@@ -182,7 +181,7 @@ def test_criterion_5_near_oracle_adaptivity():
             theta_star /= np.linalg.norm(theta_star)
             y = rows @ theta_star + noise * rng.standard_normal(n)
             cfg = default_config(kind, reward_bound=float(np.max(np.abs(y))))
-            stage = stage_of(rows)
+            stage = design_stage(rows)
             _, theta_sel, _ = select_lambda(stage, y, default_filter(kind), 1, 1, 0.0, cfg)
             # exhaustive grid oracle; population covariance is I/d, so the
             # weighted error is proportional to the plain norm
@@ -296,7 +295,7 @@ def test_criterion_8_error_decomposition_consistency():
         sigma_true = np.eye(d) / d
         lam = float(rng.uniform(0.01, 0.5))
         kind = ("tikhonov", "cutoff", "gradient-descent")[int(rng.integers(3))]
-        out = error_decomposition(stage_of(rows), y, y_star, clean, lam,
+        out = error_decomposition(design_stage(rows), y, y_star, clean, lam,
                                   default_filter(kind), theta_star, sigma_true)
         worst_gap = max(worst_gap,
                         out["total"] - (out["bias"] + out["variance"] + out["multistage"]))
@@ -307,7 +306,7 @@ def test_criterion_8_error_decomposition_consistency():
     theta_star = rng.standard_normal(5)
     theta_star /= np.linalg.norm(theta_star)
     clean = rows @ theta_star
-    out = error_decomposition(stage_of(rows), clean, clean, clean, 0.1,
+    out = error_decomposition(design_stage(rows), clean, clean, clean, 0.1,
                               default_filter("tikhonov"), theta_star, np.eye(5) / 5)
     degenerate_ok = out["variance"] <= 1e-10 and out["multistage"] <= 1e-10
 

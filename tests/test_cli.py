@@ -14,7 +14,7 @@ from sblq.envs import A1_ENV, A2_ENV, EnvSpec, generate_trajectories, make_env
 from sblq.errors import ConfigError
 from sblq.experiments import build_world, method_cell
 from sblq.learner import (AdaptiveConfig, ModelBundle, StageModel, default_config, load_model,
-                          save_model)
+                          model_json_text)
 
 from conftest import LEAF_MUTATIONS, leaf_paths, mutated, per_record_jsonl
 
@@ -697,8 +697,8 @@ class TestCommands:
         model = tmp_path / "model.json"
         stages = tuple(StageModel(t=t, theta=np.zeros(4), lambda_selected=1.0, k_selected=1)
                        for t in (1, 2))
-        save_model(ModelBundle(horizon=2, feature_dim=4, filter_kind="cutoff", stages=stages),
-                   model)
+        model.write_text(model_json_text(ModelBundle(horizon=2, feature_dim=4,
+                                                     filter_kind="cutoff", stages=stages)))
         run = tmp_path / "run"
         assert main(["report", "--model", str(model), "--out", str(run)]) == 3
         err = capsys.readouterr().err

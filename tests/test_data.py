@@ -20,10 +20,10 @@ from sblq.data import (
 )
 from sblq.envs import A1_ENV, generate_trajectories, make_env
 from sblq.errors import DataError
-from sblq.learner import stage_of, stage_spectra
+from sblq.learner import stage_spectra
 
-from conftest import (LEAF_MUTATIONS, leaf_paths, make_dataset, mutated, per_record_jsonl,
-                      reference_features, reference_scores, stage_rows)
+from conftest import (LEAF_MUTATIONS, design_stage, leaf_paths, make_dataset, mutated,
+                      per_record_jsonl, reference_features, reference_scores, stage_rows)
 
 
 def write_dataset(dataset, header_path, trajectories_path):
@@ -178,7 +178,7 @@ class TestEmpiricalCovariance:
 
     def test_matches_double_loop_oracle(self, rng):
         rows = rng.standard_normal((20, 6))
-        got = stage_of(rows).gram()
+        got = design_stage(rows).gram()
         want = np.zeros((6, 6))
         for x in rows:  # naive summation oracle
             for a in range(6):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sblq.config import METHODS
@@ -21,8 +21,6 @@ from sblq.errors import ConfigError, DataError
 from sblq.experiments import build_world, method_cell
 from sblq.learner import (
     DEFAULT_LASSO_GRID,
-    LASSO_MAX_ITERS,
-    LASSO_TOL,
     AdaptiveConfig,
     ModelBundle,
     StageModel,
@@ -33,12 +31,11 @@ from sblq.learner import (
     effective_sample_size,
     _lasso_fitter,
     error_decomposition,
-    fit_lasso,
     fit_stage,
     lasso_holdout,
+    lasso_path,
     load_model,
     model_json_text,
-    save_model,
     select_lambda,
     stage_of,
     stage_spectra,
@@ -49,7 +46,7 @@ from sblq.learner import (
 from sblq.policy import parameter_gap
 from sblq.spectral import decompose, default_filter, weighted_half_norm
 
-from conftest import make_dataset, reference_design, reference_features, stage_rows
+from conftest import design_stage, make_dataset, reference_design, reference_features, stage_rows
 
 # A stage and the design rows it stands for sum Sigma_hat and the moment in
 # another order; their estimates agree to this bound, relative to the
@@ -123,7 +120,7 @@ class TestConstructTargets:
 
 class TestFitStage:
     def test_zero_targets(self, small_dataset):
-        stage = stage_of(reference_design(small_dataset, 1))
+        stage = design_stage(reference_design(small_dataset, 1))
         theta = fit_stage(stage, np.zeros(len(small_dataset)), default_filter("tikhonov"), 0.5)
         np.testing.assert_allclose(theta, 0.0, atol=1e-14)
 
@@ -134,7 +131,7 @@ class TestFitStage:
             rows /= np.linalg.norm(rows, axis=1, keepdims=True)
             y = rng.standard_normal(n)
             lam = 0.2
-            got = fit_stage(stage_of(rows), y, default_filter("tikhonov"), lam)
+            got = fit_stage(design_stage(rows), y, default_filter("tikhonov"), lam)
             cov = rows.T @ rows / n
             want = np.linalg.solve(cov + lam * np.eye(d), rows.T @ y / n)
             assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-8
@@ -142,7 +139,8 @@ class TestFitStage:
     def test_cutoff_above_spectrum_gives_zero(self, rng):
         rows = rng.standard_normal((10, 4))
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-        theta = fit_stage(stage_of(rows), rng.standard_normal(10), default_filter("cutoff"), 5.0)
+        theta = fit_stage(design_stage(rows), rng.standard_normal(10), default_filter("cutoff"),
+                          5.0)
         np.testing.assert_array_equal(theta, np.zeros(4))
 
 
@@ -259,7 +257,7 @@ class TestSelectLambda:
 
     def _design(self, seed=0, n=60, d=5):
         rows, y = self._rows(seed, n, d)
-        return stage_of(rows), y
+        return design_stage(rows), y
 
     def test_unreachable_threshold_falls_back_to_smallest(self):
         stage, y = self._design()
@@ -287,7 +285,7 @@ class TestSelectLambda:
         # manual scan oracle on a 2-point grid: recompute both gaps and
         # thresholds directly and emulate the rule
         rows, y = self._rows(seed=7, n=80, d=4)
-        stage = stage_of(rows)
+        stage = design_stage(rows)
         filt = default_filter("tikhonov")
         cfg = AdaptiveConfig(budget=2, q0=2.0, c_ada=2e-4)
         lam, theta, rep = select_lambda(stage, y, filt, 1, 1, 0.0, cfg)
@@ -347,7 +345,7 @@ class TestSelectLambda:
         filt = default_filter(kind)
         cfg = AdaptiveConfig(q0=1.0, budget=budget, c_ada=10.0**log_c_ada)
         t, horizon, phi = 2, 3, 0.4
-        stage = stage_of(rows)
+        stage = design_stage(rows)
         lam, theta, rep = select_lambda(stage, y, filt, t, horizon, phi, cfg)
 
         decomp = decompose(covariance(rows))
@@ -391,7 +389,7 @@ class TestTrain:
         bundle, reports = train(one, "tikhonov", cfg)
         # the selection on the stage's design rows, which sum Sigma_hat and the
         # moment in another order than the stage train fits
-        stage = stage_of(reference_design(one, 1))
+        stage = design_stage(reference_design(one, 1))
         targets = stage_targets(stage_spectra(one), 1, np.zeros(one.feature_dim))[0]
         lam, theta, rep = select_lambda(stage, targets, default_filter("tikhonov"), 1, 1, 0.0,
                                         cfg)
@@ -644,7 +642,7 @@ class TestStageIsItsDesign:
         assert np.linalg.matrix_rank(rows) == 62
         want = covariance(rows)
         assert np.array_equal(covs[0], covs[0].T) and within(covs[0], want, np.max(np.abs(want)))
-        stage, bare = spectra.stages[0], stage_of(rows)
+        stage, bare = spectra.stages[0], design_stage(rows)
         theta_next = np.random.default_rng(1).standard_normal(ds.feature_dim) / 4.0
         y = stage_targets(spectra, 1, theta_next)[0]
         for kind in ("tikhonov", "gradient-descent", "cutoff"):
@@ -677,8 +675,8 @@ class TestStageIsItsDesign:
     def test_train_builds_no_design(self, method, masked):
         # 4,000 a1 trajectories hold at most 300 distinct states, so their
         # (n, k) design takes at least 1.5 MB and a train that built it
-        # would allocate more than half of that; lasso's one large penalty
-        # keeps its coordinate descent short, not its Gram and moment
+        # would allocate more than half of that; lasso's path holds d x d
+        # arrays, its Gram and moment, not rows
         ds, _ = generate_trajectories(make_env(A1_ENV, 0), 4000, seed=0)
         mask = None
         if masked:
@@ -722,11 +720,9 @@ class TestMaskedStages:
         for g, w in zip(got.stages, want.stages):
             assert not np.any(g.theta[~kept])
             assert (g.lambda_selected, g.k_selected) == (w.lambda_selected, w.k_selected)
+            # relative to the stage's largest kept coefficient
             gap = np.max(np.abs(g.theta[kept] - w.theta[kept]))
-            if method == "lasso":
-                assert gap <= LASSO_TOL
-            else:  # relative to the stage's largest kept coefficient
-                assert gap <= 1e-12 * np.max(np.abs(w.theta[kept]))
+            assert gap <= 1e-12 * np.max(np.abs(w.theta[kept]))
 
     def test_masked_stages_keep_the_datasets_dimension_in_the_threshold(self, a2_world,
                                                                         monkeypatch):
@@ -770,7 +766,7 @@ class TestMaskedStages:
 
 def least_squares(rows, y):
     """The ls stage fit as train runs it on the design ``rows``."""
-    return least_squares_stage(stage_of(rows), y)
+    return least_squares_stage(design_stage(rows), y)
 
 
 def least_squares_stage(stage, y):
@@ -786,6 +782,26 @@ def one_stage_dataset(rows, y):
                                     actions=np.zeros((len(rows), 1), dtype=np.int64),
                                     rewards=y[:, None], action_table=np.zeros((1, 1)),
                                     reward_bound=float(np.max(np.abs(y))) + 1.0, normalize=False)
+
+
+def lasso_case(seed, n, d, rank, design, duplicate, integer_y):
+    """The lasso inputs (1/n) X^T X and (1/n) X^T y of a seeded degenerate
+    (n, d) design: X = A B of rank at most min(n, rank) with a zero column
+    ("low-rank"), one-hot rows, which leave the columns no row picks at zero,
+    or small integers, which tie correlations exactly; ``duplicate`` repeats
+    or negates one column, and ``integer_y`` draws small-integer outcomes."""
+    rng = np.random.default_rng(seed)
+    if design == "low-rank":
+        rows = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, d))
+        rows[:, rng.integers(d)] = 0.0
+    elif design == "one-hot":
+        rows = np.eye(d)[rng.integers(d, size=n)]
+    else:
+        rows = rng.integers(-2, 3, size=(n, d)).astype(float)
+    if duplicate:
+        rows[:, rng.integers(d)] = rng.choice([1.0, -1.0]) * rows[:, rng.integers(d)]
+    y = rng.integers(-2, 3, size=n).astype(float) if integer_y else rng.standard_normal(n)
+    return gram_and_moment(rows, y)
 
 
 class TestBaselines:
@@ -831,64 +847,72 @@ class TestBaselines:
     def test_lasso_zero_penalty_matches_ls(self, rng):
         rows = rng.standard_normal((60, 4))
         y = rng.standard_normal(60)
-        fit = fit_lasso(*gram_and_moment(rows, y), 0.0, max_iters=5000, tol=1e-12)
+        theta = lasso_path(*gram_and_moment(rows, y), [0.0])[0]
         want = least_squares(rows, y)
-        np.testing.assert_allclose(fit.theta, want, atol=1e-6)
+        np.testing.assert_allclose(theta, want, rtol=1e-12)
 
     def test_lasso_kill_condition(self, rng):
+        # theta = 0 from lam = 2 max |m| up, where the path starts
         rows = rng.standard_normal((30, 5))
         y = rng.standard_normal(30)
-        lam = 2.0 * np.max(np.abs(rows.T @ y / 30)) + 1e-9
-        fit = fit_lasso(*gram_and_moment(rows, y), lam)
-        np.testing.assert_array_equal(fit.theta, np.zeros(5))
+        top = 2.0 * np.max(np.abs(rows.T @ y / 30))
+        path = lasso_path(*gram_and_moment(rows, y), [top + 1e-9, top, 10.0 * top])
+        np.testing.assert_array_equal(path, np.zeros((3, 5)))
 
     def test_lasso_orthonormal_soft_threshold(self, rng):
         n, d = 32, 4
         q, _ = np.linalg.qr(rng.standard_normal((n, d)))
         rows = q  # orthonormal columns: X^T X = I
         y = rng.standard_normal(n)
-        lam = 0.05
-        fit = fit_lasso(*gram_and_moment(rows, y), lam, max_iters=500, tol=1e-12)
+        lams = [0.05, 0.01]
+        path = lasso_path(*gram_and_moment(rows, y), lams)
         # closed-form soft-threshold oracle under (1/n)||y - X theta||^2 + lam |theta|_1
         ols = rows.T @ y
-        want = np.sign(ols) * np.maximum(np.abs(ols) - n * lam / 2, 0.0)
-        np.testing.assert_allclose(fit.theta, want, atol=1e-8)
+        for lam, theta in zip(lams, path):
+            want = np.sign(ols) * np.maximum(np.abs(ols) - n * lam / 2, 0.0)
+            np.testing.assert_allclose(theta, want, rtol=1e-12, atol=1e-15)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=500, deadline=None)
+    # ties in integer designs: a coefficient that is 0 in exact arithmetic
+    # and comes out of the solve with the wrong sign, and a column that
+    # leaves and would rejoin at once where it left
+    @example(seed=2592159685, n=3, d=5, rank=4, design="integer", duplicate=True,
+             integer_y=True, log_lams=[-2.999054392141476])
+    @example(seed=1540993215, n=4, d=8, rank=7, design="integer", duplicate=True,
+             integer_y=True, log_lams=[])
+    # a column whose residual against the support is 8.1e-11 of its
+    # diagonal: nearly collinear, but not in their span
+    @example(seed=2331754800, n=6, d=6, rank=4, design="low-rank", duplicate=True,
+             integer_y=False, log_lams=[])
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), d=st.integers(1, 8),
-           rank=st.integers(1, 8), log_lam=st.floats(-4.0, 0.0),
-           start=st.sampled_from(["cold", "path", "random"]))
-    def test_lasso_kkt_at_convergence(self, seed, n, d, rank, log_lam, start):
-        # X = A B has rank at most min(n, rank) and a zero column, so
-        # Sigma_hat is singular and the minimizer of
-        # (1/n)||y - X theta||^2 + lam ||theta||_1 need not be unique; a
-        # converged fit meets its KKT conditions: (1/n) X^T (y - X theta) is
-        # lam/2 sign(theta_j) on the support and at most lam/2 off it.  A warm
-        # start is the next larger penalty's solution, as lasso fits its
-        # grid, or any start that is 0 where Sigma_hat's column is.
-        rng = np.random.default_rng(seed)
-        rows = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, d))
-        rows[:, rng.integers(d)] = 0.0
-        y = rng.standard_normal(n)
-        gram, moment = gram_and_moment(rows, y)
-        lam, tol = 10.0 ** log_lam, 1e-10
-        theta0 = None
-        if start == "path":
-            theta0 = fit_lasso(gram, moment, 2.0 * lam, max_iters=20_000, tol=tol).theta
-        elif start == "random":
-            theta0 = rng.standard_normal(d) * (np.diag(gram) > 0.0)
-        fit = fit_lasso(gram, moment, lam, max_iters=20_000, tol=tol, theta0=theta0)
-        # on nearly collinear columns at a small penalty the sweeps can run
-        # out first (about 6% of draws), which the flag reports
-        assume(fit.converged)
-        grad = moment - gram @ fit.theta
-        # each coordinate met its condition when it was last updated; the
-        # sweep's later changes, each under tol, move it by at most this
-        slack = tol * np.max(np.sum(np.abs(gram), axis=1)) + 1e-12 * (
-            np.max(np.abs(moment)) + np.max(np.abs(gram)) * np.max(np.abs(fit.theta)))
-        support = fit.theta != 0.0
-        assert np.all(np.abs(grad[~support]) <= lam / 2 + slack)
-        assert np.all(np.abs(grad[support] - lam / 2 * np.sign(fit.theta[support])) <= slack)
+           rank=st.integers(1, 8), design=st.sampled_from(["low-rank", "one-hot", "integer"]),
+           duplicate=st.booleans(), integer_y=st.booleans(),
+           log_lams=st.lists(st.floats(-4.0, 0.0), max_size=6))
+    def test_lasso_path_meets_kkt_at_every_penalty(self, seed, n, d, rank, design, duplicate,
+                                                   integer_y, log_lams):
+        # Sigma_hat is singular on most of these designs, so the minimizer of
+        # theta^T G theta - 2 m^T theta + lam ||theta||_1 need not be unique;
+        # every theta of the path meets the KKT conditions: m - G theta is
+        # lam/2 sign(theta_j) on the support and at most lam/2 off it.  Each
+        # path runs down to penalty 0 and starts above 2 max |m|, where
+        # theta = 0.
+        gram, moment = lasso_case(seed, n, d, rank, design, duplicate, integer_y)
+        top = 2.0 * np.max(np.abs(moment))
+        lams = [10.0 ** v for v in log_lams] + [0.0, top, 3.0 * top + 1.0]
+        path = lasso_path(gram, moment, lams)
+        assert path.shape == (len(lams), d)
+        assert not np.any(path[-2:])
+        # the round-off of m - G theta, relative to its terms
+        slack = 1e-12 * (np.max(np.abs(moment)) + np.max(np.abs(gram)) * np.max(np.abs(path)))
+        for lam, theta in zip(lams, path):
+            grad = moment - gram @ theta
+            support = theta != 0.0
+            assert np.all(np.abs(grad[~support]) <= lam / 2 + slack)
+            assert np.all(np.abs(grad[support] - lam / 2 * np.sign(theta[support])) <= slack)
+
+    def test_lasso_negative_penalty_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            lasso_path(np.eye(2), np.ones(2), [0.1, -0.1])
 
     def test_baseline_ls_horizon_one(self):
         ds, _ = small_env_dataset(n=50, seed=6)
@@ -912,7 +936,7 @@ class TestBaselines:
         for t in range(ds.horizon, 0, -1):
             rows = reference_design(ds, t)
             y = stage_targets(spectra, t, theta_next)[0]
-            want = fit_lasso(*gram_and_moment(rows, y), lam, max_iters=2000).theta
+            want = lasso_path(*gram_and_moment(rows, y), [lam])[0]
             np.testing.assert_allclose(bundle.stages[t - 1].theta, want, atol=1e-12)
             theta_next = want
 
@@ -928,28 +952,22 @@ class TestBaselines:
 
 
 def reference_lasso(rows, targets, grid, seed):
-    """Lasso's stage fit on the (n, k) ``rows`` themselves: the grid fit
-    path-wise on the trajectories a ``seed`` split keeps, the penalty of
-    least validation RMSE (the first on a tie), and the refit on all rows;
-    returns (theta, penalty)."""
+    """Lasso's stage fit on the (n, k) ``rows`` themselves: the grid's path on
+    the trajectories a ``seed`` split keeps, the penalty of least validation
+    RMSE (the first on a tie), and the refit on all rows; returns (theta,
+    penalty)."""
     n = len(rows)
     perm = np.random.default_rng(seed).permutation(n)
     val, kept = np.sort(perm[:lasso_holdout(n)]), np.sort(perm[lasso_holdout(n):])
-    gram, moment = gram_and_moment(rows[kept], targets[kept])
-    path, warm = {}, None
-    for lam in sorted(set(grid), reverse=True):
-        warm = path[lam] = fit_lasso(gram, moment, lam, max_iters=LASSO_MAX_ITERS,
-                                     tol=LASSO_TOL, theta0=warm).theta
-    rmse = [np.sqrt(np.mean((rows[val] @ path[lam] - targets[val]) ** 2)) for lam in grid]
+    path = lasso_path(*gram_and_moment(rows[kept], targets[kept]), grid)
+    rmse = [np.sqrt(np.mean((rows[val] @ theta - targets[val]) ** 2)) for theta in path]
     best = grid[int(np.argmin(rmse))]
-    theta = fit_lasso(*gram_and_moment(rows, targets), best, max_iters=LASSO_MAX_ITERS,
-                      tol=LASSO_TOL).theta
-    return theta, best
+    return lasso_path(*gram_and_moment(rows, targets), [best])[0], best
 
 
 class TestLassoFromStage:
     @pytest.mark.parametrize("case", ["unmasked", "masked", "unnormalized"])
-    def test_fitter_on_stage_parts_equals_fit_lasso_on_reference_rows(self, case):
+    def test_fitter_on_stage_parts_equals_lasso_path_on_reference_rows(self, case):
         # the stage's Gram and moment sum the rows' terms in another order,
         # so the fits agree to round-off, and each stage picks the same penalty
         base, _ = generate_trajectories(make_env(A2_ENV, 0), 100, seed=0)
@@ -995,7 +1013,7 @@ class TestErrorDecomposition:
 
     def test_no_noise_exact_next_stage(self, rng):
         rows, _, _, clean, theta_star, sigma_true = self._instance(0, 0.0, 0.0)
-        out = error_decomposition(stage_of(rows), clean, clean, clean, 0.1,
+        out = error_decomposition(design_stage(rows), clean, clean, clean, 0.1,
                                   default_filter("tikhonov"), theta_star, sigma_true)
         assert out["variance"] == pytest.approx(0.0, abs=1e-10)
         assert out["multistage"] == pytest.approx(0.0, abs=1e-10)
@@ -1003,7 +1021,7 @@ class TestErrorDecomposition:
     def test_triangle_inequality(self):
         for seed in range(6):
             rows, y, y_star, clean, theta_star, sigma_true = self._instance(seed)
-            out = error_decomposition(stage_of(rows), y, y_star, clean, 0.05,
+            out = error_decomposition(design_stage(rows), y, y_star, clean, 0.05,
                                       default_filter("cutoff"), theta_star, sigma_true)
             assert out["total"] <= out["bias"] + out["variance"] + out["multistage"] + 1e-10
 
@@ -1011,7 +1029,7 @@ class TestErrorDecomposition:
         rows, y, y_star, clean, theta_star, sigma_true = self._instance(42)
         lam = 0.07
         filt = default_filter("tikhonov")
-        out = error_decomposition(stage_of(rows), y, y_star, clean, lam, filt, theta_star,
+        out = error_decomposition(design_stage(rows), y, y_star, clean, lam, filt, theta_star,
                                   sigma_true)
         # recompute the three estimators from their definitions
         n, d = rows.shape
@@ -1054,7 +1072,7 @@ class TestModelSerialization:
         ds, _ = small_env_dataset(n=40, seed=11)
         cfg = default_config("cutoff", reward_bound=ds.reward_bound, budget=25)
         bundle, _ = train(ds, "cutoff", cfg, seed=11)
-        save_model(bundle, tmp_path / "m.json")
+        (tmp_path / "m.json").write_text(model_json_text(bundle))
         back = load_model(tmp_path / "m.json")
         assert back.horizon == bundle.horizon
         assert back.filter_kind == bundle.filter_kind
@@ -1083,7 +1101,7 @@ class TestModelSerialization:
                              seed=data.draw(st.integers(0, 2**31 - 1)), feature_mask=mask)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "model.json"
-            save_model(bundle, path)
+            path.write_text(model_json_text(bundle))
             back = load_model(path)
         assert model_json_text(back) == model_json_text(bundle)
         assert back.theta_matrix().tobytes() == bundle.theta_matrix().tobytes()
