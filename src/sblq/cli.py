@@ -73,15 +73,15 @@ def _csv_text(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _train(cfg: RunConfig, dataset, method: str, seed: int, model_cfg=None, mask=None):
+def _train(cfg: RunConfig, dataset, method: str, seed: int, model=None, mask=None):
     """``learner.train`` on the dataset's stage spectra under feature ``mask``,
-    with the run's adaptive overrides and lasso grid; ``model_cfg`` (a loaded
-    model's settings) replaces the overrides when set.  Returns (bundle, reports)."""
+    with the run's adaptive overrides and lasso grid; a loaded ``model``'s
+    settings and grid replace them where it has them.  Returns (bundle, reports)."""
     # a configured adaptive.reward_bound replaces the dataset's
-    acfg = model_cfg or default_config(
+    acfg = (model and model.config) or default_config(
         method, **{"reward_bound": dataset.reward_bound, **cfg.adaptive})
     return train(dataset, method, acfg, seed=seed, spectra=stage_spectra(dataset, mask),
-                 lasso_grid=cfg.lasso_grid)
+                 lasso_grid=(model and model.lasso_grid) or cfg.lasso_grid)
 
 
 def _trace_text(reports) -> str:
@@ -165,7 +165,7 @@ def cmd_eval(cfg: RunConfig, model_path: Path, dataset_dir: Path,
     _require_fit(model, model_path, dataset, dataset_dir)
     truth = _read(envs_mod.load_ground_truth, truth_path)
     horizon, dim = model.horizon, model.feature_dim
-    if truth.theta_star.shape not in ((horizon, dim), (horizon + 1, dim)):
+    if truth.theta_star.shape != (horizon + 1, dim):
         raise DataError(f"{truth_path}: theta_star has shape {truth.theta_star.shape}, "
                         f"but the model needs ({horizon + 1}, {dim})")
     env = _load_env(env_path, dataset, dataset_dir)
@@ -187,7 +187,7 @@ def cmd_report(cfg: RunConfig, model_path: Path, dataset_dir: Path | None,
     model = _read(load_model, model_path)
     with file_values(model_path):  # a model whose coefficients are all zero
         contrib = contribution_proportions(model)
-    rank_of = {int(unit): pos for pos, unit in enumerate(contrib.ranking)}
+    rank_of = {int(j): pos for pos, j in enumerate(contrib.ranking)}
     outputs = {
         out / "contributions.json": _json_text({
             "version": 1,
@@ -201,10 +201,10 @@ def cmd_report(cfg: RunConfig, model_path: Path, dataset_dir: Path | None,
              for j in range(len(contrib.labels))]),
     }
     if cfg.topk:
-        n_units = len(contrib.labels)
-        outside = [k for k in cfg.topk if not 1 <= k <= n_units]
+        d = model.feature_dim
+        outside = [k for k in cfg.topk if not 1 <= k <= d]
         if outside:
-            raise ConfigError(f"topk values {outside} outside 1..{n_units}, "
+            raise ConfigError(f"topk values {outside} outside 1..{d}, "
                               "the model's feature count")
         if dataset_dir is None:
             raise ConfigError("--topk requires --dataset to retrain masked models")
@@ -214,8 +214,7 @@ def cmd_report(cfg: RunConfig, model_path: Path, dataset_dir: Path | None,
 
         def refit(mask):
             try:
-                return _train(cfg, dataset, model.filter_kind, model.seed, model.config,
-                              mask)[0]
+                return _train(cfg, dataset, model.filter_kind, model.seed, model, mask)[0]
             except (ConfigError, DataError) as exc:
                 if isinstance(exc, ConfigError) and model.config is not None:
                     raise DataError(f"{model_path}: field 'config': {exc}") from exc

@@ -16,7 +16,7 @@ from pathlib import Path
 from .data import check, record
 from .envs import A1_ENV, A2_ENV, ENV_SPEC_NODE, EnvSpec
 from .errors import ConfigError
-from .learner import ADAPTIVE_NODE, DEFAULT_LASSO_GRID, METHODS
+from .learner import ADAPTIVE_NODE, DEFAULT_LASSO_GRID, LASSO_GRID_NODE, METHODS
 
 PRESET_NAMES = ("a1-performance", "a2-interpretability")
 LOCKED_ENV_FIELDS = ("d_video", "d_user", "d_action", "horizon", "theta_mode")
@@ -32,7 +32,7 @@ CONFIG_SCHEMA = record({
     "n_episodes": {"type": "integer", "minimum": 1},
     "seeds": {"type": "integer", "minimum": 1},
     "topk": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-    "lasso_grid": {"type": "array", "minItems": 1, "items": {"type": "number", "minimum": 0}},
+    "lasso_grid": LASSO_GRID_NODE,
     "env": ENV_SPEC_NODE,
     "adaptive": ADAPTIVE_NODE,
 }, required=())

@@ -146,16 +146,14 @@ class BatchDataset:
         return self.state_rows[self.state_index]
 
 
-def feature_matrix(states, actions, normalize: bool = True) -> np.ndarray:
+def feature_matrix(states, actions) -> np.ndarray:
     """The (n, d) features x(state_i, action_i) of matching (n, d_s) states
-    and (n, d_a) actions: their concatenation, unit-normalized row by row if
-    ``normalize``."""
+    and (n, d_a) actions: their concatenation, unit-normalized row by row."""
     x = np.hstack([np.asarray(states, dtype=float), np.asarray(actions, dtype=float)])
-    if normalize:
-        norms = np.linalg.norm(x, axis=1)
-        if np.any(norms == 0.0):
-            raise DataError("cannot normalize an all-zero feature vector")
-        x /= norms[:, None]
+    norms = np.linalg.norm(x, axis=1)
+    if np.any(norms == 0.0):
+        raise DataError("cannot normalize an all-zero feature vector")
+    x /= norms[:, None]
     return x
 
 
@@ -201,20 +199,23 @@ def split_size(n: int, train_fraction: float) -> int:
     return n_train
 
 
+def partition(n: int, first: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Trajectories 0..n-1 in the order of ``default_rng(seed).permutation(n)``,
+    cut after the ``first``: the two parts' indices, each sorted."""
+    perm = np.random.default_rng(seed).permutation(n)
+    return np.sort(perm[:first]), np.sort(perm[first:])
+
+
 def split(dataset: BatchDataset, train_fraction: float, seed: int):
     """Deterministic shuffled partition into (train, test) datasets, both
     holding the state rows of ``dataset`` itself."""
     n = len(dataset)
-    n_train = split_size(n, train_fraction)
-    perm = np.random.default_rng(seed).permutation(n)
-    idx_train = np.sort(perm[:n_train])
-    idx_test = np.sort(perm[n_train:])
 
     def take(idx):
         return replace(dataset, state_index=dataset.state_index[idx],
                        actions=dataset.actions[idx], rewards=dataset.rewards[idx])
 
-    return take(idx_train), take(idx_test)
+    return tuple(take(idx) for idx in partition(n, split_size(n, train_fraction), seed))
 
 
 def dataset_header_text(dataset: BatchDataset) -> str:

@@ -113,7 +113,6 @@ class SyntheticEnv:
     action_pool: np.ndarray  # (n_actions, d_action)
     theta_star: np.ndarray   # (T+1, d); last row is zero
     seed: int
-    reward_fn: Optional[Callable] = None  # (t, states, actions) -> (n,) rewards
 
     def __post_init__(self):
         for name in ("user_pool", "video_pool", "action_pool", "theta_star"):
@@ -128,7 +127,7 @@ class SyntheticEnv:
                 + 2.0 * peak + NOISE_CLIP_SDS * spec.noise_sd)
 
 
-def make_env(spec: EnvSpec, seed: int, reward_fn: Optional[Callable] = None) -> SyntheticEnv:
+def make_env(spec: EnvSpec, seed: int) -> SyntheticEnv:
     """Draw the feature pools and true parameters for a seeded environment."""
     rng = np.random.default_rng(seed)
     user_pool = rng.standard_normal((spec.n_users, spec.d_user))
@@ -142,8 +141,7 @@ def make_env(spec: EnvSpec, seed: int, reward_fn: Optional[Callable] = None) -> 
         for t in range(spec.horizon):
             theta[t] = sample_theta_star(d, rng)
     return SyntheticEnv(spec=spec, user_pool=user_pool, video_pool=video_pool,
-                        action_pool=action_pool, theta_star=theta, seed=seed,
-                        reward_fn=reward_fn)
+                        action_pool=action_pool, theta_star=theta, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -177,17 +175,15 @@ def pool_states(env: SyntheticEnv, cells: np.ndarray) -> np.ndarray:
 
 def episode_draws(env: SyntheticEnv, n: int, seed: int, logged: bool):
     """Each episode's draws from its own child of SeedSequence(seed): user,
-    video, then per stage the logging action (if ``logged``), u (if no
-    ``reward_fn``) and e (if also noise_sd > 0).  Returns the (n,) pool cells
-    user * n_actions + video of the initial states (see ``pool_states``) and
-    (n, T) actions, u and clipped e; undrawn entries are 0.
+    video, then per stage the logging action (if ``logged``), u and e (if
+    noise_sd > 0).  Returns the (n,) pool cells user * n_actions + video of
+    the initial states (see ``pool_states``) and (n, T) actions, u and
+    clipped e; undrawn entries are 0.
 
     The draws of all episodes are taken together by ``EpisodeStreams``, equal
     to ``integers``, ``uniform`` and ``standard_normal`` on each episode's
     own Generator bit for bit."""
     spec = env.spec
-    draw_u = env.reward_fn is None
-    noisy = draw_u and spec.noise_sd > 0
     streams = EpisodeStreams(seed, n)
     users = streams.integers(spec.n_users)
     videos = streams.integers(spec.n_actions)
@@ -196,12 +192,11 @@ def episode_draws(env: SyntheticEnv, n: int, seed: int, logged: bool):
     for t in range(spec.horizon):
         if logged:
             acts[:, t] = streams.integers(spec.n_actions)
-        if draw_u:
-            u[:, t] = streams.doubles()
-            if noisy:
-                z[:, t] = streams.normals()
-    if draw_u:  # numpy's uniform(low, high) = low + width * random()
-        u = spec.reward_low + (spec.reward_high - spec.reward_low) * u
+        u[:, t] = streams.doubles()
+        if spec.noise_sd > 0:
+            z[:, t] = streams.normals()
+    # numpy's uniform(low, high) = low + width * random()
+    u = spec.reward_low + (spec.reward_high - spec.reward_low) * u
     clip = NOISE_CLIP_SDS * spec.noise_sd
     return users * spec.n_actions + videos, acts, u, np.clip(spec.noise_sd * z, -clip, clip)
 
@@ -210,10 +205,7 @@ def stage_step(env: SyntheticEnv, t: int, states: np.ndarray, actions: np.ndarra
                next_states: np.ndarray) -> np.ndarray:
     """Reward term (n,) for ``actions`` (n,) in ``states`` (n, d_s) at stage t,
     which lead to ``next_states``: <x_t, theta*_t> - max_a' <theta*_{t+1},
-    x_{t+1}(a')>, or ``reward_fn(t, states, actions)`` if set.  The logged
-    reward adds u + e."""
-    if env.reward_fn is not None:
-        return np.asarray(env.reward_fn(t, states, actions), dtype=float)
+    x_{t+1}(a')>.  The logged reward adds u + e."""
     term = feature_matrix(states, env.action_pool[actions]) @ env.theta_star[t - 1]
     if t < env.spec.horizon:
         term -= candidate_scores(next_states, env.action_pool, env.theta_star[t]).max(axis=0)
@@ -251,11 +243,10 @@ def generate_trajectories(env: SyntheticEnv, n: int, seed: int = 0):
         raise ValueError("need at least one trajectory")
     state_cells, actions, rewards = simulate(env, n, seed)
     cells, index = np.unique(state_cells, return_inverse=True)
-    bound = env.reward_bound if env.reward_fn is None else float(np.max(np.abs(rewards)))
     dataset = BatchDataset(state_rows=pool_states(env, cells),
                            state_index=index.reshape(state_cells.shape),
                            actions=actions, rewards=rewards,
-                           action_table=env.action_pool, reward_bound=bound)
+                           action_table=env.action_pool, reward_bound=env.reward_bound)
     return dataset, GroundTruth(theta_star=env.theta_star.copy())
 
 

@@ -94,20 +94,16 @@ def interpretability_comparison(seeds, n: int, methods=SHRINKING_FILTERS + ("las
         raise ValueError("pooling a shrinking filter needs lasso among the methods")
     bundles = {}
     werr = {name: [] for name in methods}
-    entries = {kind: [] for kind in pools}
     for seed in seeds:
         world = build_world(A2_ENV, seed, n, 0.5)
         for name in methods:
             bundle = bundles[name, seed] = method_cell(world, name, seed).bundle
             werr[name].append(np.mean(np.abs(bundle.theta_matrix() - world.truth.theta_star[0])))
-        for kind in pools:
-            for name in (kind, "lasso"):
-                weights = bundles[name, seed].theta_matrix()
-                entries[kind] += [(name, j, t, weights[t, j]) for t in range(weights.shape[0])
-                                  for j in range(weights.shape[1])]
     clipped = {}
     for kind in pools:
-        flags = clipped_weights(entries[kind], pct=0.05)
-        clipped[kind] = {name: sum(1 for e, f in zip(entries[kind], flags) if f and e[0] == name)
-                         for name in (kind, "lasso")}
+        names = (kind, "lasso")
+        # (method, seed, stage, feature) weights, flagged on the one pool
+        flags = clipped_weights([[b.theta_matrix() for (m, _), b in bundles.items() if m == name]
+                                 for name in names])
+        clipped[kind] = {name: int(np.sum(f)) for name, f in zip(names, flags)}
     return bundles, clipped, {name: float(np.mean(v)) for name, v in werr.items()}

@@ -3,79 +3,58 @@ and top-k feature-subset reward curves."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .learner import ModelBundle
 
 
+# Share of the pooled weights in each tail that ``clipped_weights`` flags
+CLIP_SHARE = 0.05
+
+
 @dataclass(frozen=True)
 class ContributionReport:
-    """Per-unit importance shares, where a unit is a feature or a named group."""
+    """Per-feature importance shares."""
 
-    labels: tuple            # one label per unit
+    labels: tuple            # one label per feature
     proportions: np.ndarray  # nonnegative, sums to 1
-    ranking: np.ndarray      # unit indices by descending proportion
-    per_stage_weights: np.ndarray  # (T, d) raw coefficients
-    group_indices: tuple     # per unit, the member feature columns
-    feature_dim: int
+    ranking: np.ndarray      # feature indices by descending proportion
 
     def __post_init__(self):
         self.proportions.setflags(write=False)
         self.ranking.setflags(write=False)
-        self.per_stage_weights.setflags(write=False)
 
 
-def contribution_proportions(model: ModelBundle,
-                             groups: Mapping[str, Sequence[int]] | None = None
-                             ) -> ContributionReport:
-    """Share of the time-averaged absolute coefficient mass per unit.
+def contribution_proportions(model: ModelBundle) -> ContributionReport:
+    """Share of the time-averaged absolute coefficient mass per feature.
 
-    With a group map, member importances are summed before normalizing.
     Features are scale-comparable because inputs are unit-normalized, so no
     extra per-feature weighting is applied.
     """
-    weights = model.theta_matrix()
-    importance = np.mean(np.abs(weights), axis=0)
-    if groups is None:
-        labels = tuple(f"f{j}" for j in range(model.feature_dim))
-        members = tuple((j,) for j in range(model.feature_dim))
-        unit_importance = importance
-    else:
-        labels = tuple(groups.keys())
-        members = tuple(tuple(int(i) for i in idx) for idx in groups.values())
-        seen = [i for idx in members for i in idx]
-        if len(set(seen)) != len(seen):
-            raise ValueError("feature groups must be disjoint")
-        if any(i < 0 or i >= model.feature_dim for i in seen):
-            raise ValueError("group index outside the feature dimension")
-        unit_importance = np.array([importance[list(idx)].sum() for idx in members])
-    total = unit_importance.sum()
+    importance = np.mean(np.abs(model.theta_matrix()), axis=0)
+    total = importance.sum()
     if total == 0.0:
         raise ValueError("all coefficients are zero; proportions undefined")
-    proportions = unit_importance / total
+    proportions = importance / total
     ranking = np.argsort(-proportions, kind="stable")
-    return ContributionReport(labels=labels, proportions=proportions,
-                              ranking=ranking, per_stage_weights=weights,
-                              group_indices=members, feature_dim=model.feature_dim)
+    return ContributionReport(labels=tuple(f"f{j}" for j in range(model.feature_dim)),
+                              proportions=proportions, ranking=ranking)
 
 
-def clipped_weights(entries: Iterable[tuple], pct: float = 0.05) -> np.ndarray:
-    """Flag (method, feature, stage, value) entries in the pooled extreme tails.
+def clipped_weights(values) -> np.ndarray:
+    """Flag the pooled weight ``values`` in the extreme tails, in their shape.
 
-    An entry is flagged when its value lies strictly above the (1 - pct)
-    quantile or strictly below the pct quantile of all pooled values, with
+    A value is flagged when it lies strictly above the (1 - CLIP_SHARE)
+    quantile or strictly below the CLIP_SHARE quantile of all of them, with
     quantiles linearly interpolated on the sorted pool.
     """
-    if not 0.0 < pct < 0.5:
-        raise ValueError("pct must lie in (0, 0.5)")
-    rows = list(entries)
-    if not rows:
+    values = np.asarray(values, dtype=float)
+    if values.size == 0:
         raise ValueError("empty weight collection")
-    values = np.array([float(r[3]) for r in rows])
-    lo = np.quantile(values, pct)
-    hi = np.quantile(values, 1.0 - pct)
+    lo = np.quantile(values, CLIP_SHARE)
+    hi = np.quantile(values, 1.0 - CLIP_SHARE)
     return (values > hi) | (values < lo)
 
 
@@ -83,19 +62,18 @@ def topk_feature_rewards(report: ContributionReport,
                          trainer: Callable[[np.ndarray], ModelBundle],
                          evaluate: Callable[[ModelBundle], float],
                          ks: Sequence[int]) -> dict:
-    """Reward as a function of how many top-ranked units are kept.
+    """Reward as a function of how many top-ranked features are kept.
 
-    For each k the columns outside the top-k units are zero-masked and the
-    model is retrained via ``trainer(mask)``; the resulting curve maps k to
-    ``evaluate(model)`` in input order.
+    For each k the columns outside the top-k features are zero-masked and
+    the model is retrained via ``trainer(mask)``; the resulting curve maps k
+    to ``evaluate(model)`` in input order.
     """
-    n_units = len(report.labels)
+    d = len(report.labels)
     curve = {}
     for k in ks:
-        if not 1 <= k <= n_units:
-            raise ValueError(f"k = {k} outside 1..{n_units}")
-        mask = np.zeros(report.feature_dim)
-        for unit in report.ranking[:k]:
-            mask[list(report.group_indices[unit])] = 1.0
+        if not 1 <= k <= d:
+            raise ValueError(f"k = {k} outside 1..{d}")
+        mask = np.zeros(d)
+        mask[report.ranking[:k]] = 1.0
         curve[int(k)] = float(evaluate(trainer(mask)))
     return curve

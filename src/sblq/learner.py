@@ -21,7 +21,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import BatchDataset, candidate_scores, check, file_values, read_json, record
+from .data import (BatchDataset, candidate_scores, check, file_values, partition, read_json,
+                   record)
 from .errors import ConfigError, DataError, NumericError
 from .spectral import (
     CUTOFF,
@@ -81,6 +82,8 @@ _ADAPTIVE_RANGES = {
 }
 ADAPTIVE_NODE = record({f.name: {"type": "number", **_ADAPTIVE_RANGES.get(f.name, {})}
                         for f in fields(AdaptiveConfig)}, required=())
+# A lasso penalty grid, in a config's "lasso_grid" and in model.json's
+LASSO_GRID_NODE = {"type": "array", "minItems": 1, "items": {"type": "number", "minimum": 0}}
 
 
 # Per-filter experiment defaults: grid anchor and threshold multiplier.
@@ -122,7 +125,9 @@ class StageModel:
 
 @dataclass(frozen=True)
 class ModelBundle:
-    """Learned per-stage parameters with the settings that produced them."""
+    """Learned per-stage parameters with the settings that produced them:
+    the adaptive ``config`` of a spectral method, the penalty ``lasso_grid``
+    of lasso."""
 
     horizon: int
     feature_dim: int
@@ -131,6 +136,7 @@ class ModelBundle:
     config: AdaptiveConfig | None = None
     seed: int = 0
     feature_mask: np.ndarray | None = None
+    lasso_grid: tuple | None = None
 
     def __post_init__(self):
         if len(self.stages) != self.horizon:
@@ -372,12 +378,19 @@ def fit_stage(stage: Stage, targets: np.ndarray, filt: FilterSpec, lam: float) -
                           stage.coords(targets))
 
 
+def _mixed_sample_size(n: int, arg: float, cfg: AdaptiveConfig) -> float:
+    """n b0 / (2 max(1, log arg)^(1/gamma0)), the log term 1 when arg <= 0:
+    the tail both mixing-adjusted counts share."""
+    denom = max(1.0, math.log(arg)) if arg > 0 else 1.0
+    return n * cfg.b0 / (2.0 * denom ** (1.0 / cfg.gamma0))
+
+
 def effective_sample_size(n: int, cfg: AdaptiveConfig) -> float:
     """Mixing-adjusted sample count n*b0 / (2 max(1, log(c1* n))^(1/gamma0))."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if cfg.c0 == 0.0:
-        return n * cfg.b0 / 2.0
+        return _mixed_sample_size(n, 0.0, cfg)
     if cfg.reward_bound == 0.0:  # c1* divides by it
         raise ConfigError(f"adaptive c0 {cfg.c0!r} > 0 needs a positive reward_bound, "
                           "but reward_bound is 0")
@@ -387,20 +400,14 @@ def effective_sample_size(n: int, cfg: AdaptiveConfig) -> float:
         1.0 / cfg.c_x,
     )
     c1_star = cfg.c0 * cfg.b0 * inner
-    arg = c1_star * n
-    denom = max(1.0, math.log(arg)) if arg > 0 else 1.0
-    return n * cfg.b0 / (2.0 * denom ** (1.0 / cfg.gamma0))
+    return _mixed_sample_size(n, c1_star * n, cfg)
 
 
 def dimension_adjusted_sample_size(n: int, d: int, cfg: AdaptiveConfig) -> float:
     """Second mixing-adjusted count whose log argument grows with sqrt(d)."""
     if n < 1 or d < 1:
         raise ValueError("n and d must be at least 1")
-    if cfg.c0 == 0.0:
-        return n * cfg.b0 / 2.0
-    arg = cfg.b0 * cfg.c0 * n * 2.0 * math.sqrt(d) / cfg.c_x
-    denom = max(1.0, math.log(arg)) if arg > 0 else 1.0
-    return n * cfg.b0 / (2.0 * denom ** (1.0 / cfg.gamma0))
+    return _mixed_sample_size(n, cfg.b0 * cfg.c0 * n * 2.0 * math.sqrt(d) / cfg.c_x, cfg)
 
 
 def variance_proxy(decomp: SpectralDecomposition, lam: float | np.ndarray, n: int, d: int,
@@ -573,7 +580,7 @@ def lasso_holdout(n: int) -> int:
     return max(1, int(LASSO_VAL_FRACTION * n))
 
 
-def _lasso_fitter(spectra: StageSpectra, lasso_grid, seed: int):
+def _lasso_fitter(spectra: StageSpectra, grid: tuple, seed: int):
     """Lasso with the penalty chosen per stage on held-out trajectories.
 
     Lasso reads its stage as every method does, through Sigma_hat and the
@@ -583,17 +590,14 @@ def _lasso_fitter(spectra: StageSpectra, lasso_grid, seed: int):
     more path, on all trajectories', gives the stage's theta at that
     penalty.  The split depends on ``seed`` only.
     """
-    grid = [float(g) for g in lasso_grid]
     if not grid:
         raise ValueError("lasso requires a nonempty penalty grid")
     n = len(spectra.dataset)
-    perm = np.random.default_rng(seed).permutation(n)
     n_val = lasso_holdout(n)
     if n - n_val < 1:
         raise DataError(f"lasso's validation split of {n} trajectories leaves no "
                         "training rows")
-    val_idx = np.sort(perm[:n_val])
-    fit_idx = np.sort(perm[n_val:])
+    val_idx, fit_idx = partition(n, n_val, seed)
 
     def fit(t, stage, targets, phi):
         path = lasso_path(stage.gram(fit_idx), stage.moment(targets, fit_idx), grid)
@@ -632,7 +636,8 @@ def train(dataset: BatchDataset, method: str, cfg: AdaptiveConfig | None = None,
     coordinates, and its theta is written into the d features with exact
     zeros everywhere else.
     Returns (ModelBundle, StageFitReports for t = 1..T, empty for a
-    baseline); identical arguments produce an identical bundle.
+    baseline); identical arguments produce an identical bundle, which
+    records lasso's grid.
     """
     horizon, d = dataset.horizon, dataset.feature_dim
     if spectra is None:
@@ -643,10 +648,11 @@ def train(dataset: BatchDataset, method: str, cfg: AdaptiveConfig | None = None,
         cfg = default_config(method, dataset.reward_bound)
     elif method in BASELINE_METHODS:
         raise ValueError(f"{method} takes no adaptive configuration")
+    grid = tuple(float(g) for g in lasso_grid) if method == LASSO else None
     if method == LS:
         fit = _fit_least_squares
     elif method == LASSO:
-        fit = _lasso_fitter(spectra, lasso_grid, seed)
+        fit = _lasso_fitter(spectra, grid, seed)
     else:
         fit = _spectral_fitter(method, horizon, cfg)
     if method == GRADIENT_DESCENT:
@@ -672,7 +678,7 @@ def train(dataset: BatchDataset, method: str, cfg: AdaptiveConfig | None = None,
         reports[t - 1] = report
     bundle = ModelBundle(horizon=horizon, feature_dim=d, filter_kind=method,
                          stages=tuple(stages), config=cfg, seed=seed,
-                         feature_mask=spectra.mask)
+                         feature_mask=spectra.mask, lasso_grid=grid)
     return bundle, [r for r in reports if r is not None]
 
 
@@ -714,7 +720,7 @@ def error_decomposition(stage: Stage, targets_y: np.ndarray,
 
 # model.json's format version: the one the writer writes and the one
 # MODEL_SCHEMA admits
-MODEL_VERSION = 2
+MODEL_VERSION = 3
 
 
 def model_json_text(bundle: ModelBundle) -> str:
@@ -731,6 +737,7 @@ def model_json_text(bundle: ModelBundle) -> str:
         "config": None if bundle.config is None else vars(bundle.config).copy(),
         "seed": bundle.seed,
         "feature_mask": None if bundle.feature_mask is None else bundle.feature_mask.tolist(),
+        "lasso_grid": None if bundle.lasso_grid is None else list(bundle.lasso_grid),
     }
     return json.dumps(payload) + "\n"
 
@@ -747,7 +754,9 @@ MODEL_SCHEMA = record({
     "config": {**ADAPTIVE_NODE, "null": True},
     "seed": {"type": "integer", "minimum": 0},
     "feature_mask": {"type": "numbers", "rank": 1, "null": True},
-}, required=("version", "horizon", "feature_dim", "filter", "stages", "config", "seed"))
+    "lasso_grid": {**LASSO_GRID_NODE, "null": True},
+}, required=("version", "horizon", "feature_dim", "filter", "stages", "config", "seed",
+             "lasso_grid"))
 STAGE_SCHEMA = record({"t": {}, "lambda": {"type": "number", "minimum": 0},
                        "k": {"type": "integer", "minimum": 0}, "theta": {"type": "numbers"}})
 
@@ -765,13 +774,18 @@ def load_model(path) -> ModelBundle:
                             f"expected ({payload['feature_dim']},)")
         stages.append(StageModel(t=t, theta=rec["theta"], lambda_selected=rec["lambda"],
                                  k_selected=rec["k"]))
-    config = payload["config"]
+    config, grid = payload["config"], payload["lasso_grid"]
     if config is not None and payload["filter"] in BASELINE_METHODS:
         raise DataError(f"{path}: field 'config' must be null for filter "
                         f"{payload['filter']!r}, which takes no adaptive configuration")
+    if (grid is None) == (payload["filter"] == LASSO):
+        want = "a penalty grid" if grid is None else "null"
+        raise DataError(f"{path}: field 'lasso_grid' must be {want} for filter "
+                        f"{payload['filter']!r}")
     with file_values(path):  # one stage record per stage; the mask's length and 0/1 entries
         return ModelBundle(
             horizon=payload["horizon"], feature_dim=payload["feature_dim"],
             filter_kind=payload["filter"], stages=tuple(stages),
             config=None if config is None else AdaptiveConfig(**config),
-            seed=payload["seed"], feature_mask=payload.get("feature_mask"))
+            seed=payload["seed"], feature_mask=payload.get("feature_mask"),
+            lasso_grid=None if grid is None else tuple(float(g) for g in grid))

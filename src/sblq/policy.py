@@ -70,15 +70,12 @@ def parameter_gap(estimated, truth) -> float:
 
 
 def _truth_rows(theta_star, horizon: int, feature_dim: int) -> np.ndarray:
-    """Accept (T, d) or (T+1, d) truth arrays; always return (T+1, d)."""
+    """The (T+1, d) truth array, its last row stage T+1's."""
     arr = np.asarray(theta_star, dtype=float)
-    if arr.shape == (horizon, feature_dim):
-        return np.vstack([arr, np.zeros(feature_dim)])
-    if arr.shape == (horizon + 1, feature_dim):
-        return arr
-    raise ValueError(
-        f"theta_star has shape {arr.shape}, expected ({horizon}, {feature_dim})"
-        f" or ({horizon + 1}, {feature_dim})")
+    if arr.shape != (horizon + 1, feature_dim):
+        raise ValueError(f"theta_star has shape {arr.shape}, "
+                         f"expected ({horizon + 1}, {feature_dim})")
+    return arr
 
 
 def policy_gap(model: ModelBundle, theta_star, dataset: BatchDataset) -> float:

@@ -15,6 +15,7 @@ from sblq.errors import ConfigError
 from sblq.experiments import build_world, method_cell
 from sblq.learner import (AdaptiveConfig, ModelBundle, StageModel, default_config, load_model,
                           model_json_text)
+from sblq.policy import direct_value_estimate
 
 from conftest import LEAF_MUTATIONS, leaf_paths, mutated, per_record_jsonl
 
@@ -342,6 +343,27 @@ class TestCommands:
         rows = (run / "topk.csv").read_text().splitlines()
         assert [r.split(",")[0] for r in rows] == ["k", "3", "9"]
 
+    def test_report_topk_refits_lasso_on_its_own_grid(self, tmp_path):
+        # the k = d row refits the model itself, under any report config's grid
+        data, run = tmp_path / "data", tmp_path / "run"
+        cfg = write_small_config(tmp_path, lasso_grid=[0.05])
+        main(["gen", "--config", str(cfg), "--seed", "2", "--out", str(data)])
+        main(["train", "--config", str(cfg), "--seed", "2", "--dataset", str(data),
+              "--method", "lasso", "--out", str(run)])
+        model = load_model(run / "model.json")
+        assert model.lasso_grid == (0.05,)
+        want = direct_value_estimate(model, load_dataset(data / "header.json",
+                                                         data / "trajectories.jsonl"))
+        assert want != 0.0
+        for extra in ({"lasso_grid": [0.05]}, {"lasso_grid": [1.0, 10.0]}, {}):
+            cfg = write_small_config(tmp_path, **extra)
+            assert main(["report", "--config", str(cfg), "--seed", "2",
+                         "--model", str(run / "model.json"), "--dataset", str(data),
+                         "--topk", "3,9", "--out", str(run)]) == 0
+            k, value = (run / "topk.csv").read_text().splitlines()[-1].split(",")
+            # the refit keeps all 9 features under a mask, so it may round otherwise
+            assert k == "9" and float(value) == pytest.approx(want, rel=1e-12), extra
+
     def test_gen_a1_preset_reloads(self, tmp_path):
         out = tmp_path / "a1"
         assert main(["gen", "--preset", "a1-performance", "--seed", "7",
@@ -508,6 +530,25 @@ class TestCommands:
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: data:") and str(paths[flag]) in err
+        assert not (run / "metrics.json").exists()
+
+    def test_truth_of_horizon_rows_exits_three_naming_the_shape(self, tmp_path, capsys):
+        # a (T, d) theta_star without stage T+1's zero row is refused, not padded
+        cfg = write_small_config(tmp_path)
+        data, run = tmp_path / "data", tmp_path / "run"
+        main(["gen", "--config", str(cfg), "--seed", "2", "--out", str(data)])
+        main(["train", "--config", str(cfg), "--seed", "2", "--dataset", str(data),
+              "--method", "ls", "--out", str(run)])
+        payload = json.loads((data / "ground_truth.json").read_text())
+        rows, d = len(payload["theta_star"]), len(payload["theta_star"][0])
+        short = tmp_path / "short.json"
+        short.write_text(json.dumps({**payload, "theta_star": payload["theta_star"][:-1]}))
+        capsys.readouterr()
+        assert main(["eval", "--config", str(cfg), "--model", str(run / "model.json"),
+                     "--dataset", str(data), "--truth", str(short), "--out", str(run)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: data:") and str(short) in err
+        assert f"shape ({rows - 1}, {d})" in err and f"needs ({rows}, {d})" in err
         assert not (run / "metrics.json").exists()
 
     @pytest.mark.parametrize("field,value,message", [

@@ -47,10 +47,6 @@ class TestFeatureVector:
         with pytest.raises(ValueError):
             feature_matrix([[1.0, 0.0], [0.0, 0.0]], [[1.0], [0.0]])
 
-    def test_unnormalized(self):
-        out = feature_matrix([[3.0]], [[4.0]], normalize=False)
-        np.testing.assert_allclose(out, [[3.0, 4.0]])
-
 
 @st.composite
 def scoring_cases(draw):

@@ -174,21 +174,18 @@ def scalar_episodes(env, n, seed, choose=None):
             action = int(rng.integers(spec.n_actions)) if choose is None else choose(t, state)
             nxt = state.copy()
             nxt[spec.d_user:] = env.video_pool[action]
-            if env.reward_fn is not None:
-                reward = float(env.reward_fn(t, state[None, :], np.array([action]))[0])
-            else:
-                u = rng.uniform(spec.reward_low, spec.reward_high)
-                eps = 0.0
-                if spec.noise_sd > 0:
-                    eps = float(np.clip(spec.noise_sd * rng.standard_normal(),
-                                        -NOISE_CLIP_SDS * spec.noise_sd,
-                                        NOISE_CLIP_SDS * spec.noise_sd))
-                x = reference_features(state, env.action_pool[action])
-                next_best = 0.0
-                if t < spec.horizon:
-                    next_best = float(candidate_scores(nxt[None, :], env.action_pool,
-                                                       env.theta_star[t])[:, 0].max())
-                reward = float(x @ env.theta_star[t - 1]) - next_best + u + eps
+            u = rng.uniform(spec.reward_low, spec.reward_high)
+            eps = 0.0
+            if spec.noise_sd > 0:
+                eps = float(np.clip(spec.noise_sd * rng.standard_normal(),
+                                    -NOISE_CLIP_SDS * spec.noise_sd,
+                                    NOISE_CLIP_SDS * spec.noise_sd))
+            x = reference_features(state, env.action_pool[action])
+            next_best = 0.0
+            if t < spec.horizon:
+                next_best = float(candidate_scores(nxt[None, :], env.action_pool,
+                                                   env.theta_star[t])[:, 0].max())
+            reward = float(x @ env.theta_star[t - 1]) - next_best + u + eps
             states[i, t - 1], actions[i, t - 1], rewards[i, t - 1] = state, action, reward
             state = nxt
     return states, actions, rewards
@@ -217,14 +214,9 @@ def ulp_tolerance(env, terms=1):
 class TestBatchedSimulatorMatchesScalarReference:
     @settings(max_examples=60, deadline=None)
     @given(spec=small_specs, env_seed=st.integers(0, 2**16), seed=st.integers(0, 2**16),
-           n=st.integers(1, 6), scripted=st.booleans())
-    def test_generate_trajectories(self, spec, env_seed, seed, n, scripted):
+           n=st.integers(1, 6))
+    def test_generate_trajectories(self, spec, env_seed, seed, n):
         env = make_env(spec, env_seed)
-        if scripted:
-            # a reward_fn draws nothing, so each stream holds only the
-            # initial state and the logging actions
-            env = dataclasses.replace(
-                env, reward_fn=lambda t, states, actions: 0.25 * t - 0.1 * actions)
         ds, _ = generate_trajectories(env, n, seed=seed)
         states, actions, rewards = scalar_episodes(env, n, seed)
         np.testing.assert_array_equal(ds.states, states)

@@ -36,18 +36,6 @@ class TestContributionProportions:
         report = contribution_proportions(bundle_from_weights([[1.0, 3.0], [3.0, 1.0]]))
         np.testing.assert_allclose(report.proportions, [0.5, 0.5])
 
-    def test_groups_sum_member_importance(self):
-        w = np.array([[1.0, 1.0, 2.0]])
-        report = contribution_proportions(bundle_from_weights(w),
-                                          groups={"pair": [0, 1], "solo": [2]})
-        np.testing.assert_allclose(report.proportions, [0.5, 0.5])
-        assert report.labels == ("pair", "solo")
-
-    def test_overlapping_groups_rejected(self):
-        with pytest.raises(ValueError):
-            contribution_proportions(bundle_from_weights(np.ones((1, 3))),
-                                     groups={"a": [0, 1], "b": [1, 2]})
-
     def test_zero_model_rejected(self):
         with pytest.raises(ValueError):
             contribution_proportions(bundle_from_weights(np.zeros((2, 3))))
@@ -80,34 +68,32 @@ class TestContributionProportions:
 
 class TestClippedWeights:
     def test_all_equal_no_flags(self):
-        entries = [("m", j, 1, 0.5) for j in range(20)]
-        assert not clipped_weights(entries).any()
+        assert not clipped_weights(np.full(20, 0.5)).any()
 
     def test_hundred_distinct_values(self):
-        entries = [("m", j, 1, float(v)) for j, v in enumerate(range(1, 101))]
-        flags = clipped_weights(entries, pct=0.05)
-        flagged = {entries[i][3] for i in range(100) if flags[i]}
-        assert flagged == {1.0, 2.0, 3.0, 4.0, 5.0, 96.0, 97.0, 98.0, 99.0, 100.0}
+        values = np.arange(1.0, 101.0)
+        flags = clipped_weights(values)
+        assert set(values[flags]) == {1.0, 2.0, 3.0, 4.0, 5.0, 96.0, 97.0, 98.0, 99.0, 100.0}
 
     def test_order_invariant(self, rng):
         values = rng.standard_normal(60)
-        entries = [("m", j, 1, v) for j, v in enumerate(values)]
         perm = rng.permutation(60)
-        flags = clipped_weights(entries)
-        flags_perm = clipped_weights([entries[i] for i in perm])
-        assert np.array_equal(flags_perm, flags[perm])
+        flags = clipped_weights(values)
+        assert np.array_equal(clipped_weights(values[perm]), flags[perm])
+
+    def test_flags_keep_the_pool_shape(self, rng):
+        # (method, seed, stage, feature) arrays, as the interpretability
+        # comparison pools them, flag as their flattened values do
+        values = rng.standard_normal((2, 3, 4, 5))
+        flags = clipped_weights(values)
+        assert flags.shape == values.shape
+        assert np.array_equal(flags.ravel(), clipped_weights(values.ravel()))
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(5, 200), seed=st.integers(0, 300))
     def test_flag_count_bound(self, n, seed):
-        r = np.random.default_rng(seed)
-        entries = [("m", j, 1, v) for j, v in enumerate(r.standard_normal(n))]
-        flags = clipped_weights(entries, pct=0.05)
+        flags = clipped_weights(np.random.default_rng(seed).standard_normal(n))
         assert flags.sum() <= 2 * int(np.ceil(0.05 * n))
-
-    def test_bad_pct_rejected(self):
-        with pytest.raises(ValueError):
-            clipped_weights([("m", 0, 1, 0.0)], pct=0.5)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -1060,12 +1060,39 @@ class TestModelSerialization:
         # AdaptiveConfig no longer has
         bundle, _ = train(small_env_dataset(n=40, seed=11)[0], "cutoff")
         payload = json.loads(model_json_text(bundle))
-        assert payload["version"] == 2 and len(payload["config"]) == 11
+        assert payload["version"] == 3 and len(payload["config"]) == 11
         old = {**payload, "version": 1,
                "config": {**payload["config"], "c_tilde": 0.25, "c0_effdim": 1.0}}
+        del old["lasso_grid"]
         path = tmp_path / "model.json"
         path.write_text(json.dumps(old))
-        with pytest.raises(DataError, match=re.escape(f"{path}: field 'version' must be 2, got 1")):
+        with pytest.raises(DataError, match=re.escape(f"{path}: field 'version' must be 3, got 1")):
+            load_model(path)
+
+    def test_version_two_model_is_refused_naming_the_file(self, tmp_path):
+        # version 2 did not record lasso's penalty grid
+        bundle, _ = train(small_env_dataset(n=40, seed=11)[0], "lasso", lasso_grid=[0.05])
+        payload = json.loads(model_json_text(bundle))
+        assert payload["lasso_grid"] == [0.05]
+        del payload["lasso_grid"]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({**payload, "version": 2}))
+        with pytest.raises(DataError, match=re.escape(f"{path}: field 'version' must be 3, got 2")):
+            load_model(path)
+
+    @pytest.mark.parametrize("method, grid, message", [
+        ("lasso", None, "field 'lasso_grid' must be a penalty grid for filter 'lasso'"),
+        ("cutoff", [0.1], "field 'lasso_grid' must be null for filter 'cutoff'"),
+        ("ls", [0.1], "field 'lasso_grid' must be null for filter 'ls'"),
+        ("lasso", [], "field 'lasso_grid' must list at least 1 item(s)"),
+        ("lasso", [0.1, -1.0], "field 'lasso_grid' item 1 must be at least 0, got -1.0"),
+        ("lasso", [0.1, "x"], "field 'lasso_grid' item 1 must be a finite number"),
+    ])
+    def test_lasso_grid_must_fit_the_filter(self, tmp_path, method, grid, message):
+        bundle, _ = train(small_env_dataset(n=40, seed=11)[0], method)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({**json.loads(model_json_text(bundle)), "lasso_grid": grid}))
+        with pytest.raises(DataError, match=re.escape(f"{path}: {message}")):
             load_model(path)
 
     def test_round_trip(self, tmp_path):
@@ -1096,9 +1123,12 @@ class TestModelSerialization:
         mask = (np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=d,
                                             max_size=d)))
                 if masked else None)
+        grid = (tuple(data.draw(st.lists(st.floats(0.0, 1e3), min_size=1, max_size=4)))
+                if method == "lasso" else None)
         bundle = ModelBundle(horizon=horizon, feature_dim=d, filter_kind=method, stages=stages,
                              config=default_config(method, data.draw(st.floats(0.1, 10.0))),
-                             seed=data.draw(st.integers(0, 2**31 - 1)), feature_mask=mask)
+                             seed=data.draw(st.integers(0, 2**31 - 1)), feature_mask=mask,
+                             lasso_grid=grid)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "model.json"
             path.write_text(model_json_text(bundle))

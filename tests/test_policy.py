@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sblq.data import BatchDataset, candidate_scores
-from sblq.envs import A2_ENV, EnvSpec, SyntheticEnv, generate_trajectories, make_env
+from sblq.envs import A2_ENV, EnvSpec, generate_trajectories, make_env
 from sblq.learner import AdaptiveConfig, ModelBundle, StageModel, default_config, train
 from sblq.policy import (
     GreedyPolicy,
@@ -31,6 +31,11 @@ def bundle_from_thetas(thetas, filter_kind="cutoff"):
     )
     return ModelBundle(horizon=thetas.shape[0], feature_dim=thetas.shape[1],
                        filter_kind=filter_kind, stages=stages)
+
+
+def with_final_zero(truth):
+    """The (T+1, d) truth of (T, d) stage rows: stage T+1's row is zero."""
+    return np.vstack([truth, np.zeros(truth.shape[1])])
 
 
 def one_row_action(policy, t, state):
@@ -204,36 +209,14 @@ class TestPolicyGap:
 
 
 class TestRolloutReward:
-    def _tiny_env(self, reward_fn=None, horizon=1):
-        spec = EnvSpec(n_users=2, n_actions=2, d_video=2, d_user=2, d_action=2,
-                       horizon=horizon, noise_sd=0.0)
-        env = make_env(spec, seed=0)
-        if reward_fn is not None:
-            env = SyntheticEnv(spec=env.spec, user_pool=env.user_pool,
-                               video_pool=env.video_pool, action_pool=env.action_pool,
-                               theta_star=env.theta_star, seed=env.seed,
-                               reward_fn=reward_fn)
-        return env
-
-    def test_zero_reward_env(self):
-        env = self._tiny_env(reward_fn=lambda t, states, actions: np.zeros(len(actions)))
-        policy = GreedyPolicy(bundle_from_thetas(np.zeros((1, 6))), env.action_pool)
-        assert rollout_reward(policy, env, 50, seed=1) == 0.0
-
     def test_deterministic(self):
-        env = self._tiny_env(horizon=3)
+        spec = EnvSpec(n_users=2, n_actions=2, d_video=2, d_user=2, d_action=2,
+                       horizon=3, noise_sd=0.0)
+        env = make_env(spec, seed=0)
         policy = GreedyPolicy(bundle_from_thetas(np.zeros((3, 6))), env.action_pool)
         r1 = rollout_reward(policy, env, 25, seed=3)
         r2 = rollout_reward(policy, env, 25, seed=3)
         assert r1 == r2
-
-    def test_single_stage_two_actions(self):
-        env = self._tiny_env(reward_fn=lambda t, states, actions: np.array([0.1, 0.4])[actions])
-        # steer the policy to action index 1 through the action block
-        theta = np.zeros(6)
-        theta[4:] = env.action_pool[1] - env.action_pool[0]
-        policy = GreedyPolicy(bundle_from_thetas(theta[None, :]), env.action_pool)
-        assert rollout_reward(policy, env, 10, seed=5) == pytest.approx(0.4)
 
     def test_truth_greedy_beats_uniform_random(self):
         spec = EnvSpec(n_users=5, n_actions=8, d_video=4, d_user=3, d_action=4,
@@ -301,7 +284,8 @@ class TestComparisonDiagnostic:
         rng = np.random.default_rng(2)
         truth = rng.standard_normal((2, ds.feature_dim))
         model = bundle_from_thetas(truth)
-        assert comparison_diagnostic(model, truth, ds) == pytest.approx(0.0, abs=1e-12)
+        got = comparison_diagnostic(model, with_final_zero(truth), ds)
+        assert got == pytest.approx(0.0, abs=1e-12)
 
     def test_single_stage_identity_covariance(self):
         # one action (mu = 1); rows sqrt(3) e_j over j = 1..3 make the
@@ -316,7 +300,8 @@ class TestComparisonDiagnostic:
         est = truth.copy()
         est[0, 0] = 1.0  # difference e_1
         model = bundle_from_thetas(est)
-        assert comparison_diagnostic(model, truth, ds) == pytest.approx(2.0, abs=1e-12)
+        got = comparison_diagnostic(model, with_final_zero(truth), ds)
+        assert got == pytest.approx(2.0, abs=1e-12)
 
     def test_matches_term_by_term_recomputation(self, rng):
         ds = make_dataset(n=8, horizon=3, seed=9)
@@ -330,7 +315,8 @@ class TestComparisonDiagnostic:
             cov = rows.T @ rows / rows.shape[0]
             diff = est[t - 1] - truth[t - 1]
             total += 2.0 * mu ** (t / 2.0) * np.sqrt(diff @ cov @ diff)
-        assert comparison_diagnostic(model, truth, ds) == pytest.approx(total, abs=1e-10)
+        got = comparison_diagnostic(model, with_final_zero(truth), ds)
+        assert got == pytest.approx(total, abs=1e-10)
 
 
     def test_masked_model_matches_term_by_term_recomputation(self, rng):
@@ -351,7 +337,8 @@ class TestComparisonDiagnostic:
             cov = rows.T @ rows / rows.shape[0]
             diff = est[t - 1] - truth[t - 1]
             total += 2.0 * mu ** (t / 2.0) * np.sqrt(diff @ cov @ diff)
-        assert comparison_diagnostic(model, truth, ds) == pytest.approx(total, rel=1e-12)
+        got = comparison_diagnostic(model, with_final_zero(truth), ds)
+        assert got == pytest.approx(total, rel=1e-12)
 
 
 def test_evaluate_bundles_metrics():
