@@ -157,37 +157,64 @@ def feature_matrix(states, actions) -> np.ndarray:
     return x
 
 
+def _score_blocks(states, action_table, stacks, normalize: bool):
+    """Each theta's (A, n) block of inner products <theta, x(state_i,
+    action_j)>, in order, for ``stacks`` of (theta, mask) pairs: theta one
+    (d,) vector or a (k, d) stack, scored on the features the 0/1 ``mask``
+    keeps (None keeps every one).
+
+    Exploits the block structure of the concatenation so the (A, n, d) feature
+    tensor is never materialized, and builds the normalizer
+    sqrt(|s_i|^2 + |a_j|^2) once per mask, at its first theta.  Each theta
+    has its own pair of matrix-vector products, so a score does not depend on
+    what else is scored with it.
+    """
+    s0 = np.asarray(states, dtype=float)
+    a0 = np.asarray(action_table, dtype=float)
+    d_s = s0.shape[1]
+    d = d_s + a0.shape[1]
+    norms = {}  # mask bytes -> normalizer
+    for theta, mask in stacks:
+        theta = np.asarray(theta, dtype=float)
+        if theta.ndim not in (1, 2) or theta.shape[-1] != d:
+            raise ValueError(f"theta has shape {theta.shape}, expected ({d},) or (k, {d})")
+        s, a, key = s0, a0, None
+        if mask is not None:
+            m = np.asarray(mask, dtype=float)
+            s, a, key = s0 * m[None, :d_s], a0 * m[None, d_s:], m.tobytes()
+        for th in theta.reshape(-1, d):
+            if normalize and key not in norms:
+                sq = np.sum(a**2, axis=1)[:, None] + np.sum(s**2, axis=1)[None, :]
+                if np.any(sq == 0.0):
+                    raise DataError("cannot normalize an all-zero feature vector")
+                norms[key] = np.sqrt(sq)
+            block = np.add((a @ th[d_s:])[:, None], (s @ th[:d_s])[None, :])
+            if normalize:
+                block /= norms[key]
+            yield block
+
+
 def candidate_scores(states, action_table, theta, normalize: bool = True,
                      mask: np.ndarray | None = None) -> np.ndarray:
     """Inner products <theta, x(state_i, action_j)>, actions on the
-    leading axis: (A, n) for one theta (d,), (k, A, n) for a stack (k, d).
+    leading axis: (A, n) for one theta (d,), (k, A, n) for a stack (k, d),
+    on the features the 0/1 ``mask`` keeps (None keeps every one)."""
+    blocks = list(_score_blocks(states, action_table, [(theta, mask)], normalize))
+    return np.stack(blocks) if np.ndim(theta) == 2 else blocks[0]
 
-    Exploits the block structure of the concatenation so the (A, n, d) feature
-    tensor is never materialized, and builds the normalizer once for every
-    theta scored.  Each theta has its own pair of matrix-vector products, so a
-    score does not depend on what else is stacked with it.
-    """
-    s = np.asarray(states, dtype=float)
-    a = np.asarray(action_table, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    d_s = s.shape[1]
-    d = d_s + a.shape[1]
-    if theta.ndim not in (1, 2) or theta.shape[-1] != d:
-        raise ValueError(f"theta has shape {theta.shape}, expected ({d},) or (k, {d})")
-    if mask is not None:
-        m = np.asarray(mask, dtype=float)
-        s = s * m[None, :d_s]
-        a = a * m[None, d_s:]
-    thetas = theta.reshape(-1, d)
-    scores = np.empty((len(thetas), len(a), len(s)))
-    for out, th in zip(scores, thetas):
-        np.add((a @ th[d_s:])[:, None], (s @ th[:d_s])[None, :], out=out)
-    if normalize:
-        sq = np.sum(a**2, axis=1)[:, None] + np.sum(s**2, axis=1)[None, :]
-        if np.any(sq == 0.0):
-            raise DataError("cannot normalize an all-zero feature vector")
-        scores /= np.sqrt(sq)
-    return scores if theta.ndim == 2 else scores[0]
+
+def best_scores(states, action_table, stacks, normalize: bool = True) -> list:
+    """For each (thetas (k, d), mask) pair of ``stacks``, the (k, n) best
+    candidate score max_j <theta, x(state_i, action_j)> of each of the
+    (n, d_s) ``states`` under each theta: the maximum of ``candidate_scores``
+    over actions, taken as each theta's (A, n) block is scored, so one block
+    is in memory at a time.  Stacks under the same mask share one
+    normalizer."""
+    best = [np.empty((len(thetas), len(states))) for thetas, _ in stacks]
+    blocks = _score_blocks(states, action_table, stacks, normalize)
+    for out, block in zip(chain.from_iterable(best), blocks):
+        block.max(axis=0, out=out)
+    return best
 
 
 def split_size(n: int, train_fraction: float) -> int:

@@ -325,12 +325,17 @@ class StageSpectra:
 
 def stage_spectra(dataset: BatchDataset, mask: np.ndarray | None = None) -> StageSpectra:
     """Distinct states and Sigma_hat eigensystem of each stage of ``dataset``
-    under ``mask``, on the kept columns; no stage builds its (n, d) design."""
+    under ``mask``, on the kept columns; no stage builds its (n, d) design.
+    A mask that keeps every feature is no mask: the stages, and all fit from
+    them, are the unmasked ones bit for bit."""
     if mask is not None:
         mask = np.asarray(mask, dtype=float)
-        mask.setflags(write=False)
         if not np.any(mask):
             raise ValueError("the feature mask keeps no feature")
+        if np.all(mask):
+            mask = None
+        else:
+            mask.setflags(write=False)
     stages = []
     for t in range(1, dataset.horizon + 1):
         try:

@@ -4,6 +4,17 @@ The greedy action at stage t maximizes <theta_t, x(state, a)> over the
 candidate-action table, ties broken by the lowest action index.  Metrics are
 pure functions with fixed summation order; rollout episodes draw from
 per-episode child seeds.
+
+The policy gap and the direct value estimate score the candidates of the
+dataset's m distinct state rows when there are no more of them than
+trajectories (m <= n): each row once per stage parameter, one (A, m) block
+in memory at a time, the maximum over actions taken as each block is
+scored, and each stage gathers its trajectories' best scores through the
+state index.  A dataset whose rows outnumber its trajectories scores each
+stage's (n, d_s) contexts instead.  The metrics are the same bits either way
+wherever the BLAS rounds a row's matrix-vector product the same in both
+(it may round a row by its place among the rows; on a1 worlds 0-31, with
+m = 300 and n = 500, every metric is).
 """
 from __future__ import annotations
 
@@ -12,7 +23,7 @@ from functools import partial
 
 import numpy as np
 
-from .data import BatchDataset, candidate_scores
+from .data import BatchDataset, best_scores, candidate_scores
 from .envs import SyntheticEnv, simulate
 from .learner import ModelBundle, stage_spectra
 from .spectral import weighted_half_norm
@@ -78,29 +89,54 @@ def _truth_rows(theta_star, horizon: int, feature_dim: int) -> np.ndarray:
     return arr
 
 
+def _stage_best(dataset: BatchDataset, stages, stacks) -> list:
+    """For each (thetas, mask) pair of ``stacks``, the (len(stages), n) best
+    candidate score of each trajectory's state at stage ``stages[i]`` under
+    ``thetas[i]``, on the features ``mask`` keeps (None keeps every one).
+
+    A dataset with no more distinct state rows than trajectories (m <= n)
+    scores its m rows once per theta and gathers each stage's trajectories
+    from those rows' best scores; any other scores each stage's (n, d_s)
+    contexts.  A row that no stage visits, which under a mask may have no
+    normalizable feature vector, is scored as a copy of a visited row."""
+    score = partial(best_scores, action_table=dataset.action_table,
+                    normalize=dataset.normalize)
+    if len(dataset.state_rows) <= len(dataset):
+        index = dataset.state_index[:, [t - 1 for t in stages]].T
+        visited = np.zeros(len(dataset.state_rows), dtype=bool)
+        visited[index] = True
+        # each row keeps its place: a BLAS matrix-vector product may round a
+        # row by its place among the rows
+        rows = np.where(visited[:, None], dataset.state_rows,
+                        dataset.state_rows[np.argmax(visited)])
+        return [np.take_along_axis(best, index, axis=1)
+                for best in score(rows, stacks=stacks)]
+    best = [np.empty((len(stages), len(dataset))) for _ in stacks]
+    for i, t in enumerate(stages):
+        rows = score(dataset.stage_states(t),
+                     stacks=[(thetas[i:i + 1], mask) for thetas, mask in stacks])
+        for out, row in zip(best, rows):
+            out[i] = row[0]
+    return best
+
+
 def policy_gap(model: ModelBundle, theta_star, dataset: BatchDataset) -> float:
     """RMS discrepancy between outcomes predicted under the estimated and
     the true next-stage parameters, averaged over stages.
 
-    Each stage scores its contexts once, with the stack of both parameter
-    vectors.  A feature-masked estimate is normalized on its masked features
-    and the truth on all of them, so such a stage scores the two apart."""
+    The estimates of stages 2..T are scored on the model's feature mask and
+    the truth on every feature, in one pass over the dataset's distinct state
+    rows if m <= n, else stage by stage over each stage's contexts
+    (``_stage_best``); either way one (A, m) or (A, n) block of scores is in
+    memory at a time."""
     truth = _truth_rows(theta_star, model.horizon, model.feature_dim)
     horizon = model.horizon
+    est_best, true_best = _stage_best(
+        dataset, range(2, horizon + 1),
+        [(model.theta_matrix()[1:], model.feature_mask), (truth[1:horizon], None)])
     stage_mse = np.zeros(horizon)
-    for t in range(1, horizon):
-        ctx = dataset.stage_states(t + 1)
-        if model.feature_mask is None:
-            est_best, true_best = candidate_scores(
-                ctx, dataset.action_table, np.stack([model.theta(t + 1), truth[t]]),
-                normalize=dataset.normalize).max(axis=1)
-        else:
-            est_best = candidate_scores(ctx, dataset.action_table, model.theta(t + 1),
-                                        normalize=dataset.normalize,
-                                        mask=model.feature_mask).max(axis=0)
-            true_best = candidate_scores(ctx, dataset.action_table, truth[t],
-                                         normalize=dataset.normalize).max(axis=0)
-        stage_mse[t - 1] = np.mean((est_best - true_best) ** 2)
+    for i, (est, tru) in enumerate(zip(est_best, true_best)):
+        stage_mse[i] = np.mean((est - tru) ** 2)
     # stage T: both continuation parameters are zero, so the gap vanishes
     return float(np.sqrt(np.mean(stage_mse)))
 
@@ -121,10 +157,8 @@ def rollout_reward(policy: GreedyPolicy, env: SyntheticEnv, n_episodes: int,
 def direct_value_estimate(model: ModelBundle, dataset: BatchDataset) -> float:
     """Model-implied initial value: mean over trajectories of the best
     stage-1 action score.  Offline stand-in when no simulator is available."""
-    ctx = dataset.stage_states(1)
-    scores = candidate_scores(ctx, dataset.action_table, model.theta(1),
-                              normalize=dataset.normalize, mask=model.feature_mask)
-    return float(np.mean(scores.max(axis=0)))
+    best = _stage_best(dataset, [1], [(model.theta(1)[None], model.feature_mask)])[0]
+    return float(np.mean(best[0]))
 
 
 def policy_value(model: ModelBundle, dataset: BatchDataset, env: SyntheticEnv | None = None,

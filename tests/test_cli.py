@@ -361,8 +361,7 @@ class TestCommands:
                          "--model", str(run / "model.json"), "--dataset", str(data),
                          "--topk", "3,9", "--out", str(run)]) == 0
             k, value = (run / "topk.csv").read_text().splitlines()[-1].split(",")
-            # the refit keeps all 9 features under a mask, so it may round otherwise
-            assert k == "9" and float(value) == pytest.approx(want, rel=1e-12), extra
+            assert k == "9" and float(value) == want, extra
 
     def test_gen_a1_preset_reloads(self, tmp_path):
         out = tmp_path / "a1"

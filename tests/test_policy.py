@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sblq.data import BatchDataset, candidate_scores
+from sblq.data import BatchDataset, best_scores, candidate_scores, split
 from sblq.envs import A2_ENV, EnvSpec, generate_trajectories, make_env
 from sblq.learner import AdaptiveConfig, ModelBundle, StageModel, default_config, train
 from sblq.policy import (
@@ -36,6 +36,61 @@ def bundle_from_thetas(thetas, filter_kind="cutoff"):
 def with_final_zero(truth):
     """The (T+1, d) truth of (T, d) stage rows: stage T+1's row is zero."""
     return np.vstack([truth, np.zeros(truth.shape[1])])
+
+
+def pooled_dataset(n, horizon, pool, seed, normalize=True, d_s=4, d_a=3, n_actions=5):
+    """A dataset of n trajectories whose states are drawn from ``pool`` rows,
+    so that rows repeat: m = pool.  Features are small nonzero integers."""
+    rng = np.random.default_rng(seed)
+    values = [-2.0, -1.0, 1.0, 2.0]
+    return BatchDataset(rng.choice(values, (pool, d_s)), rng.integers(0, pool, (n, horizon)),
+                        rng.integers(0, n_actions, (n, horizon)),
+                        rng.uniform(-1.0, 1.0, (n, horizon)),
+                        rng.choice(values, (n_actions, d_a)), 2.0, normalize)
+
+
+# Datasets on both sides of the m <= n rule by which evaluation scores the
+# distinct state rows rather than each trajectory's context.  On the m <= n
+# side the features are integers and the parameters (``random_model``)
+# multiples of 1/4, so every dot product is exact: a BLAS may round a row's
+# product by its place among the rows it is given, and these datasets give
+# the per-trajectory formula other rows than evaluation scores.
+SCORING_DATASETS = {
+    "repeating": lambda: pooled_dataset(12, 4, 7, seed=1),
+    "repeating-unnormalized": lambda: pooled_dataset(12, 4, 7, seed=2, normalize=False),
+    # the test side of a split holds parent rows that it never uses
+    "split-half": lambda: split(pooled_dataset(40, 2, 18, seed=3), 0.5, 3)[1],
+    "horizon-1": lambda: pooled_dataset(12, 1, 5, seed=4),
+    "non-repeating": lambda: make_dataset(n=9, horizon=4, seed=7),
+    "non-repeating-unnormalized": lambda: make_dataset(n=9, horizon=4, seed=7, normalize=False),
+}
+
+
+def test_scoring_datasets_cover_both_sides_of_the_rule():
+    built = {case: build() for case, build in SCORING_DATASETS.items()}
+    rows_repeat = {"repeating", "repeating-unnormalized", "split-half", "horizon-1"}
+    for case, ds in built.items():
+        assert (len(ds.state_rows) <= len(ds)) == (case in rows_repeat), case
+    half = built["split-half"]
+    assert len(np.unique(half.state_index)) < len(half.state_rows)
+    assert built["horizon-1"].horizon == 1
+
+
+def random_model(ds, seed, masked):
+    """A model near a random (T+1, d) truth, its last row zero, and the
+    truth, all multiples of 1/4; the model keeps all but two features if
+    ``masked``."""
+    rng = np.random.default_rng(seed)
+    truth = rng.integers(-8, 9, (ds.horizon + 1, ds.feature_dim)) / 4.0
+    truth[-1] = 0.0
+    base = bundle_from_thetas(truth[:-1] + rng.integers(-2, 3, truth[:-1].shape) / 4.0)
+    mask = None
+    if masked:
+        mask = np.ones(ds.feature_dim)
+        mask[[1, ds.state_dim + 1]] = 0.0
+    model = ModelBundle(horizon=base.horizon, feature_dim=base.feature_dim,
+                        filter_kind=base.filter_kind, stages=base.stages, feature_mask=mask)
+    return model, truth
 
 
 def one_row_action(policy, t, state):
@@ -168,6 +223,37 @@ class TestPolicyGap:
         want = float(np.sqrt(np.mean(mse)))
         assert policy_gap(model, truth, ds) == pytest.approx(want, abs=1e-12)
 
+    @pytest.mark.parametrize("case", ["repeating", "non-repeating"])
+    def test_scores_each_distinct_row_once_when_rows_repeat(self, case, monkeypatch):
+        # m <= n: one pass over the m rows for all stages; else each stage's n contexts
+        import sblq.policy as policy_mod
+        scored = []
+
+        def recording(states, *args, **kwargs):
+            scored.append(len(states))
+            return best_scores(states, *args, **kwargs)
+
+        monkeypatch.setattr(policy_mod, "best_scores", recording)
+        ds = SCORING_DATASETS[case]()
+        policy_gap(*random_model(ds, 8, masked=False), ds)
+        want = [len(ds.state_rows)] if case == "repeating" else [len(ds)] * (ds.horizon - 1)
+        assert scored == want
+
+    def test_a_row_no_trajectory_visits_does_not_refuse_a_masked_model(self):
+        # m <= n, and row 2, which no trajectory visits, is 0 on the one kept
+        # feature, as is every action: its features cannot be normalized
+        ds = BatchDataset(np.array([[1.0, 2.0], [0.5, 1.0], [0.0, 3.0]]),
+                          np.array([[0, 1], [1, 0], [0, 0]]), np.zeros((3, 2), dtype=np.int64),
+                          np.zeros((3, 2)), np.array([[1.0], [2.0]]), reward_bound=1.0)
+        stages = tuple(StageModel(t=t, theta=np.array([1.0, 0.0, 0.0]), lambda_selected=0.0,
+                                  k_selected=1) for t in (1, 2))
+        model = ModelBundle(horizon=2, feature_dim=3, filter_kind="cutoff", stages=stages,
+                            feature_mask=np.array([1.0, 0.0, 0.0]))
+        truth = np.zeros((3, 3))
+        assert policy_gap(model, truth, ds) == self.per_theta_gap(model, truth, ds,
+                                                                  est_mask=model.feature_mask)
+        assert direct_value_estimate(model, ds) == 1.0
+
     @staticmethod
     def per_theta_gap(model, truth, ds, est_mask=None, truth_mask=None):
         """The policy gap with each parameter vector scored on its own by the
@@ -181,14 +267,14 @@ class TestPolicyGap:
             mse.append(np.mean((est.max(axis=1) - tru.max(axis=1)) ** 2))
         return float(np.sqrt(np.mean(mse + [0.0])))
 
-    @pytest.mark.parametrize("normalize", [True, False])
-    def test_unmasked_matches_per_theta_scoring(self, normalize):
-        ds = make_dataset(n=9, horizon=4, seed=7, normalize=normalize)
-        rng = np.random.default_rng(8)
-        truth = rng.standard_normal((5, ds.feature_dim))
-        truth[-1] = 0.0
-        model = bundle_from_thetas(truth[:-1] + 0.2 * rng.standard_normal((4, ds.feature_dim)))
-        assert policy_gap(model, truth, ds) == self.per_theta_gap(model, truth, ds)
+    @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+    @pytest.mark.parametrize("case", list(SCORING_DATASETS))
+    def test_matches_per_trajectory_formula(self, case, masked):
+        # bit for bit, whichever contexts the dataset's rows lead it to score
+        ds = SCORING_DATASETS[case]()
+        model, truth = random_model(ds, 8, masked)
+        assert policy_gap(model, truth, ds) == self.per_theta_gap(model, truth, ds,
+                                                                  est_mask=model.feature_mask)
 
     def test_masked_model_normalizes_truth_on_all_features(self):
         # the estimate is scored on its masked features, the truth on all of
@@ -266,6 +352,15 @@ class TestDirectValueEstimate:
         theta = np.array([0.0, 0.0, 1.0, 2.0]) * np.sqrt(2)
         model = bundle_from_thetas(theta[None, :])
         assert direct_value_estimate(model, ds) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+    @pytest.mark.parametrize("case", list(SCORING_DATASETS))
+    def test_matches_per_trajectory_formula(self, case, masked):
+        ds = SCORING_DATASETS[case]()
+        model, _ = random_model(ds, 9, masked)
+        scores = reference_scores(ds.states[:, 0], ds.action_table, model.theta(1),
+                                  ds.normalize, model.feature_mask)
+        assert direct_value_estimate(model, ds) == float(np.mean(scores.max(axis=1)))
 
     def test_matches_brute_force_mean(self, rng):
         ds = make_dataset(n=10, horizon=2, seed=6)
