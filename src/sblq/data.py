@@ -159,9 +159,8 @@ def feature_matrix(states, actions) -> np.ndarray:
 
 def _score_blocks(states, action_table, stacks, normalize: bool):
     """Each theta's (A, n) block of inner products <theta, x(state_i,
-    action_j)>, in order, for ``stacks`` of (theta, mask) pairs: theta one
-    (d,) vector or a (k, d) stack, scored on the features the 0/1 ``mask``
-    keeps (None keeps every one).
+    action_j)>, in order, for ``stacks`` of (thetas (k, d), mask) pairs,
+    scored on the features the 0/1 ``mask`` keeps (None keeps every one).
 
     Exploits the block structure of the concatenation so the (A, n, d) feature
     tensor is never materialized, and builds the normalizer
@@ -176,13 +175,13 @@ def _score_blocks(states, action_table, stacks, normalize: bool):
     norms = {}  # mask bytes -> normalizer
     for theta, mask in stacks:
         theta = np.asarray(theta, dtype=float)
-        if theta.ndim not in (1, 2) or theta.shape[-1] != d:
-            raise ValueError(f"theta has shape {theta.shape}, expected ({d},) or (k, {d})")
+        if theta.ndim != 2 or theta.shape[1] != d:
+            raise ValueError(f"theta has shape {theta.shape}, expected (k, {d})")
         s, a, key = s0, a0, None
         if mask is not None:
             m = np.asarray(mask, dtype=float)
             s, a, key = s0 * m[None, :d_s], a0 * m[None, d_s:], m.tobytes()
-        for th in theta.reshape(-1, d):
+        for th in theta:
             if normalize and key not in norms:
                 sq = np.sum(a**2, axis=1)[:, None] + np.sum(s**2, axis=1)[None, :]
                 if np.any(sq == 0.0):
@@ -196,11 +195,14 @@ def _score_blocks(states, action_table, stacks, normalize: bool):
 
 def candidate_scores(states, action_table, theta, normalize: bool = True,
                      mask: np.ndarray | None = None) -> np.ndarray:
-    """Inner products <theta, x(state_i, action_j)>, actions on the
-    leading axis: (A, n) for one theta (d,), (k, A, n) for a stack (k, d),
-    on the features the 0/1 ``mask`` keeps (None keeps every one)."""
-    blocks = list(_score_blocks(states, action_table, [(theta, mask)], normalize))
-    return np.stack(blocks) if np.ndim(theta) == 2 else blocks[0]
+    """Inner products <theta, x(state_i, action_j)> for one theta (d,), the
+    (A, n) actions on the leading axis, on the features the 0/1 ``mask``
+    keeps (None keeps every one)."""
+    theta = np.asarray(theta, dtype=float)
+    d = np.shape(states)[1] + np.shape(action_table)[1]
+    if theta.shape != (d,):
+        raise ValueError(f"theta has shape {theta.shape}, expected ({d},)")
+    return next(_score_blocks(states, action_table, [(theta[None], mask)], normalize))
 
 
 def best_scores(states, action_table, stacks, normalize: bool = True) -> list:

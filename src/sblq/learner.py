@@ -12,12 +12,20 @@ between consecutive estimates reaches a variance-proxy threshold.
 
 Least-squares and lasso baselines run the same backward induction with the
 stage estimator swapped out.
+
+Each stage's Sigma_hat depends on the data alone, not on the outcomes, so
+``stage_spectra`` builds all T eigensystems before the backward loop; they
+are independent, and it shares them between the calling thread and one
+worker thread where that pays.
 """
 from __future__ import annotations
 
 import json
 import math
+import os
+import threading
 from dataclasses import dataclass, fields
+from queue import SimpleQueue
 
 import numpy as np
 
@@ -286,31 +294,169 @@ def _stage_covariance(states, table, state_of, action, weights) -> np.ndarray:
     return cov
 
 
-def stage_of(rows: np.ndarray, mask: np.ndarray | None, state_of: np.ndarray,
-             table: np.ndarray, action: np.ndarray, normalize: bool = False) -> Stage:
-    """The Stage of the design whose row i is [rows[state_of_i], table[action_i]],
-    unit-normalized if ``normalize``, on the columns ``mask`` keeps: the one
-    place Sigma_hat is decomposed."""
-    used, state_of = np.unique(state_of, return_inverse=True)
-    states = np.asarray(rows, dtype=float)[used]
+def _kept_columns(rows, table, mask, normalize: bool):
+    """The dataset's state ``rows`` and action ``table`` on the columns the
+    0/1 ``mask`` keeps (None keeps all), and, on a unit-normalized map, the
+    squared norm of each of their rows: what every stage of a dataset shares.
+
+    The rows come back in the memory order of the stages' copies of them:
+    row-major, or column-major under a mask, the order a column selection
+    leaves.  BLAS rounds a stage's Sigma_hat by that order."""
+    rows = np.asarray(rows, dtype=float)
+    if mask is None:
+        rows = np.ascontiguousarray(rows)
+    else:
+        kept, d_s = mask != 0.0, rows.shape[1]
+        rows, table = np.asfortranarray(rows[:, kept[:d_s]]), table[:, kept[d_s:]]
+    if not normalize:
+        return rows, table, None
+    with np.errstate(over="ignore"):  # an overflowing norm is refused by the stage using it
+        return rows, table, (np.sum(rows**2, axis=1), np.sum(table**2, axis=1))
+
+
+def _stage_parts(rows, table, sq_norms, state_of, action):
+    """One stage of trajectories in state rows ``state_of`` taking actions
+    ``action``, from ``_kept_columns``' parts: its distinct state rows, each
+    trajectory's row of them and normalizer, and its Sigma_hat."""
     if len(state_of) < 1:
         raise ValueError("empty design")
-    if mask is not None:
-        mask = np.asarray(mask, dtype=float)
-        kept = mask != 0.0
-        states, table = states[:, kept[:states.shape[1]]], table[:, kept[states.shape[1]:]]
-    if normalize:
+    used, local = np.unique(state_of, return_inverse=True)
+    states = rows[used] if rows.flags.c_contiguous else rows.T.take(used, axis=1).T
+    if sq_norms is None:
+        weights = scale = np.ones(len(local))
+    else:
         with np.errstate(over="ignore"):  # an overflowing norm is refused below
-            sq = np.sum(states**2, axis=1)[state_of] + np.sum(table**2, axis=1)[action]
+            sq = sq_norms[0][state_of] + sq_norms[1][action]
         if np.any(sq == 0.0):
             raise DataError("cannot normalize an all-zero feature vector")
         if not np.isfinite(sq).all():
             raise DataError("cannot normalize a feature vector whose squared norm overflows")
         weights, scale = 1.0 / sq, 1.0 / np.sqrt(sq)
-    else:
-        weights = scale = np.ones(len(state_of))
-    cov = _stage_covariance(states, table, state_of, action, weights)
+    return states, local, scale, _stage_covariance(states, table, local, action, weights)
+
+
+def stage_of(rows: np.ndarray, mask: np.ndarray | None, state_of: np.ndarray,
+             table: np.ndarray, action: np.ndarray, normalize: bool = False) -> Stage:
+    """The Stage of the design whose row i is [rows[state_of_i], table[action_i]],
+    unit-normalized if ``normalize``, on the columns ``mask`` keeps."""
+    mask = None if mask is None else np.asarray(mask, dtype=float)
+    rows, table, sq_norms = _kept_columns(rows, table, mask, normalize)
+    states, state_of, scale, cov = _stage_parts(rows, table, sq_norms, state_of, action)
     return Stage(states, table, state_of, action, scale, decompose(cov), mask)
+
+
+# Stages of this many kept features or more are decomposed on two threads;
+# for smaller ones handing a stage to the worker costs more than its eigh.
+SPLIT_MIN_DIM = 48
+
+class _Handed:
+    """Stage t's Sigma_hat, handed to the worker thread: its eigensystem,
+    or the error that ``_decompose_stage`` raised, once the worker is done."""
+
+    def __init__(self, t: int, cov: np.ndarray):
+        self.t, self.cov, self.started = t, cov, False
+        self.finished = threading.Event()
+        self.decomp = self.error = None
+
+    def run(self):
+        self.started = True
+        try:
+            self.decomp = _decompose_stage(self.t, self.cov)
+        except BaseException as exc:  # raised again on the caller's thread, by result()
+            self.error = exc
+        self.cov = None
+        self.finished.set()
+
+    def result(self) -> SpectralDecomposition:
+        self.finished.wait()
+        if self.error is not None:
+            raise self.error
+        return self.decomp
+
+
+def _work(tasks: SimpleQueue):
+    while True:
+        tasks.get().run()
+
+
+# The queue of the thread that takes a share of a dataset's decompositions,
+# both made at the first hand-over.  A forked child makes its own, since the
+# parent's thread does not run there.  (A plain thread: an executor would
+# import concurrent.futures and logging, 0.6 MB.)
+_tasks = None
+_tasks_lock = threading.Lock()
+
+
+def _forget_worker():
+    global _tasks, _tasks_lock
+    _tasks, _tasks_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _hand_over(t: int, cov: np.ndarray) -> _Handed:
+    global _tasks
+    with _tasks_lock:
+        if _tasks is None:
+            _tasks = SimpleQueue()
+            threading.Thread(target=_work, args=(_tasks,), name="sblq-decompose",
+                             daemon=True).start()
+    handed = _Handed(t, cov)
+    _tasks.put(handed)
+    return handed
+
+
+def _spare_cpu() -> bool:
+    """Whether a second thread has a CPU to itself: the process may use two
+    or more, and the BLAS runs each call on one thread.  A BLAS that runs
+    several already keeps the CPUs busy, and a second caller only slows it.
+    OpenBLAS takes its thread count, at load, from the first of these
+    variables set to a positive number, and else uses every CPU."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            blas_threads = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if blas_threads > 0:
+            return cpus > 1 and blas_threads == 1
+    return False
+
+
+def _decompose_stage(t: int, cov: np.ndarray) -> SpectralDecomposition:
+    """``decompose`` of stage t's Sigma_hat; an error names the stage."""
+    try:
+        return decompose(cov)
+    except (NumericError, ValueError) as exc:
+        raise type(exc)(f"stage {t}: {exc}") from exc
+
+
+def _handed(t: int, horizon: int, cov: np.ndarray, decomps: list):
+    """Stage t's eigensystem, or its hand-over to the worker, given ``decomps``
+    of the stages before.  This thread decomposes the last stage, and any
+    stage built while two wait for the worker; the worker takes the others.
+    So neither thread waits long for the other, and at most four Sigma_hat
+    are held at once."""
+    waiting = 0
+    for d in reversed(decomps):  # the worker takes its stages in order
+        if isinstance(d, _Handed):
+            if d.started:
+                break
+            waiting += 1
+    if t == horizon or waiting >= 2:
+        return _decompose_stage(t, cov)
+    return _hand_over(t, cov)
+
+
+def _resolved(decomps: list) -> list:
+    """Each stage's eigensystem, waiting for the worker's; an error is the
+    earliest failing stage's."""
+    return [d.result() if isinstance(d, _Handed) else d for d in decomps]
 
 
 @dataclass(frozen=True)
@@ -327,7 +473,18 @@ def stage_spectra(dataset: BatchDataset, mask: np.ndarray | None = None) -> Stag
     """Distinct states and Sigma_hat eigensystem of each stage of ``dataset``
     under ``mask``, on the kept columns; no stage builds its (n, d) design.
     A mask that keeps every feature is no mask: the stages, and all fit from
-    them, are the unmasked ones bit for bit."""
+    them, are the unmasked ones bit for bit.
+
+    The one place a dataset's Sigma_hat are decomposed.  The kept columns
+    and row norms are taken once, and each stage's parts and Sigma_hat are
+    built on this thread, in stage order.  The T eigensystems are
+    independent and LAPACK runs with the interpreter lock released, so where
+    a second thread has a CPU to itself (``_spare_cpu``) and the stages keep
+    ``SPLIT_MIN_DIM`` features or more, a worker thread decomposes a share of the stages while
+    this thread builds and decomposes the others (``_handed``).  Each
+    eigensystem is the same LAPACK call on the same matrix on either thread,
+    so the stages are the serial ones bit for bit, and an error is the
+    earliest failing stage's, named as in a serial loop."""
     if mask is not None:
         mask = np.asarray(mask, dtype=float)
         if not np.any(mask):
@@ -336,15 +493,25 @@ def stage_spectra(dataset: BatchDataset, mask: np.ndarray | None = None) -> Stag
             mask = None
         else:
             mask.setflags(write=False)
-    stages = []
+    rows, table, sq_norms = _kept_columns(dataset.state_rows, dataset.action_table, mask,
+                                          dataset.normalize)
+    handoff = rows.shape[1] + table.shape[1] >= SPLIT_MIN_DIM and _spare_cpu()
+    parts, decomps = [], []   # per stage, its eigensystem or its hand-over to the worker
     for t in range(1, dataset.horizon + 1):
         try:
-            stages.append(stage_of(dataset.state_rows, mask, dataset.state_index[:, t - 1],
-                                   dataset.action_table, dataset.actions[:, t - 1],
-                                   dataset.normalize))
-        except NumericError as exc:
-            raise NumericError(f"stage {t}: {exc}") from exc
-    return StageSpectra(dataset, mask, tuple(stages))
+            *part, cov = _stage_parts(rows, table, sq_norms, dataset.state_index[:, t - 1],
+                                      dataset.actions[:, t - 1])
+            decomps.append(_handed(t, dataset.horizon, cov, decomps) if handoff
+                           else _decompose_stage(t, cov))
+        except (NumericError, ValueError):
+            _resolved(decomps)  # an earlier stage's error comes first, as in a serial loop
+            raise
+        parts.append(part)
+    decomps = _resolved(decomps)
+    return StageSpectra(dataset, mask, tuple(
+        Stage(states, table, state_of, dataset.actions[:, t - 1], scale, decomp, mask)
+        for t, (states, state_of, scale), decomp in zip(range(1, dataset.horizon + 1),
+                                                            parts, decomps)))
 
 
 def stage_targets(spectra: StageSpectra, t: int,

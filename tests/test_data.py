@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from sblq import data as data_mod
 from sblq.data import (
     BatchDataset,
+    best_scores,
     candidate_scores,
     dataset_header_text,
     dataset_jsonl_text,
@@ -75,6 +76,7 @@ class TestCandidateScores:
     @settings(max_examples=300, deadline=None)
     @given(case=scoring_cases())
     def test_matches_per_context_formula_bit_for_bit(self, case):
+        # one theta through candidate_scores, a stack through best_scores
         states, table, theta, mask, normalize = case
         n, n_actions = len(states), len(table)
         thetas = theta.reshape(-1, theta.shape[-1])
@@ -82,30 +84,44 @@ class TestCandidateScores:
             refs = [reference_scores(states, table, th, normalize, mask) for th in thetas]
         except ValueError:
             with pytest.raises(ValueError, match="all-zero"):
-                candidate_scores(states, table, theta, normalize=normalize, mask=mask)
+                if theta.ndim == 1:
+                    candidate_scores(states, table, theta, normalize=normalize, mask=mask)
+                else:
+                    best_scores(states, table, [(theta, mask)], normalize=normalize)
             return
-        got = candidate_scores(states, table, theta, normalize=normalize, mask=mask)
-        assert got.shape == theta.shape[:-1] + (n_actions, n)
-        for scores, ref in zip(got.reshape(-1, n_actions, n), refs):
-            assert scores.tobytes() == np.ascontiguousarray(ref.T).tobytes()
-            assert np.array_equal(scores.max(axis=0), ref.max(axis=1))
-            greedy = scores.argmax(axis=0)
-            assert np.array_equal(greedy, ref.argmax(axis=1))
-            # ties go to the lowest action index
-            first_best = [np.flatnonzero(col == col.max())[0] for col in scores.T]
-            assert np.array_equal(greedy, first_best)
+        if theta.ndim == 2:
+            [best] = best_scores(states, table, [(theta, mask)], normalize=normalize)
+            assert best.shape == (len(theta), n)
+            for row, ref in zip(best, refs):
+                assert row.tobytes() == ref.max(axis=1).tobytes()
+            return
+        scores = candidate_scores(states, table, theta, normalize=normalize, mask=mask)
+        [ref] = refs
+        assert scores.shape == (n_actions, n)
+        assert scores.tobytes() == np.ascontiguousarray(ref.T).tobytes()
+        assert np.array_equal(scores.max(axis=0), ref.max(axis=1))
+        greedy = scores.argmax(axis=0)
+        assert np.array_equal(greedy, ref.argmax(axis=1))
+        # ties go to the lowest action index
+        first_best = [np.flatnonzero(col == col.max())[0] for col in scores.T]
+        assert np.array_equal(greedy, first_best)
 
     def test_all_zero_masked_row_raises(self):
         states = np.array([[1.0, 2.0], [0.5, 0.0]])
         table = np.array([[1.0], [0.0]])
         mask = np.array([0.0, 0.0, 1.0])
-        theta = np.ones((2, 3))
+        thetas = np.ones((2, 3))
         with pytest.raises(ValueError, match="all-zero"):
-            candidate_scores(states, table, theta, mask=mask)
-        raw = candidate_scores(states, table, theta, normalize=False, mask=mask)
-        np.testing.assert_array_equal(raw, [[[1.0, 1.0], [0.0, 0.0]]] * 2)
+            candidate_scores(states, table, thetas[0], mask=mask)
+        with pytest.raises(ValueError, match="all-zero"):
+            best_scores(states, table, [(thetas, mask)])
+        raw = candidate_scores(states, table, thetas[0], normalize=False, mask=mask)
+        np.testing.assert_array_equal(raw, [[1.0, 1.0], [0.0, 0.0]])
+        [best] = best_scores(states, table, [(thetas, mask)], normalize=False)
+        np.testing.assert_array_equal(best, [[1.0, 1.0]] * 2)
 
-    @pytest.mark.parametrize("shape", [(4,), (2, 4), (1, 2, 3), ()])
+    # (2, 3): a stack of thetas, which best_scores takes
+    @pytest.mark.parametrize("shape", [(4,), (2, 4), (1, 2, 3), (), (2, 3)])
     def test_rejects_theta_of_wrong_shape(self, shape):
         with pytest.raises(ValueError, match="theta has shape"):
             candidate_scores(np.ones((2, 2)), np.ones((3, 1)), np.ones(shape))

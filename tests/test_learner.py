@@ -2,8 +2,10 @@ import json
 import math
 import os
 import re
+import select
 import sys
 import tempfile
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -14,10 +16,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sblq.config import METHODS
-from sblq.data import BatchDataset, candidate_scores
+from sblq.data import BatchDataset, candidate_scores, split
 from sblq.cli import _trace_text
 from sblq.envs import A1_ENV, A2_ENV, EnvSpec, generate_trajectories, make_env
-from sblq.errors import ConfigError, DataError
+from sblq.errors import ConfigError, DataError, NumericError
 from sblq.experiments import build_world, method_cell
 from sblq.learner import (
     DEFAULT_LASSO_GRID,
@@ -528,11 +530,11 @@ class TestStageSpectra:
         import sblq.learner as learner_mod
         built = []
 
-        def counting(*args):
+        def counting(matrix):
             built.append(1)
-            return stage_of(*args)
+            return decompose(matrix)
 
-        monkeypatch.setattr(learner_mod, "stage_of", counting)
+        monkeypatch.setattr(learner_mod, "decompose", counting)
         world = build_world(A2_ENV, 1, 100, 0.5)
         for method in METHODS:
             method_cell(world, method, 1)
@@ -558,6 +560,138 @@ class TestStageSpectra:
         assert threaded == serial
 
 
+def a1_half(n=200):
+    """The training half of ``n`` a1 trajectories: 72 features, above
+    ``learner.SPLIT_MIN_DIM``."""
+    ds, _ = generate_trajectories(make_env(A1_ENV, 0), n, seed=0)
+    return split(ds, 0.5, 0)[0]
+
+
+def spectra_on(ds, spare, mask=None):
+    """``stage_spectra(ds, mask)`` as built where a second thread has a CPU
+    to itself if ``spare``, else on one CPU, and the threads that decomposed
+    its stages."""
+    import sblq.learner as learner_mod
+    threads = []
+
+    def spy(matrix):
+        threads.append(threading.current_thread().name)
+        return decompose(matrix)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(learner_mod, "_spare_cpu", lambda: spare)
+        patch.setattr(learner_mod, "decompose", spy)
+        return stage_spectra(ds, mask), threads
+
+
+class TestTwoThreadDecomposition:
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_two_threads_give_the_serial_bytes(self, masked):
+        ds = a1_half()
+        mask = None
+        if masked:  # 60 kept features: still decomposed on two threads
+            mask = np.ones(ds.feature_dim)
+            mask[::6] = 0.0
+        serial, serial_threads = spectra_on(ds, False, mask)
+        threaded, threads = spectra_on(ds, True, mask)
+        assert set(serial_threads) == {threading.current_thread().name}
+        # stage 1 is always handed to the worker
+        assert any(name.startswith("sblq-decompose") for name in threads)
+        assert len(threads) == ds.horizon
+        for a, b in zip(serial.stages, threaded.stages):
+            assert np.array_equal(a.decomp.eigenvalues, b.decomp.eigenvalues)
+            assert np.array_equal(a.decomp.eigenvectors, b.decomp.eigenvectors)
+        for method in METHODS:
+            assert (model_json_text(train(ds, method, seed=0, spectra=serial)[0])
+                    == model_json_text(train(ds, method, seed=0, spectra=threaded)[0])), method
+
+    @pytest.mark.parametrize("cpus, blas, spare", [
+        (2, {"OPENBLAS_NUM_THREADS": "1"}, True),
+        (1, {"OPENBLAS_NUM_THREADS": "1"}, False),
+        (2, {}, False),  # unset, OpenBLAS runs a thread per CPU
+        (2, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+        (2, {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, True),
+        (4, {"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, True),
+    ])
+    def test_a_spare_cpu_needs_two_cpus_and_a_one_thread_blas(self, monkeypatch, cpus,
+                                                               blas, spare):
+        import sblq.learner as learner_mod
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        for name, value in blas.items():
+            monkeypatch.setenv(name, value)
+        assert learner_mod._spare_cpu() is spare
+
+    def test_small_stages_stay_on_the_calling_thread(self):
+        ds = a1_half()
+        mask = np.zeros(ds.feature_dim)
+        mask[:16] = 1.0
+        _, threads = spectra_on(ds, True, mask)
+        assert set(threads) == {threading.current_thread().name}
+
+    @pytest.mark.parametrize("error", [NumericError, ValueError])
+    @pytest.mark.parametrize("failing", ["worker", "every"])
+    def test_an_error_names_the_earliest_failing_stage(self, monkeypatch, capfd, error,
+                                                       failing):
+        # stage 1 is the worker's; failing everywhere, the caller's later
+        # stages fail too, and the error is still stage 1's
+        import sblq.learner as learner_mod
+        ds = a1_half()
+        monkeypatch.setattr(learner_mod, "_spare_cpu", lambda: True)
+        stage_spectra(ds)  # the worker thread is running before the count
+
+        def planted(matrix):
+            if failing == "every" or threading.current_thread().name.startswith("sblq-"):
+                raise error("planted")
+            return decompose(matrix)
+
+        before = threading.active_count()
+        monkeypatch.setattr(learner_mod, "decompose", planted)
+        with pytest.raises(error, match=r"^stage 1: planted$"):
+            stage_spectra(ds)
+        # the worker is not blocked: it decomposes the next call's stage 1
+        monkeypatch.setattr(learner_mod, "decompose", decompose)
+        again = []
+        caller = threading.Thread(target=lambda: again.append(stage_spectra(ds)))
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive() and len(again[0].stages) == ds.horizon
+        # no thread is left over, and none printed a traceback
+        assert threading.active_count() == before
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_a_forked_child_decomposes_on_its_own_worker(self):
+        import sblq.learner as learner_mod
+        ds = a1_half()
+        want = model_json_text(train(ds, "tikhonov", spectra=spectra_on(ds, True)[0])[0])
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child: the parent's worker thread does not run here
+            code = 1
+            try:
+                spectra, threads = spectra_on(ds, True)
+                got = model_json_text(train(ds, "tikhonov", spectra=spectra)[0])
+                code = 0 if got == want and any(
+                    name.startswith("sblq-decompose") for name in threads) else 2
+            finally:
+                os.write(write, bytes([code]))
+                os._exit(code)
+        os.close(write)
+        ready = []
+        try:
+            ready = select.select([read], [], [], 120)[0]
+            assert ready, "the forked child did not finish in 120 s"
+            assert os.read(read, 1) == b"\x00"
+        finally:
+            os.close(read)
+            if not ready:
+                os.kill(pid, 9)
+            os.waitpid(pid, 0)
+
+
 # A stage's Sigma_hat, moments and candidate scores are sums over its
 # distinct states that the design path takes over its rows; both round, and
 # they agree to this bound relative to the largest term.
@@ -569,18 +703,21 @@ def within(got, want, scale) -> bool:
 
 
 def spectra_and_covariances(ds, mask=None):
-    """``stage_spectra(ds, mask)`` and the Sigma_hat each of its stages decomposed."""
+    """``stage_spectra(ds, mask)`` and the Sigma_hat each of its stages
+    decomposed, paired by the eigensystem each stage holds: the stages may
+    be decomposed on two threads, in any order."""
     import sblq.learner as learner_mod
-    seen = []
+    seen = {}
 
     def spy(matrix):
-        seen.append(np.array(matrix))
-        return decompose(matrix)
+        decomp = decompose(matrix)
+        seen[id(decomp)] = np.array(matrix)
+        return decomp
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(learner_mod, "decompose", spy)
         spectra = stage_spectra(ds, mask)
-    return spectra, seen
+    return spectra, [seen[id(stage.decomp)] for stage in spectra.stages]
 
 
 def property_dataset(source, seed, n, normalize):
