@@ -7,7 +7,7 @@ from .interpret import ContributionReport, clipped_weights, contribution_proport
 from .learner import (AdaptiveConfig, ModelBundle, Stage, StageFitReport, StageSpectra,
                       adaptive_threshold, default_config, dimension_adjusted_sample_size,
                       effective_sample_size, error_decomposition, fit_stage, lasso_path,
-                      load_model, select_lambda, stage_of, stage_spectra, stage_targets, train,
+                      load_model, select_lambda, stage_spectra, stage_targets, train,
                       variance_proxy)
 from .policy import (GreedyPolicy, MetricsReport, comparison_diagnostic, direct_value_estimate,
                      evaluate, parameter_gap, policy_gap, rollout_reward)

@@ -14,9 +14,11 @@ Least-squares and lasso baselines run the same backward induction with the
 stage estimator swapped out.
 
 Each stage's Sigma_hat depends on the data alone, not on the outcomes, so
-``stage_spectra`` builds all T eigensystems before the backward loop; they
-are independent, and it shares them between the calling thread and one
-worker thread where that pays.
+the T eigensystems are independent.  Where that pays, one worker thread
+decomposes the stages from the top while the calling thread builds them and
+takes the lowest ones nobody holds (``_Schedule``); ``train`` fits each
+stage as soon as its eigensystem lands, and ``stage_spectra`` returns them
+all.  No pending eigensystem leaves the call that made it.
 """
 from __future__ import annotations
 
@@ -24,6 +26,7 @@ import json
 import math
 import os
 import threading
+from contextlib import closing
 from dataclasses import dataclass, fields
 from queue import SimpleQueue
 
@@ -40,8 +43,10 @@ from .spectral import (
     SpectralDecomposition,
     decompose,
     default_filter,
+    eigensystem,
     empirical_effective_dimension,
     filter_values,
+    symmetrized,
     weighted_half_norm,
 )
 
@@ -335,54 +340,48 @@ def _stage_parts(rows, table, sq_norms, state_of, action):
     return states, local, scale, _stage_covariance(states, table, local, action, weights)
 
 
-def stage_of(rows: np.ndarray, mask: np.ndarray | None, state_of: np.ndarray,
-             table: np.ndarray, action: np.ndarray, normalize: bool = False) -> Stage:
-    """The Stage of the design whose row i is [rows[state_of_i], table[action_i]],
-    unit-normalized if ``normalize``, on the columns ``mask`` keeps."""
-    mask = None if mask is None else np.asarray(mask, dtype=float)
-    rows, table, sq_norms = _kept_columns(rows, table, mask, normalize)
-    states, state_of, scale, cov = _stage_parts(rows, table, sq_norms, state_of, action)
-    return Stage(states, table, state_of, action, scale, decompose(cov), mask)
-
-
 # Stages of this many kept features or more are decomposed on two threads;
 # for smaller ones handing a stage to the worker costs more than its eigh.
 SPLIT_MIN_DIM = 48
 
-class _Handed:
-    """Stage t's Sigma_hat, handed to the worker thread: its eigensystem,
-    or the error that ``_decompose_stage`` raised, once the worker is done."""
 
-    def __init__(self, t: int, cov: np.ndarray):
-        self.t, self.cov, self.started = t, cov, False
-        self.finished = threading.Event()
-        self.decomp = self.error = None
+class _Pending:
+    """Stage t's Sigma_hat until one thread decomposes it, and then its
+    eigensystem or the error that ``_decompose_stage`` raised; ``cov`` is
+    None once the stage is done.  A thread holds ``lock`` while it
+    decomposes, and decomposes only a stage that is not done, so each stage
+    is decomposed once.  A stage whose Sigma_hat could not be built holds
+    that ``error`` from the start."""
 
-    def run(self):
-        self.started = True
+    def __init__(self, t: int, cov: np.ndarray | None, error: Exception | None = None):
+        self.t, self.cov, self.decomp, self.error = t, cov, None, error
+        self.lock = threading.Lock()
+
+    def run(self, errors=(NumericError, ValueError), wait=False):
+        """Decompose the stage unless it is done or, unless ``wait``, another
+        thread holds it; one of ``errors`` is kept, to be raised on the
+        calling thread."""
+        if not self.lock.acquire(blocking=wait):
+            return
         try:
-            self.decomp = _decompose_stage(self.t, self.cov)
-        except BaseException as exc:  # raised again on the caller's thread, by result()
+            if self.cov is not None:
+                self.decomp = _decompose_stage(self.t, self.cov)
+        except errors as exc:
             self.error = exc
-        self.cov = None
-        self.finished.set()
-
-    def result(self) -> SpectralDecomposition:
-        self.finished.wait()
-        if self.error is not None:
-            raise self.error
-        return self.decomp
+        finally:
+            self.cov = None
+            self.lock.release()
 
 
 def _work(tasks: SimpleQueue):
     while True:
-        tasks.get().run()
+        tasks.get().run(BaseException)
 
 
-# The queue of the thread that takes a share of a dataset's decompositions,
-# both made at the first hand-over.  A forked child makes its own, since the
-# parent's thread does not run there.  (A plain thread: an executor would
-# import concurrent.futures and logging, 0.6 MB.)
+# The queue of the thread that takes stages from the top of each call's
+# schedule, both made at the first hand-over.  A forked child makes its own,
+# since the parent's thread does not run there.  (A plain thread: an executor
+# would import concurrent.futures and logging, 0.6 MB.)
 _tasks = None
 _tasks_lock = threading.Lock()
 
@@ -396,16 +395,14 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_worker)
 
 
-def _hand_over(t: int, cov: np.ndarray) -> _Handed:
+def _worker_tasks() -> SimpleQueue:
     global _tasks
     with _tasks_lock:
         if _tasks is None:
             _tasks = SimpleQueue()
             threading.Thread(target=_work, args=(_tasks,), name="sblq-decompose",
                              daemon=True).start()
-    handed = _Handed(t, cov)
-    _tasks.put(handed)
-    return handed
+        return _tasks
 
 
 def _spare_cpu() -> bool:
@@ -428,35 +425,115 @@ def _spare_cpu() -> bool:
     return False
 
 
-def _decompose_stage(t: int, cov: np.ndarray) -> SpectralDecomposition:
-    """``decompose`` of stage t's Sigma_hat; an error names the stage."""
+def _on_stage(t: int, step, matrix: np.ndarray):
+    """``step(matrix)`` on stage t's Sigma_hat; an error names the stage."""
     try:
-        return decompose(cov)
+        return step(matrix)
     except (NumericError, ValueError) as exc:
         raise type(exc)(f"stage {t}: {exc}") from exc
 
 
-def _handed(t: int, horizon: int, cov: np.ndarray, decomps: list):
-    """Stage t's eigensystem, or its hand-over to the worker, given ``decomps``
-    of the stages before.  This thread decomposes the last stage, and any
-    stage built while two wait for the worker; the worker takes the others.
-    So neither thread waits long for the other, and at most four Sigma_hat
-    are held at once."""
-    waiting = 0
-    for d in reversed(decomps):  # the worker takes its stages in order
-        if isinstance(d, _Handed):
-            if d.started:
-                break
-            waiting += 1
-    if t == horizon or waiting >= 2:
-        return _decompose_stage(t, cov)
-    return _hand_over(t, cov)
+def _decompose_stage(t: int, sym: np.ndarray) -> SpectralDecomposition:
+    """The ``eigensystem`` of stage t's ``symmetrized`` Sigma_hat."""
+    return _on_stage(t, eigensystem, sym)
 
 
-def _resolved(decomps: list) -> list:
-    """Each stage's eigensystem, waiting for the worker's; an error is the
-    earliest failing stage's."""
-    return [d.result() if isinstance(d, _Handed) else d for d in decomps]
+class _Schedule:
+    """The builds and decompositions of one call's stages, from the top.
+
+    This thread builds each stage's parts and Sigma_hat in turn from stage T
+    down, and hands each to the worker, if there is one, which decomposes
+    them in that order.  This thread decomposes the stage that is needed
+    next if nobody holds it.  While the worker holds it, this thread builds
+    ahead, while fewer than three built stages wait for a thread, or else
+    decomposes the lowest stage that waits.  So at most four Sigma_hat are
+    held at once: three waiting and the worker's, or two waiting, this
+    thread's and the worker's.  (Building ahead only while fewer than two
+    wait, the worker, woken from its queue, was often too late for the next
+    stage, and this thread took more of them.)  With no worker, this thread
+    decomposes each stage as it builds it, and every stage before the first
+    is fit: with the fits between the eighs, a serial a1 train ran up to 17%
+    slower."""
+
+    def __init__(self, dataset: BatchDataset, mask: np.ndarray | None):
+        self.dataset, self.mask = dataset, mask
+        self.rows, self.table, self.sq_norms = _kept_columns(
+            dataset.state_rows, dataset.action_table, mask, dataset.normalize)
+        self.tasks = (_worker_tasks() if self.rows.shape[1] + self.table.shape[1]
+                      >= SPLIT_MIN_DIM and _spare_cpu() else None)
+        self.unbuilt = dataset.horizon   # stages 1..unbuilt are not built yet
+        self.parts, self.pending = {}, {}
+        self.waiting = []                # built stages, from the top, maybe waiting
+
+    def _build(self):
+        t, self.unbuilt = self.unbuilt, self.unbuilt - 1
+        try:
+            *self.parts[t], cov = _stage_parts(self.rows, self.table, self.sq_norms,
+                                               self.dataset.state_index[:, t - 1],
+                                               self.dataset.actions[:, t - 1])
+            # decompose's checks, here on this thread: their numpy calls
+            # would pass the interpreter lock back and forth with the worker
+            cov = _on_stage(t, symmetrized, cov)
+        except (NumericError, ValueError) as exc:
+            self.pending[t] = _Pending(t, None, exc)
+            return
+        self.pending[t] = pending = _Pending(t, cov)
+        self.waiting.append(pending)
+        if self.tasks is not None:
+            self.tasks.put(pending)
+
+    def resolved(self, t: int) -> _Pending:
+        """Stage t, once it is done; every stage above it must be, unless
+        there is no worker."""
+        while self.unbuilt >= t:
+            self._build()
+            if self.tasks is None and self.waiting:
+                self.waiting.pop().run()
+        pending = self.pending[t]
+        while pending.cov is not None:
+            self.waiting = [p for p in self.waiting
+                            if p.cov is not None and not p.lock.locked()]
+            if self.unbuilt and self.tasks is not None and len(self.waiting) < 3:
+                self._build()
+            elif self.waiting:
+                first, lowest = self.waiting[0], self.waiting[-1]
+                (first if first is pending else lowest).run()
+            else:
+                pending.run(wait=True)
+        return pending
+
+    def stage(self, t: int) -> Stage:
+        """Stage t, once ``resolved`` without an error."""
+        states, state_of, scale = self.parts.pop(t)
+        return Stage(states, self.table, state_of, self.dataset.actions[:, t - 1], scale,
+                     self.pending.pop(t).decomp, self.mask)
+
+    def settle(self):
+        """Leave the worker nothing of this call: mark every stage done,
+        waiting for the one it holds."""
+        for pending in self.pending.values():
+            with pending.lock:
+                pending.cov = None
+
+
+def _stages_from_top(dataset: BatchDataset, mask: np.ndarray | None):
+    """Stage t of ``dataset`` under ``mask`` for t = T..1, each as soon as its
+    eigensystem is ready (``_Schedule``).  An error is the lowest failing
+    stage's, as in a serial loop from stage 1, once every stage below the one
+    that failed is done; and no stage of the call is left to the worker."""
+    schedule = _Schedule(dataset, mask)
+    try:
+        if schedule.tasks is None:
+            schedule.resolved(1)
+        for t in range(dataset.horizon, 0, -1):
+            if schedule.resolved(t).error is not None:
+                for below in range(t - 1, 0, -1):
+                    schedule.resolved(below)
+                raise next(schedule.pending[s].error for s in range(1, t + 1)
+                           if schedule.pending[s].error is not None)
+            yield schedule.stage(t)
+    finally:
+        schedule.settle()
 
 
 @dataclass(frozen=True)
@@ -475,16 +552,15 @@ def stage_spectra(dataset: BatchDataset, mask: np.ndarray | None = None) -> Stag
     A mask that keeps every feature is no mask: the stages, and all fit from
     them, are the unmasked ones bit for bit.
 
-    The one place a dataset's Sigma_hat are decomposed.  The kept columns
-    and row norms are taken once, and each stage's parts and Sigma_hat are
-    built on this thread, in stage order.  The T eigensystems are
-    independent and LAPACK runs with the interpreter lock released, so where
-    a second thread has a CPU to itself (``_spare_cpu``) and the stages keep
-    ``SPLIT_MIN_DIM`` features or more, a worker thread decomposes a share of the stages while
-    this thread builds and decomposes the others (``_handed``).  Each
-    eigensystem is the same LAPACK call on the same matrix on either thread,
-    so the stages are the serial ones bit for bit, and an error is the
-    earliest failing stage's, named as in a serial loop."""
+    The kept columns and row norms are taken once, and each stage's parts and
+    Sigma_hat are built on this thread.  The T eigensystems are independent
+    and LAPACK runs with the interpreter lock released, so where a second
+    thread has a CPU to itself (``_spare_cpu``) and the stages keep
+    ``SPLIT_MIN_DIM`` features or more, a worker thread decomposes the stages
+    from the top while this thread builds them and takes the lowest ones
+    (``_Schedule``).  Each eigensystem is the same LAPACK call on the same
+    matrix on either thread, so the stages are the serial ones bit for bit,
+    and an error is the earliest failing stage's, named as in a serial loop."""
     if mask is not None:
         mask = np.asarray(mask, dtype=float)
         if not np.any(mask):
@@ -493,25 +569,7 @@ def stage_spectra(dataset: BatchDataset, mask: np.ndarray | None = None) -> Stag
             mask = None
         else:
             mask.setflags(write=False)
-    rows, table, sq_norms = _kept_columns(dataset.state_rows, dataset.action_table, mask,
-                                          dataset.normalize)
-    handoff = rows.shape[1] + table.shape[1] >= SPLIT_MIN_DIM and _spare_cpu()
-    parts, decomps = [], []   # per stage, its eigensystem or its hand-over to the worker
-    for t in range(1, dataset.horizon + 1):
-        try:
-            *part, cov = _stage_parts(rows, table, sq_norms, dataset.state_index[:, t - 1],
-                                      dataset.actions[:, t - 1])
-            decomps.append(_handed(t, dataset.horizon, cov, decomps) if handoff
-                           else _decompose_stage(t, cov))
-        except (NumericError, ValueError):
-            _resolved(decomps)  # an earlier stage's error comes first, as in a serial loop
-            raise
-        parts.append(part)
-    decomps = _resolved(decomps)
-    return StageSpectra(dataset, mask, tuple(
-        Stage(states, table, state_of, dataset.actions[:, t - 1], scale, decomp, mask)
-        for t, (states, state_of, scale), decomp in zip(range(1, dataset.horizon + 1),
-                                                            parts, decomps)))
+    return StageSpectra(dataset, mask, tuple(reversed(list(_stages_from_top(dataset, mask)))))
 
 
 def stage_targets(spectra: StageSpectra, t: int,
@@ -525,7 +583,13 @@ def stage_targets(spectra: StageSpectra, t: int,
     on its kept features, and each trajectory takes its state's best score.
     At the final stage theta_next must be zero and (y, phi) is (rewards, 0).
     """
-    dataset = spectra.dataset
+    following = None if t == spectra.dataset.horizon else spectra.stages[t]
+    return _targets(spectra.dataset, t, following, theta_next)
+
+
+def _targets(dataset: BatchDataset, t: int, following: Stage | None,
+             theta_next: np.ndarray) -> tuple[np.ndarray, float]:
+    """``stage_targets`` of ``dataset``'s stage t, given stage t + 1 (None at T)."""
     theta_next = np.asarray(theta_next, dtype=float)
     if theta_next.shape != (dataset.feature_dim,):
         raise ValueError(
@@ -535,7 +599,6 @@ def stage_targets(spectra: StageSpectra, t: int,
         if np.any(theta_next != 0.0):
             raise ValueError("theta_next must be all zeros at the final stage")
         return rewards.copy(), 0.0
-    following = spectra.stages[t]
     scores = candidate_scores(following.states, following.table,
                               following.kept(theta_next), normalize=dataset.normalize)
     best = scores.max(axis=0)
@@ -752,7 +815,7 @@ def lasso_holdout(n: int) -> int:
     return max(1, int(LASSO_VAL_FRACTION * n))
 
 
-def _lasso_fitter(spectra: StageSpectra, grid: tuple, seed: int):
+def _lasso_fitter(dataset: BatchDataset, grid: tuple, seed: int):
     """Lasso with the penalty chosen per stage on held-out trajectories.
 
     Lasso reads its stage as every method does, through Sigma_hat and the
@@ -764,7 +827,7 @@ def _lasso_fitter(spectra: StageSpectra, grid: tuple, seed: int):
     """
     if not grid:
         raise ValueError("lasso requires a nonempty penalty grid")
-    n = len(spectra.dataset)
+    n = len(dataset)
     n_val = lasso_holdout(n)
     if n - n_val < 1:
         raise DataError(f"lasso's validation split of {n} trajectories leaves no "
@@ -792,6 +855,15 @@ def _spectral_fitter(method: str, horizon: int, cfg: AdaptiveConfig):
     return fit
 
 
+def _check_top_eigenvalue(t: int, stage: Stage):
+    """Gradient descent's filter needs the eigenvalues of Sigma_hat at most 1."""
+    top = stage.decomp.eigenvalues[-1]
+    if top > GRADIENT_DESCENT_MAX_EIGENVALUE:
+        raise DataError(f"stage {t}: the gradient-descent filter needs the eigenvalues of "
+                        f"Sigma_hat at most 1, but the largest is {top:.6g}; "
+                        "unit-normalized features (normalize: true) keep them there")
+
+
 def train(dataset: BatchDataset, method: str, cfg: AdaptiveConfig | None = None,
           seed: int = 0, spectra: StageSpectra | None = None,
           lasso_grid=DEFAULT_LASSO_GRID):
@@ -804,54 +876,66 @@ def train(dataset: BatchDataset, method: str, cfg: AdaptiveConfig | None = None,
     squares, or lasso's exact path over ``lasso_grid``.  Baselines take no
     ``cfg``.
     ``spectra`` are the dataset's ``stage_spectra``, feature mask included;
-    None builds them unmasked.  A masked stage is fit in its kept
+    None builds the stages unmasked, and fits each as soon as its
+    eigensystem is ready, while the worker thread decomposes those below it
+    (``_Schedule``).  A masked stage is fit in its kept
     coordinates, and its theta is written into the d features with exact
     zeros everywhere else.
     Returns (ModelBundle, StageFitReports for t = 1..T, empty for a
     baseline); identical arguments produce an identical bundle, which
-    records lasso's grid.
+    records lasso's grid.  An error is the one a train that built every
+    stage first would raise: a stage that cannot be built or decomposed,
+    then the arguments, then the earliest stage over gradient descent's
+    bound, then the first stage fit that fails.
     """
     horizon, d = dataset.horizon, dataset.feature_dim
     if spectra is None:
-        spectra = stage_spectra(dataset)
+        mask, stages = None, _stages_from_top(dataset, None)
     elif spectra.dataset is not dataset:
         raise ValueError("the stage spectra belong to a different dataset")
-    if cfg is None:
-        cfg = default_config(method, dataset.reward_bound)
-    elif method in BASELINE_METHODS:
-        raise ValueError(f"{method} takes no adaptive configuration")
-    grid = tuple(float(g) for g in lasso_grid) if method == LASSO else None
-    if method == LS:
-        fit = _fit_least_squares
-    elif method == LASSO:
-        fit = _lasso_fitter(spectra, grid, seed)
     else:
-        fit = _spectral_fitter(method, horizon, cfg)
-    if method == GRADIENT_DESCENT:
-        for t, stage in enumerate(spectra.stages, start=1):
-            top = stage.decomp.eigenvalues[-1]
-            if top > GRADIENT_DESCENT_MAX_EIGENVALUE:
-                raise DataError(f"stage {t}: the gradient-descent filter needs the "
-                                f"eigenvalues of Sigma_hat at most 1, but the largest is "
-                                f"{top:.6g}; unit-normalized features (normalize: true) "
-                                "keep them there")
-
-    theta_next = np.zeros(d)
-    stages: list[StageModel | None] = [None] * horizon
-    reports: list[StageFitReport | None] = [None] * horizon
-    for t in range(horizon, 0, -1):
-        targets, phi = stage_targets(spectra, t, theta_next)
+        # a generator too, closed as the schedule's is
+        mask, stages = spectra.mask, (stage for stage in reversed(spectra.stages))
+    theta_next, following = np.zeros(d), None
+    models, reports = [], []
+    with closing(stages):
         try:
-            theta, lam, k, report = fit(t, spectra.stages[t - 1], targets, phi)
-        except (NumericError, FloatingPointError) as exc:
-            raise NumericError(f"stage {t}: {exc}") from exc
-        theta_next = spectra.stages[t - 1].lift(theta)
-        stages[t - 1] = StageModel(t=t, theta=theta_next, lambda_selected=lam, k_selected=k)
-        reports[t - 1] = report
+            if cfg is None:
+                cfg = default_config(method, dataset.reward_bound)
+            elif method in BASELINE_METHODS:
+                raise ValueError(f"{method} takes no adaptive configuration")
+            grid = tuple(float(g) for g in lasso_grid) if method == LASSO else None
+            if method == LS:
+                fit = _fit_least_squares
+            elif method == LASSO:
+                fit = _lasso_fitter(dataset, grid, seed)
+            else:
+                fit = _spectral_fitter(method, horizon, cfg)
+            for t, stage in zip(range(horizon, 0, -1), stages):
+                if method == GRADIENT_DESCENT:
+                    _check_top_eigenvalue(t, stage)
+                targets, phi = _targets(dataset, t, following, theta_next)
+                try:
+                    theta, lam, k, report = fit(t, stage, targets, phi)
+                except (NumericError, FloatingPointError) as exc:
+                    raise NumericError(f"stage {t}: {exc}") from exc
+                theta_next, following = stage.lift(theta), stage
+                models.append(StageModel(t=t, theta=theta_next, lambda_selected=lam,
+                                         k_selected=k))
+                reports.append(report)
+        except Exception:
+            # a train that built every stage first met a stage's build error
+            # before all else, and gradient descent's bound from stage 1 on
+            # before any fit: build the stages below this one, and check them
+            below = list(stages)
+            if method == GRADIENT_DESCENT:
+                for t, stage in enumerate(reversed(below), start=1):
+                    _check_top_eigenvalue(t, stage)
+            raise
     bundle = ModelBundle(horizon=horizon, feature_dim=d, filter_kind=method,
-                         stages=tuple(stages), config=cfg, seed=seed,
-                         feature_mask=spectra.mask, lasso_grid=grid)
-    return bundle, [r for r in reports if r is not None]
+                         stages=tuple(reversed(models)), config=cfg, seed=seed,
+                         feature_mask=mask, lasso_grid=grid)
+    return bundle, [r for r in reversed(reports) if r is not None]
 
 
 def error_decomposition(stage: Stage, targets_y: np.ndarray,

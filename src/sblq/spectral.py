@@ -102,6 +102,12 @@ def decompose(matrix: np.ndarray) -> SpectralDecomposition:
     Rejects matrices with non-finite entries, asymmetry above 1e-10, or
     eigenvalues below -1e-12.  Round-off negatives are clamped to zero.
     """
+    return eigensystem(symmetrized(matrix))
+
+
+def symmetrized(matrix: np.ndarray) -> np.ndarray:
+    """``decompose``'s checks before its ``eigh``: the matrix, made exactly
+    symmetric, once it is square, finite and symmetric to 1e-10."""
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
@@ -112,7 +118,12 @@ def decompose(matrix: np.ndarray) -> SpectralDecomposition:
     asym = np.max(np.abs(a - a.T)) if a.size else 0.0
     if asym > SYMMETRY_TOL:
         raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
-    sym = 0.5 * (a + a.T)
+    return 0.5 * (a + a.T)
+
+
+def eigensystem(sym: np.ndarray) -> SpectralDecomposition:
+    """``decompose`` of a matrix that ``symmetrized`` returned: its ``eigh``,
+    the PSD check and the clamp."""
     eigenvalues, eigenvectors = np.linalg.eigh(sym)
     if eigenvalues[0] < -EIGENVALUE_CLAMP_TOL:
         raise NumericError(
@@ -121,7 +132,7 @@ def decompose(matrix: np.ndarray) -> SpectralDecomposition:
     eigenvalues = np.maximum(eigenvalues, 0.0)
     eigenvalues.setflags(write=False)
     eigenvectors.setflags(write=False)
-    return SpectralDecomposition(eigenvalues, eigenvectors, a.shape[0])
+    return SpectralDecomposition(eigenvalues, eigenvectors, sym.shape[0])
 
 
 def filter_values(spec: FilterSpec, lam: float | np.ndarray, sigmas: np.ndarray) -> np.ndarray:

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from sblq.data import BatchDataset
-from sblq.learner import stage_of
+from sblq.learner import Stage, _kept_columns, _stage_parts
+from sblq.spectral import decompose
 
 
 def make_dataset(n=6, horizon=3, d_s=4, d_a=3, n_actions=5, seed=0,
@@ -62,6 +63,17 @@ def reference_design(dataset, t, mask=None):
     return np.array([reference_features(state, dataset.action_table[action],
                                         dataset.normalize, mask)
                      for state, action in zip(states, actions)])
+
+
+def stage_of(rows, mask, state_of, table, action, normalize=False):
+    """The ``learner.Stage`` of the design whose row i is
+    [rows[state_of_i], table[action_i]], unit-normalized if ``normalize``, on
+    the columns the 0/1 ``mask`` keeps (None keeps all): one stage built
+    from the parts ``learner.stage_spectra`` builds every stage from."""
+    mask = None if mask is None else np.asarray(mask, dtype=float)
+    rows, table, sq_norms = _kept_columns(rows, table, mask, normalize)
+    states, state_of, scale, cov = _stage_parts(rows, table, sq_norms, state_of, action)
+    return Stage(states, table, state_of, action, scale, decompose(cov), mask)
 
 
 def design_stage(rows):

@@ -14,7 +14,7 @@ from sblq.envs import A1_ENV, A2_ENV, EnvSpec, generate_trajectories, make_env
 from sblq.errors import ConfigError
 from sblq.experiments import build_world, method_cell
 from sblq.learner import (AdaptiveConfig, ModelBundle, StageModel, default_config, load_model,
-                          model_json_text)
+                          model_json_text, train)
 from sblq.policy import direct_value_estimate
 
 from conftest import LEAF_MUTATIONS, leaf_paths, mutated, per_record_jsonl
@@ -786,6 +786,25 @@ class TestCommands:
         main(["train", "--config", str(cfg), "--dataset", str(tmp_path / "missing"),
               "--out", str(out)])
         assert not out.exists() or not any(out.iterdir())
+
+
+class TestTraceText:
+    @pytest.mark.parametrize("env", [A1_ENV, A2_ENV])
+    def test_is_json_dumps_of_each_stage_scan(self, env):
+        # the grid's ks and lambdas are formatted once per distinct grid;
+        # the text is still json.dumps of the whole payload, one train's
+        # reports or the reports of three (three grids) in one list
+        world = build_world(env, 0, 200)
+        trains = [train(world.train, method, spectra=world.spectra)[1]
+                  for method in ("tikhonov", "gradient-descent", "cutoff")]
+        for reports in (*trains, [r for rs in trains for r in rs], []):
+            want = json.dumps({"version": 1, "stages": [
+                {"t": r.stage, "ks": r.ks.tolist(), "lambdas": r.lambdas.tolist(),
+                 "diff_norms": r.diff_norms.tolist(), "thresholds": r.thresholds.tolist(),
+                 "phi_next": r.phi_next, "selected_k": r.selected_k,
+                 "selected_lambda": r.selected_lambda}
+                for r in reports]}) + "\n"
+            assert cli._trace_text(reports) == want
 
 
 class TestExitCodes:

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -6,8 +7,11 @@ import select
 import sys
 import tempfile
 import threading
+import time
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -39,16 +43,15 @@ from sblq.learner import (
     load_model,
     model_json_text,
     select_lambda,
-    stage_of,
     stage_spectra,
     stage_targets,
     train,
     variance_proxy,
 )
 from sblq.policy import parameter_gap
-from sblq.spectral import decompose, default_filter, weighted_half_norm
+from sblq.spectral import decompose, default_filter, eigensystem, weighted_half_norm
 
-from conftest import design_stage, make_dataset, reference_design, reference_features, stage_rows
+from conftest import design_stage, make_dataset, stage_of, reference_design, reference_features, stage_rows
 
 # A stage and the design rows it stands for sum Sigma_hat and the moment in
 # another order; their estimates agree to this bound, relative to the
@@ -532,9 +535,9 @@ class TestStageSpectra:
 
         def counting(matrix):
             built.append(1)
-            return decompose(matrix)
+            return eigensystem(matrix)
 
-        monkeypatch.setattr(learner_mod, "decompose", counting)
+        monkeypatch.setattr(learner_mod, "eigensystem", counting)
         world = build_world(A2_ENV, 1, 100, 0.5)
         for method in METHODS:
             method_cell(world, method, 1)
@@ -567,21 +570,109 @@ def a1_half(n=200):
     return split(ds, 0.5, 0)[0]
 
 
-def spectra_on(ds, spare, mask=None):
-    """``stage_spectra(ds, mask)`` as built where a second thread has a CPU
-    to itself if ``spare``, else on one CPU, and the threads that decomposed
-    its stages."""
-    import sblq.learner as learner_mod
-    threads = []
+def on_worker() -> bool:
+    return threading.current_thread().name.startswith("sblq-decompose")
 
-    def spy(matrix):
-        threads.append(threading.current_thread().name)
-        return decompose(matrix)
+
+@contextmanager
+def decomposing_on(spare, eigensystem_fn=eigensystem):
+    """Within, the package takes the eigensystem of each stage's
+    symmetrized Sigma_hat through ``eigensystem_fn``, as where a second thread has a CPU to itself if
+    ``spare``, else on one CPU; yields the (stage, thread name) of each
+    decomposition.  With a spare CPU the calling thread starts no stage that
+    the worker could take before the worker has started one, or found the
+    stage it took up held, so the worker takes a share however loaded the
+    host is."""
+    import sblq.learner as learner_mod
+    seen, worker_started = [], threading.Event()
+    decompose_stage, run = learner_mod._decompose_stage, learner_mod._Pending.run
+
+    def tried(pending, *args, **kwargs):
+        try:
+            return run(pending, *args, **kwargs)
+        finally:
+            if on_worker():
+                worker_started.set()
+
+    def spy(t, cov):
+        if on_worker():
+            worker_started.set()
+        elif spare and len(cov) >= learner_mod.SPLIT_MIN_DIM:
+            assert worker_started.wait(60), "the worker took no stage in 60 s"
+        seen.append((t, threading.current_thread().name))
+        return decompose_stage(t, cov)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(learner_mod, "_spare_cpu", lambda: spare)
-        patch.setattr(learner_mod, "decompose", spy)
-        return stage_spectra(ds, mask), threads
+        patch.setattr(learner_mod, "_decompose_stage", spy)
+        patch.setattr(learner_mod._Pending, "run", tried)
+        patch.setattr(learner_mod, "eigensystem", eigensystem_fn)
+        yield seen
+
+
+def spectra_on(ds, spare, mask=None):
+    """``stage_spectra(ds, mask)`` as ``decomposing_on(spare)`` builds it, and
+    the threads that decomposed its stages."""
+    with decomposing_on(spare) as seen:
+        spectra = stage_spectra(ds, mask)
+    return spectra, [name for _, name in seen]
+
+
+def scaled(ds, state_scale, table_scale=1.0):
+    """``ds`` with each stage's states times ``state_scale[t - 1]``, its
+    action table times ``table_scale``, on an unnormalized feature map."""
+    states = ds.states * np.asarray(state_scale)[None, :, None]
+    return BatchDataset.from_states(states=states, actions=ds.actions, rewards=ds.rewards,
+                                    action_table=ds.action_table * table_scale,
+                                    reward_bound=ds.reward_bound, normalize=False)
+
+
+def assert_a_forked_child_trains_on_its_own_worker(ds):
+    """A forked child trains tikhonov on ``ds``, on given stage spectra and
+    stage by stage, with this process's bytes, each decomposing on a worker
+    thread of its own: the parent's does not run there."""
+    want = model_json_text(train(ds, "tikhonov")[0])
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            with decomposing_on(True) as seen:
+                texts = [model_json_text(train(ds, "tikhonov", spectra=stage_spectra(ds))[0]),
+                         model_json_text(train(ds, "tikhonov")[0])]
+            workers = {t for t, name in seen if name.startswith("sblq-decompose")}
+            code = 0 if texts == [want, want] and workers else 2
+        finally:
+            os.write(write, bytes([code]))
+            os._exit(code)
+    os.close(write)
+    ready = []
+    try:
+        ready = select.select([read], [], [], 120)[0]
+        assert ready, "the forked child did not finish in 120 s"
+        assert os.read(read, 1) == b"\x00"
+    finally:
+        os.close(read)
+        if not ready:
+            os.kill(pid, 9)
+        os.waitpid(pid, 0)
+
+
+class HoldingWorker:
+    """A stand-in for the worker's queue: its worker takes the first stage
+    handed to it and holds it until ``release``; it takes no other."""
+
+    def __init__(self):
+        self.handed, self.release, self.thread = [], threading.Event(), None
+
+    def put(self, pending):
+        self.handed.append(pending.t)
+        if self.thread is None:
+            self.thread = threading.Thread(target=pending.run, args=(BaseException,),
+                                           name="holder")
+            self.thread.start()
+            while not pending.lock.locked():
+                time.sleep(0.001)
 
 
 class TestTwoThreadDecomposition:
@@ -595,15 +686,71 @@ class TestTwoThreadDecomposition:
         serial, serial_threads = spectra_on(ds, False, mask)
         threaded, threads = spectra_on(ds, True, mask)
         assert set(serial_threads) == {threading.current_thread().name}
-        # stage 1 is always handed to the worker
+        # the worker takes a share, and each stage is decomposed once
         assert any(name.startswith("sblq-decompose") for name in threads)
         assert len(threads) == ds.horizon
         for a, b in zip(serial.stages, threaded.stages):
             assert np.array_equal(a.decomp.eigenvalues, b.decomp.eigenvalues)
             assert np.array_equal(a.decomp.eigenvectors, b.decomp.eigenvectors)
         for method in METHODS:
-            assert (model_json_text(train(ds, method, seed=0, spectra=serial)[0])
-                    == model_json_text(train(ds, method, seed=0, spectra=threaded)[0])), method
+            want = model_json_text(train(ds, method, seed=0, spectra=serial)[0])
+            assert model_json_text(train(ds, method, seed=0, spectra=threaded)[0]) == want, method
+            if mask is None:  # each stage fit as its eigensystem lands, on two threads and on one
+                for spare in (True, False):
+                    with decomposing_on(spare) as seen:
+                        got = model_json_text(train(ds, method, seed=0)[0])
+                    assert got == want, (method, spare)
+                    assert sorted(t for t, _ in seen) == list(range(1, ds.horizon + 1))
+
+    @pytest.mark.parametrize("call", ["stage_spectra", "train"])
+    def test_the_caller_takes_the_lowest_stage_while_the_worker_holds_the_needed_one(
+            self, monkeypatch, call):
+        # the worker takes stage T, the first handed to it, and holds it:
+        # this thread builds three stages ahead, then, each time, takes the
+        # lowest stage nobody holds and builds the next; every stage is
+        # handed to the worker, from the top, and at most four Sigma_hat live
+        import sblq.learner as learner_mod
+        ds = a1_half()
+        horizon, worker = ds.horizon, HoldingWorker()
+        order, covs, alive = [], [], []
+        decompose_stage, symmetrized = learner_mod._decompose_stage, learner_mod.symmetrized
+
+        def spy(t, cov):
+            alive.append(sum(ref() is not None for ref in covs))
+            if threading.current_thread() is worker.thread:
+                assert worker.release.wait(60)
+            else:
+                order.append(t)
+                if len(order) == horizon - 1:
+                    worker.release.set()
+            return decompose_stage(t, cov)
+
+        def symmetric(matrix):
+            sym = symmetrized(matrix)
+            covs.append(weakref.ref(sym))
+            alive.append(sum(ref() is not None for ref in covs))
+            return sym
+
+        monkeypatch.setattr(learner_mod, "_spare_cpu", lambda: True)
+        monkeypatch.setattr(learner_mod, "_worker_tasks", lambda: worker)
+        monkeypatch.setattr(learner_mod, "_decompose_stage", spy)
+        monkeypatch.setattr(learner_mod, "symmetrized", symmetric)
+        if call == "train":
+            got = model_json_text(train(ds, "tikhonov")[0])
+        else:
+            got = stage_spectra(ds)
+        worker.thread.join(timeout=60)
+        assert not worker.thread.is_alive()
+        assert worker.handed == list(range(horizon, 0, -1))
+        assert order == [*range(horizon - 3, 0, -1), horizon - 2, horizon - 1]
+        assert max(alive) == 4
+        monkeypatch.undo()
+        serial = spectra_on(ds, False)[0]
+        if call == "train":
+            assert got == model_json_text(train(ds, "tikhonov", spectra=serial)[0])
+        else:
+            for a, b in zip(serial.stages, got.stages):
+                assert np.array_equal(a.decomp.eigenvectors, b.decomp.eigenvectors)
 
     @pytest.mark.parametrize("cpus, blas, spare", [
         (2, {"OPENBLAS_NUM_THREADS": "1"}, True),
@@ -631,65 +778,130 @@ class TestTwoThreadDecomposition:
         _, threads = spectra_on(ds, True, mask)
         assert set(threads) == {threading.current_thread().name}
 
+    def assert_nothing_left(self, capfd, threads_before):
+        """After a failed call: the worker is not blocked, as the next call's
+        stages run on it; no thread is left over, none printed, and a forked
+        child still trains on its own worker."""
+        ds = a1_half()
+        again = []
+        with decomposing_on(True) as seen:
+            caller = threading.Thread(target=lambda: again.append(stage_spectra(ds)))
+            caller.start()
+            caller.join(timeout=60)
+        assert not caller.is_alive() and len(again[0].stages) == ds.horizon
+        assert any(name.startswith("sblq-decompose") for _, name in seen)
+        assert threading.active_count() == threads_before
+        assert capfd.readouterr().err == ""
+        if hasattr(os, "fork"):
+            assert_a_forked_child_trains_on_its_own_worker(ds)
+
     @pytest.mark.parametrize("error", [NumericError, ValueError])
     @pytest.mark.parametrize("failing", ["worker", "every"])
-    def test_an_error_names_the_earliest_failing_stage(self, monkeypatch, capfd, error,
-                                                       failing):
-        # stage 1 is the worker's; failing everywhere, the caller's later
-        # stages fail too, and the error is still stage 1's
-        import sblq.learner as learner_mod
+    @pytest.mark.parametrize("call", ["stage_spectra", *METHODS])
+    def test_an_error_names_the_earliest_failing_stage(self, capfd, error, failing, call):
+        # planted in the stages the worker takes, the error is the lowest of
+        # those; planted in every stage, it is stage 1's, as in a serial loop
         ds = a1_half()
-        monkeypatch.setattr(learner_mod, "_spare_cpu", lambda: True)
-        stage_spectra(ds)  # the worker thread is running before the count
+        spectra_on(ds, True)  # the worker thread is running before the count
+        before = threading.active_count()
 
         def planted(matrix):
-            if failing == "every" or threading.current_thread().name.startswith("sblq-"):
+            if failing == "every" or on_worker():
                 raise error("planted")
-            return decompose(matrix)
+            return eigensystem(matrix)
 
+        with decomposing_on(True, planted) as seen, pytest.raises(error) as caught:
+            if call == "stage_spectra":
+                stage_spectra(ds)
+            else:
+                train(ds, call, seed=0)
+        worker = [t for t, name in seen if name.startswith("sblq-decompose")]
+        assert str(caught.value) == f"stage {1 if failing == 'every' else min(worker)}: planted"
+        assert sorted(t for t, _ in seen) == list(range(1, ds.horizon + 1))
+        self.assert_nothing_left(capfd, before)
+
+    @pytest.mark.parametrize("spare", [True, False])
+    @pytest.mark.parametrize("given", [False, True])
+    def test_gradient_descent_names_the_earliest_stage_over_its_bound(self, capfd, spare,
+                                                                      given):
+        # unnormalized, with stages 1 and 2 scaled down: the largest
+        # eigenvalue of Sigma_hat exceeds 1 from stage 3 to T, so the loop,
+        # from the top, meets stage T first
+        ds = scaled(a1_half(), [0.2, 0.2] + [1.0] * 18, table_scale=0.3)
+        spectra_on(ds, spare)
         before = threading.active_count()
-        monkeypatch.setattr(learner_mod, "decompose", planted)
-        with pytest.raises(error, match=r"^stage 1: planted$"):
-            stage_spectra(ds)
-        # the worker is not blocked: it decomposes the next call's stage 1
-        monkeypatch.setattr(learner_mod, "decompose", decompose)
-        again = []
-        caller = threading.Thread(target=lambda: again.append(stage_spectra(ds)))
-        caller.start()
-        caller.join(timeout=60)
-        assert not caller.is_alive() and len(again[0].stages) == ds.horizon
-        # no thread is left over, and none printed a traceback
-        assert threading.active_count() == before
-        assert capfd.readouterr().err == ""
+        spectra = stage_spectra(ds)
+        tops = [stage.decomp.eigenvalues[-1] for stage in spectra.stages]
+        assert max(tops[:2]) <= 1.0 < min(tops[2:])
+        with decomposing_on(spare), pytest.raises(DataError) as caught:
+            train(ds, "gradient-descent", spectra=spectra if given else None)
+        assert str(caught.value) == (
+            f"stage 3: the gradient-descent filter needs the eigenvalues of Sigma_hat at most "
+            f"1, but the largest is {tops[2]:.6g}; unit-normalized features (normalize: true) "
+            "keep them there")
+        self.assert_nothing_left(capfd, before)
+
+    @pytest.mark.parametrize("spare", [True, False])
+    @pytest.mark.parametrize("call", ["stage_spectra", "ls", "lasso"])
+    def test_a_baseline_on_a_stage_that_cannot_be_decomposed(self, capfd, spare, call):
+        # unnormalized 1e160-scale states from stage 2 on: Sigma_hat overflows
+        # there, as BLAS warns, and no such stage can be decomposed
+        ds = scaled(a1_half(), [1.0] + [1e160] * 19)
+        spectra_on(a1_half(), spare)
+        before = threading.active_count()
+        with decomposing_on(spare), pytest.raises(NumericError) as caught, \
+                pytest.warns(RuntimeWarning, match="overflow encountered in matmul"):
+            if call == "stage_spectra":
+                stage_spectra(ds)
+            else:
+                train(ds, call)
+        assert str(caught.value) == "stage 2: matrix contains non-finite entries"
+        self.assert_nothing_left(capfd, before)
+
+    def test_threads_training_at_once_share_the_worker(self, monkeypatch):
+        # more threads than cores each train stage by stage, switching often,
+        # and all hand their stages to the one worker: the serial bytes
+        import sblq.learner as learner_mod
+        ds = a1_half()
+        tasks = ["tikhonov", "gradient-descent", "cutoff", "ls"] * 3
+        serial = spectra_on(ds, False)[0]
+        want = [model_json_text(train(ds, m, spectra=serial)[0]) for m in tasks]
+        monkeypatch.setattr(learner_mod, "_spare_cpu", lambda: True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2 * (os.cpu_count() or 1) + 2) as pool:
+                got = list(pool.map(lambda m: model_json_text(train(ds, m)[0]), tasks,
+                                    timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+
+    @pytest.mark.parametrize("spare", [True, False])
+    def test_a_train_leaves_no_garbage_cycle(self, monkeypatch, spare):
+        # numpy arrays do not trigger the cyclic collector, so arrays held by
+        # a cycle stay until some later collection: each train must free all
+        # it made by reference counts alone
+        import sblq.learner as learner_mod
+        monkeypatch.setattr(learner_mod, "_spare_cpu", lambda: spare)
+        ds = a1_half()
+        spectra = stage_spectra(ds)
+        for method in METHODS:  # the worker thread and every lazy import exist
+            train(ds, method, spectra=spectra)
+            train(ds, method)
+        gc.collect()
+        gc.disable()
+        try:
+            for method in METHODS:
+                for given in (spectra, None):
+                    train(ds, method, spectra=given)
+                    assert gc.collect() == 0, (method, given is None)
+        finally:
+            gc.enable()
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_a_forked_child_decomposes_on_its_own_worker(self):
-        import sblq.learner as learner_mod
-        ds = a1_half()
-        want = model_json_text(train(ds, "tikhonov", spectra=spectra_on(ds, True)[0])[0])
-        read, write = os.pipe()
-        pid = os.fork()
-        if pid == 0:  # the child: the parent's worker thread does not run here
-            code = 1
-            try:
-                spectra, threads = spectra_on(ds, True)
-                got = model_json_text(train(ds, "tikhonov", spectra=spectra)[0])
-                code = 0 if got == want and any(
-                    name.startswith("sblq-decompose") for name in threads) else 2
-            finally:
-                os.write(write, bytes([code]))
-                os._exit(code)
-        os.close(write)
-        ready = []
-        try:
-            ready = select.select([read], [], [], 120)[0]
-            assert ready, "the forked child did not finish in 120 s"
-            assert os.read(read, 1) == b"\x00"
-        finally:
-            os.close(read)
-            if not ready:
-                os.kill(pid, 9)
-            os.waitpid(pid, 0)
+        assert_a_forked_child_trains_on_its_own_worker(a1_half())
 
 
 # A stage's Sigma_hat, moments and candidate scores are sums over its
@@ -710,12 +922,12 @@ def spectra_and_covariances(ds, mask=None):
     seen = {}
 
     def spy(matrix):
-        decomp = decompose(matrix)
+        decomp = eigensystem(matrix)
         seen[id(decomp)] = np.array(matrix)
         return decomp
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(learner_mod, "decompose", spy)
+        patch.setattr(learner_mod, "eigensystem", spy)
         spectra = stage_spectra(ds, mask)
     return spectra, [seen[id(stage.decomp)] for stage in spectra.stages]
 
@@ -1117,7 +1329,7 @@ class TestLassoFromStage:
         spectra = stage_spectra(ds, mask)
         kept = np.ones(ds.feature_dim, bool) if mask is None else mask != 0.0
         grid = list(DEFAULT_LASSO_GRID)
-        fit = _lasso_fitter(spectra, grid, seed=3)
+        fit = _lasso_fitter(ds, grid, seed=3)
         theta_next, supports = np.zeros(ds.feature_dim), []
         for t in range(ds.horizon, 0, -1):  # the backward induction, on the reference fits
             stage = spectra.stages[t - 1]
