@@ -76,31 +76,23 @@ def _csv_text(header, rows) -> str:
 def _train(cfg: RunConfig, dataset, method: str, seed: int, model=None, mask=None):
     """``learner.train`` on the dataset's stage spectra under feature ``mask``,
     with the run's adaptive overrides and lasso grid; a loaded ``model``'s
-    settings and grid replace them where it has them.  Returns (bundle, reports)."""
+    settings and grid replace them where it has them.  Returns (bundle, reports).
+    Unmasked, ``train`` builds the stages itself and fits each as it lands."""
     # a configured adaptive.reward_bound replaces the dataset's
     acfg = (model and model.config) or default_config(
         method, **{"reward_bound": dataset.reward_bound, **cfg.adaptive})
-    return train(dataset, method, acfg, seed=seed, spectra=stage_spectra(dataset, mask),
+    spectra = None if mask is None else stage_spectra(dataset, mask)
+    return train(dataset, method, acfg, seed=seed, spectra=spectra,
                  lasso_grid=(model and model.lasso_grid) or cfg.lasso_grid)
 
 
 def _trace_text(reports) -> str:
-    """trace.json: the ``_json_text`` of {"version": 1, "stages": [each
-    report's t, ks, lambdas, diff_norms, thresholds, phi_next, selected_k and
-    selected_lambda]}.  Every stage of one train scans the grid its adaptive
-    configuration sets, so each distinct grid's ks and lambdas are formatted
-    once."""
-    grids, stages = {}, []
-    for r in reports:
-        key = (r.ks.tobytes(), r.lambdas.tobytes())
-        if key not in grids:
-            grids[key] = (f'"ks": {json.dumps(r.ks.tolist())}, '
-                          f'"lambdas": {json.dumps(r.lambdas.tolist())}')
-        rest = json.dumps({"diff_norms": r.diff_norms.tolist(),
-                           "thresholds": r.thresholds.tolist(), "phi_next": r.phi_next,
-                           "selected_k": r.selected_k, "selected_lambda": r.selected_lambda})
-        stages.append(f'{{"t": {json.dumps(r.stage)}, {grids[key]}, {rest[1:]}')
-    return f'{{"version": 1, "stages": [{", ".join(stages)}]}}\n'
+    return _json_text({"version": 1, "stages": [
+        {"t": r.stage, "ks": r.ks.tolist(), "lambdas": r.lambdas.tolist(),
+         "diff_norms": r.diff_norms.tolist(), "thresholds": r.thresholds.tolist(),
+         "phi_next": r.phi_next, "selected_k": r.selected_k,
+         "selected_lambda": r.selected_lambda}
+        for r in reports]})
 
 
 def cmd_gen(cfg: RunConfig, out: Path) -> None:

@@ -510,10 +510,11 @@ class _Schedule:
 
     def settle(self):
         """Leave the worker nothing of this call: mark every stage done,
-        waiting for the one it holds."""
+        waiting for the one it holds.  Drop the errors kept, too: each one's
+        traceback holds the frame that kept it, and so its stage."""
         for pending in self.pending.values():
             with pending.lock:
-                pending.cov = None
+                pending.cov = pending.error = None
 
 
 def _stages_from_top(dataset: BatchDataset, mask: np.ndarray | None):

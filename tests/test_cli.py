@@ -13,8 +13,8 @@ from sblq.data import load_dataset
 from sblq.envs import A1_ENV, A2_ENV, EnvSpec, generate_trajectories, make_env
 from sblq.errors import ConfigError
 from sblq.experiments import build_world, method_cell
-from sblq.learner import (AdaptiveConfig, ModelBundle, StageModel, default_config, load_model,
-                          model_json_text, train)
+from sblq.learner import (DEFAULT_LASSO_GRID, AdaptiveConfig, ModelBundle, StageModel,
+                          default_config, load_model, model_json_text, stage_spectra, train)
 from sblq.policy import direct_value_estimate
 
 from conftest import LEAF_MUTATIONS, leaf_paths, mutated, per_record_jsonl
@@ -267,6 +267,26 @@ class TestCommands:
         assert len(contributions["proportions"]) == 9
         topk = (run / "topk.csv").read_text().splitlines()
         assert topk[0] == "k,reward" and len(topk) == 3
+
+    @pytest.mark.parametrize("method", ["cutoff", "lasso"])
+    def test_unmasked_train_fits_stage_by_stage_with_the_spectra_bytes(self, tmp_path,
+                                                                       monkeypatch, method):
+        # with no mask, train builds the stages itself, on the worker where
+        # one runs, and writes the model that trained on stage_spectra writes
+        import sblq.learner as learner_mod
+        data, run = tmp_path / "data", tmp_path / "run"
+        assert main(["gen", "--preset", "a1-performance", "--seed", "0", "--n", "100",
+                     "--out", str(data)]) == 0
+        monkeypatch.setattr(learner_mod, "_spare_cpu", lambda: True)
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "stage_spectra", None)
+            assert main(["train", "--preset", "a1-performance", "--dataset", str(data),
+                         "--method", method, "--out", str(run)]) == 0
+        ds = load_dataset(data / "header.json", data / "trajectories.jsonl")
+        model = load_model(run / "model.json")
+        want = train(ds, method, model.config, spectra=stage_spectra(ds),
+                     lasso_grid=model.lasso_grid or DEFAULT_LASSO_GRID)[0]
+        assert (run / "model.json").read_text() == model_json_text(want)
 
     def test_train_baseline_method(self, tmp_path):
         cfg = write_small_config(tmp_path)
@@ -786,25 +806,6 @@ class TestCommands:
         main(["train", "--config", str(cfg), "--dataset", str(tmp_path / "missing"),
               "--out", str(out)])
         assert not out.exists() or not any(out.iterdir())
-
-
-class TestTraceText:
-    @pytest.mark.parametrize("env", [A1_ENV, A2_ENV])
-    def test_is_json_dumps_of_each_stage_scan(self, env):
-        # the grid's ks and lambdas are formatted once per distinct grid;
-        # the text is still json.dumps of the whole payload, one train's
-        # reports or the reports of three (three grids) in one list
-        world = build_world(env, 0, 200)
-        trains = [train(world.train, method, spectra=world.spectra)[1]
-                  for method in ("tikhonov", "gradient-descent", "cutoff")]
-        for reports in (*trains, [r for rs in trains for r in rs], []):
-            want = json.dumps({"version": 1, "stages": [
-                {"t": r.stage, "ks": r.ks.tolist(), "lambdas": r.lambdas.tolist(),
-                 "diff_norms": r.diff_norms.tolist(), "thresholds": r.thresholds.tolist(),
-                 "phi_next": r.phi_next, "selected_k": r.selected_k,
-                 "selected_lambda": r.selected_lambda}
-                for r in reports]}) + "\n"
-            assert cli._trace_text(reports) == want
 
 
 class TestExitCodes:

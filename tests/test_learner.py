@@ -899,6 +899,39 @@ class TestTwoThreadDecomposition:
         finally:
             gc.enable()
 
+    @pytest.mark.parametrize("spare,failing", [(True, "worker"), (True, "every"),
+                                               (False, "every"), (True, "overflow"),
+                                               (False, "overflow")])
+    def test_a_failed_train_leaves_no_garbage_cycle(self, spare, failing):
+        # a kept error's traceback holds the frame that kept it, and so its
+        # stage and the schedule: a failed call must drop what it kept
+        ds = scaled(a1_half(), [1.0] + [1e160] * 19) if failing == "overflow" else a1_half()
+
+        def planted(matrix):
+            if failing == "every" or on_worker():
+                raise NumericError("planted")
+            return eigensystem(matrix)
+
+        def fail(call, *args):
+            try:
+                call(*args)
+            except NumericError:
+                return
+            raise AssertionError(f"{args} did not fail")
+
+        calls = [(stage_spectra, ds)] + [(train, ds, method) for method in METHODS]
+        with decomposing_on(spare, planted), np.errstate(over="ignore"):
+            for call in calls:  # the worker thread and every lazy import exist
+                fail(*call)
+            gc.collect()
+            gc.disable()
+            try:
+                for call in calls:
+                    fail(*call)
+                    assert gc.collect() == 0, (call[0].__name__, call[2:])
+            finally:
+                gc.enable()
+
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_a_forked_child_decomposes_on_its_own_worker(self):
         assert_a_forked_child_trains_on_its_own_worker(a1_half())
