@@ -87,12 +87,23 @@ def _train(cfg: RunConfig, dataset, method: str, seed: int, model=None, mask=Non
 
 
 def _trace_text(reports) -> str:
-    return _json_text({"version": 1, "stages": [
-        {"t": r.stage, "ks": r.ks.tolist(), "lambdas": r.lambdas.tolist(),
-         "diff_norms": r.diff_norms.tolist(), "thresholds": r.thresholds.tolist(),
-         "phi_next": r.phi_next, "selected_k": r.selected_k,
-         "selected_lambda": r.selected_lambda}
-        for r in reports]})
+    """trace.json: the ``_json_text`` of each report's record, with each
+    array the reports share (their scan grid's ks and lambdas) formatted once."""
+    shared = {}  # id of a shared array -> its JSON text
+
+    def once(array):
+        if id(array) not in shared:
+            shared[id(array)] = json.dumps(array.tolist())
+        return shared[id(array)]
+
+    records = ", ".join(
+        f'{{"t": {json.dumps(r.stage)}, "ks": {once(r.ks)}, "lambdas": {once(r.lambdas)}, '
+        f'"diff_norms": {json.dumps(r.diff_norms.tolist())}, '
+        f'"thresholds": {json.dumps(r.thresholds.tolist())}, '
+        f'"phi_next": {json.dumps(r.phi_next)}, "selected_k": {json.dumps(r.selected_k)}, '
+        f'"selected_lambda": {json.dumps(r.selected_lambda)}}}'
+        for r in reports)
+    return f'{{"version": 1, "stages": [{records}]}}\n'
 
 
 def cmd_gen(cfg: RunConfig, out: Path) -> None:

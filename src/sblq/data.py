@@ -157,16 +157,17 @@ def feature_matrix(states, actions) -> np.ndarray:
     return x
 
 
-def _score_blocks(states, action_table, stacks, normalize: bool):
+def _score_blocks(states, action_table, stacks, normalize: bool, sq_norms=None):
     """Each theta's (A, n) block of inner products <theta, x(state_i,
     action_j)>, in order, for ``stacks`` of (thetas (k, d), mask) pairs,
     scored on the features the 0/1 ``mask`` keeps (None keeps every one).
 
     Exploits the block structure of the concatenation so the (A, n, d) feature
     tensor is never materialized, and builds the normalizer
-    sqrt(|s_i|^2 + |a_j|^2) once per mask, at its first theta.  Each theta
-    has its own pair of matrix-vector products, so a score does not depend on
-    what else is scored with it.
+    sqrt(|s_i|^2 + |a_j|^2) once per mask, at its first theta: without a
+    mask, from the squared row norms (|s_i|^2, |a_j|^2) of ``sq_norms`` if
+    given.  Each theta has its own pair of matrix-vector products, so a score
+    does not depend on what else is scored with it.
     """
     s0 = np.asarray(states, dtype=float)
     a0 = np.asarray(action_table, dtype=float)
@@ -183,7 +184,9 @@ def _score_blocks(states, action_table, stacks, normalize: bool):
             s, a, key = s0 * m[None, :d_s], a0 * m[None, d_s:], m.tobytes()
         for th in theta:
             if normalize and key not in norms:
-                sq = np.sum(a**2, axis=1)[:, None] + np.sum(s**2, axis=1)[None, :]
+                s_sq, a_sq = (sq_norms if key is None and sq_norms is not None
+                              else (np.sum(s**2, axis=1), np.sum(a**2, axis=1)))
+                sq = a_sq[:, None] + s_sq[None, :]
                 if np.any(sq == 0.0):
                     raise DataError("cannot normalize an all-zero feature vector")
                 norms[key] = np.sqrt(sq)
@@ -194,15 +197,17 @@ def _score_blocks(states, action_table, stacks, normalize: bool):
 
 
 def candidate_scores(states, action_table, theta, normalize: bool = True,
-                     mask: np.ndarray | None = None) -> np.ndarray:
+                     mask: np.ndarray | None = None, sq_norms=None) -> np.ndarray:
     """Inner products <theta, x(state_i, action_j)> for one theta (d,), the
     (A, n) actions on the leading axis, on the features the 0/1 ``mask``
-    keeps (None keeps every one)."""
+    keeps (None keeps every one).  ``sq_norms``, the squared norms of the
+    rows of ``states`` and of ``action_table`` where they are at hand, spare
+    summing them again for the unmasked normalizer."""
     theta = np.asarray(theta, dtype=float)
     d = np.shape(states)[1] + np.shape(action_table)[1]
     if theta.shape != (d,):
         raise ValueError(f"theta has shape {theta.shape}, expected ({d},)")
-    return next(_score_blocks(states, action_table, [(theta[None], mask)], normalize))
+    return next(_score_blocks(states, action_table, [(theta[None], mask)], normalize, sq_norms))
 
 
 def best_scores(states, action_table, stacks, normalize: bool = True) -> list:

@@ -8,13 +8,17 @@ on the stage features via theta = g_lambda(Sigma_hat) * mean_i(x_i y_i),
 where g_lambda is a spectral filter.  The regularization level is chosen per
 stage by a balancing rule: scan a geometric grid lambda_k = q0 * q^k from the
 smallest grid value upward and stop at the first k where the weighted gap
-between consecutive estimates reaches a variance-proxy threshold.
+between consecutive estimates reaches a variance-proxy threshold.  What the
+scan holds fixed (the levels, their order and the proxy's terms of n, d and
+the configuration) is built once per train (``scan_grid``); each stage
+computes only what its eigenvalues and outcomes change.
 
 Least-squares and lasso baselines run the same backward induction with the
 stage estimator swapped out.
 
 Each stage's Sigma_hat depends on the data alone, not on the outcomes, so
-the T eigensystems are independent.  Where that pays, one worker thread
+the T eigensystems are independent; it is built exactly symmetric and
+decomposed as built, once found finite.  Where that pays, one worker thread
 decomposes the stages from the top while the calling thread builds them and
 takes the lowest ones nobody holds (``_Schedule``); ``train`` fits each
 stage as soon as its eigensystem lands, and ``stage_spectra`` returns them
@@ -46,7 +50,7 @@ from .spectral import (
     eigensystem,
     empirical_effective_dimension,
     filter_values,
-    symmetrized,
+    finite,
     weighted_half_norm,
 )
 
@@ -204,7 +208,9 @@ class Stage:
 
     Under a 0/1 feature ``mask`` of length d the columns are the k kept
     ones, so every estimate is in those k coordinates and ``lift`` writes it
-    into the d features; without one, k = d."""
+    into the d features; without one, k = d.  On a unit-normalized map
+    ``sq_norms`` may hold the squared norms of the rows of ``states`` and
+    of ``table``, which the stage's candidate scores are normalized by."""
 
     states: np.ndarray         # (p, k_s) distinct state rows, kept columns
     table: np.ndarray          # (A, k_a) action table, kept columns
@@ -213,9 +219,11 @@ class Stage:
     scale: np.ndarray          # (n,) 1/||x_i||, or ones
     decomp: SpectralDecomposition
     mask: np.ndarray | None = None
+    sq_norms: tuple | None = None   # ((p,), (A,)) squared row norms, or None
 
     def __post_init__(self):
-        for arr in (self.states, self.table, self.state_of, self.action, self.scale):
+        for arr in (self.states, self.table, self.state_of, self.action, self.scale,
+                    *(self.sq_norms or ())):
             arr.setflags(write=False)
 
     @property
@@ -322,13 +330,15 @@ def _kept_columns(rows, table, mask, normalize: bool):
 def _stage_parts(rows, table, sq_norms, state_of, action):
     """One stage of trajectories in state rows ``state_of`` taking actions
     ``action``, from ``_kept_columns``' parts: its distinct state rows, each
-    trajectory's row of them and normalizer, and its Sigma_hat."""
+    trajectory's row of them and normalizer, the squared norms of its state
+    and action rows (None unless normalized), and its Sigma_hat."""
     if len(state_of) < 1:
         raise ValueError("empty design")
     used, local = np.unique(state_of, return_inverse=True)
     states = rows[used] if rows.flags.c_contiguous else rows.T.take(used, axis=1).T
     if sq_norms is None:
         weights = scale = np.ones(len(local))
+        norms = None
     else:
         with np.errstate(over="ignore"):  # an overflowing norm is refused below
             sq = sq_norms[0][state_of] + sq_norms[1][action]
@@ -337,7 +347,8 @@ def _stage_parts(rows, table, sq_norms, state_of, action):
         if not np.isfinite(sq).all():
             raise DataError("cannot normalize a feature vector whose squared norm overflows")
         weights, scale = 1.0 / sq, 1.0 / np.sqrt(sq)
-    return states, local, scale, _stage_covariance(states, table, local, action, weights)
+        norms = (sq_norms[0][used], sq_norms[1])
+    return states, local, scale, norms, _stage_covariance(states, table, local, action, weights)
 
 
 # Stages of this many kept features or more are decomposed on two threads;
@@ -433,9 +444,9 @@ def _on_stage(t: int, step, matrix: np.ndarray):
         raise type(exc)(f"stage {t}: {exc}") from exc
 
 
-def _decompose_stage(t: int, sym: np.ndarray) -> SpectralDecomposition:
-    """The ``eigensystem`` of stage t's ``symmetrized`` Sigma_hat."""
-    return _on_stage(t, eigensystem, sym)
+def _decompose_stage(t: int, cov: np.ndarray) -> SpectralDecomposition:
+    """The ``eigensystem`` of stage t's Sigma_hat."""
+    return _on_stage(t, eigensystem, cov)
 
 
 class _Schedule:
@@ -471,9 +482,11 @@ class _Schedule:
             *self.parts[t], cov = _stage_parts(self.rows, self.table, self.sq_norms,
                                                self.dataset.state_index[:, t - 1],
                                                self.dataset.actions[:, t - 1])
-            # decompose's checks, here on this thread: their numpy calls
-            # would pass the interpreter lock back and forth with the worker
-            cov = _on_stage(t, symmetrized, cov)
+            # Sigma_hat is built square and exactly symmetric, so of
+            # decompose's checks only finiteness is left, made here on this
+            # thread: its numpy calls would pass the interpreter lock back
+            # and forth with the worker
+            _on_stage(t, finite, cov)
         except (NumericError, ValueError) as exc:
             self.pending[t] = _Pending(t, None, exc)
             return
@@ -504,9 +517,9 @@ class _Schedule:
 
     def stage(self, t: int) -> Stage:
         """Stage t, once ``resolved`` without an error."""
-        states, state_of, scale = self.parts.pop(t)
+        states, state_of, scale, sq_norms = self.parts.pop(t)
         return Stage(states, self.table, state_of, self.dataset.actions[:, t - 1], scale,
-                     self.pending.pop(t).decomp, self.mask)
+                     self.pending.pop(t).decomp, self.mask, sq_norms)
 
     def settle(self):
         """Leave the worker nothing of this call: mark every stage done,
@@ -600,8 +613,8 @@ def _targets(dataset: BatchDataset, t: int, following: Stage | None,
         if np.any(theta_next != 0.0):
             raise ValueError("theta_next must be all zeros at the final stage")
         return rewards.copy(), 0.0
-    scores = candidate_scores(following.states, following.table,
-                              following.kept(theta_next), normalize=dataset.normalize)
+    scores = candidate_scores(following.states, following.table, following.kept(theta_next),
+                              normalize=dataset.normalize, sq_norms=following.sq_norms)
     best = scores.max(axis=0)
     # max |score| without the |.| temporary; abs only fixes the sign of a zero
     return rewards + best[following.state_of], float(abs(max(best.max(), -scores.min())))
@@ -646,22 +659,33 @@ def dimension_adjusted_sample_size(n: int, d: int, cfg: AdaptiveConfig) -> float
     return _mixed_sample_size(n, cfg.b0 * cfg.c0 * n * 2.0 * math.sqrt(d) / cfg.c_x, cfg)
 
 
-def variance_proxy(decomp: SpectralDecomposition, lam: float | np.ndarray, n: int, d: int,
-                   cfg: AdaptiveConfig):
-    """Finite-sample scale of the estimator fluctuation, per level lambda."""
-    lam = np.asarray(lam, dtype=float)
-    if np.any(lam <= 0):
-        raise ValueError("lambda must be positive")
+def _proxy_factors(lam: np.ndarray, n: int, d: int, cfg: AdaptiveConfig) -> tuple:
+    """The terms of ``variance_proxy`` at the positive levels ``lam`` that
+    do not depend on the spectrum: the front factor, the root of the
+    effective sample size and the last term."""
     n_gamma = effective_sample_size(n, cfg)
     ell = dimension_adjusted_sample_size(n, d, cfg)
-    eff = np.maximum(np.sqrt(empirical_effective_dimension(decomp, lam)), 1.0)
     # lam * ell past the float range gives its terms their limit 0, and an
     # effective sample size of 0 gives an infinite proxy, which the
     # balancing rule refuses as an overflowing threshold
     with np.errstate(over="ignore", divide="ignore"):
         front = 1.0 + 4.0 * (13.0 * cfg.c_x / np.sqrt(lam * ell)
                              + 21.0 * cfg.c_x * cfg.c_x / (lam * ell))
-        return front * eff / math.sqrt(n_gamma) + 1.0 / (n_gamma * np.sqrt(lam))
+        return front, math.sqrt(n_gamma), 1.0 / (n_gamma * np.sqrt(lam))
+
+
+def variance_proxy(decomp: SpectralDecomposition, lam: float | np.ndarray, n: int, d: int,
+                   cfg: AdaptiveConfig, factors: tuple | None = None):
+    """Finite-sample scale of the estimator fluctuation, per level lambda.
+    ``factors`` are the ``_proxy_factors`` of the same (lam, n, d, cfg), for
+    a caller that computed them once for many spectra."""
+    lam = np.asarray(lam, dtype=float)
+    if np.any(lam <= 0):
+        raise ValueError("lambda must be positive")
+    front, root_n_gamma, last = factors or _proxy_factors(lam, n, d, cfg)
+    eff = np.maximum(np.sqrt(empirical_effective_dimension(decomp, lam)), 1.0)
+    with np.errstate(over="ignore", divide="ignore"):
+        return front * eff / root_n_gamma + last
 
 
 def adaptive_threshold(t: int, horizon: int, phi_next: float, w: float | np.ndarray,
@@ -671,8 +695,49 @@ def adaptive_threshold(t: int, horizon: int, phi_next: float, w: float | np.ndar
             * (1.0 + cfg.c_x) * w * math.log(2.0 / cfg.delta) ** 2)
 
 
+@dataclass(frozen=True)
+class ScanGrid:
+    """What the balancing scan holds fixed over the stages of a train of n
+    trajectories with d features under ``cfg``, built once by
+    ``scan_grid``; every array is read-only, and the stage reports share
+    ``ks`` and ``scanned``."""
+
+    n: int
+    d: int
+    cfg: AdaptiveConfig
+    lambdas: np.ndarray       # lambda_k, k = 1..K+1
+    lam_next: np.ndarray      # lambda_{k+1}, k = 1..K
+    lam_column: np.ndarray    # the same, as a (K, 1) column
+    ks: np.ndarray            # the scan order K..1
+    order: np.ndarray         # ks - 1: the scan order over lam_next
+    scanned: np.ndarray       # lambda_k for each k of ks
+    proxy: tuple              # the _proxy_factors at lam_next
+
+    def __post_init__(self):
+        front, _, last = self.proxy
+        for arr in (self.lambdas, self.lam_next, self.lam_column, self.ks, self.order,
+                    self.scanned, front, last):
+            arr.setflags(write=False)
+
+
+def scan_grid(n: int, d: int, cfg: AdaptiveConfig, t: int) -> ScanGrid:
+    """The ``ScanGrid`` of n trajectories with d features under ``cfg``;
+    the grid's underflow is an error of stage t, the first stage scanned."""
+    k_max = cfg.budget
+    # checked before the (K + 1)-level grid is allocated
+    if cfg.q0 * cfg.q ** float(k_max + 1) == 0.0:
+        raise ConfigError(f"stage {t}: the grid's last level q0 q^(budget + 1) underflows "
+                          f"to 0 under the adaptive configuration {vars(cfg)}")
+    lambdas = cfg.q0 * cfg.q ** np.arange(1, k_max + 2, dtype=float)  # k = 1..K+1
+    lam_next = lambdas[1:]
+    ks = np.arange(k_max, 0, -1)
+    return ScanGrid(n, d, cfg, lambdas, lam_next, lam_next[:, None], ks, ks - 1,
+                    lambdas[ks - 1], _proxy_factors(lam_next, n, d, cfg))
+
+
 def select_lambda(stage: Stage, targets: np.ndarray, filt: FilterSpec,
-                  t: int, horizon: int, phi_next: float, cfg: AdaptiveConfig):
+                  t: int, horizon: int, phi_next: float, cfg: AdaptiveConfig,
+                  grid: ScanGrid | None = None):
     """Choose the stage regularization level by the balancing rule.
 
     The grid lambda_k = q0 * q^k, k = 1..K, is scanned from k = K down to 1,
@@ -686,33 +751,35 @@ def select_lambda(stage: Stage, targets: np.ndarray, filt: FilterSpec,
     ||(s + lambda_{k+1})^{1/2} (g_{k+1} - g_k) c||, and only the selected
     estimate is rotated back to feature space, in the stage's kept
     coordinates.  The threshold's dimension is the dataset's d, whatever the
-    stage's feature mask keeps.
+    stage's feature mask keeps.  What depends on neither the spectrum nor
+    the targets (the levels, the scan order and the variance proxy's
+    other terms) is the ``grid``, the ``scan_grid`` of the stage's n and d
+    under ``cfg``, which a train builds once for all its stages; None
+    builds it for this stage.
     """
     n, d = stage.n, stage.feature_dim
-    k_max = cfg.budget
-    # checked before the (K + 1)-level grid and its filter values are allocated
-    if cfg.q0 * cfg.q ** float(k_max + 1) == 0.0:
-        raise ConfigError(f"stage {t}: the grid's last level q0 q^(budget + 1) underflows "
-                          f"to 0 under the adaptive configuration {vars(cfg)}")
+    if grid is None:
+        grid = scan_grid(n, d, cfg, t)
+    elif (grid.n, grid.d, grid.cfg) != (n, d, cfg):
+        raise ValueError(f"the scan grid of {grid.n} trajectories with {grid.d} features "
+                         f"does not fit stage {t}'s {n} and {d}, or its configuration")
     s, c = stage.decomp.eigenvalues, stage.coords(targets)
-    lambdas = cfg.q0 * cfg.q ** np.arange(1, k_max + 2, dtype=float)  # k = 1..K+1
-    g = filter_values(filt, lambdas, s)                                 # row k-1: lambda_k
-    lam_next = lambdas[1:]                                              # lambda_{k+1}, k = 1..K
+    g = filter_values(filt, grid.lambdas, s)                            # row k-1: lambda_k
     step = (g[1:] - g[:-1]) * c
-    gaps = np.sqrt(np.sum((s + lam_next[:, None]) * step**2, axis=1))
+    gaps = np.sqrt(np.sum((s + grid.lam_column) * step**2, axis=1))
     taus = adaptive_threshold(t, horizon, phi_next,
-                              variance_proxy(stage.decomp, lam_next, n, d, cfg), cfg)
+                              variance_proxy(stage.decomp, grid.lam_next, n, d, cfg,
+                                             grid.proxy), cfg)
     if not np.isfinite(taus).all():
         raise ConfigError(f"stage {t}: the balancing thresholds overflow under the adaptive "
                           f"configuration {vars(cfg)}")
 
-    ks = np.arange(k_max, 0, -1)
-    diff_norms, thresholds = gaps[ks - 1], taus[ks - 1]
+    diff_norms, thresholds = gaps[grid.order], taus[grid.order]
     crossed = np.flatnonzero(diff_norms >= thresholds)
-    selected = int(ks[crossed[0]]) if crossed.size else k_max
-    lam = float(lambdas[selected - 1])
+    selected = int(grid.ks[crossed[0]]) if crossed.size else cfg.budget
+    lam = float(grid.lambdas[selected - 1])
     report = StageFitReport(
-        stage=t, ks=ks, lambdas=lambdas[ks - 1], diff_norms=diff_norms,
+        stage=t, ks=grid.ks, lambdas=grid.scanned, diff_norms=diff_norms,
         thresholds=thresholds, phi_next=phi_next, selected_k=selected,
         selected_lambda=lam,
     )
@@ -846,11 +913,14 @@ def _lasso_fitter(dataset: BatchDataset, grid: tuple, seed: int):
     return fit
 
 
-def _spectral_fitter(method: str, horizon: int, cfg: AdaptiveConfig):
-    filt = default_filter(method)
+def _spectral_fitter(method: str, dataset: BatchDataset, cfg: AdaptiveConfig):
+    """The balancing-rule scan of ``method``'s filter, on one ``scan_grid``
+    for every stage of ``dataset``."""
+    filt, horizon = default_filter(method), dataset.horizon
+    grid = scan_grid(len(dataset), dataset.feature_dim, cfg, horizon)
 
     def fit(t, stage, targets, phi):
-        lam, theta, report = select_lambda(stage, targets, filt, t, horizon, phi, cfg)
+        lam, theta, report = select_lambda(stage, targets, filt, t, horizon, phi, cfg, grid)
         return theta, lam, report.selected_k, report
 
     return fit
@@ -911,7 +981,7 @@ def train(dataset: BatchDataset, method: str, cfg: AdaptiveConfig | None = None,
             elif method == LASSO:
                 fit = _lasso_fitter(dataset, grid, seed)
             else:
-                fit = _spectral_fitter(method, horizon, cfg)
+                fit = _spectral_fitter(method, dataset, cfg)
             for t, stage in zip(range(horizon, 0, -1), stages):
                 if method == GRADIENT_DESCENT:
                     _check_top_eigenvalue(t, stage)

@@ -113,17 +113,24 @@ def symmetrized(matrix: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] < 1:
         raise ValueError("matrix must be at least 1x1")
-    if not np.all(np.isfinite(a)):
-        raise NumericError("matrix contains non-finite entries")
+    finite(a)
     asym = np.max(np.abs(a - a.T)) if a.size else 0.0
     if asym > SYMMETRY_TOL:
         raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
     return 0.5 * (a + a.T)
 
 
+def finite(matrix: np.ndarray) -> np.ndarray:
+    """``matrix``, once its entries are all finite: the one check of
+    ``symmetrized`` that a matrix built square and exactly symmetric can fail."""
+    if not np.isfinite(matrix).all():
+        raise NumericError("matrix contains non-finite entries")
+    return matrix
+
+
 def eigensystem(sym: np.ndarray) -> SpectralDecomposition:
-    """``decompose`` of a matrix that ``symmetrized`` returned: its ``eigh``,
-    the PSD check and the clamp."""
+    """``decompose`` of a finite, exactly symmetric matrix, such as
+    ``symmetrized`` returns: its ``eigh``, the PSD check and the clamp."""
     eigenvalues, eigenvectors = np.linalg.eigh(sym)
     if eigenvalues[0] < -EIGENVALUE_CLAMP_TOL:
         raise NumericError(

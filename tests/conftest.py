@@ -72,8 +72,8 @@ def stage_of(rows, mask, state_of, table, action, normalize=False):
     from the parts ``learner.stage_spectra`` builds every stage from."""
     mask = None if mask is None else np.asarray(mask, dtype=float)
     rows, table, sq_norms = _kept_columns(rows, table, mask, normalize)
-    states, state_of, scale, cov = _stage_parts(rows, table, sq_norms, state_of, action)
-    return Stage(states, table, state_of, action, scale, decompose(cov), mask)
+    states, state_of, scale, norms, cov = _stage_parts(rows, table, sq_norms, state_of, action)
+    return Stage(states, table, state_of, action, scale, decompose(cov), mask, norms)
 
 
 def design_stage(rows):

@@ -808,6 +808,40 @@ class TestCommands:
         assert not out.exists() or not any(out.iterdir())
 
 
+def plain_trace_text(reports) -> str:
+    """trace.json as ``json.dumps`` writes the plain record of each report."""
+    return json.dumps({"version": 1, "stages": [
+        {"t": r.stage, "ks": r.ks.tolist(), "lambdas": r.lambdas.tolist(),
+         "diff_norms": r.diff_norms.tolist(), "thresholds": r.thresholds.tolist(),
+         "phi_next": r.phi_next, "selected_k": r.selected_k,
+         "selected_lambda": r.selected_lambda}
+        for r in reports]}) + "\n"
+
+
+class TestTraceText:
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("env", [A1_ENV, A2_ENV])
+    def test_trace_is_the_json_of_the_plain_records(self, env, masked):
+        # the scan grid's ks and lambdas, which every report of a train
+        # shares read-only, are formatted once, to the same bytes
+        ds = build_world(env, 0, 100, 0.5).train
+        mask = None
+        if masked:
+            mask = np.ones(ds.feature_dim)
+            mask[::3] = 0.0
+        for method in METHODS:
+            _, reports = train(ds, method, spectra=None if mask is None else
+                               stage_spectra(ds, mask))
+            assert cli._trace_text(reports) == plain_trace_text(reports), method
+            if method in ("ls", "lasso"):
+                assert cli._trace_text(reports) == '{"version": 1, "stages": []}\n'
+                continue
+            assert len(reports) == ds.horizon
+            for r in reports:
+                assert r.ks is reports[0].ks and r.lambdas is reports[0].lambdas
+                assert not (r.ks.flags.writeable or r.lambdas.flags.writeable)
+
+
 class TestExitCodes:
     def test_linalg_failure_exits_four(self, tmp_path, capsys, monkeypatch):
         cfg = write_small_config(tmp_path)

@@ -42,6 +42,7 @@ from sblq.learner import (
     lasso_path,
     load_model,
     model_json_text,
+    scan_grid,
     select_lambda,
     stage_spectra,
     stage_targets,
@@ -49,7 +50,7 @@ from sblq.learner import (
     variance_proxy,
 )
 from sblq.policy import parameter_gap
-from sblq.spectral import decompose, default_filter, eigensystem, weighted_half_norm
+from sblq.spectral import decompose, default_filter, eigensystem, symmetrized, weighted_half_norm
 
 from conftest import design_stage, make_dataset, stage_of, reference_design, reference_features, stage_rows
 
@@ -310,6 +311,22 @@ class TestSelectLambda:
             expected_k = 2
         assert rep.selected_k == expected_k
 
+    def test_a_trains_grid_gives_the_stages_own_scan(self):
+        # the grid a train builds once is the one select_lambda builds for a
+        # stage alone; a grid of another n, d or configuration is refused
+        stage, y = self._design()
+        cfg, filt = AdaptiveConfig(budget=30), default_filter("tikhonov")
+        grid = scan_grid(stage.n, stage.feature_dim, cfg, 1)
+        lam, theta, rep = select_lambda(stage, y, filt, 1, 2, 0.5, cfg)
+        got = select_lambda(stage, y, filt, 1, 2, 0.5, cfg, grid)
+        assert (got[0], got[1].tobytes()) == (lam, theta.tobytes())
+        assert _trace_text([got[2]]) == _trace_text([rep])
+        for other in (scan_grid(stage.n + 1, stage.feature_dim, cfg, 1),
+                      scan_grid(stage.n, stage.feature_dim + 1, cfg, 1),
+                      scan_grid(stage.n, stage.feature_dim, AdaptiveConfig(budget=31), 1)):
+            with pytest.raises(ValueError, match="scan grid"):
+                select_lambda(stage, y, filt, 1, 2, 0.5, cfg, other)
+
     def test_underflowing_grid_raises_before_it_is_allocated(self, monkeypatch):
         # 0.9^(K + 1) underflows for K above about 7,000; a grid of 10^7
         # levels would take 80 MB per array
@@ -462,15 +479,26 @@ class TestTrain:
         calls = []
 
         def counting(*args, **kwargs):
-            calls.append(1)
+            calls.append(kwargs["sq_norms"])
             return candidate_scores(*args, **kwargs)
 
         monkeypatch.setattr(learner_mod, "candidate_scores", counting)
         ds, _ = small_env_dataset(n=60, seed=8)
         bundle, reports = train(ds, method, seed=2)
         assert len(calls) == ds.horizon - 1
+        # normalized by the squared row norms the stage's build took
+        assert ds.normalize and all(norms is not None for norms in calls)
         assert len(reports) == n_reports
         assert bundle.filter_kind == method and bundle.seed == 2
+
+    @pytest.mark.parametrize("given", [False, True])
+    def test_an_underflowing_grid_is_an_error_of_stage_T(self, given):
+        # the one grid of a train is built before its first fit, at stage T,
+        # and its error names that stage as a scan of stage T would
+        ds, _ = small_env_dataset(n=40, seed=9)
+        cfg = default_config("tikhonov", ds.reward_bound, budget=10_000_000)
+        with pytest.raises(ConfigError, match=rf"^stage {ds.horizon}: the grid's last level"):
+            train(ds, "tikhonov", cfg, spectra=stage_spectra(ds) if given else None)
 
     def test_baseline_rejects_adaptive_config(self):
         ds, _ = small_env_dataset(n=40, seed=9)
@@ -713,7 +741,7 @@ class TestTwoThreadDecomposition:
         ds = a1_half()
         horizon, worker = ds.horizon, HoldingWorker()
         order, covs, alive = [], [], []
-        decompose_stage, symmetrized = learner_mod._decompose_stage, learner_mod.symmetrized
+        decompose_stage, stage_parts = learner_mod._decompose_stage, learner_mod._stage_parts
 
         def spy(t, cov):
             alive.append(sum(ref() is not None for ref in covs))
@@ -725,16 +753,16 @@ class TestTwoThreadDecomposition:
                     worker.release.set()
             return decompose_stage(t, cov)
 
-        def symmetric(matrix):
-            sym = symmetrized(matrix)
-            covs.append(weakref.ref(sym))
+        def built(*args):
+            *parts, cov = stage_parts(*args)
+            covs.append(weakref.ref(cov))
             alive.append(sum(ref() is not None for ref in covs))
-            return sym
+            return (*parts, cov)
 
         monkeypatch.setattr(learner_mod, "_spare_cpu", lambda: True)
         monkeypatch.setattr(learner_mod, "_worker_tasks", lambda: worker)
         monkeypatch.setattr(learner_mod, "_decompose_stage", spy)
-        monkeypatch.setattr(learner_mod, "symmetrized", symmetric)
+        monkeypatch.setattr(learner_mod, "_stage_parts", built)
         if call == "train":
             got = model_json_text(train(ds, "tikhonov")[0])
         else:
@@ -751,6 +779,32 @@ class TestTwoThreadDecomposition:
         else:
             for a, b in zip(serial.stages, got.stages):
                 assert np.array_equal(a.decomp.eigenvectors, b.decomp.eigenvectors)
+
+    @pytest.mark.parametrize("method", ["tikhonov", "gradient-descent", "cutoff"])
+    def test_a_train_decomposes_scans_and_scores_each_stage_once(self, monkeypatch, method):
+        # an unmasked a1 train, serially and on two threads: one eigensystem
+        # and one scan per stage, and one candidate scoring per stage below T
+        import sblq.learner as learner_mod
+        ds = a1_half()
+        calls = []
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(learner_mod, "select_lambda", counted("select_lambda", select_lambda))
+        monkeypatch.setattr(learner_mod, "candidate_scores",
+                            counted("candidate_scores", candidate_scores))
+        assert ds.horizon == 20
+        for spare in (False, True):
+            calls.clear()
+            with decomposing_on(spare, counted("eigensystem", eigensystem)) as seen:
+                train(ds, method)
+            assert {name: calls.count(name) for name in set(calls)} == {
+                "eigensystem": 20, "select_lambda": 20, "candidate_scores": 19}, spare
+            assert any(name.startswith("sblq-decompose") for _, name in seen) == spare
 
     @pytest.mark.parametrize("cpus, blas, spare", [
         (2, {"OPENBLAS_NUM_THREADS": "1"}, True),
@@ -1016,6 +1070,29 @@ class TestStageIsItsDesign:
                 assert within(got_y, ds.rewards[:, t - 1] + scores.max(axis=0), scale)
                 assert within(got_phi, scale, scale)
 
+    @pytest.mark.parametrize("env", [A1_ENV, A2_ENV])
+    def test_stage_covariances_are_exactly_symmetric(self, env):
+        # why a stage's Sigma_hat is decomposed as built, checked for
+        # finiteness only: on every stage, unmasked, masked (column-major
+        # rows) and unnormalized at 1e4 scale, it is its own transpose, and
+        # symmetrized would return it bit for bit
+        import sblq.learner as learner_mod
+        for w in range(3):
+            ds, _ = generate_trajectories(make_env(env, w), 200, seed=w)
+            mask = np.ones(ds.feature_dim)
+            mask[::3] = 0.0
+            for data in (ds, scaled(ds, [1e4] * ds.horizon)):
+                for kept in (None, mask):
+                    rows, table, sq_norms = learner_mod._kept_columns(
+                        data.state_rows, data.action_table, kept, data.normalize)
+                    assert rows.flags.f_contiguous != (kept is None)
+                    for t in range(data.horizon):
+                        cov = learner_mod._stage_parts(rows, table, sq_norms,
+                                                       data.state_index[:, t],
+                                                       data.actions[:, t])[-1]
+                        assert np.array_equal(cov, cov.T)
+                        assert np.array_equal(symmetrized(cov), cov)
+
     def test_rank_deficient_a1_stage(self):
         # 100 a1 trajectories: the stage-1 design has rank 62 of 72
         ds, _ = generate_trajectories(make_env(A1_ENV, 0), 100, seed=0)
@@ -1114,17 +1191,18 @@ class TestMaskedStages:
         mask[::3] = 0.0
         seen = []
 
-        def spy(n, d, cfg):
+        def spy(n, d, cfg, t):
             seen.append(d)
-            return dimension_adjusted_sample_size(n, d, cfg)
+            return scan_grid(n, d, cfg, t)
 
-        monkeypatch.setattr(learner_mod, "dimension_adjusted_sample_size", spy)
+        # the one grid of the train holds the threshold's terms of n and d
+        monkeypatch.setattr(learner_mod, "scan_grid", spy)
         cfg = default_config("tikhonov", ds.reward_bound, c0=0.5)
         spectra = stage_spectra(ds, mask)
         assert all(stage.states.shape[1] + stage.table.shape[1] == np.count_nonzero(mask)
                    for stage in spectra.stages)
         got, _ = train(ds, "tikhonov", cfg, spectra=spectra)
-        assert seen == [ds.feature_dim] * ds.horizon
+        assert seen == [ds.feature_dim]
         want, _ = train(ds, "tikhonov", cfg, spectra=full_matrix_spectra(ds, mask))
         assert ([(s.lambda_selected, s.k_selected) for s in got.stages]
                 == [(s.lambda_selected, s.k_selected) for s in want.stages])
