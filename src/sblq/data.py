@@ -163,11 +163,12 @@ def _score_blocks(states, action_table, stacks, normalize: bool, sq_norms=None):
     scored on the features the 0/1 ``mask`` keeps (None keeps every one).
 
     Exploits the block structure of the concatenation so the (A, n, d) feature
-    tensor is never materialized, and builds the normalizer
-    sqrt(|s_i|^2 + |a_j|^2) once per mask, at its first theta: without a
-    mask, from the squared row norms (|s_i|^2, |a_j|^2) of ``sq_norms`` if
-    given.  Each theta has its own pair of matrix-vector products, so a score
-    does not depend on what else is scored with it.
+    tensor is never materialized.  Each nonempty stack is split into its
+    state and action halves once and gets its normalizer sqrt(|s_i|^2 +
+    |a_j|^2) before its first theta, built once per mask: without a mask,
+    from the squared row norms (|s_i|^2, |a_j|^2) of ``sq_norms`` if given.
+    Each theta has its own pair of matrix-vector products, so a score does
+    not depend on what else is scored with it.
     """
     s0 = np.asarray(states, dtype=float)
     a0 = np.asarray(action_table, dtype=float)
@@ -178,21 +179,24 @@ def _score_blocks(states, action_table, stacks, normalize: bool, sq_norms=None):
         theta = np.asarray(theta, dtype=float)
         if theta.ndim != 2 or theta.shape[1] != d:
             raise ValueError(f"theta has shape {theta.shape}, expected (k, {d})")
+        if not len(theta):
+            continue
         s, a, key = s0, a0, None
         if mask is not None:
             m = np.asarray(mask, dtype=float)
             s, a, key = s0 * m[None, :d_s], a0 * m[None, d_s:], m.tobytes()
-        for th in theta:
-            if normalize and key not in norms:
-                s_sq, a_sq = (sq_norms if key is None and sq_norms is not None
-                              else (np.sum(s**2, axis=1), np.sum(a**2, axis=1)))
-                sq = a_sq[:, None] + s_sq[None, :]
-                if np.any(sq == 0.0):
-                    raise DataError("cannot normalize an all-zero feature vector")
-                norms[key] = np.sqrt(sq)
-            block = np.add((a @ th[d_s:])[:, None], (s @ th[:d_s])[None, :])
+        if normalize and key not in norms:
+            s_sq, a_sq = (sq_norms if key is None and sq_norms is not None
+                          else (np.sum(s**2, axis=1), np.sum(a**2, axis=1)))
+            sq = a_sq[:, None] + s_sq[None, :]
+            if np.any(sq == 0.0):
+                raise DataError("cannot normalize an all-zero feature vector")
+            norms[key] = np.sqrt(sq)
+        norm = norms.get(key)
+        for th_s, th_a in zip(theta[:, :d_s], theta[:, d_s:]):
+            block = np.add((a @ th_a)[:, None], (s @ th_s)[None, :])
             if normalize:
-                block /= norms[key]
+                block /= norm
             yield block
 
 

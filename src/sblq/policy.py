@@ -11,10 +11,15 @@ trajectories (m <= n): each row once per stage parameter, one (A, m) block
 in memory at a time, the maximum over actions taken as each block is
 scored, and each stage gathers its trajectories' best scores through the
 state index.  A dataset whose rows outnumber its trajectories scores each
-stage's (n, d_s) contexts instead.  The metrics are the same bits either way
-wherever the BLAS rounds a row's matrix-vector product the same in both
+stage's (n, d_s) contexts instead.  The metrics are the same bits either
+way wherever the BLAS rounds a row's matrix-vector product the same in both
 (it may round a row by its place among the rows; on a1 worlds 0-31, with
 m = 300 and n = 500, every metric is).
+
+``evaluate`` scores both metrics in one sweep: the estimates and the truth
+of stages 2..T for the gap and, without a simulator, the estimate of stage 1
+for the value, so the rows and each normalizer are prepared once.  Its
+report holds the same bits as the public functions it stands for.
 """
 from __future__ import annotations
 
@@ -89,35 +94,57 @@ def _truth_rows(theta_star, horizon: int, feature_dim: int) -> np.ndarray:
     return arr
 
 
-def _stage_best(dataset: BatchDataset, stages, stacks) -> list:
-    """For each (thetas, mask) pair of ``stacks``, the (len(stages), n) best
-    candidate score of each trajectory's state at stage ``stages[i]`` under
-    ``thetas[i]``, on the features ``mask`` keeps (None keeps every one).
+def _stage_best(dataset: BatchDataset, stacks) -> list:
+    """For each (stages, thetas, mask) triple of ``stacks``, the
+    (len(stages), n) best candidate score of each trajectory's state at stage
+    ``stages[i]`` under ``thetas[i]``, on the features ``mask`` keeps (None
+    keeps every one).
 
     A dataset with no more distinct state rows than trajectories (m <= n)
-    scores its m rows once per theta and gathers each stage's trajectories
-    from those rows' best scores; any other scores each stage's (n, d_s)
-    contexts.  A row that no stage visits, which under a mask may have no
-    normalizable feature vector, is scored as a copy of a visited row."""
+    scores its m rows once per theta, in one ``best_scores`` call for every
+    stack, and gathers each stage's trajectories from those rows' best
+    scores; any other scores each stage's (n, d_s) contexts once, under the
+    thetas of every stack that holds the stage.  A row that no stage visits,
+    which under a mask may have no normalizable feature vector, is scored as
+    a copy of a visited row."""
     score = partial(best_scores, action_table=dataset.action_table,
                     normalize=dataset.normalize)
+    stages = [np.asarray(stage_list, dtype=np.intp) for stage_list, _, _ in stacks]
+    pairs = [(thetas, mask) for _, thetas, mask in stacks]
     if len(dataset.state_rows) <= len(dataset):
-        index = dataset.state_index[:, [t - 1 for t in stages]].T
-        visited = np.zeros(len(dataset.state_rows), dtype=bool)
-        visited[index] = True
-        # each row keeps its place: a BLAS matrix-vector product may round a
-        # row by its place among the rows
-        rows = np.where(visited[:, None], dataset.state_rows,
-                        dataset.state_rows[np.argmax(visited)])
-        return [np.take_along_axis(best, index, axis=1)
-                for best in score(rows, stacks=stacks)]
-    best = [np.empty((len(stages), len(dataset))) for _ in stacks]
-    for i, t in enumerate(stages):
+        by_stage = dataset.state_index.T
+        index = [by_stage[stage_list - 1] for stage_list in stages]
+        rows = dataset.state_rows
+        visited = np.zeros(len(rows), dtype=bool)
+        for idx in index:
+            visited[idx] = True
+        if not visited.all():
+            # each row keeps its place: a BLAS matrix-vector product may
+            # round a row by its place among the rows
+            rows = np.where(visited[:, None], rows, rows[np.argmax(visited)])
+        # row i of a (k, m) array starts at i * m of its flat copy
+        return [best.take(idx + len(rows) * np.arange(len(idx))[:, None])
+                for best, idx in zip(score(rows, stacks=pairs), index)]
+    best = [np.empty((len(stage_list), len(dataset))) for stage_list in stages]
+    places = {}  # stage -> [(stack, place of the stage in the stack)]
+    for k, stage_list in enumerate(stages):
+        for i, t in enumerate(stage_list.tolist()):
+            places.setdefault(t, []).append((k, i))
+    for t in sorted(places):
         rows = score(dataset.stage_states(t),
-                     stacks=[(thetas[i:i + 1], mask) for thetas, mask in stacks])
-        for out, row in zip(best, rows):
-            out[i] = row[0]
+                     stacks=[(pairs[k][0][i:i + 1], pairs[k][1]) for k, i in places[t]])
+        for (k, i), row in zip(places[t], rows):
+            best[k][i] = row[0]
     return best
+
+
+def _gap(est_best: np.ndarray, true_best: np.ndarray) -> float:
+    """The policy gap of the (T-1, n) best scores of stages 2..T under the
+    estimated and the true parameters."""
+    stage_mse = np.zeros(len(est_best) + 1)
+    stage_mse[:-1] = np.mean((est_best - true_best) ** 2, axis=1)
+    # stage T: both continuation parameters are zero, so the gap vanishes
+    return float(np.sqrt(np.mean(stage_mse)))
 
 
 def policy_gap(model: ModelBundle, theta_star, dataset: BatchDataset) -> float:
@@ -131,14 +158,9 @@ def policy_gap(model: ModelBundle, theta_star, dataset: BatchDataset) -> float:
     memory at a time."""
     truth = _truth_rows(theta_star, model.horizon, model.feature_dim)
     horizon = model.horizon
-    est_best, true_best = _stage_best(
-        dataset, range(2, horizon + 1),
-        [(model.theta_matrix()[1:], model.feature_mask), (truth[1:horizon], None)])
-    stage_mse = np.zeros(horizon)
-    for i, (est, tru) in enumerate(zip(est_best, true_best)):
-        stage_mse[i] = np.mean((est - tru) ** 2)
-    # stage T: both continuation parameters are zero, so the gap vanishes
-    return float(np.sqrt(np.mean(stage_mse)))
+    later = range(2, horizon + 1)
+    return _gap(*_stage_best(dataset, [(later, model.theta_matrix()[1:], model.feature_mask),
+                                       (later, truth[1:horizon], None)]))
 
 
 def rollout_reward(policy: GreedyPolicy, env: SyntheticEnv, n_episodes: int,
@@ -157,7 +179,7 @@ def rollout_reward(policy: GreedyPolicy, env: SyntheticEnv, n_episodes: int,
 def direct_value_estimate(model: ModelBundle, dataset: BatchDataset) -> float:
     """Model-implied initial value: mean over trajectories of the best
     stage-1 action score.  Offline stand-in when no simulator is available."""
-    best = _stage_best(dataset, [1], [(model.theta(1)[None], model.feature_mask)])[0]
+    best = _stage_best(dataset, [([1], model.theta(1)[None], model.feature_mask)])[0]
     return float(np.mean(best[0]))
 
 
@@ -186,26 +208,43 @@ def comparison_diagnostic(model: ModelBundle, theta_star,
     return total
 
 
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm`` of a 1-D array, by the same arithmetic."""
+    return float(np.sqrt(v.dot(v)))
+
+
 def evaluate(model: ModelBundle, theta_star, dataset: BatchDataset,
              env: SyntheticEnv | None = None, n_episodes: int = 200,
              seed: int = 0) -> MetricsReport:
-    """Bundle the three headline metrics plus per-stage diagnostics."""
-    truth = _truth_rows(theta_star, model.horizon, model.feature_dim)
+    """Bundle the three headline metrics plus per-stage diagnostics.
+
+    The policy gap and, without ``env``, the direct value estimate come from
+    one ``_stage_best`` sweep: the estimates of stages 1..T (2..T with an
+    env) and the truth of stages 2..T.  Each metric is the same bits as its
+    public function."""
+    horizon = model.horizon
+    truth = _truth_rows(theta_star, horizon, model.feature_dim)
+    thetas = model.theta_matrix()
     # a norm whose square passes the float range is inf, which the caller
     # reports as metrics that overflow
     with np.errstate(over="ignore"):
-        pgap = parameter_gap(model.theta_matrix(), truth[:-1])
+        pgap = parameter_gap(thetas, truth[:-1])
         per_stage = tuple(
             {
                 "t": s.t,
                 "lambda": s.lambda_selected,
                 "k": s.k_selected,
-                "theta_norm": float(np.linalg.norm(s.theta)),
-                "stage_gap": float(np.linalg.norm(s.theta - truth[s.t - 1])),
+                "theta_norm": _norm(s.theta),
+                "stage_gap": _norm(s.theta - truth[s.t - 1]),
             }
             for s in model.stages
         )
-    ygap = policy_gap(model, truth, dataset)
-    reward = policy_value(model, dataset, env, n_episodes, seed)
+    first = 1 if env is None else 2
+    est_best, true_best = _stage_best(
+        dataset, [(range(first, horizon + 1), thetas[first - 1:], model.feature_mask),
+                  (range(2, horizon + 1), truth[1:horizon], None)])
+    ygap = _gap(est_best[2 - first:], true_best)
+    reward = (float(np.mean(est_best[0])) if env is None
+              else policy_value(model, dataset, env, n_episodes, seed))
     return MetricsReport(parameter_gap=pgap, policy_gap=ygap,
                          cumulative_reward=reward, per_stage=per_stage)

@@ -31,7 +31,8 @@ CUTOFF = "cutoff"
 GRADIENT_DESCENT = "gradient-descent"
 FILTER_KINDS = (TIKHONOV, CUTOFF, GRADIENT_DESCENT)
 
-# Tolerances used when validating decomposition inputs.
+# Tolerances used when validating decomposition inputs; the eigenvalue
+# bound is scaled by max(1, largest eigenvalue) (``eigensystem``).
 SYMMETRY_TOL = 1e-10
 EIGENVALUE_CLAMP_TOL = 1e-12
 # Largest eigenvalue the gradient-descent filter takes: 1 plus the round-off
@@ -99,8 +100,10 @@ def default_filter(kind: str) -> FilterSpec:
 def decompose(matrix: np.ndarray) -> SpectralDecomposition:
     """Eigendecompose a symmetric PSD matrix.
 
-    Rejects matrices with non-finite entries, asymmetry above 1e-10, or
-    eigenvalues below -1e-12.  Round-off negatives are clamped to zero.
+    Rejects matrices with non-finite entries, asymmetry above 1e-10, or an
+    eigenvalue below -1e-12 x max(1, largest eigenvalue), a bound relative to
+    the matrix's scale once that passes 1.  Round-off negatives are clamped
+    to zero.
     """
     return eigensystem(symmetrized(matrix))
 
@@ -132,7 +135,7 @@ def eigensystem(sym: np.ndarray) -> SpectralDecomposition:
     """``decompose`` of a finite, exactly symmetric matrix, such as
     ``symmetrized`` returns: its ``eigh``, the PSD check and the clamp."""
     eigenvalues, eigenvectors = np.linalg.eigh(sym)
-    if eigenvalues[0] < -EIGENVALUE_CLAMP_TOL:
+    if eigenvalues[0] < -EIGENVALUE_CLAMP_TOL * max(1.0, eigenvalues[-1]):
         raise NumericError(
             f"matrix is not positive semidefinite (eigenvalue {eigenvalues[0]:.3e})"
         )

@@ -1129,6 +1129,19 @@ class TestStageIsItsDesign:
             bundle, _ = train(ds, method, spectra=spectra)
             assert np.all(np.isfinite(bundle.theta_matrix())), method
 
+    @pytest.mark.parametrize("scale", [1e2, 1e3, 1e4])
+    def test_unnormalized_states_at_scale_decompose(self, scale):
+        # the a1 Sigma_hat have rank 62 of 72, and at these scales their
+        # round-off negative eigenvalues (down to -1.7e-7 at 1e4) lie below
+        # an absolute -1e-12 but within 1e-12 of the largest eigenvalue
+        base, _ = generate_trajectories(make_env(A1_ENV, 0), 200, seed=0)
+        ds = scaled(base, [scale] * base.horizon)
+        spectra = stage_spectra(ds)
+        assert len(spectra.stages) == ds.horizon
+        for stage in spectra.stages:
+            sigmas = stage.decomp.eigenvalues
+            assert sigmas[0] == 0.0 and sigmas[-1] > scale
+
     @pytest.mark.parametrize("masked", [False, True])
     @pytest.mark.parametrize("method", ["tikhonov", "gradient-descent", "cutoff", "ls", "lasso"])
     def test_train_builds_no_design(self, method, masked):

@@ -225,19 +225,32 @@ class TestPolicyGap:
 
     @pytest.mark.parametrize("case", ["repeating", "non-repeating"])
     def test_scores_each_distinct_row_once_when_rows_repeat(self, case, monkeypatch):
-        # m <= n: one pass over the m rows for all stages; else each stage's n contexts
+        # m <= n: one pass over the m rows for all stages; else each stage's
+        # n contexts.  evaluate makes the same one pass for the gap and the
+        # direct value estimate together, and without an env no rollout
         import sblq.policy as policy_mod
-        scored = []
+        scored, candidates = [], []
 
         def recording(states, *args, **kwargs):
             scored.append(len(states))
             return best_scores(states, *args, **kwargs)
 
+        def recording_candidates(states, *args, **kwargs):
+            candidates.append(len(states))
+            return candidate_scores(states, *args, **kwargs)
+
         monkeypatch.setattr(policy_mod, "best_scores", recording)
+        monkeypatch.setattr(policy_mod, "candidate_scores", recording_candidates)
         ds = SCORING_DATASETS[case]()
-        policy_gap(*random_model(ds, 8, masked=False), ds)
+        model, truth = random_model(ds, 8, masked=False)
+        policy_gap(model, truth, ds)
         want = [len(ds.state_rows)] if case == "repeating" else [len(ds)] * (ds.horizon - 1)
         assert scored == want
+        scored.clear()
+        evaluate(model, truth, ds)
+        want = [len(ds.state_rows)] if case == "repeating" else [len(ds)] * ds.horizon
+        assert scored == want
+        assert candidates == []
 
     def test_a_row_no_trajectory_visits_does_not_refuse_a_masked_model(self):
         # m <= n, and row 2, which no trajectory visits, is 0 on the one kept
@@ -449,4 +462,36 @@ def test_evaluate_bundles_metrics():
     assert np.isfinite(report.cumulative_reward)
     assert len(report.per_stage) == 3
     offline = evaluate(bundle, truth.theta_star, ds)
-    assert offline.cumulative_reward == pytest.approx(direct_value_estimate(bundle, ds))
+    assert offline.cumulative_reward == direct_value_estimate(bundle, ds)
+
+
+def scoring_env(ds, seed):
+    """A simulator whose states, actions and horizon fit ``ds``'s feature map."""
+    d_user = ds.state_dim // 2
+    spec = EnvSpec(n_users=3, n_actions=len(ds.action_table), d_video=ds.state_dim - d_user,
+                   d_user=d_user, d_action=ds.action_dim, horizon=ds.horizon, noise_sd=0.3)
+    return make_env(spec, seed=seed)
+
+
+@pytest.mark.parametrize("with_env", [False, True], ids=["offline", "env"])
+@pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+@pytest.mark.parametrize("case", list(SCORING_DATASETS))
+def test_evaluate_equals_its_public_functions(case, masked, with_env):
+    # one scoring sweep for the gap and the value estimate, with every field
+    # the bits of the function that reports it alone
+    ds = SCORING_DATASETS[case]()
+    model, truth = random_model(ds, 10, masked)
+    env = scoring_env(ds, 10) if with_env else None
+    report = evaluate(model, truth, ds, env=env, n_episodes=7, seed=3)
+    assert report.parameter_gap == parameter_gap(model.theta_matrix(), truth[:-1])
+    assert report.policy_gap == policy_gap(model, truth, ds)
+    if env is None:
+        assert report.cumulative_reward == direct_value_estimate(model, ds)
+    else:
+        policy = GreedyPolicy(model, ds.action_table, normalize=ds.normalize)
+        assert report.cumulative_reward == rollout_reward(policy, env, 7, seed=3)
+    assert [(s["t"], s["lambda"], s["k"]) for s in report.per_stage] == [
+        (s.t, s.lambda_selected, s.k_selected) for s in model.stages]
+    for row, stage in zip(report.per_stage, model.stages):
+        assert row["theta_norm"] == float(np.linalg.norm(stage.theta))
+        assert row["stage_gap"] == float(np.linalg.norm(stage.theta - truth[stage.t - 1]))

@@ -62,9 +62,18 @@ class TestDecompose:
         with pytest.raises(NumericError):
             decompose(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
-    def test_truly_negative_rejected(self):
+    @pytest.mark.parametrize("scale", [1e-3, 1e-2, 0.1, 1.0, 10.0, 1e2, 1e3, 1e4])
+    def test_truly_negative_rejected(self, scale):
+        # the bound on a negative eigenvalue grows with the largest one, but
+        # stays a round-off bound
+        with pytest.raises(NumericError, match="not positive semidefinite"):
+            decompose(np.diag([-0.5, 1.0]) * scale)
+
+    def test_roundoff_bound_is_relative_above_unit_scale(self):
+        # -1e-10 is round-off beside 1e3 (a relative 1e-13), not beside 1
+        assert decompose(np.diag([-1e-10, 1e3])).eigenvalues[0] == 0.0
         with pytest.raises(NumericError):
-            decompose(np.diag([-0.5, 1.0]))
+            decompose(np.diag([-1e-10, 1.0]))
 
 
 class TestFilterValue:
